@@ -1,9 +1,8 @@
 """Topic-conditioned masked sentence generation: baseline, parallel, and
 conditional decoders with a TextCNN-style topic classifier."""
 
-from artdesc.decoder.ckpt import load_decoder_checkpoint, save_decoder_checkpoint
 from artdesc.decoder.classifier import classify_distributions, classify_tokens, predict_topic
-from artdesc.decoder.config import VARIANTS, DecoderConfig, TrainConfig
+from artdesc.decoder.config import VARIANTS, DecoderConfig
 from artdesc.decoder.generate import beam_decode, compose_description, generate, greedy_decode
 from artdesc.decoder.model import (
     attend,
@@ -16,16 +15,17 @@ from artdesc.decoder.model import (
     topic_embedding_index,
 )
 from artdesc.decoder.train import (
-    DecoderCheckpoint,
     TrainingItem,
     build_training_items,
+    load_decoder_checkpoint,
+    save_decoder_checkpoint,
     sequence_loss,
     train_conditional,
     train_decoder,
 )
+from artdesc.training import TrainConfig
 
 __all__ = [
-    "DecoderCheckpoint",
     "DecoderConfig",
     "TrainConfig",
     "TrainingItem",

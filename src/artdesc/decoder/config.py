@@ -1,4 +1,4 @@
-"""Decoder and training configuration."""
+"""Decoder configuration."""
 
 from __future__ import annotations
 
@@ -63,28 +63,3 @@ class DecoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "DecoderConfig":
         return cls(**{**d, "classifier_windows": tuple(d["classifier_windows"])})
-
-
-@dataclass
-class TrainConfig:
-    """Optimization settings. The default schedule starts at 5e-4 and decays
-    by 0.8 every 10 epochs; lr_decay_every=None holds the rate constant."""
-
-    epochs: int
-    lr: float = 5e-4
-    lr_decay: float = 0.8
-    lr_decay_every: int | None = 10
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    batch_size: int = 32
-    seed: int = 0
-    classifier_loss_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        self.betas = tuple(self.betas)

@@ -18,8 +18,8 @@ import numpy as np
 
 from artdesc.corpus import FeatureGrid, MaskedSentence, TOPIC_ORDER, TopicLabel
 from artdesc.decoder.model import attend, decode_logits, init_state, sub_prefix, topic_embedding_index
-from artdesc.decoder.train import DecoderCheckpoint
 from artdesc.errors import ConfigError
+from artdesc.training import Checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +36,7 @@ def _step(params, prefix, topic_idx, grid, state, prev):
     return state, _log_softmax(logits.data)
 
 
-def greedy_decode(ckpt: DecoderCheckpoint, grid: FeatureGrid, topic: TopicLabel,
+def greedy_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
                   max_len: int) -> tuple[list[int], float]:
     """Argmax decoding (lowest index wins ties). Returns (token ids, log-prob)."""
     params = ckpt.store
@@ -63,7 +63,7 @@ def greedy_decode(ckpt: DecoderCheckpoint, grid: FeatureGrid, topic: TopicLabel,
     return tokens, score
 
 
-def beam_decode(ckpt: DecoderCheckpoint, grid: FeatureGrid, topic: TopicLabel,
+def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
                 max_len: int, beam_size: int) -> tuple[list[int], float]:
     params = ckpt.store
     prefix = sub_prefix(ckpt.config.variant, topic)
@@ -108,7 +108,7 @@ def beam_decode(ckpt: DecoderCheckpoint, grid: FeatureGrid, topic: TopicLabel,
 
 
 def generate(
-    ckpt: DecoderCheckpoint,
+    ckpt: Checkpoint,
     grid: FeatureGrid,
     topic: TopicLabel,
     mode: str = "beam",

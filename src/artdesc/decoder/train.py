@@ -1,4 +1,4 @@
-"""Teacher-forced decoder training.
+"""Teacher-forced decoder training and decoder checkpoint files.
 
 Ground-truth construction: the baseline decoder trains on the whole masked
 description; the parallel and conditional decoders train on per-topic
@@ -9,15 +9,14 @@ topic. Sentences whose topic annotation is absent never enter topic training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from pathlib import Path
 
 from artdesc import numcore as nc
 from artdesc.corpus import FeatureGrid, PaintingRecord, TopicLabel
 from artdesc.corpus.vocab import Vocab
 from artdesc.decoder.classifier import classify_distributions
-from artdesc.decoder.config import DecoderConfig, TrainConfig
+from artdesc.decoder.config import DecoderConfig
 from artdesc.decoder.model import (
     attend,
     decode_logits,
@@ -27,15 +26,7 @@ from artdesc.decoder.model import (
     topic_embedding_index,
 )
 from artdesc.errors import ConfigError
-
-
-@dataclass
-class DecoderCheckpoint:
-    config: DecoderConfig
-    vocab: Vocab
-    store: nc.ParamStore
-    seed: int
-    history: list[dict] = field(default_factory=list)
+from artdesc.training import Checkpoint, TrainConfig, fit, load_model, save_model
 
 
 @dataclass
@@ -97,13 +88,9 @@ def sequence_loss(
     return nc.add_n(losses), len(losses), probs
 
 
-def _validate(records: list[PaintingRecord], vocab: Vocab, config: DecoderConfig) -> None:
+def _validate(records: list[PaintingRecord], config: DecoderConfig) -> None:
     if not records:
         raise ConfigError("empty corpus")
-    if config.vocab_size != len(vocab):
-        raise ConfigError(
-            f"config vocab_size {config.vocab_size} does not match vocab of {len(vocab)} tokens"
-        )
     for record in records:
         if record.features is not None and record.features.feature_dim != config.feature_dim:
             raise ConfigError(
@@ -113,67 +100,63 @@ def _validate(records: list[PaintingRecord], vocab: Vocab, config: DecoderConfig
 
 
 def _train(records: list[PaintingRecord], vocab: Vocab, config: DecoderConfig,
-           tcfg: TrainConfig, classifier_weight: float) -> DecoderCheckpoint:
-    _validate(records, vocab, config)
-    rng = np.random.default_rng(tcfg.seed)
-    store = init_decoder_params(config, rng)
+           tcfg: TrainConfig, classifier_weight: float) -> Checkpoint:
+    _validate(records, config)
     items = build_training_items(records, vocab, config.variant)
-    order = np.arange(len(items))
     use_classifier = classifier_weight != 0.0 and config.variant == "conditional"
 
-    history: list[dict] = []
-    for epoch in range(tcfg.epochs):
-        rng.shuffle(order)
-        lr = nc.scheduled_lr(tcfg.lr, epoch, tcfg.lr_decay, tcfg.lr_decay_every)
-        nll_sum = 0.0
-        ce_sum = 0.0
-        token_count = 0
-        for start in range(0, len(order), tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            store.clear_grads()
-            batch_losses: list[nc.Tensor] = []
-            batch_tokens = 0
-            for idx in batch:
-                item = items[idx]
-                prefix = sub_prefix(config.variant, item.topic)
-                topic_idx = topic_embedding_index(config.variant, item.topic)
-                nll, n_tokens, probs = sequence_loss(
-                    item.grid, item.token_ids, store, prefix, topic_idx,
-                    collect_probs=use_classifier,
-                )
-                nll_sum += nll.item()
-                batch_tokens += n_tokens
-                loss = nll
-                if use_classifier:
-                    # classify the word steps (the final step predicts </s>)
-                    word_probs = probs[:-1] if len(probs) > 1 else probs
-                    cls_logits = classify_distributions(word_probs, store, config)
-                    ce = nc.cross_entropy(cls_logits, int(item.topic))
-                    ce_sum += ce.item()
-                    loss = nc.add(loss, nc.scale(ce, classifier_weight))
-                batch_losses.append(loss)
-            token_count += batch_tokens
-            batch_loss = nc.scale(nc.add_n(batch_losses), 1.0 / batch_tokens)
-            nc.backward(batch_loss, store)
-            nc.adam_step(store, lr, tcfg.betas, tcfg.eps)
-        entry = {"epoch": epoch, "lr": lr, "nll_per_token": nll_sum / token_count}
+    def item_loss(item: TrainingItem, store: nc.ParamStore):
+        prefix = sub_prefix(config.variant, item.topic)
+        topic_idx = topic_embedding_index(config.variant, item.topic)
+        nll, n_tokens, probs = sequence_loss(
+            item.grid, item.token_ids, store, prefix, topic_idx,
+            collect_probs=use_classifier,
+        )
+        stats = {"nll": nll.item()}
+        if not use_classifier:
+            return nll, n_tokens, stats
+        # classify the word steps (the final step predicts </s>)
+        word_probs = probs[:-1] if len(probs) > 1 else probs
+        cls_logits = classify_distributions(word_probs, store, config)
+        ce = nc.cross_entropy(cls_logits, int(item.topic))
+        stats["ce"] = ce.item()
+        return nc.add(nll, nc.scale(ce, classifier_weight)), n_tokens, stats
+
+    def summarize(totals: dict) -> dict:
+        entry = {"nll_per_token": totals["nll"] / totals["units"]}
         if use_classifier:
-            entry["classifier_ce_per_item"] = ce_sum / len(items)
-        history.append(entry)
-    return DecoderCheckpoint(config, vocab, store, tcfg.seed, history)
+            entry["classifier_ce_per_item"] = totals["ce"] / len(items)
+        return entry
+
+    return fit(config, vocab, init_decoder_params, items, tcfg, item_loss, summarize)
 
 
 def train_decoder(records: list[PaintingRecord], vocab: Vocab,
-                  config: DecoderConfig, tcfg: TrainConfig) -> DecoderCheckpoint:
+                  config: DecoderConfig, tcfg: TrainConfig) -> Checkpoint:
     """Pure teacher-forced NLL training for any variant."""
     return _train(records, vocab, config, tcfg, classifier_weight=0.0)
 
 
 def train_conditional(records: list[PaintingRecord], vocab: Vocab,
-                      config: DecoderConfig, tcfg: TrainConfig) -> DecoderCheckpoint:
+                      config: DecoderConfig, tcfg: TrainConfig) -> Checkpoint:
     """Joint objective: NLL plus topic-classifier cross-entropy on the
     decoder's output distributions (continuous approximation)."""
     if config.variant != "conditional":
         raise ConfigError("train_conditional requires the conditional variant")
     return _train(records, vocab, config, tcfg,
                   classifier_weight=tcfg.classifier_loss_weight)
+
+
+def save_decoder_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    final_nll = ckpt.history[-1]["nll_per_token"] if ckpt.history else None
+    save_model(path, "decoder", ckpt, variant=ckpt.config.variant,
+               final_nll_per_token=final_nll)
+
+
+def load_decoder_checkpoint(path: str | Path,
+                            expected_vocab: Vocab | None = None) -> Checkpoint:
+    ckpt = load_model(path, "decoder", DecoderConfig, init_decoder_params,
+                      frozenset({"variant", "final_nll_per_token"}))
+    if expected_vocab is not None and expected_vocab.digest() != ckpt.vocab.digest():
+        raise ConfigError(f"{path}: checkpoint vocab differs from the supplied vocab")
+    return ckpt

@@ -2,7 +2,6 @@
 attributes, fill-input encoding, and the trained slot scorer."""
 
 from artdesc.filler.candidates import ATTRIBUTE_TYPES, Candidate, CandidateSet, extract_candidates
-from artdesc.filler.ckpt import load_filler_checkpoint, save_filler_checkpoint
 from artdesc.filler.encoding import (
     CLS,
     SEP,
@@ -16,13 +15,14 @@ from artdesc.filler.train import (
     FillDecision,
     FillPair,
     FillResult,
-    FillerCheckpoint,
     build_fill_pairs,
     fill_pair_loss,
     fill_slots,
+    load_filler_checkpoint,
     placeholder,
     record_candidates,
     rendered_tokens,
+    save_filler_checkpoint,
     train_filler,
 )
 
@@ -35,7 +35,6 @@ __all__ = [
     "FillInput",
     "FillPair",
     "FillResult",
-    "FillerCheckpoint",
     "FillerConfig",
     "SEP",
     "build_fill_pairs",

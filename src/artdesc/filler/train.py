@@ -1,4 +1,4 @@
-"""Filler training and slot filling.
+"""Filler training, filler checkpoint files and slot filling.
 
 Training pairs follow the anti-copying recipe: the input is a single masked
 sentence, but the candidate set is harvested from the painting's whole
@@ -10,9 +10,8 @@ are counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from pathlib import Path
 
 from artdesc import numcore as nc
 from artdesc.corpus import MaskedSentence, PaintingRecord, Slot, tokenize
@@ -21,6 +20,7 @@ from artdesc.errors import ConfigError
 from artdesc.filler.candidates import ATTRIBUTE_TYPES, Candidate, CandidateSet
 from artdesc.filler.encoding import encode_fill_input
 from artdesc.filler.model import FillerConfig, init_filler_params, slot_scores
+from artdesc.training import Checkpoint, TrainConfig, fit, load_model, save_model
 
 
 @dataclass
@@ -28,15 +28,6 @@ class FillPair:
     masked: list[MaskedSentence]
     candidates: CandidateSet
     targets: list[str]
-
-
-@dataclass
-class FillerCheckpoint:
-    config: FillerConfig
-    vocab: Vocab
-    store: nc.ParamStore
-    seed: int
-    history: list[dict] = field(default_factory=list)
 
 
 def record_candidates(record: PaintingRecord) -> CandidateSet:
@@ -103,47 +94,31 @@ def train_filler(
     eps: float = 1e-8,
     batch_size: int = 32,
     seed: int = 0,
-) -> FillerCheckpoint:
-    if config.vocab_size != len(vocab):
-        raise ConfigError(
-            f"config vocab_size {config.vocab_size} does not match vocab of {len(vocab)}"
-        )
-    rng = np.random.default_rng(seed)
-    store = init_filler_params(config, rng)
+) -> Checkpoint:
+    tcfg = TrainConfig(epochs=epochs, lr=lr, lr_decay=lr_decay, lr_decay_every=lr_decay_every,
+                       betas=betas, eps=eps, batch_size=batch_size, seed=seed)
     pairs = build_fill_pairs(records)
-    order = np.arange(len(pairs))
-    history: list[dict] = []
-    for epoch in range(epochs):
-        rng.shuffle(order)
-        lr_now = nc.scheduled_lr(lr, epoch, lr_decay, lr_decay_every)
-        loss_sum = 0.0
-        slot_count = 0
-        skipped_count = 0
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            store.clear_grads()
-            batch_losses: list[nc.Tensor] = []
-            batch_slots = 0
-            for idx in batch:
-                loss, n_slots, skipped = fill_pair_loss(pairs[idx], store, vocab, config)
-                skipped_count += skipped
-                if loss is None:
-                    continue
-                loss_sum += loss.item()
-                batch_slots += n_slots
-                batch_losses.append(loss)
-            if not batch_losses:
-                continue
-            slot_count += batch_slots
-            nc.backward(nc.scale(nc.add_n(batch_losses), 1.0 / batch_slots), store)
-            nc.adam_step(store, lr_now, betas, eps)
-        history.append({
-            "epoch": epoch,
-            "lr": lr_now,
-            "loss_per_slot": loss_sum / slot_count if slot_count else None,
-            "skipped_slots": skipped_count,
-        })
-    return FillerCheckpoint(config, vocab, store, seed, history)
+
+    def item_loss(pair: FillPair, store: nc.ParamStore):
+        loss, n_slots, skipped = fill_pair_loss(pair, store, vocab, config)
+        return loss, n_slots, {"loss": 0.0 if loss is None else loss.item(),
+                               "skipped": skipped}
+
+    def summarize(totals: dict) -> dict:
+        return {
+            "loss_per_slot": totals["loss"] / totals["units"] if totals["units"] else None,
+            "skipped_slots": totals["skipped"],
+        }
+
+    return fit(config, vocab, init_filler_params, pairs, tcfg, item_loss, summarize)
+
+
+def save_filler_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    save_model(path, "filler", ckpt)
+
+
+def load_filler_checkpoint(path: str | Path) -> Checkpoint:
+    return load_model(path, "filler", FillerConfig, init_filler_params)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +152,7 @@ def placeholder(etype) -> str:
 def fill_slots(
     masked: list[MaskedSentence],
     candidates: CandidateSet,
-    ckpt: FillerCheckpoint,
+    ckpt: Checkpoint,
 ) -> FillResult:
     """Replace each slot with the argmax type-compatible candidate; slots with
     no compatible candidate render as a visible placeholder. Non-slot tokens

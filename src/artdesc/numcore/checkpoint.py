@@ -78,21 +78,34 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, dict,
         pos += n
         return chunk
 
+    def text(n: int, what: str) -> str:
+        start = pos
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} is not valid UTF-8", start + exc.start) from None
+
     if take(len(MAGIC), "magic") != MAGIC:
         raise FormatError("bad checkpoint magic", 0)
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", pos - 4)
     (digest_len,) = struct.unpack("<I", take(4, "digest length"))
-    digest = take(digest_len, "config digest").decode("utf-8")
+    digest = text(digest_len, "config digest")
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
-    meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
+    meta_start = pos
+    try:
+        meta = json.loads(text(meta_len, "metadata"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"metadata is not valid JSON ({exc.msg})", meta_start) from None
+    if not isinstance(meta, dict):
+        raise FormatError("metadata is not a JSON object", meta_start)
     (n_params,) = struct.unpack("<I", take(4, "parameter count"))
 
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (name_len,) = struct.unpack("<I", take(4, "parameter name length"))
-        name = take(name_len, "parameter name").decode("utf-8")
+        name = text(name_len, "parameter name")
         (ndim,) = struct.unpack("<B", take(1, f"ndim of '{name}'"))
         shape = tuple(
             struct.unpack("<I", take(4, f"dim of '{name}'"))[0] for _ in range(ndim)

@@ -121,19 +121,6 @@ def add_n(ts: Sequence[Tensor]) -> Tensor:
     return _node(total, tuple(ts), bwd, "add_n")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape} ('{a.name}' vs '{b.name}')")
-
-    def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            a.accumulate_grad(out.grad * b.data)
-        if _wants_grad(b):
-            b.accumulate_grad(out.grad * a.data)
-
-    return _node(a.data * b.data, (a, b), bwd, "mul")
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def bwd(out: Tensor) -> None:
         if _wants_grad(a):
@@ -152,16 +139,6 @@ def tanh_t(a: Tensor) -> Tensor:
     return _node(y, (a,), bwd, "tanh")
 
 
-def sigmoid_t(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-
-    def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            a.accumulate_grad(out.grad * y * (1.0 - y))
-
-    return _node(y, (a,), bwd, "sigmoid")
-
-
 def relu_t(a: Tensor) -> Tensor:
     y = np.maximum(a.data, 0.0)
 
@@ -170,14 +147,6 @@ def relu_t(a: Tensor) -> Tensor:
             a.accumulate_grad(out.grad * (a.data > 0.0))
 
     return _node(y, (a,), bwd, "relu")
-
-
-def sum_t(a: Tensor) -> Tensor:
-    def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            a.accumulate_grad(np.full_like(a.data, float(out.grad)))
-
-    return _node(np.array(a.data.sum()), (a,), bwd, "sum")
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:

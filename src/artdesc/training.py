@@ -1,0 +1,163 @@
+"""Optimization and persistence shared by every ParamStore model.
+
+The topic decoders and the knowledge filler train with the same minibatch
+Adam loop and persist as numcore ``.ckpt`` containers with one metadata
+schema: ``kind``, ``config``, ``vocab_tokens``, ``vocab_digest`` and
+``seed``, plus any keys a model adds. Loading verifies the stored digests and
+rejects a missing or unknown key.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+from typing import Any, Callable, Sequence
+
+import numpy as np
+
+from artdesc import numcore as nc
+from artdesc.corpus.vocab import Vocab
+from artdesc.errors import ConfigError
+from artdesc.numcore.checkpoint import digest_of
+
+META_KEYS = frozenset({"kind", "config", "vocab_tokens", "vocab_digest", "seed"})
+
+
+@dataclass
+class TrainConfig:
+    """Optimization settings. The default schedule starts at 5e-4 and decays
+    by 0.8 every 10 epochs; lr_decay_every=None holds the rate constant."""
+
+    epochs: int
+    lr: float = 5e-4
+    lr_decay: float = 0.8
+    lr_decay_every: int | None = 10
+    betas: tuple[float, float] = (0.9, 0.999)
+    eps: float = 1e-8
+    batch_size: int = 32
+    seed: int = 0
+    classifier_loss_weight: float = 1.0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        self.betas = tuple(self.betas)
+
+
+@dataclass
+class Checkpoint:
+    """A trained model: its config (a DecoderConfig or FillerConfig), vocab,
+    parameters, training seed and per-epoch history (empty once loaded)."""
+
+    config: Any
+    vocab: Vocab
+    store: nc.ParamStore
+    seed: int
+    history: list[dict] = field(default_factory=list)
+
+
+def fit(
+    config,
+    vocab: Vocab,
+    init_params: Callable[[Any, np.random.Generator], nc.ParamStore],
+    items: Sequence,
+    tcfg: TrainConfig,
+    item_loss: Callable[[Any, nc.ParamStore], tuple[nc.Tensor | None, int, dict[str, float]]],
+    summarize: Callable[[dict[str, float]], dict],
+) -> Checkpoint:
+    """Minibatch Adam over ``items`` for a model with this config and vocab,
+    whose sizes must agree.
+
+    ``init_params`` builds the store from the seeded generator, which then
+    shuffles the items every epoch. ``item_loss(item, store)`` returns the
+    item's summed loss (None when it has none), the units that loss covers
+    and named stats. Each minibatch steps on its summed losses divided by
+    their units; a minibatch without a loss takes no step. The stats, and the
+    units under ``"units"``, are summed over the epoch and ``summarize`` turns
+    them into the fields of its history entry after ``epoch`` and ``lr``.
+    """
+    if config.vocab_size != len(vocab):
+        raise ConfigError(
+            f"config vocab_size {config.vocab_size} does not match vocab of {len(vocab)} tokens"
+        )
+    rng = np.random.default_rng(tcfg.seed)
+    store = init_params(config, rng)
+    order = np.arange(len(items))
+    history: list[dict] = []
+    for epoch in range(tcfg.epochs):
+        rng.shuffle(order)
+        lr = nc.scheduled_lr(tcfg.lr, epoch, tcfg.lr_decay, tcfg.lr_decay_every)
+        totals: dict[str, float] = {"units": 0}
+        for start in range(0, len(order), tcfg.batch_size):
+            store.clear_grads()
+            losses: list[nc.Tensor] = []
+            units = 0
+            for idx in order[start : start + tcfg.batch_size]:
+                loss, n_units, stats = item_loss(items[idx], store)
+                for key, value in stats.items():
+                    totals[key] = totals.get(key, 0) + value
+                if loss is not None:
+                    losses.append(loss)
+                    units += n_units
+            if not losses:
+                continue
+            totals["units"] += units
+            nc.backward(nc.scale(nc.add_n(losses), 1.0 / units), store)
+            nc.adam_step(store, lr, tcfg.betas, tcfg.eps)
+        history.append({"epoch": epoch, "lr": lr, **summarize(totals)})
+    return Checkpoint(config, vocab, store, tcfg.seed, history)
+
+
+def save_model(path: str | Path, kind: str, ckpt: Checkpoint, **extra) -> None:
+    """Write ``ckpt`` with the shared metadata plus ``extra`` keys."""
+    config = ckpt.config.to_dict()
+    meta = {
+        "kind": kind,
+        "config": config,
+        "vocab_tokens": ckpt.vocab.tokens,
+        "vocab_digest": ckpt.vocab.digest(),
+        "seed": ckpt.seed,
+        **extra,
+    }
+    nc.save_checkpoint(path, ckpt.store.state_arrays(), digest_of(config), meta)
+
+
+def _check_keys(what: str, obj, expected: set[str] | frozenset[str]) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    missing = sorted(expected - obj.keys())
+    unknown = sorted(obj.keys() - expected)
+    if missing or unknown:
+        raise ConfigError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+
+
+def load_model(
+    path: str | Path,
+    kind: str,
+    config_cls: type,
+    init_params: Callable[[Any, np.random.Generator], nc.ParamStore],
+    extra_keys: frozenset[str] = frozenset(),
+) -> Checkpoint:
+    """Read a checkpoint that ``save_model`` wrote with this ``kind`` and the
+    ``extra_keys``; the store is rebuilt by ``init_params`` and overwritten."""
+    arrays, digest, meta, _ = nc.load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise ConfigError(f"{path} is not a {kind} checkpoint (kind={meta.get('kind')!r})")
+    _check_keys(f"{path} metadata", meta, META_KEYS | extra_keys)
+    _check_keys(f"{path} config", meta["config"], {f.name for f in fields(config_cls)})
+    try:
+        config = config_cls.from_dict(meta["config"])
+        vocab = Vocab(meta["vocab_tokens"])
+    except TypeError as exc:
+        raise ConfigError(f"{path}: malformed metadata ({exc})") from None
+    if digest_of(config.to_dict()) != digest:
+        raise ConfigError(f"{path}: config digest mismatch; file corrupt or edited")
+    if vocab.digest() != meta["vocab_digest"]:
+        raise ConfigError(f"{path}: vocab digest mismatch; file corrupt or edited")
+    store = init_params(config, np.random.default_rng(0))
+    store.load_state(arrays)
+    return Checkpoint(config, vocab, store, meta["seed"])

@@ -1,6 +1,8 @@
 """CLI plumbing: every subcommand, exit codes, artifact flow."""
 
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,14 +196,65 @@ def test_missing_artifact_exit_code(tmp_path):
     assert main(["describe", "--config", str(tmp_path / "nope.json")]) == EXIT_MISSING
 
 
-def test_data_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("not json\n", encoding="utf-8")
-    gaz = tmp_path / "gaz.tsv"
-    gaz.write_text("vasari\tperson\n", encoding="utf-8")
-    out = tmp_path / "out.jsonl"
-    assert main(["train-filler", "--corpus", str(bad), "--out", str(out),
-                 "--epochs", "1"]) == EXIT_DATA
+@pytest.mark.parametrize("corpus, settings", [
+    ("bad", ["--epochs", "1"]),
+    ("good", ["--batch-size", "0"]),
+    ("good", ["--lr", "0"]),
+    ("good", ["--epochs", "0"]),
+], ids=["bad-corpus", "batch-size-0", "lr-0", "epochs-0"])
+def test_data_error_exit_code(cli_world, tmp_path, corpus, settings):
+    corpus_path = cli_world[2]
+    if corpus == "bad":
+        corpus_path = tmp_path / "bad.jsonl"
+        corpus_path.write_text("not json\n", encoding="utf-8")
+    out = tmp_path / "out.ckpt"
+    assert main(["train-filler", "--corpus", str(corpus_path), "--out", str(out),
+                 *settings]) == EXIT_DATA
+    assert not out.exists()
+
+
+def _rewrite_ckpt_header(raw: bytes, corruption: str) -> bytes:
+    """Corrupt the config digest or the JSON metadata of a .ckpt file."""
+    pos = 12  # magic + version
+    (digest_len,) = struct.unpack("<I", raw[pos : pos + 4])
+    digest = raw[pos + 4 : pos + 4 + digest_len]
+    pos += 4 + digest_len
+    (meta_len,) = struct.unpack("<I", raw[pos : pos + 4])
+    meta = raw[pos + 4 : pos + 4 + meta_len]
+    params = raw[pos + 4 + meta_len :]
+    if corruption == "invalid-json":
+        meta = b"{not json"
+    elif corruption == "non-utf8-digest":
+        digest = b"\xff" + digest[1:]
+    else:
+        obj = json.loads(meta)
+        if corruption == "no-config":
+            del obj["config"]
+        else:
+            obj["config"]["bogus"] = 1
+        meta = json.dumps(obj).encode("utf-8")
+    return (raw[:12] + struct.pack("<I", len(digest)) + digest
+            + struct.pack("<I", len(meta)) + meta + params)
+
+
+@pytest.mark.parametrize("kind", ["decoder", "filler"])
+@pytest.mark.parametrize("corruption, message", [
+    ("invalid-json", "metadata is not valid JSON"),
+    ("non-utf8-digest", "config digest is not valid UTF-8"),
+    ("no-config", "missing keys ['config']"),
+    ("unknown-config-key", "unknown keys ['bogus']"),
+], ids=["invalid-json", "non-utf8-digest", "no-config", "unknown-config-key"])
+def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruption, message):
+    _, records, config, _ = world
+    key = f"{kind}_checkpoint"
+    bad = tmp_path / f"{kind}.ckpt"
+    bad.write_bytes(_rewrite_ckpt_header(Path(config[key]).read_bytes(), corruption))
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
+                 "--topic", "content", "--mode", "greedy"]) == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

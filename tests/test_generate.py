@@ -10,7 +10,6 @@ from synth import memorization_corpus, random_grid
 from artdesc.corpus import MaskedSentence, TopicLabel, Word
 from artdesc.corpus.vocab import RESERVED, Vocab
 from artdesc.decoder import (
-    DecoderCheckpoint,
     DecoderConfig,
     TrainConfig,
     beam_decode,
@@ -23,6 +22,7 @@ from artdesc.decoder import (
 from artdesc.decoder.generate import _log_softmax
 from artdesc.decoder.model import attend, decode_logits, init_state
 from artdesc.errors import ConfigError
+from artdesc.training import Checkpoint
 
 
 def random_checkpoint(seed, vocab_size=5, feature_dim=3, hidden=4, embed=3, max_len=3,
@@ -38,7 +38,7 @@ def random_checkpoint(seed, vocab_size=5, feature_dim=3, hidden=4, embed=3, max_
     for name in store.names():  # spread the logits so rankings are non-trivial
         store[name].data *= scale / 0.08
     grid = random_grid(rng, n_loc=2, feat=feature_dim)
-    return DecoderCheckpoint(config, vocab, store, seed, []), grid
+    return Checkpoint(config, vocab, store, seed, []), grid
 
 
 def exhaustive_argmax(ckpt, grid, topic, max_len):
