@@ -27,6 +27,7 @@ from artdesc.corpus import (
     tag_entities,
     tokenize,
 )
+from artdesc.corpus.corpusio import read_jsonl
 from artdesc.corpus.vocab import build_vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -101,11 +102,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_preprocess(args) -> int:
     gazetteer = Gazetteer.from_file(args.gazetteer)
     out_lines = []
-    for lineno, line in enumerate(Path(args.input).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        raw = json.loads(line)
+    for _, raw in read_jsonl(args.input, required=("id",)):
         if "sentences" in raw:
             sentence_specs = [(s["text"], s.get("topic")) for s in raw["sentences"]]
         else:
@@ -279,11 +276,8 @@ def cmd_fill(args) -> int:
 
 def cmd_evaluate(args) -> int:
     pipeline = Pipeline(PipelineConfig.from_file(args.config))
-    reports = []
-    for line in Path(args.reports).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            reports.append(json.loads(line))
+    reports = [obj for _, obj in read_jsonl(
+        args.reports, required=("painting_id", "description_tokens", "slots", "sentences"))]
     report = pipeline.evaluate(reports)
     if args.out:
         Path(args.out).write_text(report_to_json(report) + "\n", encoding="utf-8")

@@ -15,6 +15,7 @@ directory.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 from artdesc.corpus.features import load_feature_grid
@@ -96,10 +97,15 @@ def record_to_dict(record: PaintingRecord) -> dict:
     }
 
 
-def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> list[PaintingRecord]:
-    records = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
+    """Yields (line number, object). Undecodable text, invalid JSON, a line
+    that is not an object, or an object without a required key raises
+    DataError naming ``path:lineno``."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -107,6 +113,18 @@ def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> lis
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        missing = [key for key in required if key not in obj]
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing keys {missing}")
+        yield lineno, obj
+
+
+def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> list[PaintingRecord]:
+    records = []
+    seen: set[str] = set()
+    for lineno, obj in read_jsonl(path, required=("id",)):
         record = record_from_dict(obj, features_dir)
         if record.id in seen:
             raise DataError(f"{path}:{lineno}: duplicate painting id '{record.id}'")

@@ -65,54 +65,69 @@ def save_checkpoint(
             f.write(data.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, dict, int]:
-    """Returns (arrays, config_digest, meta, version)."""
-    raw = Path(path).read_bytes()
-    pos = 0
+class ByteReader:
+    """Reads a little-endian binary file front to back. Running past the end
+    of the buffer or decoding invalid UTF-8 raises FormatError with the byte
+    offset; ``kind`` names the file in the message."""
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FormatError(f"truncated checkpoint while reading {what}", pos)
-        chunk = raw[pos : pos + n]
-        pos += n
+    def __init__(self, raw: bytes, kind: str):
+        self.raw = raw
+        self.kind = kind
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.raw):
+            raise FormatError(f"truncated {self.kind} while reading {what}", self.pos)
+        chunk = self.raw[self.pos : self.pos + n]
+        self.pos += n
         return chunk
 
-    def text(n: int, what: str) -> str:
-        start = pos
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        start = self.pos
         try:
-            return take(n, what).decode("utf-8")
+            return self.take(n, what).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{what} is not valid UTF-8", start + exc.start) from None
 
-    if take(len(MAGIC), "magic") != MAGIC:
+    def string(self, what: str) -> str:
+        """A u32 byte length followed by that many UTF-8 bytes."""
+        (n,) = struct.unpack("<I", self.take(4, what))
+        return self.text(n, what)
+
+    def end(self, what: str) -> None:
+        if self.pos != len(self.raw):
+            raise FormatError(f"trailing bytes after {what}", self.pos)
+
+
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, dict, int]:
+    """Returns (arrays, config_digest, meta, version)."""
+    r = ByteReader(Path(path).read_bytes(), "checkpoint")
+    if r.take(len(MAGIC), "magic") != MAGIC:
         raise FormatError("bad checkpoint magic", 0)
-    (version,) = struct.unpack("<I", take(4, "version"))
+    (version,) = r.unpack("<I", "version")
     if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", pos - 4)
-    (digest_len,) = struct.unpack("<I", take(4, "digest length"))
-    digest = text(digest_len, "config digest")
-    (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
-    meta_start = pos
+        raise FormatError(f"unsupported checkpoint version {version}", r.pos - 4)
+    digest = r.string("config digest")
+    (meta_len,) = r.unpack("<I", "metadata length")
+    meta_start = r.pos
     try:
-        meta = json.loads(text(meta_len, "metadata"))
+        meta = json.loads(r.text(meta_len, "metadata"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"metadata is not valid JSON ({exc.msg})", meta_start) from None
     if not isinstance(meta, dict):
         raise FormatError("metadata is not a JSON object", meta_start)
-    (n_params,) = struct.unpack("<I", take(4, "parameter count"))
+    (n_params,) = r.unpack("<I", "parameter count")
 
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_params):
-        (name_len,) = struct.unpack("<I", take(4, "parameter name length"))
-        name = text(name_len, "parameter name")
-        (ndim,) = struct.unpack("<B", take(1, f"ndim of '{name}'"))
-        shape = tuple(
-            struct.unpack("<I", take(4, f"dim of '{name}'"))[0] for _ in range(ndim)
-        )
+        name = r.string("parameter name")
+        (ndim,) = r.unpack("<B", f"ndim of '{name}'")
+        shape = r.unpack(f"<{ndim}I", f"dims of '{name}'")
         count = int(np.prod(shape)) if shape else 1
-        blob = take(8 * count, f"data of '{name}'")
+        blob = r.take(8 * count, f"data of '{name}'")
         arrays[name] = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
-    if pos != len(raw):
-        raise FormatError("trailing bytes after last parameter", pos)
+    r.end("last parameter")
     return arrays, digest, meta, version

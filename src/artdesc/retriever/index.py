@@ -10,23 +10,29 @@ Index file layout (little-endian):
     n_terms  u32, n_docs u32, nnz u64
     terms    per term: u32 length + UTF-8 (term-id order)
     df       n_terms x u64
-    doc ids  per doc: u32 length + UTF-8 (row order)
+    doc ids  per doc: u32 length + UTF-8 (row order: sorted, unique)
     indptr   (n_docs+1) x u64   CSR row pointers
     indices  nnz x u32          term ids
     data     nnz x f64          normalized weights
+
+The constructor, which both build and load end in, rejects a CSR structure
+that does not hold together and derives the term-major postings; they are
+not stored.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from artdesc.corpus.corpusio import read_jsonl
 from artdesc.errors import DataError, FormatError
+from artdesc.numcore.checkpoint import ByteReader
 from artdesc.retriever.normalize import normalize_text
 
 logger = logging.getLogger(__name__)
@@ -49,6 +55,11 @@ def terms_of(tokens: list[str]) -> list[str]:
 
 
 class TfIdfIndex:
+    """Document-major CSR rows (what is saved) plus their term-major
+    transpose (derived here, never stored): term t's postings are rows
+    ``_rows[_colptr[t]:_colptr[t+1]]`` in ascending order, with weights
+    ``_weights`` at the same positions."""
+
     def __init__(
         self,
         terms: list[str],
@@ -57,7 +68,6 @@ class TfIdfIndex:
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
-        idf_table: np.ndarray | None = None,
     ):
         self.terms = terms
         self.term_ids = {t: i for i, t in enumerate(terms)}
@@ -66,19 +76,36 @@ class TfIdfIndex:
         self.indptr = np.asarray(indptr, dtype=np.uint64)
         self.indices = np.asarray(indices, dtype=np.uint32)
         self.data = np.asarray(data, dtype=np.float64)
-        # idf_table lets a caller carry a frozen idf across corpus extensions;
-        # by default it is derived from (n_docs, df)
-        if idf_table is None:
-            idf_table = np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
-        self.idf_table = np.asarray(idf_table, dtype=np.float64)
-        self._postings: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        self._check_structure()
+        self._idf = np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
+        rows = np.repeat(np.arange(self.n_docs), np.diff(self.indptr.astype(np.int64)))
+        order = np.argsort(self.indices, kind="stable")
+        self._rows = rows[order]
+        self._weights = self.data[order]
+        self._colptr = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=len(terms)), out=self._colptr[1:])
+
+    def _check_structure(self) -> None:
+        """Rejects tables that would silently change rankings: a CSR
+        structure that does not hold together, or doc ids out of order."""
+        nnz = len(self.indices)
+        if len(self.df) != len(self.terms) or np.any(self.df < 0):
+            raise DataError(f"df table must hold {len(self.terms)} non-negative counts")
+        if len(self.data) != nnz or not np.all(np.isfinite(self.data)):
+            raise DataError(f"weights must be {nnz} finite values, one per term id")
+        if (len(self.indptr) != self.n_docs + 1 or self.indptr[0] != 0
+                or self.indptr[-1] != nnz or np.any(self.indptr[1:] < self.indptr[:-1])):
+            raise DataError(f"indptr must rise from 0 to {nnz} in {self.n_docs + 1} entries")
+        if nnz and int(self.indices.max()) >= len(self.terms):
+            raise DataError(f"term id {int(self.indices.max())} is out of range "
+                            f"for {len(self.terms)} terms")
+        for prev, doc_id in zip(self.doc_ids, self.doc_ids[1:]):
+            if prev >= doc_id:
+                raise DataError(f"doc ids must strictly increase: '{prev}' before '{doc_id}'")
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
-
-    def idf(self, term_id: int) -> float:
-        return float(self.idf_table[term_id])
 
     # ------------------------------------------------------------------
     # Construction
@@ -134,10 +161,7 @@ class TfIdfIndex:
             data.extend(weights.tolist())
             indptr.append(len(indices))
 
-        terms = [None] * len(term_ids)
-        for term, tid in term_ids.items():
-            terms[tid] = term
-        return cls(terms, df, doc_ids,
+        return cls(list(term_ids), df, doc_ids,
                    np.array(indptr, dtype=np.uint64),
                    np.array(indices, dtype=np.uint32),
                    np.array(data, dtype=np.float64))
@@ -146,53 +170,39 @@ class TfIdfIndex:
     # Query
     # ------------------------------------------------------------------
 
-    def vectorize_query(self, query: str,
-                        stopwords: frozenset[str] | None = None) -> dict[int, float]:
-        """Sparse normalized query vector using the index's idf table; terms
-        unknown to the index are dropped."""
-        tokens = normalize_text(query, stopwords)
-        counts: dict[int, int] = {}
-        for term in terms_of(tokens):
-            tid = self.term_ids.get(term)
-            if tid is not None:
-                counts[tid] = counts.get(tid, 0) + 1
+    def vectorize_query(self, tokens: list[str]) -> dict[int, float]:
+        """Sparse normalized query vector of normalized tokens, using the
+        index's idf; terms unknown to the index are dropped."""
+        counts = Counter(tid for tid in map(self.term_ids.get, terms_of(tokens))
+                         if tid is not None)
         if not counts:
             return {}
-        vec = {tid: c * self.idf(tid) for tid, c in counts.items()}
+        vec = {tid: c * float(self._idf[tid]) for tid, c in counts.items()}
         norm = float(np.sqrt(sum(w * w for w in vec.values())))
         return {tid: w / norm for tid, w in vec.items()}
-
-    def _posting(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._postings is None:
-            postings: dict[int, tuple[list[int], list[float]]] = {}
-            for row in range(self.n_docs):
-                lo, hi = int(self.indptr[row]), int(self.indptr[row + 1])
-                for tid, w in zip(self.indices[lo:hi], self.data[lo:hi]):
-                    postings.setdefault(int(tid), ([], []))
-                    postings[int(tid)][0].append(row)
-                    postings[int(tid)][1].append(float(w))
-            self._postings = {
-                tid: (np.array(rows, dtype=np.int64), np.array(ws))
-                for tid, (rows, ws) in postings.items()
-            }
-        return self._postings.get(term_id, (np.empty(0, dtype=np.int64), np.empty(0)))
 
     def rank(self, query: str, k: int = 5,
              stopwords: frozenset[str] | None = None) -> list[tuple[str, float]]:
         """Top-k (article id, cosine score), descending score, ties broken by
-        article id. An empty-after-normalization query returns no results."""
+        article id. A query with no token after normalization, or with no
+        term in the index, returns no results."""
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-        qvec = self.vectorize_query(query, stopwords)
-        if not qvec:
+        tokens = normalize_text(query, stopwords)
+        if not tokens:
             logger.warning("query is empty after normalization; returning no results")
+            return []
+        qvec = self.vectorize_query(tokens)
+        if not qvec:
+            logger.warning("no query term is in the index; returning no results")
             return []
         scores = np.zeros(self.n_docs)
         for tid, w in qvec.items():
-            rows, weights = self._posting(tid)
-            scores[rows] += w * weights
-        order = sorted(range(self.n_docs), key=lambda r: (-scores[r], self.doc_ids[r]))
-        return [(self.doc_ids[r], min(float(scores[r]), 1.0)) for r in order[:k]]
+            lo, hi = self._colptr[tid], self._colptr[tid + 1]
+            scores[self._rows[lo:hi]] += w * self._weights[lo:hi]
+        # rows are in article-id order, so a stable sort breaks ties by id
+        top = np.argsort(-scores, kind="stable")[:k]
+        return [(self.doc_ids[r], min(float(scores[r]), 1.0)) for r in top]
 
     # ------------------------------------------------------------------
     # Serialization
@@ -218,33 +228,20 @@ class TfIdfIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "TfIdfIndex":
-        raw = Path(path).read_bytes()
-        pos = 0
-
-        def take(n: int, what: str) -> bytes:
-            nonlocal pos
-            if pos + n > len(raw):
-                raise FormatError(f"truncated index while reading {what}", pos)
-            chunk = raw[pos : pos + n]
-            pos += n
-            return chunk
-
-        if take(4, "magic") != MAGIC:
+        r = ByteReader(Path(path).read_bytes(), "index")
+        if r.take(4, "magic") != MAGIC:
             raise FormatError("bad index magic", 0)
-        (version,) = struct.unpack("<I", take(4, "version"))
+        (version,) = r.unpack("<I", "version")
         if version != VERSION:
-            raise FormatError(f"unsupported index version {version}", pos - 4)
-        n_terms, n_docs, nnz = struct.unpack("<IIQ", take(16, "table sizes"))
-        terms = [take(struct.unpack("<I", take(4, "term length"))[0], "term").decode("utf-8")
-                 for _ in range(n_terms)]
-        df = np.frombuffer(take(8 * n_terms, "df table"), dtype="<i8").astype(np.int64)
-        doc_ids = [take(struct.unpack("<I", take(4, "doc id length"))[0], "doc id").decode("utf-8")
-                   for _ in range(n_docs)]
-        indptr = np.frombuffer(take(8 * (n_docs + 1), "indptr"), dtype="<u8").astype(np.uint64)
-        indices = np.frombuffer(take(4 * nnz, "indices"), dtype="<u4").astype(np.uint32)
-        data = np.frombuffer(take(8 * nnz, "weights"), dtype="<f8").astype(np.float64)
-        if pos != len(raw):
-            raise FormatError("trailing bytes after index payload", pos)
+            raise FormatError(f"unsupported index version {version}", r.pos - 4)
+        n_terms, n_docs, nnz = r.unpack("<IIQ", "table sizes")
+        terms = [r.string("term") for _ in range(n_terms)]
+        df = np.frombuffer(r.take(8 * n_terms, "df table"), dtype="<i8").astype(np.int64)
+        doc_ids = [r.string("doc id") for _ in range(n_docs)]
+        indptr = np.frombuffer(r.take(8 * (n_docs + 1), "indptr"), dtype="<u8").astype(np.uint64)
+        indices = np.frombuffer(r.take(4 * nnz, "indices"), dtype="<u4").astype(np.uint32)
+        data = np.frombuffer(r.take(8 * nnz, "weights"), dtype="<f8").astype(np.float64)
+        r.end("index payload")
         return cls(terms, df, doc_ids, indptr, indices, data)
 
 
@@ -268,14 +265,7 @@ def read_articles_dir(directory: str | Path) -> list[KnowledgeArticle]:
 def read_articles_jsonl(path: str | Path) -> list[KnowledgeArticle]:
     """Line-delimited export: {"id": ..., "title": ..., "body"/"text": ...}."""
     articles = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+    for _, obj in read_jsonl(path, required=("id",)):
         body = obj.get("body", obj.get("text", ""))
         articles.append(
             KnowledgeArticle(id=str(obj["id"]), title=obj.get("title", str(obj["id"])), body=body)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
+from importlib.resources.abc import Traversable
 from pathlib import Path
 
 from artdesc.retriever.porter import stem
@@ -12,23 +13,19 @@ from artdesc.retriever.porter import stem
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
-def _read_word_list(text: str) -> frozenset[str]:
-    words = set()
-    for line in text.splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
+def read_word_list(path: Path | Traversable) -> frozenset[str]:
+    """One lowercased entry per line; blank lines and '#' comments skipped."""
+    lines = (line.strip().lower() for line in path.read_text(encoding="utf-8").splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
-    text = resources.files("artdesc.data").joinpath("stopwords.txt").read_text("utf-8")
-    return _read_word_list(text)
+    return read_word_list(resources.files("artdesc.data") / "stopwords.txt")
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    return _read_word_list(Path(path).read_text(encoding="utf-8"))
+    return read_word_list(Path(path))
 
 
 def normalize_text(text: str, stopwords: frozenset[str] | None = None) -> list[str]:

@@ -8,27 +8,18 @@ from importlib import resources
 from pathlib import Path
 
 from artdesc.corpus.types import ATTRIBUTE_KEYS
+from artdesc.retriever.normalize import read_word_list
 
 logger = logging.getLogger(__name__)
 
 
-def _read_blocklist(text: str) -> frozenset[str]:
-    entries = set()
-    for line in text.splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            entries.add(line)
-    return frozenset(entries)
-
-
 @lru_cache(maxsize=1)
 def default_blocklist() -> frozenset[str]:
-    text = resources.files("artdesc.data").joinpath("blocklist.txt").read_text("utf-8")
-    return _read_blocklist(text)
+    return read_word_list(resources.files("artdesc.data") / "blocklist.txt")
 
 
 def load_blocklist(path: str | Path) -> frozenset[str]:
-    return _read_blocklist(Path(path).read_text(encoding="utf-8"))
+    return read_word_list(Path(path))
 
 
 def build_query(attributes: dict[str, str], objects: list[str],

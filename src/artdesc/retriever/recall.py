@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from artdesc.corpus.corpusio import read_jsonl
 from artdesc.errors import DataError
 
 
@@ -45,21 +46,10 @@ def load_annotations(path: str | Path) -> list[RetrievalAnnotation]:
     """Line-delimited records {painting_id, article_id, label}, grouped by
     painting."""
     grouped: dict[str, list[tuple[str, RetrievalLabel]]] = {}
-    order: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        pid = obj["painting_id"]
-        if pid not in grouped:
-            grouped[pid] = []
-            order.append(pid)
-        grouped[pid].append((obj["article_id"], RetrievalLabel.from_name(obj["label"])))
-    return [RetrievalAnnotation(pid, grouped[pid]) for pid in order]
+    for _, obj in read_jsonl(path, required=("painting_id", "article_id", "label")):
+        grouped.setdefault(obj["painting_id"], []).append(
+            (obj["article_id"], RetrievalLabel.from_name(obj["label"])))
+    return [RetrievalAnnotation(pid, articles) for pid, articles in grouped.items()]
 
 
 def save_annotations(path: str | Path, annotations: list[RetrievalAnnotation]) -> None:

@@ -11,7 +11,13 @@ from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
 
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from artdesc.corpus import save_corpus, save_feature_grid
-from artdesc.retriever import RetrievalAnnotation, RetrievalLabel, save_annotations
+from artdesc.retriever import (
+    KnowledgeArticle,
+    RetrievalAnnotation,
+    RetrievalLabel,
+    TfIdfIndex,
+    save_annotations,
+)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +218,86 @@ def test_data_error_exit_code(cli_world, tmp_path, corpus, settings):
                  *settings]) == EXIT_DATA
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("case", [
+    "corpus-no-id", "articles-no-id", "articles-not-object", "annotation-no-label",
+])
+def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
+    root, records, corpus_path, _, _, knowledge_dir = cli_world
+    bad = tmp_path / "bad.jsonl"
+    if case == "corpus-no-id":
+        first = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
+        del first["id"]
+        bad.write_text(json.dumps(first) + "\n", encoding="utf-8")
+        argv = ["train-filler", "--corpus", str(bad), "--out", str(tmp_path / "f.ckpt")]
+        where = f"{bad}:1:"
+    elif case.startswith("articles"):
+        line = '{"body": "fresco"}' if case == "articles-no-id" else "[1, 2]"
+        bad.write_text('{"id": "x", "body": "saint"}\n' + line + "\n", encoding="utf-8")
+        argv = ["index", "--knowledge-file", str(bad), "--out", str(tmp_path / "k.idx")]
+        where = f"{bad}:2:"
+    else:
+        index_path = tmp_path / "k.idx"
+        assert main(["index", "--knowledge-dir", str(knowledge_dir),
+                     "--out", str(index_path)]) == EXIT_OK
+        bad.write_text(json.dumps({"painting_id": records[0].id, "article_id": "x"}) + "\n",
+                       encoding="utf-8")
+        argv = ["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
+                "--annotations", str(bad)]
+        where = f"{bad}:1:"
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert where in capsys.readouterr().err
+
+
+def _idx_bytes(terms, df, doc_ids, indptr, indices, data) -> bytes:
+    """The .idx layout written field by field, so a test can store tables
+    that TfIdfIndex refuses to hold. ``terms`` are already encoded."""
+    def strings(blobs):
+        return b"".join(struct.pack("<I", len(blob)) + blob for blob in blobs)
+
+    return b"".join([
+        b"TFIX", struct.pack("<IIIQ", 1, len(terms), len(doc_ids), len(indices)),
+        strings(terms), np.asarray(df, "<i8").tobytes(),
+        strings(d.encode("utf-8") for d in doc_ids), np.asarray(indptr, "<u8").tobytes(),
+        np.asarray(indices, "<u4").tobytes(), np.asarray(data, "<f8").tobytes(),
+    ])
+
+
+@pytest.mark.parametrize("corruption", [
+    "bad-utf8-term", "truncated", "trailing-bytes", "decreasing-indptr",
+    "term-id-out-of-range", "unsorted-doc-ids", "duplicate-doc-ids",
+])
+def test_malformed_index_exit_code(tmp_path, capsys, corruption):
+    idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "saint fresco altar"),
+                            KnowledgeArticle("b", "b", "river castle saint"),
+                            KnowledgeArticle("c", "c", "monk horse saint")])
+    terms = [t.encode("utf-8") for t in idx.terms]
+    doc_ids, indptr, indices = list(idx.doc_ids), idx.indptr.copy(), idx.indices.copy()
+    idx.save(tmp_path / "good.idx")
+    assert _idx_bytes(terms, idx.df, doc_ids, indptr, indices, idx.data) == \
+        (tmp_path / "good.idx").read_bytes()
+    if corruption == "bad-utf8-term":
+        terms[0] = b"\xff" + terms[0][1:]
+    elif corruption == "decreasing-indptr":
+        indptr[1], indptr[2] = indptr[2], indptr[1]
+    elif corruption == "term-id-out-of-range":
+        indices[-1] = len(terms)
+    elif corruption == "unsorted-doc-ids":
+        doc_ids[0], doc_ids[1] = doc_ids[1], doc_ids[0]
+    elif corruption == "duplicate-doc-ids":
+        doc_ids[1] = doc_ids[0]
+    raw = _idx_bytes(terms, idx.df, doc_ids, indptr, indices, idx.data)
+    if corruption == "truncated":
+        raw = raw[:-3]
+    elif corruption == "trailing-bytes":
+        raw += b"\0"
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(raw)
+    capsys.readouterr()
+    assert main(["retrieve", "--index", str(bad), "--query", "saint fresco"]) == EXIT_DATA
+    assert capsys.readouterr().out == ""
 
 def _rewrite_ckpt_header(raw: bytes, corruption: str) -> bytes:
     """Corrupt the config digest or the JSON metadata of a .ckpt file."""

@@ -148,6 +148,87 @@ class TestOracleEquivalence:
                 assert abs(gscore - min(wscore, 1.0)) < 1e-10
 
 
+
+def postings_rank(index, query, k):
+    """The ranking as first written, kept as the oracle for the array layout:
+    a Python dict of postings filled by a loop over every nonzero, then a full
+    sort of all documents by (-score, article id). Reads only the index's
+    public CSR attributes."""
+    idf = np.log((1.0 + index.n_docs) / (1.0 + index.df)) + 1.0
+    counts = {}
+    for term in terms_of(normalize_text(query)):
+        tid = index.term_ids.get(term)
+        if tid is not None:
+            counts[tid] = counts.get(tid, 0) + 1
+    if not counts:
+        return []
+    vec = {tid: c * float(idf[tid]) for tid, c in counts.items()}
+    norm = float(np.sqrt(sum(w * w for w in vec.values())))
+    postings = {}
+    for row in range(index.n_docs):
+        lo, hi = int(index.indptr[row]), int(index.indptr[row + 1])
+        for tid, w in zip(index.indices[lo:hi], index.data[lo:hi]):
+            rows, weights = postings.setdefault(int(tid), ([], []))
+            rows.append(row)
+            weights.append(float(w))
+    scores = np.zeros(index.n_docs)
+    for tid, w in vec.items():
+        rows, weights = postings.get(tid, ([], []))
+        scores[np.array(rows, dtype=np.int64)] += (w / norm) * np.array(weights)
+    order = sorted(range(index.n_docs), key=lambda r: (-scores[r], index.doc_ids[r]))
+    return [(index.doc_ids[r], min(float(scores[r]), 1.0)) for r in order[:k]]
+
+
+def tied_index(rng):
+    """24 articles over 3 distinct bodies: every score is shared by 8 ids."""
+    bodies = [" ".join(rng.choice(WORDS, size=6)) for _ in range(3)]
+    return TfIdfIndex.build([KnowledgeArticle(f"t{i:02d}", "t", bodies[i % 3])
+                             for i in range(24)])
+
+
+def random_csr_index(rng):
+    """Rows of random distinct term ids with weights from a few values (so
+    scores tie), random df and sorted random doc ids."""
+    terms = terms_of(normalize_text(" ".join(WORDS)))
+    n_docs = 30
+    indptr, indices = [0], []
+    for _ in range(n_docs):
+        row = np.sort(rng.choice(len(terms), size=int(rng.integers(0, 8)), replace=False))
+        indices.extend(row.tolist())
+        indptr.append(len(indices))
+    data = rng.choice([0.25, 0.5, 0.75], size=len(indices))
+    doc_ids = sorted({f"r{int(x):05d}" for x in rng.integers(0, 10**5, size=n_docs)})
+    assert len(doc_ids) == n_docs
+    return TfIdfIndex(terms, rng.integers(1, n_docs + 1, size=len(terms)), doc_ids,
+                      np.array(indptr), np.array(indices), data)
+
+
+def empty_row_index(rng):
+    """A built index with one more document whose row is empty."""
+    idx = TfIdfIndex.build(random_articles(rng, 12))
+    return TfIdfIndex(idx.terms, idx.df, idx.doc_ids + ["zzz-empty"],
+                      np.append(idx.indptr, idx.indptr[-1]), idx.indices, idx.data)
+
+
+@pytest.mark.parametrize("make_index", [tied_index, random_csr_index, empty_row_index],
+                         ids=["ties", "random-csr", "empty-row"])
+def test_rank_matches_postings_oracle(make_index):
+    rng = np.random.default_rng(76)
+    for _ in range(3):
+        idx = make_index(rng)
+        queries = ["saint saint fresco saint", "oil oil", "zebra quux"]
+        queries += [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 9))))
+                    for _ in range(15)]
+        for query in queries:
+            for k in (1, 3, 5, idx.n_docs, idx.n_docs + 7):
+                assert idx.rank(query, k) == postings_rank(idx, query, k), (query, k)
+
+
+def test_tied_index_ties_span_more_than_k():
+    idx = tied_index(np.random.default_rng(76))
+    top = idx.rank(idx.terms[0], k=idx.n_docs)
+    assert top[0][1] > 0.0 and top[7][1] == top[0][1]
+
 def articles_by_id(articles):
     return {a.id: a for a in articles}
 
@@ -159,7 +240,17 @@ class TestRank:
         idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "saint fresco")])
         with caplog.at_level(logging.WARNING):
             assert idx.rank("zebra quux", k=5) == []
-        assert "empty" in caplog.text
+        assert "no query term is in the index" in caplog.text
+        assert "empty after normalization" not in caplog.text
+
+    def test_stopword_query_empty_result(self, caplog):
+        import logging
+
+        idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "saint fresco")])
+        with caplog.at_level(logging.WARNING):
+            assert idx.rank("the of and", k=5) == []
+        assert "query is empty after normalization" in caplog.text
+        assert "no query term" not in caplog.text
 
     def test_pure_function(self):
         rng = np.random.default_rng(66)
@@ -222,21 +313,3 @@ class TestSerialization:
             q = " ".join(WORDS[int(w)] for w in rng.integers(0, len(WORDS), size=5))
             assert idx.rank(q, k=20) == reloaded.rank(q, k=20)
 
-
-def test_frozen_idf_scores_unchanged_by_added_disjoint_document():
-    # With the idf table frozen, appending a document whose terms are all
-    # unknown to the table leaves existing documents' scores untouched (the
-    # new document's stored vector is empty).
-    rng = np.random.default_rng(70)
-    articles = random_articles(rng, 6)
-    idx = TfIdfIndex.build(articles)
-    q = "saint fresco river"
-    before = dict(idx.rank(q, k=6))
-    extended = TfIdfIndex(
-        idx.terms, idx.df, idx.doc_ids + ["zzz-new"],
-        np.append(idx.indptr, idx.indptr[-1]), idx.indices, idx.data,
-        idf_table=idx.idf_table.copy(),
-    )
-    after = dict(extended.rank(q, k=7))
-    assert after.pop("zzz-new") == 0.0
-    assert after == before
