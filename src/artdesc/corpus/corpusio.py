@@ -31,15 +31,22 @@ from artdesc.errors import DataError
 FEATURE_SUFFIX = ".fgrd"
 
 
-def _spans_for_values(text: str, entities: list[dict]) -> list[tuple[tuple[int, int], EntityType]]:
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{where}: missing key '{key}'")
+    return obj[key]
+
+
+def _spans_for_values(text: str, entities: list[dict],
+                      where: str) -> list[tuple[tuple[int, int], EntityType]]:
     """Locate each entity value left-to-right (case-insensitive, first match
     at or after the previous entity's end)."""
     spans = []
     lowered = text.lower()
     cursor = 0
-    for ent in entities:
-        value = ent["value"]
-        etype = EntityType.from_name(ent["type"])
+    for j, ent in enumerate(entities):
+        value = _field(ent, "value", f"{where} entity {j}")
+        etype = EntityType.from_name(_field(ent, "type", f"{where} entity {j}"))
         start = lowered.find(value.lower(), cursor)
         if start < 0:
             raise DataError(f"entity value '{value}' not found in sentence: {text!r}")
@@ -50,12 +57,13 @@ def _spans_for_values(text: str, entities: list[dict]) -> list[tuple[tuple[int, 
 
 def record_from_dict(obj: dict, features_dir: str | Path | None = None) -> PaintingRecord:
     sentences = []
-    for sent in obj.get("sentences", []):
-        text = sent["text"]
+    for i, sent in enumerate(obj.get("sentences", [])):
+        where = f"painting '{obj.get('id')}' sentence {i}"
+        text = _field(sent, "text", where)
         topic_name = sent.get("topic")
         topic_labeled = topic_name is not None
         topic = TopicLabel.from_name(topic_name) if topic_labeled else TopicLabel.CONTEXT
-        spans = _spans_for_values(text, sent.get("entities", []))
+        spans = _spans_for_values(text, sent.get("entities", []), where)
         masked, values = mask_sentence(text, spans, topic)
         sentences.append(SentenceEntry(text, masked, values, topic_labeled))
     features = None

@@ -8,20 +8,27 @@ competing for beam slots, which makes beam_size=1 coincide with greedy. The
 first step never emits </s>, so a generated sentence has at least one token.
 The final answer is the better of best-of-beam and the greedy rollout, so
 beam search is never worse than greedy.
+
+Decoding builds no autodiff graph: it steps the tape-free
+:class:`~artdesc.decoder.model.DecodeStep`, whose log-probs are bit-identical
+to the training forward's, and steps each token prefix once per decode.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import Callable
 
 import numpy as np
 
 from artdesc.corpus import FeatureGrid, MaskedSentence, TOPIC_ORDER, TopicLabel
-from artdesc.decoder.model import attend, decode_logits, init_state, sub_prefix, topic_embedding_index
+from artdesc.decoder.model import DecodeStep, sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
 from artdesc.training import Checkpoint
 
 logger = logging.getLogger(__name__)
+
+NextLogp = Callable[[tuple[int, ...]], np.ndarray]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -30,25 +37,46 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def _step(params, prefix, topic_idx, grid, state, prev):
-    z, _ = attend(grid, state[0], params, prefix)
-    state, logits = decode_logits(z, state, prev, params, prefix, topic_idx)
-    return state, _log_softmax(logits.data)
+def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> NextLogp:
+    """Next-token log-probs after a token prefix. Each prefix is stepped
+    once, from its parent prefix's state, so the beam and its greedy
+    fallback share every prefix both of them reach."""
+    variant = ckpt.config.variant
+    step = DecodeStep(grid, ckpt.store, sub_prefix(variant, topic),
+                      topic_embedding_index(variant, topic))
+    start = ckpt.vocab.start
+    stepped: dict[tuple[int, ...], tuple[tuple[np.ndarray, np.ndarray], np.ndarray]] = {}
+
+    def next_logp(tokens: tuple[int, ...]) -> np.ndarray:
+        hit = stepped.get(tokens)
+        if hit is None:
+            if tokens:
+                state, logits = step(stepped[tokens[:-1]][0], tokens[-1])
+            else:
+                state, logits = step(step.state0, start)
+            hit = stepped[tokens] = (state, _log_softmax(logits))
+        return hit[1]
+
+    return next_logp
+
+
+def _rank_key(hyp) -> tuple:
+    """(score desc, length asc, token ids) of a (score, tokens, ...) tuple."""
+    return (-hyp[0], len(hyp[1]), hyp[1])
 
 
 def greedy_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
-                  max_len: int) -> tuple[list[int], float]:
-    """Argmax decoding (lowest index wins ties). Returns (token ids, log-prob)."""
-    params = ckpt.store
-    prefix = sub_prefix(ckpt.config.variant, topic)
-    topic_idx = topic_embedding_index(ckpt.config.variant, topic)
+                  max_len: int, *, next_logp: NextLogp | None = None) -> tuple[list[int], float]:
+    """Argmax decoding (lowest index wins ties). Returns (token ids, log-prob).
+    ``next_logp`` shares the prefixes another decode of the same checkpoint,
+    grid and topic already stepped."""
+    if next_logp is None:
+        next_logp = _prefix_stepper(ckpt, grid, topic)
     end = ckpt.vocab.end
-    state = init_state(grid, params, prefix)
-    prev = ckpt.vocab.start
-    tokens: list[int] = []
+    tokens: tuple[int, ...] = ()
     score = 0.0
     for step in range(max_len):
-        state, logp = _step(params, prefix, topic_idx, grid, state, prev)
+        logp = next_logp(tokens)
         if step == 0:
             masked = logp.copy()
             masked[end] = -np.inf
@@ -57,53 +85,44 @@ def greedy_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
             nxt = int(np.argmax(logp))
         score += float(logp[nxt])
         if nxt == end:
-            return tokens, score
-        tokens.append(nxt)
-        prev = nxt
-    return tokens, score
+            break
+        tokens += (nxt,)
+    return list(tokens), score
 
 
 def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
                 max_len: int, beam_size: int) -> tuple[list[int], float]:
-    params = ckpt.store
-    prefix = sub_prefix(ckpt.config.variant, topic)
-    topic_idx = topic_embedding_index(ckpt.config.variant, topic)
-    vocab = ckpt.vocab
-    end = vocab.end
-
-    def sort_key(entry):
-        score, tokens = entry[0], entry[1]
-        return (-score, len(tokens), tokens)
-
-    # hypothesis: (score, tokens, state, prev, done); finished hypotheses keep
-    # competing for beam slots, which makes beam_size=1 exactly greedy
-    state0 = init_state(grid, params, prefix)
-    beam: list[tuple[float, tuple[int, ...], tuple | None, int, bool]] = [
-        (0.0, (), state0, vocab.start, False)
-    ]
+    next_logp = _prefix_stepper(ckpt, grid, topic)
+    end = ckpt.vocab.end
+    # hypothesis: (score, tokens, done); finished hypotheses keep competing
+    # for beam slots, which makes beam_size=1 exactly greedy
+    beam: list[tuple[float, tuple[int, ...], bool]] = [(0.0, (), False)]
     for step in range(max_len):
-        if all(done for _, _, _, _, done in beam):
+        live = [(score, tokens) for score, tokens, done in beam if not done]
+        if not live:
             break
-        candidates: list[tuple[float, tuple[int, ...], tuple | None, int, bool]] = []
-        for score, tokens, state, prev, done in beam:
-            if done:
-                candidates.append((score, tokens, None, prev, True))
-                continue
-            new_state, logp = _step(params, prefix, topic_idx, grid, state, prev)
-            for w in range(len(vocab)):
-                s = score + float(logp[w])
-                if w == end:
-                    if step > 0:  # minimum generated length is one token
-                        candidates.append((s, tokens, None, w, True))
-                else:
-                    candidates.append((s, tokens + (w,), new_state, w, False))
-        candidates.sort(key=sort_key)
+        finished = [hyp for hyp in beam if hyp[2]]
+        scores = np.stack([score + next_logp(tokens) for score, tokens in live])
+        if step == 0:
+            scores[:, end] = -np.inf  # minimum generated length is one token
+        # a survivor scores at least the beam_size-th best score; every
+        # candidate tied at that score goes to the exact sort
+        pool = np.concatenate([[hyp[0] for hyp in finished], scores.ravel()])
+        k = min(beam_size, pool.size) - 1
+        cut = -np.partition(-pool, k)[k]
+        candidates = [hyp for hyp in finished if hyp[0] >= cut]
+        rows, words = np.nonzero(scores >= cut)
+        for i, w in zip(rows.tolist(), words.tolist()):
+            tokens = live[i][1]
+            if w != end:
+                candidates.append((float(scores[i, w]), tokens + (w,), False))
+            elif step > 0:
+                candidates.append((float(scores[i, w]), tokens, True))
+        candidates.sort(key=_rank_key)
         beam = candidates[:beam_size]
-    finished = [(score, tokens) for score, tokens, _, _, _ in beam]
     # greedy fallback: best-of-beam is then never worse than greedy
-    g_tokens, g_score = greedy_decode(ckpt, grid, topic, max_len)
-    finished.append((g_score, tuple(g_tokens)))
-    best = min(finished, key=sort_key)
+    g_tokens, g_score = greedy_decode(ckpt, grid, topic, max_len, next_logp=next_logp)
+    best = min([*beam, (g_score, tuple(g_tokens))], key=_rank_key)
     return list(best[1]), best[0]
 
 

@@ -1,4 +1,5 @@
-"""Decoder forward pieces: attention, state init, one decode step.
+"""Decoder forward pieces: attention, state init, one decode step, and the
+tape-free step that decoding runs.
 
 Parameter namespaces: the baseline and conditional decoders live under the
 "dec" prefix; the parallel decoder keeps three fully disjoint sub-decoders
@@ -132,3 +133,45 @@ def decode_step(
     """Like decode_logits but returns the word distribution (sums to 1)."""
     new_state, logits = decode_logits(z, state, y_prev, params, prefix, topic_idx)
     return new_state, nc.softmax(logits)
+
+
+class DecodeStep:
+    """Tape-free ``attend`` + ``decode_logits`` for one grid and sub-decoder.
+
+    Built once per decoded sentence: the grid's attention projection
+    ``grid @ w_v.T`` and the initial state are computed here, once. Each call
+    then runs the numcore forward helpers that the tape nodes run, on the
+    same arrays in the same order, so its logits are bit-identical to
+    ``decode_logits`` after ``attend``. A step whose context, state or logits
+    hold a non-finite value raises FloatingPointError, as a tape node would.
+    """
+
+    def __init__(self, grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec",
+                 topic_idx: int | None = None):
+        def p(name: str) -> np.ndarray:
+            return params[f"{prefix}.{name}"].data
+
+        self.grid = grid.values
+        self.proj = self.grid @ p("att.w_v").T
+        self.att = (p("att.w_h"), p("att.b1"), p("att.w2"), p("att.b2"))
+        self.embed = p("embed")
+        self.topic = () if topic_idx is None else (p("topic.embed")[topic_idx],)
+        self.lstm = (p("lstm.w"), p("lstm.b"))
+        self.out = (p("out.w"), p("out.b"))
+        vbar = mean_pool(grid)
+        self.state0 = (np.tanh(p("init.w_h") @ vbar + p("init.b_h")),
+                       np.tanh(p("init.w_c") @ vbar + p("init.b_c")))
+
+    def __call__(self, state: tuple[np.ndarray, np.ndarray],
+                 y_prev: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The state after reading ``y_prev`` and the next token's logits."""
+        h_prev, c_prev = state
+        z, _, _ = nc.attention_np(self.proj, self.grid, h_prev, *self.att)
+        parts = [z, self.embed[y_prev], *self.topic, h_prev]
+        h, c, _ = nc.lstm_np(np.concatenate(parts), c_prev, *self.lstm)
+        out_w, out_b = self.out
+        hz = np.concatenate([h, z])
+        logits = out_w @ hz + out_b
+        if not (np.isfinite(hz).all() and np.isfinite(c).all() and np.isfinite(logits).all()):
+            raise FloatingPointError("non-finite values produced by the decode step")
+        return (h, c), logits

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from artdesc.errors import ShapeError, StateError
+from artdesc.errors import DataError, ShapeError, StateError
 from artdesc.numcore.tensor import Tensor
 
 # Recurrent/embedding weights start uniform in [-0.08, 0.08]; biases at zero.
@@ -72,6 +72,8 @@ class ParamStore:
                     f"parameter '{name}': checkpoint shape {src.shape} "
                     f"vs expected {self._params[name].data.shape}"
                 )
+            if not np.all(np.isfinite(src)):
+                raise DataError(f"parameter '{name}': checkpoint holds non-finite values")
             self._params[name].data[...] = src
         extra = set(arrays) - set(self._params)
         if extra:

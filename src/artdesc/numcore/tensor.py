@@ -393,14 +393,7 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
         raise ShapeError(f"lstm_step: bias '{b.name}' has shape {b.shape}, expected {(4 * hidden,)}")
 
     xh = np.concatenate([x.data, h_prev.data])
-    u = w.data @ xh + b.data
-    i = _sigmoid(u[:hidden])
-    f = _sigmoid(u[hidden : 2 * hidden])
-    o = _sigmoid(u[2 * hidden : 3 * hidden])
-    g = np.tanh(u[3 * hidden :])
-    c = f * c_prev.data + i * g
-    tc = np.tanh(c)
-    h = o * tc
+    h, c, (i, f, o, g, tc) = lstm_np(xh, c_prev.data, w.data, b.data)
 
     def bwd(out: Tensor) -> None:
         gh = out.grad[:hidden]
@@ -429,6 +422,22 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
     return narrow(hc, 0, hidden), narrow(hc, hidden, hidden)
 
 
+def lstm_np(xh: np.ndarray, c_prev: np.ndarray, w: np.ndarray,
+            b: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Plain-array forward of :func:`lstm_step` with ``xh = [x; h_prev]``.
+
+    Returns (h, c, (i, f, o, g, tanh(c))); the gates feed the backward pass.
+    """
+    hidden = c_prev.shape[0]
+    u = w @ xh + b
+    ifo = _sigmoid(u[: 3 * hidden])  # elementwise, so one call serves the three gates
+    i, f, o = ifo[:hidden], ifo[hidden : 2 * hidden], ifo[2 * hidden :]
+    g = np.tanh(u[3 * hidden :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, o, g, tc)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -436,6 +445,26 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def attention_np(
+    proj: np.ndarray,
+    grid: np.ndarray,
+    h_prev: np.ndarray,
+    w_h: np.ndarray,
+    b1: np.ndarray,
+    w2: np.ndarray,
+    b2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plain-array forward of :func:`mlp_attention` given the grid's
+    projection ``proj = grid @ w_v.T`` (L, A), which depends on the grid
+    alone and so can be computed once per grid.
+
+    Returns (context (D,), weights (L,), tanh activations (L, A)).
+    """
+    act = np.tanh(proj + (w_h @ h_prev + b1))  # (L, A)
+    alpha = softmax_np(act @ w2 + b2[0])  # (L,)
+    return alpha @ grid, alpha, act
 
 
 def mlp_attention(
@@ -467,11 +496,8 @@ def mlp_attention(
             f"mlp_attention: bad MLP shapes b1={b1.shape} w2={w2.shape} b2={b2.shape}"
         )
 
-    pre = grid @ w_v.data.T + (w_h.data @ h_prev.data + b1.data)  # (L, A)
-    act = np.tanh(pre)
-    scores = act @ w2.data + b2.data[0]  # (L,)
-    alpha = softmax_np(scores)
-    z = alpha @ grid  # (D,)
+    z, alpha, act = attention_np(grid @ w_v.data.T, grid, h_prev.data, w_h.data, b1.data,
+                                 w2.data, b2.data)
 
     def bwd(out: Tensor) -> None:
         gz = out.grad[:feat]

@@ -8,14 +8,20 @@ from importlib import resources
 from importlib.resources.abc import Traversable
 from pathlib import Path
 
+from artdesc.errors import DataError
 from artdesc.retriever.porter import stem
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 def read_word_list(path: Path | Traversable) -> frozenset[str]:
-    """One lowercased entry per line; blank lines and '#' comments skipped."""
-    lines = (line.strip().lower() for line in path.read_text(encoding="utf-8").splitlines())
+    """One lowercased entry per line; blank lines and '#' comments skipped.
+    A file that is not UTF-8 raises DataError naming it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    lines = (line.strip().lower() for line in text.splitlines())
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 

@@ -11,9 +11,12 @@ import pytest
 from synth import entity_corpus
 
 import artdesc.numcore as nc
-from artdesc.corpus.vocab import build_vocab
-from artdesc.decoder import DecoderConfig, TrainConfig, train_decoder
+import artdesc.pipeline as pl
+from artdesc.corpus import FeatureGrid, TopicLabel
+from artdesc.corpus.vocab import RESERVED, Vocab, build_vocab
+from artdesc.decoder import DecoderConfig, TrainConfig, init_decoder_params, train_decoder
 from artdesc.filler import FillerConfig, build_filler_vocab, train_filler
+from artdesc.training import Checkpoint
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import probes  # noqa: E402
@@ -63,3 +66,20 @@ def test_scheduled_lr_called_once_per_epoch(corpus, monkeypatch, trainer):
     monkeypatch.setattr(nc, "scheduled_lr", counted)
     _train(trainer, corpus, epochs=2)
     assert len(calls) == 2
+
+
+def test_probes_see_beam_decode_and_its_greedy_fallback():
+    vocab = Vocab(list(RESERVED) + ["a", "b", "c"])
+    config = DecoderConfig(variant="baseline", vocab_size=len(vocab), feature_dim=3,
+                           hidden_size=4, embed_size=3, max_len=4)
+    ckpt = Checkpoint(config, vocab, init_decoder_params(config, np.random.default_rng(0)), 0)
+    grid = FeatureGrid(np.random.default_rng(1).normal(size=(2, 3)))
+    tracer, counts = probes.install()
+    try:
+        pl.generate(ckpt, grid, TopicLabel.CONTENT, mode="beam", beam_size=3)
+    finally:
+        tracer.restore()
+    # decoder.greedy_fallback.share is the greedy time under beam_decode
+    assert len(tracer.durations("decoder.beam_decode")) == 1
+    assert len(tracer.durations("decoder.greedy_decode", under="decoder.beam_decode")) == 1
+    assert counts.tokens_generated >= 1

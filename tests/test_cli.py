@@ -9,6 +9,7 @@ import pytest
 
 from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
 
+import artdesc.numcore as nc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from artdesc.corpus import save_corpus, save_feature_grid
 from artdesc.retriever import (
@@ -221,17 +222,26 @@ def test_data_error_exit_code(cli_world, tmp_path, corpus, settings):
 
 
 @pytest.mark.parametrize("case", [
-    "corpus-no-id", "articles-no-id", "articles-not-object", "annotation-no-label",
+    "corpus-no-id", "sentence-no-text", "entity-no-type", "articles-no-id",
+    "articles-not-object", "annotation-no-label",
 ])
 def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
     root, records, corpus_path, _, _, knowledge_dir = cli_world
     bad = tmp_path / "bad.jsonl"
-    if case == "corpus-no-id":
+    if case.startswith(("corpus", "sentence", "entity")):
         first = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
-        del first["id"]
+        if case == "corpus-no-id":
+            del first["id"]
+            where = f"{bad}:1:"
+        elif case == "sentence-no-text":
+            del first["sentences"][0]["text"]
+            where = f"painting '{first['id']}' sentence 0: missing key 'text'"
+        else:
+            entry = next(i for i, sent in enumerate(first["sentences"]) if sent["entities"])
+            del first["sentences"][entry]["entities"][0]["type"]
+            where = f"painting '{first['id']}' sentence {entry} entity 0: missing key 'type'"
         bad.write_text(json.dumps(first) + "\n", encoding="utf-8")
         argv = ["train-filler", "--corpus", str(bad), "--out", str(tmp_path / "f.ckpt")]
-        where = f"{bad}:1:"
     elif case.startswith("articles"):
         line = '{"body": "fresco"}' if case == "articles-no-id" else "[1, 2]"
         bad.write_text('{"id": "x", "body": "saint"}\n' + line + "\n", encoding="utf-8")
@@ -249,6 +259,28 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["stoplist", "blocklist"])
+def test_non_utf8_word_list_exit_code(cli_world, tmp_path, capsys, flag):
+    knowledge_dir = cli_world[5]
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"\xff\xfeth\x00e\x00\n\x00")
+    index_path = tmp_path / "k.idx"
+    if flag == "stoplist":
+        argv = ["index", "--knowledge-dir", str(knowledge_dir), "--out", str(index_path),
+                "--stoplist", str(words)]
+    else:
+        assert main(["index", "--knowledge-dir", str(knowledge_dir),
+                     "--out", str(index_path)]) == EXIT_OK
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps({"attributes": {"artist": "x"}, "objects": ["saint"]}),
+                        encoding="utf-8")
+        argv = ["retrieve", "--index", str(index_path), "--meta", str(meta),
+                "--blocklist", str(words)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert f"{words}: not valid UTF-8" in capsys.readouterr().err
 
 
 def _idx_bytes(terms, df, doc_ids, indptr, indices, data) -> bytes:
@@ -323,18 +355,28 @@ def _rewrite_ckpt_header(raw: bytes, corruption: str) -> bytes:
             + struct.pack("<I", len(meta)) + meta + params)
 
 
+NAN_PARAM = {"decoder": "content.out.b", "filler": "fill.cand.b"}
+
+
 @pytest.mark.parametrize("kind", ["decoder", "filler"])
 @pytest.mark.parametrize("corruption, message", [
     ("invalid-json", "metadata is not valid JSON"),
     ("non-utf8-digest", "config digest is not valid UTF-8"),
     ("no-config", "missing keys ['config']"),
     ("unknown-config-key", "unknown keys ['bogus']"),
-], ids=["invalid-json", "non-utf8-digest", "no-config", "unknown-config-key"])
+    ("nan-param", "checkpoint holds non-finite values"),
+], ids=["invalid-json", "non-utf8-digest", "no-config", "unknown-config-key", "nan-param"])
 def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruption, message):
     _, records, config, _ = world
     key = f"{kind}_checkpoint"
     bad = tmp_path / f"{kind}.ckpt"
-    bad.write_bytes(_rewrite_ckpt_header(Path(config[key]).read_bytes(), corruption))
+    if corruption == "nan-param":
+        arrays, digest, meta, _ = nc.load_checkpoint(config[key])
+        arrays[NAN_PARAM[kind]][0] = np.nan
+        nc.save_checkpoint(bad, arrays, digest, meta)
+        message = f"parameter '{NAN_PARAM[kind]}': {message}"
+    else:
+        bad.write_bytes(_rewrite_ckpt_header(Path(config[key]).read_bytes(), corruption))
     config_path = tmp_path / "pipeline.json"
     config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
     capsys.readouterr()
