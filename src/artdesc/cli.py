@@ -2,8 +2,9 @@
 
 Subcommands: preprocess, train-decoder, train-filler, index, retrieve,
 describe, evaluate, eval-recall. Exit codes: 0 success, 1 usage error,
-2 data/config error, 3 missing artifact. Logs are line-delimited JSON on
-stderr.
+2 data/config error or a computation that overflowed to a non-finite value
+(such as a checkpoint with huge weights), 3 missing artifact. Logs are
+line-delimited JSON on stderr.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def _setup_logging(verbose: bool) -> None:
     root = logging.getLogger()
     root.handlers[:] = [handler]
     root.setLevel(logging.DEBUG if verbose else logging.INFO)
+    logging.captureWarnings(True)  # numpy's overflow warnings become JSON lines too
 
 
 class _Parser(argparse.ArgumentParser):
@@ -427,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ArtdescError as exc:
         logger.error("%s", exc)
+        return EXIT_DATA
+    except FloatingPointError as exc:
+        logger.error("numeric error: %s", exc)
         return EXIT_DATA
     except FileNotFoundError as exc:
         logger.error("missing file: %s", exc)

@@ -30,6 +30,7 @@ from artdesc.errors import FormatError
 
 MAGIC = b"ARTDCKP1"
 VERSION = 1
+_U32 = struct.Struct("<I")
 
 
 def digest_of(obj) -> str:
@@ -85,17 +86,26 @@ class ByteReader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def text(self, n: int, what: str) -> str:
-        start = self.pos
-        try:
-            return self.take(n, what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{what} is not valid UTF-8", start + exc.start) from None
-
     def string(self, what: str) -> str:
         """A u32 byte length followed by that many UTF-8 bytes."""
-        (n,) = struct.unpack("<I", self.take(4, what))
-        return self.text(n, what)
+        return self.strings(1, what)[0]
+
+    def strings(self, count: int, what: str) -> list[str]:
+        """``count`` strings in a row, each as ``string`` reads it."""
+        raw, pos, size, out = self.raw, self.pos, len(self.raw), []
+        for _ in range(count):
+            if pos + 4 > size:
+                raise FormatError(f"truncated {self.kind} while reading {what}", pos)
+            start = pos + 4
+            pos = start + _U32.unpack_from(raw, pos)[0]
+            if pos > size:
+                raise FormatError(f"truncated {self.kind} while reading {what}", start)
+            try:
+                out.append(raw[start:pos].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{what} is not valid UTF-8", start + exc.start) from None
+        self.pos = pos
+        return out
 
     def end(self, what: str) -> None:
         if self.pos != len(self.raw):
@@ -111,10 +121,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, dict,
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", r.pos - 4)
     digest = r.string("config digest")
-    (meta_len,) = r.unpack("<I", "metadata length")
-    meta_start = r.pos
+    meta_start = r.pos + 4
     try:
-        meta = json.loads(r.text(meta_len, "metadata"))
+        meta = json.loads(r.string("metadata"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"metadata is not valid JSON ({exc.msg})", meta_start) from None
     if not isinstance(meta, dict):

@@ -26,6 +26,7 @@ import logging
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +71,7 @@ class TfIdfIndex:
         data: np.ndarray,
     ):
         self.terms = terms
-        self.term_ids = {t: i for i, t in enumerate(terms)}
+        self.term_ids = dict(zip(terms, range(len(terms))))
         self.df = np.asarray(df, dtype=np.int64)
         self.doc_ids = doc_ids
         self.indptr = np.asarray(indptr, dtype=np.uint64)
@@ -124,47 +125,37 @@ class TfIdfIndex:
                 raise DataError(f"duplicate article id '{a.id}'")
             seen.add(a.id)
 
-        usable: list[tuple[str, dict[str, int]]] = []
         term_ids: dict[str, int] = {}
+        stems: dict[str, str] = {}
+        doc_ids: list[str] = []
+        rows: list[list[int]] = []  # term ids of each kept article, in text order
         for article in sorted(articles, key=lambda a: a.id):
-            tokens = normalize_text(article.body, stopwords)
+            tokens = normalize_text(article.body, stopwords, stems)
             if not tokens:
                 logger.warning("dropping article '%s': empty after normalization", article.id)
                 continue
-            counts: dict[str, int] = {}
-            for term in terms_of(tokens):
-                counts[term] = counts.get(term, 0) + 1
-                if term not in term_ids:
-                    term_ids[term] = len(term_ids)
-            usable.append((article.id, counts))
-        if not usable:
+            doc_ids.append(article.id)
+            rows.append([term_ids.setdefault(t, len(term_ids)) for t in terms_of(tokens)])
+        if not doc_ids:
             raise DataError("no usable articles: all were empty after normalization")
 
-        n_docs = len(usable)
-        df = np.zeros(len(term_ids), dtype=np.int64)
-        for _, counts in usable:
-            for term in counts:
-                df[term_ids[term]] += 1
+        n_docs, n_terms = len(doc_ids), len(term_ids)
+        doc = np.repeat(np.arange(n_docs, dtype=np.int64), [len(row) for row in rows])
+        tid = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(doc))
+        # sorted (row, term id) pairs and their term frequencies
+        keys, counts = np.unique(doc * n_terms + tid, return_counts=True)
+        indices = keys % n_terms
+        df = np.bincount(indices, minlength=n_terms)
+        indptr = np.zeros(n_docs + 1, dtype=np.uint64)
+        np.cumsum(np.bincount(keys // n_terms, minlength=n_docs), out=indptr[1:])
         idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-
-        doc_ids = []
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for doc_id, counts in usable:
-            doc_ids.append(doc_id)
-            row = sorted((term_ids[t], c) for t, c in counts.items())
-            weights = np.array([c * idf[tid] for tid, c in row])
-            norm = float(np.sqrt((weights**2).sum()))
-            weights /= norm
-            indices.extend(tid for tid, _ in row)
-            data.extend(weights.tolist())
-            indptr.append(len(indices))
-
-        return cls(list(term_ids), df, doc_ids,
-                   np.array(indptr, dtype=np.uint64),
-                   np.array(indices, dtype=np.uint32),
-                   np.array(data, dtype=np.float64))
+        data = counts * idf[indices]
+        # one sum per row slice: a segmented reduction would change the
+        # summation order and with it the last bits of the weights
+        for lo, hi in pairwise(indptr.tolist()):
+            weights = data[lo:hi]
+            weights /= np.sqrt((weights**2).sum())
+        return cls(list(term_ids), df, doc_ids, indptr, indices, data)
 
     # ------------------------------------------------------------------
     # Query
@@ -235,9 +226,9 @@ class TfIdfIndex:
         if version != VERSION:
             raise FormatError(f"unsupported index version {version}", r.pos - 4)
         n_terms, n_docs, nnz = r.unpack("<IIQ", "table sizes")
-        terms = [r.string("term") for _ in range(n_terms)]
+        terms = r.strings(n_terms, "term")
         df = np.frombuffer(r.take(8 * n_terms, "df table"), dtype="<i8").astype(np.int64)
-        doc_ids = [r.string("doc id") for _ in range(n_docs)]
+        doc_ids = r.strings(n_docs, "doc id")
         indptr = np.frombuffer(r.take(8 * (n_docs + 1), "indptr"), dtype="<u8").astype(np.uint64)
         indices = np.frombuffer(r.take(4 * nnz, "indices"), dtype="<u4").astype(np.uint32)
         data = np.frombuffer(r.take(8 * nnz, "weights"), dtype="<f8").astype(np.float64)
@@ -263,11 +254,15 @@ def read_articles_dir(directory: str | Path) -> list[KnowledgeArticle]:
 
 
 def read_articles_jsonl(path: str | Path) -> list[KnowledgeArticle]:
-    """Line-delimited export: {"id": ..., "title": ..., "body"/"text": ...}."""
+    """Line-delimited export: {"id": ..., "title": ..., "body"/"text": ...}.
+    A title or body that is not a string raises DataError naming ``path:lineno``."""
     articles = []
-    for _, obj in read_jsonl(path, required=("id",)):
+    for lineno, obj in read_jsonl(path, required=("id",)):
         body = obj.get("body", obj.get("text", ""))
-        articles.append(
-            KnowledgeArticle(id=str(obj["id"]), title=obj.get("title", str(obj["id"])), body=body)
-        )
+        title = obj.get("title", str(obj["id"]))
+        for key, value in (("body", body), ("title", title)):
+            if not isinstance(value, str):
+                raise DataError(f"{path}:{lineno}: article {key} must be a string, "
+                                f"got {type(value).__name__}")
+        articles.append(KnowledgeArticle(id=str(obj["id"]), title=title, body=body))
     return articles

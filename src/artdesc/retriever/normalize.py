@@ -34,14 +34,16 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return read_word_list(Path(path))
 
 
-def normalize_text(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
+def normalize_text(text: str, stopwords: frozenset[str] | None = None,
+                   stems: dict[str, str] | None = None) -> list[str]:
     """Lowercased alphanumeric tokens, stop words dropped, words stemmed.
-    Numeric tokens pass through unstemmed."""
+    Numeric tokens pass through unstemmed. ``stems`` (word to stem) is filled
+    here: passing one dict to many calls stems each distinct word once."""
     if stopwords is None:
         stopwords = default_stopwords()
-    out = []
-    for token in _WORD_RE.findall(text.lower()):
-        if token in stopwords:
-            continue
-        out.append(stem(token) if not token.isdigit() else token)
-    return out
+    stems = {} if stems is None else stems
+    tokens = [token for token in _WORD_RE.findall(text.lower()) if token not in stopwords]
+    for token in tokens:
+        if token not in stems:
+            stems[token] = token if token.isdigit() else stem(token)
+    return [stems[token] for token in tokens]

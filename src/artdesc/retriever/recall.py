@@ -27,6 +27,8 @@ class RetrievalLabel(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "RetrievalLabel":
+        if not isinstance(name, str):
+            raise DataError(f"retrieval label {name!r} is not a string")
         try:
             return cls(name.lower())
         except ValueError:

@@ -2,6 +2,7 @@
 package and times training epochs by the calls of ``scheduled_lr``. These
 tests fail when a refactor moves one of those attach points."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from artdesc.corpus import FeatureGrid, TopicLabel
 from artdesc.corpus.vocab import RESERVED, Vocab, build_vocab
 from artdesc.decoder import DecoderConfig, TrainConfig, init_decoder_params, train_decoder
 from artdesc.filler import FillerConfig, build_filler_vocab, train_filler
+from artdesc.retriever import KnowledgeArticle, TfIdfIndex, default_stopwords
 from artdesc.training import Checkpoint
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -83,3 +85,19 @@ def test_probes_see_beam_decode_and_its_greedy_fallback():
     assert len(tracer.durations("decoder.beam_decode")) == 1
     assert len(tracer.durations("decoder.greedy_decode", under="decoder.beam_decode")) == 1
     assert counts.tokens_generated >= 1
+
+
+def test_probes_see_build_and_one_stem_per_distinct_word():
+    bodies = ["Saints painted saints in 1502", "the painted altar of 1502 saints",
+              "Altars, altars and frescoes", "of the and"]
+    articles = [KnowledgeArticle(f"a{i}", "t", body) for i, body in enumerate(bodies)]
+    tracer, counts = probes.install()
+    try:
+        TfIdfIndex.build(articles)
+    finally:
+        tracer.restore()
+    rows = tracer.by_name()
+    assert rows["retriever.build"]["calls"] == 1
+    words = {w for body in bodies for w in re.findall(r"[a-z0-9]+", body.lower())
+             if w not in default_stopwords() and not w.isdigit()}
+    assert rows["retriever.stem"]["calls"] == len(words) == len(counts.stemmed)

@@ -1,11 +1,13 @@
 """Checkpoint container round trips bit-exactly."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from artdesc.errors import FormatError
 from artdesc.numcore import load_checkpoint, save_checkpoint
-from artdesc.numcore.checkpoint import digest_of
+from artdesc.numcore.checkpoint import ByteReader, digest_of
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -61,3 +63,27 @@ def test_truncated_file_reports_offset(tmp_path):
 def test_digest_is_canonical():
     assert digest_of({"b": 1, "a": 2}) == digest_of({"a": 2, "b": 1})
     assert digest_of({"a": 1}) != digest_of({"a": 2})
+
+
+def _strings(*blobs: bytes) -> bytes:
+    return b"".join(struct.pack("<I", len(blob)) + blob for blob in blobs)
+
+
+def test_strings_read_in_order():
+    r = ByteReader(_strings(b"ab", "\u00e9t\u00e9".encode("utf-8"), b"") + _strings(b"xyz"), "index")
+    assert r.strings(3, "term") == ["ab", "\u00e9t\u00e9", ""]
+    assert r.string("doc id") == "xyz"
+    r.end("index payload")
+
+
+@pytest.mark.parametrize("raw, offset, message", [
+    (_strings(b"ab") + b"\x05\x00", 6, "truncated index while reading term"),
+    (_strings(b"ab") + struct.pack("<I", 5) + b"abc", 10, "truncated index while reading term"),
+    (_strings(b"ab", b"a\xffc"), 11, "term is not valid UTF-8"),
+], ids=["truncated-length", "truncated-bytes", "bad-utf8"])
+def test_strings_errors_report_offsets(raw, offset, message):
+    """Truncation is reported where the unreadable length or string starts,
+    bad UTF-8 at its first bad byte."""
+    with pytest.raises(FormatError, match=message) as exc:
+        ByteReader(raw, "index").strings(2, "term")
+    assert exc.value.offset == offset

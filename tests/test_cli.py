@@ -1,7 +1,10 @@
 """CLI plumbing: every subcommand, exit codes, artifact flow."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
 
+import artdesc
 import artdesc.numcore as nc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from artdesc.corpus import save_corpus, save_feature_grid
@@ -223,7 +227,8 @@ def test_data_error_exit_code(cli_world, tmp_path, corpus, settings):
 
 @pytest.mark.parametrize("case", [
     "corpus-no-id", "sentence-no-text", "entity-no-type", "articles-no-id",
-    "articles-not-object", "annotation-no-label",
+    "articles-not-object", "articles-body-not-string", "annotation-no-label",
+    "annotation-label-not-string",
 ])
 def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
     root, records, corpus_path, _, _, knowledge_dir = cli_world
@@ -243,19 +248,26 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
         bad.write_text(json.dumps(first) + "\n", encoding="utf-8")
         argv = ["train-filler", "--corpus", str(bad), "--out", str(tmp_path / "f.ckpt")]
     elif case.startswith("articles"):
-        line = '{"body": "fresco"}' if case == "articles-no-id" else "[1, 2]"
+        line = {"articles-no-id": '{"body": "fresco"}', "articles-not-object": "[1, 2]",
+                "articles-body-not-string": '{"id": "a1", "body": 5}'}[case]
         bad.write_text('{"id": "x", "body": "saint"}\n' + line + "\n", encoding="utf-8")
         argv = ["index", "--knowledge-file", str(bad), "--out", str(tmp_path / "k.idx")]
         where = f"{bad}:2:"
+        if case == "articles-body-not-string":
+            where += " article body must be a string, got int"
     else:
         index_path = tmp_path / "k.idx"
         assert main(["index", "--knowledge-dir", str(knowledge_dir),
                      "--out", str(index_path)]) == EXIT_OK
-        bad.write_text(json.dumps({"painting_id": records[0].id, "article_id": "x"}) + "\n",
-                       encoding="utf-8")
+        row = {"painting_id": records[0].id, "article_id": "x"}
+        if case == "annotation-label-not-string":
+            row["label"] = 3
+            where = "retrieval label 3 is not a string"
+        else:
+            where = f"{bad}:1:"
+        bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
         argv = ["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
                 "--annotations", str(bad)]
-        where = f"{bad}:1:"
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
     assert where in capsys.readouterr().err
@@ -383,6 +395,29 @@ def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruptio
     assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
                  "--topic", "content", "--mode", "greedy"]) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+def test_overflowing_checkpoint_exit_code(world, tmp_path):
+    """Finite weights whose logits overflow load, then fail the decode
+    step's finiteness check: exit 2, and stderr holds JSON log lines only
+    (numpy's overflow warnings included), no traceback. Run as a process,
+    because a process warns the way a user sees it."""
+    _, records, config, _ = world
+    arrays, digest, meta, _ = nc.load_checkpoint(config["decoder_checkpoint"])
+    arrays["content.out.w"][:] = 1e308
+    bad = tmp_path / "decoder.ckpt"
+    nc.save_checkpoint(bad, arrays, digest, meta)
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({**config, "decoder_checkpoint": str(bad)}),
+                           encoding="utf-8")
+    src = str(Path(artdesc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "artdesc.cli", "describe", "--config", str(config_path),
+         "--painting-id", records[0].id, "--topic", "content", "--mode", "greedy"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_DATA
+    events = [json.loads(line)["event"] for line in proc.stderr.splitlines()]
+    assert "numeric error: non-finite values produced by the decode step" in events
 
 
 def test_version_flag(capsys):

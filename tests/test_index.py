@@ -1,10 +1,20 @@
 """TF-IDF index versus a dense brute-force oracle, plus serialization."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from artdesc.errors import DataError
-from artdesc.retriever import KnowledgeArticle, TfIdfIndex, normalize_text, terms_of
+from artdesc.retriever import (
+    KnowledgeArticle,
+    TfIdfIndex,
+    default_stopwords,
+    normalize_text,
+    stem,
+    terms_of,
+)
 
 WORDS = ["oil", "panel", "canvas", "fresco", "portrait", "saint", "river",
          "castle", "horse", "crown", "altar", "monk"]
@@ -228,6 +238,89 @@ def test_tied_index_ties_span_more_than_k():
     idx = tied_index(np.random.default_rng(76))
     top = idx.rank(idx.terms[0], k=idx.n_docs)
     assert top[0][1] > 0.0 and top[7][1] == top[0][1]
+
+def dict_build(articles, stopwords=None):
+    """The build as first written, kept as the oracle for the array build:
+    every token stemmed on its own, a Python dict of term counts per article,
+    a Python df loop and one sorted row at a time."""
+    stopwords = default_stopwords() if stopwords is None else stopwords
+    usable, term_ids = [], {}
+    for article in sorted(articles, key=lambda a: a.id):
+        tokens = [t if t.isdigit() else stem(t)
+                  for t in re.findall(r"[a-z0-9]+", article.body.lower()) if t not in stopwords]
+        if not tokens:
+            logging.getLogger("artdesc.retriever.index").warning(
+                "dropping article '%s': empty after normalization", article.id)
+            continue
+        counts = {}
+        for term in terms_of(tokens):
+            counts[term] = counts.get(term, 0) + 1
+            if term not in term_ids:
+                term_ids[term] = len(term_ids)
+        usable.append((article.id, counts))
+    if not usable:
+        raise DataError("no usable articles: all were empty after normalization")
+    df = np.zeros(len(term_ids), dtype=np.int64)
+    for _, counts in usable:
+        for term in counts:
+            df[term_ids[term]] += 1
+    idf = np.log((1.0 + len(usable)) / (1.0 + df)) + 1.0
+    doc_ids, indptr, indices, data = [], [0], [], []
+    for doc_id, counts in usable:
+        doc_ids.append(doc_id)
+        row = sorted((term_ids[t], c) for t, c in counts.items())
+        weights = np.array([c * idf[tid] for tid, c in row])
+        weights /= float(np.sqrt((weights**2).sum()))
+        indices.extend(tid for tid, _ in row)
+        data.extend(weights.tolist())
+        indptr.append(len(indices))
+    return TfIdfIndex(list(term_ids), df, doc_ids, np.array(indptr, dtype=np.uint64),
+                      np.array(indices, dtype=np.uint32), np.array(data, dtype=np.float64))
+
+
+SUFFIXES = ["", "s", "ing", "ed", "ation", "ness", "ful", "ly", "ies", "ement"]
+
+
+def zipf_articles(rng, n=40, length=200):
+    """Zipf-distributed words with endings the stemmer strips, plus stop
+    words and numbers, in the style of the benchmark's knowledge base."""
+    lexicon = [w + suffix for w in WORDS + ["relat", "condition", "hope", "generat"]
+               for suffix in SUFFIXES]
+    lexicon = [lexicon[i] for i in rng.permutation(len(lexicon))] + ["the", "of", "and", "1642"]
+    p = 1.0 / np.arange(1, len(lexicon) + 1)
+    return [KnowledgeArticle(f"z{i:03d}", f"z{i:03d}",
+                             " ".join(rng.choice(lexicon, size=length, p=p / p.sum())))
+            for i in range(n)]
+
+
+BUILD_CASES = {
+    "kb-zipf": lambda rng: (zipf_articles(rng), None),
+    "out-of-id-order": lambda rng: (list(rng.permutation(random_articles(rng, 25))), None),
+    "empty-articles": lambda rng: (random_articles(rng, 10) + [
+        KnowledgeArticle("a000x", "e", "the of and"), KnowledgeArticle("e1", "e", ""),
+        KnowledgeArticle("e2", "e", "!!! ,,, --")], None),
+    "numbers-and-repeated-bigrams": lambda rng: ([
+        KnowledgeArticle("n1", "n", "saint fresco saint fresco saint fresco 1502 1502 in 1502"),
+        KnowledgeArticle("n2", "n", "oil oil oil oil 7 007 saints fresco 1502"),
+        KnowledgeArticle("n3", "n", "1502 1503 1504")], None),
+    "single-article": lambda rng: ([KnowledgeArticle("s", "s", "saints on horseback, 1642")],
+                                   None),
+    "custom-stopwords": lambda rng: (zipf_articles(rng, n=12),
+                                     frozenset({"oil", "saint", "panels", "the"})),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILD_CASES))
+def test_build_matches_dict_oracle(tmp_path, caplog, case):
+    articles, stopwords = BUILD_CASES[case](np.random.default_rng(77))
+    with caplog.at_level(logging.WARNING):
+        dict_build(articles, stopwords).save(tmp_path / "want.idx")
+        want_log = caplog.messages
+        caplog.clear()
+        TfIdfIndex.build(articles, stopwords).save(tmp_path / "got.idx")
+    assert caplog.messages == want_log
+    assert (tmp_path / "got.idx").read_bytes() == (tmp_path / "want.idx").read_bytes()
+
 
 def articles_by_id(articles):
     return {a.id: a for a in articles}

@@ -41,6 +41,14 @@ def test_fixpoint_streams_are_stable():
         assert normalize_text(" ".join(stream)) == stream
 
 
+def test_shared_stem_dict_gives_the_same_tokens():
+    stems = {}
+    texts = ["Paintings painted 1502", "painting the paintings", "agreed 1502"]
+    assert [normalize_text(t, stems=stems) for t in texts] == [normalize_text(t) for t in texts]
+    assert stems == {w: w if w.isdigit() else stem(w)
+                     for w in ("paintings", "painted", "1502", "painting", "agreed")}
+
+
 def test_custom_stopword_set():
     assert normalize_text("alpha beta", stopwords=frozenset({"alpha"})) == [stem("beta")]
 
