@@ -14,7 +14,6 @@ import json
 import logging
 import sys
 import time
-from pathlib import Path
 
 from artdesc import __version__
 from artdesc.corpus import (
@@ -28,7 +27,7 @@ from artdesc.corpus import (
     tag_entities,
     tokenize,
 )
-from artdesc.corpus.corpusio import read_jsonl
+from artdesc.corpus.corpusio import read_json, read_jsonl
 from artdesc.corpus.vocab import build_vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -48,6 +47,7 @@ from artdesc.filler import (
     save_filler_checkpoint,
     train_filler,
 )
+from artdesc.numcore.checkpoint import atomic_write
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 from artdesc.retriever import (
     TfIdfIndex,
@@ -129,7 +129,7 @@ def cmd_preprocess(args) -> int:
             "objects": raw.get("objects", []),
             "reference": raw.get("reference", raw.get("comment", "")),
         }, ensure_ascii=False))
-    Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    atomic_write(args.out, [("\n".join(out_lines) + "\n").encode("utf-8")])
     logger.info("preprocessed %d records into %s", len(out_lines), args.out)
     return EXIT_OK
 
@@ -213,7 +213,7 @@ def cmd_retrieve(args) -> int:
     if args.query is not None:
         query = args.query
     else:
-        meta = json.loads(Path(args.meta).read_text(encoding="utf-8"))
+        meta = read_json(args.meta, types={"attributes": dict, "objects": list})
         blocklist = load_blocklist(args.blocklist) if args.blocklist else default_blocklist()
         query = build_query(meta.get("attributes", {}), meta.get("objects", []), blocklist)
     for article_id, score in index.rank(query, k=args.k):
@@ -239,7 +239,7 @@ def cmd_describe(args) -> int:
         reports = [pipeline.describe(record, topics) for record in pipeline.records]
     payload = "\n".join(report_to_json(r) for r in reports) + "\n"
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        atomic_write(args.out, [payload.encode("utf-8")])
         logger.info("wrote %d describe reports to %s", len(reports), args.out)
     else:
         sys.stdout.write(payload)
@@ -250,7 +250,8 @@ def cmd_fill(args) -> int:
     """Fill slots in masked sentences using articles and attributes."""
     ckpt = load_filler_checkpoint(args.ckpt)
     gazetteer = Gazetteer.from_file(args.gazetteer)
-    masked_spec = json.loads(Path(args.masked).read_text(encoding="utf-8"))
+    masked_spec = read_json(args.masked, many=True, required=("tokens",),
+                            types={"tokens": list, "topic": (str, type(None))})
     masked = [
         sentence_from_surfaces(
             item["tokens"],
@@ -259,9 +260,7 @@ def cmd_fill(args) -> int:
         for item in masked_spec
     ]
     articles = read_articles_jsonl(args.articles) if args.articles else []
-    attributes = (
-        json.loads(Path(args.attrs).read_text(encoding="utf-8")) if args.attrs else {}
-    )
+    attributes = read_json(args.attrs) if args.attrs else {}
     candidates = extract_candidates(articles, attributes, gazetteer)
     result = fill_slots(masked, candidates, ckpt)
     print(json.dumps({
@@ -282,7 +281,7 @@ def cmd_evaluate(args) -> int:
         args.reports, required=("painting_id", "description_tokens", "slots", "sentences"))]
     report = pipeline.evaluate(reports)
     if args.out:
-        Path(args.out).write_text(report_to_json(report) + "\n", encoding="utf-8")
+        atomic_write(args.out, [(report_to_json(report) + "\n").encode("utf-8")])
     print(render_evaluation(report))
     return EXIT_OK
 

@@ -27,6 +27,7 @@ from artdesc.corpus.types import (
     TopicLabel,
 )
 from artdesc.errors import DataError
+from artdesc.numcore.checkpoint import atomic_write
 
 FEATURE_SUFFIX = ".fgrd"
 
@@ -105,15 +106,32 @@ def record_to_dict(record: PaintingRecord) -> dict:
     }
 
 
+def _check_object(obj, where: str, required: tuple[str, ...], types: dict | None = None) -> dict:
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise DataError(f"{where}: missing keys {missing}")
+    for key, expected in (types or {}).items():
+        if key in obj and not isinstance(obj[key], expected):
+            names = [t.__name__ for t in (expected if isinstance(expected, tuple) else [expected])]
+            raise DataError(f"{where}: '{key}' must be {' or '.join(names)}, "
+                            f"got {type(obj[key]).__name__}")
+    return obj
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
 def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
     """Yields (line number, object). Undecodable text, invalid JSON, a line
     that is not an object, or an object without a required key raises
     DataError naming ``path:lineno``."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -121,12 +139,25 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-        missing = [key for key in required if key not in obj]
-        if missing:
-            raise DataError(f"{path}:{lineno}: missing keys {missing}")
-        yield lineno, obj
+        yield lineno, _check_object(obj, f"{path}:{lineno}", required)
+
+
+def read_json(path: str | Path, many: bool = False, required: tuple[str, ...] = (),
+              types: dict | None = None) -> dict | list[dict]:
+    """One JSON object from a file, or with ``many`` a JSON list of objects.
+    Each object must hold the ``required`` keys, and a key in ``types`` that
+    it holds must be an instance of that type (or tuple of types). Anything
+    else raises DataError naming ``path``."""
+    try:
+        value = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if not many:
+        return _check_object(value, str(path), required, types)
+    if not isinstance(value, list):
+        raise DataError(f"{path}: expected a JSON list, got {type(value).__name__}")
+    return [_check_object(obj, f"{path} item {i}", required, types)
+            for i, obj in enumerate(value)]
 
 
 def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> list[PaintingRecord]:
@@ -142,7 +173,5 @@ def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> lis
 
 
 def save_corpus(path: str | Path, records: list[PaintingRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record_to_dict(record), ensure_ascii=False))
-            f.write("\n")
+    atomic_write(path, (json.dumps(record_to_dict(record), ensure_ascii=False).encode("utf-8")
+                        + b"\n" for record in records))

@@ -2,7 +2,8 @@
 
 File layout: 4 magic bytes b"FGRD", u32 L, u32 D (little-endian), then
 L*D little-endian float32 values in row-major order (converted to float64
-on load).
+on load). Grids carry no checksum: a cold describe reads many of them, and
+hashing them would add about a fifth to its time.
 """
 
 from __future__ import annotations
@@ -14,16 +15,15 @@ import numpy as np
 
 from artdesc.corpus.types import FeatureGrid
 from artdesc.errors import FormatError
+from artdesc.numcore.checkpoint import atomic_write
 
 MAGIC = b"FGRD"
 
 
 def save_feature_grid(path: str | Path, values: np.ndarray) -> None:
     grid = FeatureGrid(values)  # validates shape/finiteness
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", grid.n_locations, grid.feature_dim))
-        f.write(grid.values.astype("<f4").tobytes(order="C"))
+    atomic_write(path, [MAGIC, struct.pack("<II", grid.n_locations, grid.feature_dim),
+                        grid.values.astype("<f4").tobytes(order="C")])
 
 
 def load_feature_grid(path: str | Path) -> FeatureGrid:

@@ -12,8 +12,10 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
+from artdesc.corpus.corpusio import read_json
 from artdesc.corpus.types import SLOT_SURFACES, EntityType, MaskedSentence, Slot, Token, Word
 from artdesc.errors import DataError
+from artdesc.numcore.checkpoint import atomic_write
 
 PAD, START, END, UNK = "<pad>", "<s>", "</s>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
@@ -72,14 +74,12 @@ class Vocab:
         return hashlib.sha256(payload).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps({"tokens": self.tokens}, ensure_ascii=False), encoding="utf-8"
-        )
+        payload = json.dumps({"tokens": self.tokens}, ensure_ascii=False)
+        atomic_write(path, [payload.encode("utf-8")])
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(payload["tokens"])
+        return cls(read_json(path, required=("tokens",), types={"tokens": list})["tokens"])
 
 
 def count_words(corpus: Iterable[MaskedSentence]) -> Counter:

@@ -1,27 +1,37 @@
-"""Versioned binary parameter container.
+"""The one binary container for every trained or built artifact (decoder and
+filler checkpoints, the knowledge index), and the atomic write behind every
+file the package writes.
 
-Byte layout (all integers little-endian):
+Version 2 layout (integers little-endian; a string is a u32 byte length
+followed by that many UTF-8 bytes):
 
-    magic            8 bytes  b"ARTDCKP1"
-    version          u32      currently 1
-    digest_len       u32      followed by that many UTF-8 bytes (config digest, hex)
-    meta_len         u32      followed by that many UTF-8 bytes (JSON metadata)
-    n_params         u32
-    then per parameter, in sorted-name order:
-      name_len       u32      followed by UTF-8 name
-      ndim           u8
-      dims           ndim x u32
-      data           prod(dims) x f64 little-endian
+    magic        8 bytes  b"ARTDCKP1"
+    version      u32      2
+    metadata     string   a JSON object: "kind" and the writer's own keys
+    n_arrays     u32
+    then per array, in the writer's order:
+      name       string
+      dtype      string   one of f8, i8, u8, u4
+      ndim       u8
+      dims       ndim x u32
+      data       prod(dims) values, little-endian, C order
+    sha256       32 bytes, the digest of every byte before it
 
-Round trips are bit-exact: save followed by load reproduces every array and
-the metadata byte-for-byte.
+The reader checks the trailer before it parses anything after the version.
+Version 1 (checkpoints only) had no trailer, a config digest string before
+the metadata and no dtype strings (every array f8); it still loads. Round
+trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
+import uuid
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +39,11 @@ import numpy as np
 from artdesc.errors import FormatError
 
 MAGIC = b"ARTDCKP1"
-VERSION = 1
-_U32 = struct.Struct("<I")
+VERSION = 2
+DTYPES = ("f8", "i8", "u8", "u4")
+_TRAILER = 32
+# the magic of the first index format, which stored its own layout
+_INDEX_V1_MAGIC = b"TFIX"
 
 
 def digest_of(obj) -> str:
@@ -39,44 +52,68 @@ def digest_of(obj) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def save_checkpoint(
-    path: str | Path,
-    arrays: dict[str, np.ndarray],
-    config_digest: str,
-    meta: dict | None = None,
-) -> None:
-    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    digest_bytes = config_digest.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(digest_bytes)))
-        f.write(digest_bytes)
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            data = np.asarray(arrays[name], dtype=np.float64)
-            name_bytes = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_bytes)))
-            f.write(name_bytes)
-            f.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(data.astype("<f8", copy=False).tobytes(order="C"))
+def atomic_write(path: str | Path, chunks: Iterable) -> None:
+    """Writes the bytes-like ``chunks`` to a new file next to ``path``,
+    fsyncs it and renames it over ``path``. If anything fails on the way,
+    the new file is removed and ``path`` keeps its old contents. The file
+    gets the mode of the one it replaces, or what a plain ``open()`` would
+    give a new file (0o666 less the umask)."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        if path.exists():
+            os.chmod(tmp, path.stat().st_mode & 0o7777)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _string(text: str) -> bytes:
+    blob = text.encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob
+
+
+def save_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Writes ``meta`` (a JSON object) and ``arrays`` (each of a dtype in
+    DTYPES), hashing the chunks as they are written."""
+    chunks = [MAGIC, struct.pack("<I", VERSION),
+              _string(json.dumps(meta, sort_keys=True, separators=(",", ":"))),
+              struct.pack("<I", len(arrays))]
+    for name, array in arrays.items():
+        code = array.dtype.str[1:]
+        if code not in DTYPES:
+            raise ValueError(f"array '{name}' has unsupported dtype {array.dtype}")
+        chunks += [_string(name) + _string(code),
+                   struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
+                   np.ascontiguousarray(array, "<" + code).reshape(-1).view(np.uint8)]
+
+    def sealed():
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+        yield digest.digest()
+
+    atomic_write(path, sealed())
 
 
 class ByteReader:
-    """Reads a little-endian binary file front to back. Running past the end
-    of the buffer or decoding invalid UTF-8 raises FormatError with the byte
-    offset; ``kind`` names the file in the message."""
+    """Reads a little-endian binary buffer front to back. Running past the
+    end or decoding invalid UTF-8 raises FormatError with the byte offset;
+    ``kind`` names the file in the message."""
 
-    def __init__(self, raw: bytes, kind: str):
+    def __init__(self, raw: bytes | memoryview, kind: str):
         self.raw = raw
         self.kind = kind
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str):
         if self.pos + n > len(self.raw):
             raise FormatError(f"truncated {self.kind} while reading {what}", self.pos)
         chunk = self.raw[self.pos : self.pos + n]
@@ -88,55 +125,71 @@ class ByteReader:
 
     def string(self, what: str) -> str:
         """A u32 byte length followed by that many UTF-8 bytes."""
-        return self.strings(1, what)[0]
-
-    def strings(self, count: int, what: str) -> list[str]:
-        """``count`` strings in a row, each as ``string`` reads it."""
-        raw, pos, size, out = self.raw, self.pos, len(self.raw), []
-        for _ in range(count):
-            if pos + 4 > size:
-                raise FormatError(f"truncated {self.kind} while reading {what}", pos)
-            start = pos + 4
-            pos = start + _U32.unpack_from(raw, pos)[0]
-            if pos > size:
-                raise FormatError(f"truncated {self.kind} while reading {what}", start)
-            try:
-                out.append(raw[start:pos].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{what} is not valid UTF-8", start + exc.start) from None
-        self.pos = pos
-        return out
+        (size,) = self.unpack("<I", what)
+        start = self.pos
+        try:
+            return str(self.take(size, what), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} is not valid UTF-8", start + exc.start) from None
 
     def end(self, what: str) -> None:
         if self.pos != len(self.raw):
             raise FormatError(f"trailing bytes after {what}", self.pos)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, dict, int]:
-    """Returns (arrays, config_digest, meta, version)."""
-    r = ByteReader(Path(path).read_bytes(), "checkpoint")
+def load_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray], int]:
+    """Returns (meta, arrays, version); ``kind`` names the file in errors. A
+    version 1 checkpoint's config digest comes back as meta["config_digest"],
+    where version 2 stores it."""
+    r = ByteReader(memoryview(Path(path).read_bytes()), kind)
+    if r.raw[: len(_INDEX_V1_MAGIC)] == _INDEX_V1_MAGIC:
+        raise FormatError("this index has the version 1 layout, which is no longer "
+                          "read; rebuild it with `artdesc index`", 0)
     if r.take(len(MAGIC), "magic") != MAGIC:
-        raise FormatError("bad checkpoint magic", 0)
+        raise FormatError(f"bad {kind} magic", 0)
     (version,) = r.unpack("<I", "version")
-    if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", r.pos - 4)
-    digest = r.string("config digest")
-    meta_start = r.pos + 4
+    if version not in (1, VERSION):
+        raise FormatError(f"unsupported {kind} version {version}", r.pos - 4)
+    if version == VERSION:
+        body = len(r.raw) - _TRAILER
+        if body < r.pos or hashlib.sha256(r.raw[:body]).digest() != r.raw[body:]:
+            raise FormatError(f"{kind} checksum mismatch: the file is corrupt", max(body, 0))
+        r.raw = r.raw[:body]
+    digest = r.string("config digest") if version == 1 else None
+    start = r.pos + 4
     try:
         meta = json.loads(r.string("metadata"))
     except json.JSONDecodeError as exc:
-        raise FormatError(f"metadata is not valid JSON ({exc.msg})", meta_start) from None
+        raise FormatError(f"metadata is not valid JSON ({exc.msg})", start) from None
     if not isinstance(meta, dict):
-        raise FormatError("metadata is not a JSON object", meta_start)
-    (n_params,) = r.unpack("<I", "parameter count")
-
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        name = r.string("parameter name")
+        raise FormatError("metadata is not a JSON object", start)
+    if version == 1:
+        meta["config_digest"] = digest
+    (count,) = r.unpack("<I", "array count")
+    arrays = {}
+    for _ in range(count):
+        name = r.string("array name")
+        code = r.string(f"dtype of '{name}'") if version == VERSION else "f8"
+        if code not in DTYPES:
+            raise FormatError(f"array '{name}' has unknown dtype '{code}'", r.pos)
         (ndim,) = r.unpack("<B", f"ndim of '{name}'")
         shape = r.unpack(f"<{ndim}I", f"dims of '{name}'")
-        count = int(np.prod(shape)) if shape else 1
-        blob = r.take(8 * count, f"data of '{name}'")
-        arrays[name] = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
-    r.end("last parameter")
-    return arrays, digest, meta, version
+        dtype = np.dtype("<" + code)
+        blob = r.take(dtype.itemsize * math.prod(shape), f"data of '{name}'")
+        arrays[name] = np.frombuffer(blob, dtype).astype(code).reshape(shape)
+    r.end("last array")
+    return meta, arrays, version
+
+
+def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], config_digest: str,
+                    meta: dict | None = None) -> None:
+    """Parameters in sorted-name order as f64, with the digest in the metadata."""
+    save_container(path, {**(meta or {}), "config_digest": config_digest},
+                   {name: np.asarray(arrays[name], np.float64) for name in sorted(arrays)})
+
+
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, dict, int]:
+    """Returns (arrays, config_digest, meta, version); a file without a
+    digest returns None for it, which no config's digest matches."""
+    meta, arrays, version = load_container(path, "checkpoint")
+    return arrays, meta.pop("config_digest", None), meta, version

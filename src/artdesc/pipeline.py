@@ -21,6 +21,7 @@ from artdesc.corpus import (
     load_corpus,
     tokenize,
 )
+from artdesc.corpus.corpusio import read_json
 from artdesc.decoder import compose_description, generate, load_decoder_checkpoint
 from artdesc.errors import ConfigError, DataError, MissingArtifactError
 from artdesc.filler import (
@@ -96,11 +97,9 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = read_json(path)
         except FileNotFoundError:
             raise MissingArtifactError(f"pipeline config not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from None
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:

@@ -4,26 +4,17 @@ Weights are tf * idf with idf = ln((1+N)/(1+df)) + 1 (smoothed, never
 negative); document vectors are L2-normalized, so the ranking score is the
 cosine similarity between the normalized query vector and each document.
 
-Index file layout (little-endian):
-    magic    4 bytes  b"TFIX"
-    version  u32      currently 1
-    n_terms  u32, n_docs u32, nnz u64
-    terms    per term: u32 length + UTF-8 (term-id order)
-    df       n_terms x u64
-    doc ids  per doc: u32 length + UTF-8 (row order: sorted, unique)
-    indptr   (n_docs+1) x u64   CSR row pointers
-    indices  nnz x u32          term ids
-    data     nnz x f64          normalized weights
-
-The constructor, which both build and load end in, rejects a CSR structure
-that does not hold together and derives the term-major postings; they are
-not stored.
+An index is saved as a numcore container of kind "tfidf-index": the terms
+(in term-id order) and doc ids (sorted, unique) as JSON lists in its
+metadata, and the df, indptr, indices and data tables as arrays. The
+constructor, which both build and load end in, rejects a CSR structure that
+does not hold together and derives the term-major postings; they are not
+stored.
 """
 
 from __future__ import annotations
 
 import logging
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, pairwise
@@ -32,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from artdesc.corpus.corpusio import read_jsonl
-from artdesc.errors import DataError, FormatError
-from artdesc.numcore.checkpoint import ByteReader
+from artdesc.errors import DataError
+from artdesc.numcore.checkpoint import load_container, save_container
 from artdesc.retriever.normalize import normalize_text
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"TFIX"
-VERSION = 1
+KIND = "tfidf-index"
+ARRAYS = {"df": "i8", "indptr": "u8", "indices": "u4", "data": "f8"}
 
 
 @dataclass
@@ -59,19 +50,20 @@ class TfIdfIndex:
     """Document-major CSR rows (what is saved) plus their term-major
     transpose (derived here, never stored): term t's postings are rows
     ``_rows[_colptr[t]:_colptr[t+1]]`` in ascending order, with weights
-    ``_weights`` at the same positions."""
+    ``_weights`` at the same positions. ``term_ids`` maps each term to its
+    id, in id order."""
 
     def __init__(
         self,
-        terms: list[str],
+        term_ids: dict[str, int],
         df: np.ndarray,
         doc_ids: list[str],
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
     ):
-        self.terms = terms
-        self.term_ids = dict(zip(terms, range(len(terms))))
+        self.terms = list(term_ids)
+        self.term_ids = term_ids
         self.df = np.asarray(df, dtype=np.int64)
         self.doc_ids = doc_ids
         self.indptr = np.asarray(indptr, dtype=np.uint64)
@@ -83,8 +75,8 @@ class TfIdfIndex:
         order = np.argsort(self.indices, kind="stable")
         self._rows = rows[order]
         self._weights = self.data[order]
-        self._colptr = np.zeros(len(terms) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=len(terms)), out=self._colptr[1:])
+        self._colptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=len(self.terms)), out=self._colptr[1:])
 
     def _check_structure(self) -> None:
         """Rejects tables that would silently change rankings: a CSR
@@ -155,7 +147,7 @@ class TfIdfIndex:
         for lo, hi in pairwise(indptr.tolist()):
             weights = data[lo:hi]
             weights /= np.sqrt((weights**2).sum())
-        return cls(list(term_ids), df, doc_ids, indptr, indices, data)
+        return cls(term_ids, df, doc_ids, indptr, indices, data)
 
     # ------------------------------------------------------------------
     # Query
@@ -200,40 +192,26 @@ class TfIdfIndex:
     # ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<IIQ", len(self.terms), self.n_docs, len(self.data)))
-            for term in self.terms:
-                blob = term.encode("utf-8")
-                f.write(struct.pack("<I", len(blob)))
-                f.write(blob)
-            f.write(self.df.astype("<i8").tobytes())
-            for doc_id in self.doc_ids:
-                blob = doc_id.encode("utf-8")
-                f.write(struct.pack("<I", len(blob)))
-                f.write(blob)
-            f.write(self.indptr.astype("<u8").tobytes())
-            f.write(self.indices.astype("<u4").tobytes())
-            f.write(self.data.astype("<f8").tobytes())
+        save_container(path, {"kind": KIND, "terms": self.terms, "doc_ids": self.doc_ids},
+                       {name: getattr(self, name) for name in ARRAYS})
 
     @classmethod
     def load(cls, path: str | Path) -> "TfIdfIndex":
-        r = ByteReader(Path(path).read_bytes(), "index")
-        if r.take(4, "magic") != MAGIC:
-            raise FormatError("bad index magic", 0)
-        (version,) = r.unpack("<I", "version")
-        if version != VERSION:
-            raise FormatError(f"unsupported index version {version}", r.pos - 4)
-        n_terms, n_docs, nnz = r.unpack("<IIQ", "table sizes")
-        terms = r.strings(n_terms, "term")
-        df = np.frombuffer(r.take(8 * n_terms, "df table"), dtype="<i8").astype(np.int64)
-        doc_ids = r.strings(n_docs, "doc id")
-        indptr = np.frombuffer(r.take(8 * (n_docs + 1), "indptr"), dtype="<u8").astype(np.uint64)
-        indices = np.frombuffer(r.take(4 * nnz, "indices"), dtype="<u4").astype(np.uint32)
-        data = np.frombuffer(r.take(8 * nnz, "weights"), dtype="<f8").astype(np.float64)
-        r.end("index payload")
-        return cls(terms, df, doc_ids, indptr, indices, data)
+        meta, arrays, _ = load_container(path, "index")
+        if meta.get("kind") != KIND:
+            raise DataError(f"{path} is not a {KIND} file (kind={meta.get('kind')!r})")
+        for key in ("terms", "doc_ids"):
+            if not (isinstance(meta.get(key), list) and all(isinstance(s, str) for s in meta[key])):
+                raise DataError(f"{path}: index {key} must be a list of strings")
+        dtypes = {name: array.dtype.str[1:] for name, array in arrays.items()}
+        if dtypes != ARRAYS:
+            raise DataError(f"{path}: index arrays must be {ARRAYS}, got {dtypes}")
+        terms = meta["terms"]
+        term_ids = dict(zip(terms, range(len(terms))))
+        if len(term_ids) != len(terms):
+            duplicate = next(t for t, n in Counter(terms).items() if n > 1)
+            raise DataError(f"{path}: index term '{duplicate}' is stored twice")
+        return cls(term_ids, doc_ids=meta["doc_ids"], **arrays)
 
 
 # ----------------------------------------------------------------------

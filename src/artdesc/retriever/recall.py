@@ -16,6 +16,7 @@ from pathlib import Path
 
 from artdesc.corpus.corpusio import read_jsonl
 from artdesc.errors import DataError
+from artdesc.numcore.checkpoint import atomic_write
 
 
 class RetrievalLabel(enum.Enum):
@@ -55,15 +56,11 @@ def load_annotations(path: str | Path) -> list[RetrievalAnnotation]:
 
 
 def save_annotations(path: str | Path, annotations: list[RetrievalAnnotation]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ann in annotations:
-            for article_id, label in ann.articles:
-                f.write(json.dumps({
-                    "painting_id": ann.painting_id,
-                    "article_id": article_id,
-                    "label": label.value,
-                }))
-                f.write("\n")
+    atomic_write(path, (json.dumps({
+        "painting_id": ann.painting_id,
+        "article_id": article_id,
+        "label": label.value,
+    }).encode("utf-8") + b"\n" for ann in annotations for article_id, label in ann.articles))
 
 
 _CLASS_ROWS = {

@@ -1,5 +1,8 @@
-"""Checkpoint container round trips bit-exactly."""
+"""The artifact container: bit-exact round trips, the version 1 reader, and
+atomic writes."""
 
+import json
+import os
 import struct
 
 import numpy as np
@@ -7,7 +10,31 @@ import pytest
 
 from artdesc.errors import FormatError
 from artdesc.numcore import load_checkpoint, save_checkpoint
-from artdesc.numcore.checkpoint import ByteReader, digest_of
+from artdesc.numcore.checkpoint import VERSION, ByteReader, atomic_write, digest_of
+
+
+def save_checkpoint_v1(path, arrays, config_digest, meta=None):
+    """The version 1 writer, as it was before version 2 replaced it: kept to
+    write the old files that the reader must still load."""
+    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    digest_bytes = config_digest.encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"ARTDCKP1")
+        f.write(struct.pack("<I", 1))
+        f.write(struct.pack("<I", len(digest_bytes)))
+        f.write(digest_bytes)
+        f.write(struct.pack("<I", len(meta_bytes)))
+        f.write(meta_bytes)
+        f.write(struct.pack("<I", len(arrays)))
+        for name in sorted(arrays):
+            data = np.asarray(arrays[name], dtype=np.float64)
+            name_bytes = name.encode("utf-8")
+            f.write(struct.pack("<I", len(name_bytes)))
+            f.write(name_bytes)
+            f.write(struct.pack("<B", data.ndim))
+            for dim in data.shape:
+                f.write(struct.pack("<I", dim))
+            f.write(data.astype("<f8", copy=False).tobytes(order="C"))
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -22,7 +49,7 @@ def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, arrays, digest, meta)
     loaded, got_digest, got_meta, version = load_checkpoint(path)
-    assert version == 1
+    assert version == VERSION == 2
     assert got_digest == digest
     assert got_meta == meta
     assert set(loaded) == set(arrays)
@@ -30,6 +57,22 @@ def test_round_trip_bit_exact(tmp_path):
         assert loaded[name].dtype == np.float64
         assert loaded[name].shape == arrays[name].shape
         assert np.array_equal(loaded[name], arrays[name])  # bit-exact via f64
+
+
+def test_version_1_file_loads_the_same(tmp_path):
+    rng = np.random.default_rng(15)
+    arrays = {"emb": rng.normal(size=(4, 3)), "b": rng.normal(size=5), "s": np.float64(2.5)}
+    meta = {"kind": "filler", "config": {"hidden_size": 4}, "seed": 1}
+    old, new = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+    save_checkpoint_v1(old, arrays, "d" * 64, meta)
+    save_checkpoint(new, arrays, "d" * 64, meta)
+    got_old, got_new = load_checkpoint(old), load_checkpoint(new)
+    assert got_old[3] == 1 and got_new[3] == 2
+    assert got_old[1:3] == got_new[1:3] == ("d" * 64, meta)
+    for name, value in arrays.items():
+        assert got_old[0][name].shape == np.shape(value)
+        assert np.array_equal(got_old[0][name], got_new[0][name])
+        assert np.array_equal(got_old[0][name], value)
 
 
 def test_double_round_trip_identical_bytes(tmp_path):
@@ -70,8 +113,8 @@ def _strings(*blobs: bytes) -> bytes:
 
 
 def test_strings_read_in_order():
-    r = ByteReader(_strings(b"ab", "\u00e9t\u00e9".encode("utf-8"), b"") + _strings(b"xyz"), "index")
-    assert r.strings(3, "term") == ["ab", "\u00e9t\u00e9", ""]
+    r = ByteReader(_strings(b"ab", "été".encode("utf-8"), b"", b"xyz"), "index")
+    assert [r.string("term") for _ in range(3)] == ["ab", "été", ""]
     assert r.string("doc id") == "xyz"
     r.end("index payload")
 
@@ -84,6 +127,33 @@ def test_strings_read_in_order():
 def test_strings_errors_report_offsets(raw, offset, message):
     """Truncation is reported where the unreadable length or string starts,
     bad UTF-8 at its first bad byte."""
+    r = ByteReader(raw, "index")
+    assert r.string("term") == "ab"
     with pytest.raises(FormatError, match=message) as exc:
-        ByteReader(raw, "index").strings(2, "term")
+        r.string("term")
     assert exc.value.offset == offset
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(3)}, "ab", {})
+    before = path.read_bytes()
+
+    def chunks():
+        yield b"first chunk"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(path, chunks())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_new_file_gets_the_mode_of_a_plain_open(tmp_path):
+    with open(tmp_path / "plain", "wb"):
+        pass
+    atomic_write(tmp_path / "atomic", [b"x"])
+    assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+    os.chmod(tmp_path / "atomic", 0o600)
+    atomic_write(tmp_path / "atomic", [b"y"])
+    assert os.stat(tmp_path / "atomic").st_mode & 0o777 == 0o600

@@ -1,5 +1,6 @@
 """CLI plumbing: every subcommand, exit codes, artifact flow."""
 
+import hashlib
 import json
 import os
 import struct
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
+from test_checkpoint import save_checkpoint_v1
 
 import artdesc
 import artdesc.numcore as nc
@@ -295,35 +297,71 @@ def test_non_utf8_word_list_exit_code(cli_world, tmp_path, capsys, flag):
     assert f"{words}: not valid UTF-8" in capsys.readouterr().err
 
 
-def _idx_bytes(terms, df, doc_ids, indptr, indices, data) -> bytes:
-    """The .idx layout written field by field, so a test can store tables
-    that TfIdfIndex refuses to hold. ``terms`` are already encoded."""
-    def strings(blobs):
-        return b"".join(struct.pack("<I", len(blob)) + blob for blob in blobs)
+def _seal(body: bytes) -> bytes:
+    """A version 2 container's body with its SHA-256 trailer."""
+    return body + hashlib.sha256(body).digest()
+
+
+def _string(blob: bytes) -> bytes:
+    return struct.pack("<I", len(blob)) + blob
+
+
+def _container_body(meta: bytes, arrays: list[tuple[str, np.ndarray]]) -> bytes:
+    """A version 2 container without its trailer, written field by field, so
+    a test can store what the writer refuses to; ``meta`` is encoded JSON."""
+    return b"".join([b"ARTDCKP1", struct.pack("<II", 2, len(meta)), meta,
+                     struct.pack("<I", len(arrays))] + [
+        _string(name.encode("utf-8")) + _string(a.dtype.str[1:].encode("utf-8"))
+        + struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape) + a.tobytes() for name, a in arrays])
+
+
+def _idx_body(terms, df, doc_ids, indptr, indices, data) -> bytes:
+    """An index container body; ``terms`` are already encoded."""
+    meta = (b'{"doc_ids":' + json.dumps(doc_ids, separators=(",", ":")).encode("utf-8")
+            + b',"kind":"tfidf-index","terms":[' + b",".join(b'"' + t + b'"' for t in terms)
+            + b"]}")
+    return _container_body(meta, [
+        ("df", np.asarray(df, "<i8")), ("indptr", np.asarray(indptr, "<u8")),
+        ("indices", np.asarray(indices, "<u4")), ("data", np.asarray(data, "<f8"))])
+
+
+def _v1_idx_bytes(terms, df, doc_ids, indptr, indices, data) -> bytes:
+    """The version 1 index layout, which has its own magic and stores terms
+    and doc ids as u32-length strings."""
+    def strings(texts):
+        return b"".join(_string(text.encode("utf-8")) for text in texts)
 
     return b"".join([
         b"TFIX", struct.pack("<IIIQ", 1, len(terms), len(doc_ids), len(indices)),
         strings(terms), np.asarray(df, "<i8").tobytes(),
-        strings(d.encode("utf-8") for d in doc_ids), np.asarray(indptr, "<u8").tobytes(),
+        strings(doc_ids), np.asarray(indptr, "<u8").tobytes(),
         np.asarray(indices, "<u4").tobytes(), np.asarray(data, "<f8").tobytes(),
     ])
 
 
+def _small_index() -> TfIdfIndex:
+    return TfIdfIndex.build([KnowledgeArticle("a", "a", "saint fresco altar"),
+                             KnowledgeArticle("b", "b", "river castle saint"),
+                             KnowledgeArticle("c", "c", "monk horse saint")])
+
+
 @pytest.mark.parametrize("corruption", [
     "bad-utf8-term", "truncated", "trailing-bytes", "decreasing-indptr",
-    "term-id-out-of-range", "unsorted-doc-ids", "duplicate-doc-ids",
+    "term-id-out-of-range", "unsorted-doc-ids", "duplicate-doc-ids", "duplicate-term",
 ])
 def test_malformed_index_exit_code(tmp_path, capsys, corruption):
-    idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "saint fresco altar"),
-                            KnowledgeArticle("b", "b", "river castle saint"),
-                            KnowledgeArticle("c", "c", "monk horse saint")])
+    """Each corruption is sealed with a valid trailer, so it reaches the
+    structural check behind the checksum."""
+    idx = _small_index()
     terms = [t.encode("utf-8") for t in idx.terms]
     doc_ids, indptr, indices = list(idx.doc_ids), idx.indptr.copy(), idx.indices.copy()
     idx.save(tmp_path / "good.idx")
-    assert _idx_bytes(terms, idx.df, doc_ids, indptr, indices, idx.data) == \
+    assert _seal(_idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data)) == \
         (tmp_path / "good.idx").read_bytes()
+    message = "data error"
     if corruption == "bad-utf8-term":
         terms[0] = b"\xff" + terms[0][1:]
+        message = "metadata is not valid UTF-8"
     elif corruption == "decreasing-indptr":
         indptr[1], indptr[2] = indptr[2], indptr[1]
     elif corruption == "term-id-out-of-range":
@@ -332,39 +370,49 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
         doc_ids[0], doc_ids[1] = doc_ids[1], doc_ids[0]
     elif corruption == "duplicate-doc-ids":
         doc_ids[1] = doc_ids[0]
-    raw = _idx_bytes(terms, idx.df, doc_ids, indptr, indices, idx.data)
+    elif corruption == "duplicate-term":
+        terms[1] = terms[0]
+        message = f"index term '{idx.terms[0]}' is stored twice"
+    body = _idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data)
     if corruption == "truncated":
-        raw = raw[:-3]
+        body, message = body[:-3], "truncated index while reading data of 'data'"
     elif corruption == "trailing-bytes":
-        raw += b"\0"
+        body, message = body + b"\0", "trailing bytes after last array"
     bad = tmp_path / "bad.idx"
-    bad.write_bytes(raw)
+    bad.write_bytes(_seal(body))
     capsys.readouterr()
     assert main(["retrieve", "--index", str(bad), "--query", "saint fresco"]) == EXIT_DATA
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_version_1_index_asks_for_a_rebuild(tmp_path, capsys):
+    idx = _small_index()
+    old = tmp_path / "old.idx"
+    old.write_bytes(_v1_idx_bytes(idx.terms, idx.df, idx.doc_ids, idx.indptr, idx.indices,
+                                  idx.data))
+    capsys.readouterr()
+    assert main(["retrieve", "--index", str(old), "--query", "saint"]) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "rebuild it with `artdesc index`" in json.loads(line)["event"]
+
 
 def _rewrite_ckpt_header(raw: bytes, corruption: str) -> bytes:
-    """Corrupt the config digest or the JSON metadata of a .ckpt file."""
-    pos = 12  # magic + version
-    (digest_len,) = struct.unpack("<I", raw[pos : pos + 4])
-    digest = raw[pos + 4 : pos + 4 + digest_len]
-    pos += 4 + digest_len
-    (meta_len,) = struct.unpack("<I", raw[pos : pos + 4])
-    meta = raw[pos + 4 : pos + 4 + meta_len]
-    params = raw[pos + 4 + meta_len :]
+    """Corrupt the JSON metadata of a .ckpt file and seal it again."""
+    (size,) = struct.unpack("<I", raw[12:16])
+    meta, arrays = json.loads(raw[16 : 16 + size]), raw[16 + size : -32]
     if corruption == "invalid-json":
-        meta = b"{not json"
+        meta_bytes = b"{not json"
     elif corruption == "non-utf8-digest":
-        digest = b"\xff" + digest[1:]
+        digest = meta["config_digest"].encode("utf-8")
+        meta_bytes = json.dumps(meta).encode("utf-8").replace(digest, b"\xff" + digest[1:])
     else:
-        obj = json.loads(meta)
         if corruption == "no-config":
-            del obj["config"]
+            del meta["config"]
         else:
-            obj["config"]["bogus"] = 1
-        meta = json.dumps(obj).encode("utf-8")
-    return (raw[:12] + struct.pack("<I", len(digest)) + digest
-            + struct.pack("<I", len(meta)) + meta + params)
+            meta["config"]["bogus"] = 1
+        meta_bytes = json.dumps(meta).encode("utf-8")
+    return _seal(raw[:12] + _string(meta_bytes) + arrays)
 
 
 NAN_PARAM = {"decoder": "content.out.b", "filler": "fill.cand.b"}
@@ -373,7 +421,7 @@ NAN_PARAM = {"decoder": "content.out.b", "filler": "fill.cand.b"}
 @pytest.mark.parametrize("kind", ["decoder", "filler"])
 @pytest.mark.parametrize("corruption, message", [
     ("invalid-json", "metadata is not valid JSON"),
-    ("non-utf8-digest", "config digest is not valid UTF-8"),
+    ("non-utf8-digest", "metadata is not valid UTF-8"),
     ("no-config", "missing keys ['config']"),
     ("unknown-config-key", "unknown keys ['bogus']"),
     ("nan-param", "checkpoint holds non-finite values"),
@@ -395,6 +443,79 @@ def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruptio
     assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
                  "--topic", "content", "--mode", "greedy"]) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact", ["ckpt", "idx"])
+@pytest.mark.parametrize("where", ["header", "arrays", "trailer"])
+def test_flipped_byte_exit_code(world, tmp_path, capsys, artifact, where):
+    """A flipped bit anywhere in a container fails its checksum: exit 2 with
+    one JSON log line that says so."""
+    _, records, config, _ = world
+    key = "decoder_checkpoint" if artifact == "ckpt" else "index"
+    raw = bytearray(Path(config[key]).read_bytes())
+    raw[{"header": 20, "arrays": -33, "trailer": -1}[where]] ^= 0x01
+    bad = tmp_path / f"bad.{artifact}"
+    bad.write_bytes(bytes(raw))
+    if artifact == "ckpt":
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
+        argv = ["describe", "--config", str(config_path), "--painting-id", records[0].id]
+    else:
+        argv = ["retrieve", "--index", str(bad), "--query", "saint"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and "checksum mismatch" in json.loads(line)["event"]
+
+
+def test_version_1_checkpoint_describes_the_same(world, tmp_path, capsys):
+    _, records, config, _ = world
+    arrays, digest, meta, _ = nc.load_checkpoint(config["decoder_checkpoint"])
+    path = tmp_path / "decoder.ckpt"
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({**config, "decoder_checkpoint": str(path)}),
+                           encoding="utf-8")
+    reports = []
+    for save in (nc.save_checkpoint, save_checkpoint_v1):
+        save(path, arrays, digest, meta)
+        assert main(["describe", "--config", str(config_path),
+                     "--painting-id", records[0].id]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert path.read_bytes().startswith(b"ARTDCKP1\x01\0\0\0")
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("meta", "{bad", "invalid JSON"),
+    ("meta", '{"attributes": 5}', "'attributes' must be dict, got int"),
+    ("meta", "[1, 2]", "expected a JSON object, got list"),
+    ("masked", "{bad", "invalid JSON"),
+    ("masked", '{"tokens": 1}', "expected a JSON list, got dict"),
+    ("masked", '[{"topic": "content"}]', "item 0: missing keys ['tokens']"),
+    ("attrs", "{bad", "invalid JSON"),
+    ("attrs", "[1, 2]", "expected a JSON object, got list"),
+    ("config", "[1, 2]", "expected a JSON object, got list"),
+], ids=["meta-invalid", "meta-attributes-not-object", "meta-list", "masked-invalid",
+        "masked-object", "masked-no-tokens", "attrs-invalid", "attrs-list", "config-list"])
+def test_malformed_json_exit_code(world, tmp_path, capsys, flag, text, message):
+    _, _, config, _ = world
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    masked = tmp_path / "masked.json"
+    masked.write_text('[{"tokens": ["by", "[person]"]}]', encoding="utf-8")
+    fill = ["fill", "--ckpt", config["filler_checkpoint"], "--gazetteer", config["gazetteer"]]
+    argv = {
+        "meta": ["retrieve", "--index", config["index"], "--meta", str(bad)],
+        "masked": [*fill, "--masked", str(bad)],
+        "attrs": [*fill, "--masked", str(masked), "--attrs", str(bad)],
+        "config": ["describe", "--config", str(bad)],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and f"{bad}" in line and message in line
 
 
 def test_overflowing_checkpoint_exit_code(world, tmp_path):

@@ -1,5 +1,6 @@
-"""Runtime dependencies stay numpy-only: scipy is installed alongside but is
-not a declared dependency of the package."""
+"""Source-level guards: runtime dependencies stay numpy-only (scipy is
+installed alongside but is not a declared dependency of the package), and
+every file the package writes goes through ``atomic_write``."""
 
 import ast
 from pathlib import Path
@@ -22,4 +23,51 @@ def test_src_does_not_import_scipy():
         offenders += [f"{path.relative_to(SRC)}: {name}" for name in _imported_modules(tree)
                       if name == "scipy" or name.startswith("scipy.")]
     assert list(SRC.rglob("*.py")), "no sources found"
+    assert offenders == []
+
+
+# the one function under src/artdesc that may open a file for writing
+ATOMIC_WRITER = ("numcore/checkpoint.py", "atomic_write")
+
+
+def _mode(call: ast.Call) -> ast.expr | None:
+    """The mode argument of ``open(file, mode)`` or ``path.open(mode)``."""
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    return call.args[position] if len(call.args) > position else None
+
+
+def _file_writes(tree: ast.AST):
+    """Calls that open a file for writing or write one directly."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes", "fdopen"):
+            yield node
+        elif name == "open" and isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name) and func.value.id == "os":
+            yield node
+        elif name == "open":
+            mode = _mode(node)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax+")):
+                yield node
+
+
+def test_src_writes_files_only_through_atomic_write():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (rel, node.name) == ATOMIC_WRITER:
+                exempt |= {id(inner) for inner in ast.walk(node)}
+        offenders += [f"{rel}:{call.lineno}" for call in _file_writes(tree)
+                      if id(call) not in exempt]
     assert offenders == []

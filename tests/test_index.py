@@ -209,14 +209,15 @@ def random_csr_index(rng):
     data = rng.choice([0.25, 0.5, 0.75], size=len(indices))
     doc_ids = sorted({f"r{int(x):05d}" for x in rng.integers(0, 10**5, size=n_docs)})
     assert len(doc_ids) == n_docs
-    return TfIdfIndex(terms, rng.integers(1, n_docs + 1, size=len(terms)), doc_ids,
+    return TfIdfIndex({t: i for i, t in enumerate(terms)},
+                      rng.integers(1, n_docs + 1, size=len(terms)), doc_ids,
                       np.array(indptr), np.array(indices), data)
 
 
 def empty_row_index(rng):
     """A built index with one more document whose row is empty."""
     idx = TfIdfIndex.build(random_articles(rng, 12))
-    return TfIdfIndex(idx.terms, idx.df, idx.doc_ids + ["zzz-empty"],
+    return TfIdfIndex(idx.term_ids, idx.df, idx.doc_ids + ["zzz-empty"],
                       np.append(idx.indptr, idx.indptr[-1]), idx.indices, idx.data)
 
 
@@ -274,7 +275,7 @@ def dict_build(articles, stopwords=None):
         indices.extend(tid for tid, _ in row)
         data.extend(weights.tolist())
         indptr.append(len(indices))
-    return TfIdfIndex(list(term_ids), df, doc_ids, np.array(indptr, dtype=np.uint64),
+    return TfIdfIndex(term_ids, df, doc_ids, np.array(indptr, dtype=np.uint64),
                       np.array(indices, dtype=np.uint32), np.array(data, dtype=np.float64))
 
 
@@ -314,11 +315,17 @@ BUILD_CASES = {
 def test_build_matches_dict_oracle(tmp_path, caplog, case):
     articles, stopwords = BUILD_CASES[case](np.random.default_rng(77))
     with caplog.at_level(logging.WARNING):
-        dict_build(articles, stopwords).save(tmp_path / "want.idx")
+        want = dict_build(articles, stopwords)
         want_log = caplog.messages
         caplog.clear()
-        TfIdfIndex.build(articles, stopwords).save(tmp_path / "got.idx")
+        got = TfIdfIndex.build(articles, stopwords)
     assert caplog.messages == want_log
+    assert got.terms == want.terms and got.doc_ids == want.doc_ids
+    for name in ("df", "indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    want.save(tmp_path / "want.idx")
+    got.save(tmp_path / "got.idx")
     assert (tmp_path / "got.idx").read_bytes() == (tmp_path / "want.idx").read_bytes()
 
 

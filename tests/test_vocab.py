@@ -1,5 +1,6 @@
 """Vocabulary construction and serialization."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -97,3 +98,17 @@ def test_custom_vocab_requires_reserved_prefix():
         Vocab(["a", "b", "c", "d", "e"])
     small = Vocab(list(RESERVED) + ["a"])
     assert len(small) == 5
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "invalid JSON"),
+    ("[1]", "expected a JSON object, got list"),
+    ('{"tokens": 5}', "'tokens' must be list, got int"),
+    ("{}", "missing keys ['tokens']"),
+], ids=["invalid-json", "list", "tokens-not-list", "no-tokens"])
+def test_load_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "vocab.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}")) as exc:
+        Vocab.load(path)
+    assert message in str(exc.value)
