@@ -27,7 +27,7 @@ from artdesc.corpus import (
     tag_entities,
     tokenize,
 )
-from artdesc.corpus.corpusio import read_json, read_jsonl
+from artdesc.corpus.corpusio import check_metadata, read_json, read_jsonl
 from artdesc.corpus.vocab import build_vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -69,6 +69,10 @@ EXIT_DATA = 2
 EXIT_MISSING = 3
 
 
+# the attributes every LogRecord has; any other attribute came in through extra=
+_RECORD_ATTRS = frozenset(vars(logging.makeLogRecord({}))) | {"message", "asctime"}
+
+
 class _JsonLineFormatter(logging.Formatter):
     def format(self, record: logging.LogRecord) -> str:
         payload = {
@@ -77,7 +81,9 @@ class _JsonLineFormatter(logging.Formatter):
             "logger": record.name,
             "event": record.getMessage(),
         }
-        return json.dumps(payload, ensure_ascii=False)
+        payload.update((key, value) for key, value in vars(record).items()
+                       if key not in _RECORD_ATTRS)
+        return json.dumps(payload, ensure_ascii=False, default=str)
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -163,9 +169,6 @@ def cmd_train_decoder(args) -> int:
         ckpt = train_conditional(records, vocab, config, tcfg)
     else:
         ckpt = train_decoder(records, vocab, config, tcfg)
-    for entry in ckpt.history:
-        logger.info("epoch %d: nll/token=%.4f lr=%.2e", entry["epoch"],
-                    entry["nll_per_token"], entry["lr"])
     save_decoder_checkpoint(args.out, ckpt)
     logger.info("trained %s decoder in %.1fs -> %s", args.variant,
                 time.perf_counter() - start, args.out)
@@ -187,9 +190,6 @@ def cmd_train_filler(args) -> int:
         lr_decay=args.lr_decay, lr_decay_every=args.lr_decay_every,
         batch_size=args.batch_size, seed=args.seed,
     )
-    for entry in ckpt.history:
-        logger.info("epoch %d: loss/slot=%s skipped=%d", entry["epoch"],
-                    entry["loss_per_slot"], entry["skipped_slots"])
     save_filler_checkpoint(args.out, ckpt)
     logger.info("trained filler -> %s", args.out)
     return EXIT_OK
@@ -213,7 +213,8 @@ def cmd_retrieve(args) -> int:
     if args.query is not None:
         query = args.query
     else:
-        meta = read_json(args.meta, types={"attributes": dict, "objects": list})
+        meta = check_metadata(read_json(args.meta, types={"attributes": dict, "objects": list}),
+                              args.meta)
         blocklist = load_blocklist(args.blocklist) if args.blocklist else default_blocklist()
         query = build_query(meta.get("attributes", {}), meta.get("objects", []), blocklist)
     for article_id, score in index.rank(query, k=args.k):
@@ -261,6 +262,7 @@ def cmd_fill(args) -> int:
     ]
     articles = read_articles_jsonl(args.articles) if args.articles else []
     attributes = read_json(args.attrs) if args.attrs else {}
+    check_metadata({"attributes": attributes}, args.attrs)
     candidates = extract_candidates(articles, attributes, gazetteer)
     result = fill_slots(masked, candidates, ckpt)
     print(json.dumps({

@@ -56,7 +56,27 @@ def _spans_for_values(text: str, entities: list[dict],
     return spans
 
 
+def check_metadata(obj: dict, where: str, attribute_types: tuple[type, ...] = (str,)) -> dict:
+    """``obj`` once its "attributes" (if any) map each key to a string, or to
+    one of ``attribute_types``, and its "objects" (if any) list strings.
+    Anything else raises DataError naming ``where`` and the key."""
+    attributes = obj.get("attributes", {})
+    objects = obj.get("objects", [])
+    if not isinstance(attributes, dict) or not isinstance(objects, list):
+        raise DataError(f"{where}: 'attributes' must be an object and 'objects' a list")
+    for key, value in attributes.items():
+        if not isinstance(value, attribute_types):
+            raise DataError(f"{where}: attribute '{key}' must be a string, "
+                            f"got {type(value).__name__}")
+    for i, value in enumerate(objects):
+        if not isinstance(value, str):
+            raise DataError(f"{where}: objects[{i}] must be a string, got {type(value).__name__}")
+    return obj
+
+
 def record_from_dict(obj: dict, features_dir: str | Path | None = None) -> PaintingRecord:
+    # a null attribute is a missing one (PaintingRecord stores it as "")
+    check_metadata(obj, f"painting '{obj.get('id')}'", (str, type(None)))
     sentences = []
     for i, sent in enumerate(obj.get("sentences", [])):
         where = f"painting '{obj.get('id')}' sentence {i}"
@@ -120,7 +140,8 @@ def _check_object(obj, where: str, required: tuple[str, ...], types: dict | None
     return obj
 
 
-def _read_text(path: str | Path) -> str:
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file; undecodable bytes raise DataError naming ``path``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -131,7 +152,7 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
     """Yields (line number, object). Undecodable text, invalid JSON, a line
     that is not an object, or an object without a required key raises
     DataError naming ``path:lineno``."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -149,7 +170,7 @@ def read_json(path: str | Path, many: bool = False, required: tuple[str, ...] = 
     it holds must be an instance of that type (or tuple of types). Anything
     else raises DataError naming ``path``."""
     try:
-        value = json.loads(_read_text(path))
+        value = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not many:
@@ -164,7 +185,10 @@ def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> lis
     records = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path, required=("id",)):
-        record = record_from_dict(obj, features_dir)
+        try:
+            record = record_from_dict(obj, features_dir)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
         if record.id in seen:
             raise DataError(f"{path}:{lineno}: duplicate painting id '{record.id}'")
         seen.add(record.id)

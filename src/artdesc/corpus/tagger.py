@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from artdesc.corpus.corpusio import read_text
 from artdesc.corpus.text import tokenize_with_spans
 from artdesc.corpus.types import EntityType
 from artdesc.errors import DataError
@@ -52,7 +53,7 @@ class Gazetteer:
     def from_file(cls, path: str | Path) -> "Gazetteer":
         """One entry per line: surface-form<TAB>type."""
         gaz = cls()
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

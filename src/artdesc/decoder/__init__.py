@@ -5,9 +5,6 @@ from artdesc.decoder.classifier import classify_distributions, classify_tokens, 
 from artdesc.decoder.config import VARIANTS, DecoderConfig
 from artdesc.decoder.generate import beam_decode, compose_description, generate, greedy_decode
 from artdesc.decoder.model import (
-    attend,
-    decode_logits,
-    decode_step,
     decoder_prefixes,
     init_decoder_params,
     init_state,
@@ -30,14 +27,11 @@ __all__ = [
     "TrainConfig",
     "TrainingItem",
     "VARIANTS",
-    "attend",
     "beam_decode",
     "build_training_items",
     "classify_distributions",
     "classify_tokens",
     "compose_description",
-    "decode_logits",
-    "decode_step",
     "decoder_prefixes",
     "generate",
     "greedy_decode",

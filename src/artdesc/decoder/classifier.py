@@ -5,6 +5,9 @@ During joint training the classifier consumes the decoder's per-step output
 distributions through their expected embeddings (sum_w p(w) * E[w]), so the
 whole objective stays differentiable without sampling. On discrete token
 sequences the same network runs on plain embedding rows.
+
+The sequence is one (T, E) tensor throughout: the expected embeddings are
+one GEMM, each window size is one im2col GEMM, and max-pooling is one node.
 """
 
 from __future__ import annotations
@@ -29,37 +32,32 @@ def init_classifier_params(store: nc.ParamStore, config: DecoderConfig,
     store.add("cls.out.b", np.zeros(len(TopicLabel)))
 
 
-def _logits_from_embeddings(emb_seq: list[nc.Tensor], params: nc.ParamStore,
+def _logits_from_embeddings(emb: nc.Tensor, params: nc.ParamStore,
                             config: DecoderConfig) -> nc.Tensor:
     # pad with the <pad> embedding so every window size has >=1 position
-    needed = max(config.classifier_windows)
-    emb_seq = list(emb_seq)
-    while len(emb_seq) < needed:
-        emb_seq.append(nc.embedding(params["cls.embed"], Vocab.pad))
-    pooled = []
-    for n in config.classifier_windows:
-        feats = []
-        for j in range(len(emb_seq) - n + 1):
-            window = nc.concat(emb_seq[j : j + n])
-            feats.append(
-                nc.relu_t(nc.affine(params[f"cls.conv{n}.w"], window, params[f"cls.conv{n}.b"]))
-            )
-        pooled.append(nc.maximum_list(feats))
+    missing = max(config.classifier_windows) - emb.shape[0]
+    if missing > 0:
+        emb = nc.concat([emb, nc.embedding(params["cls.embed"], [Vocab.pad] * missing)])
+    pooled = [
+        nc.max_rows(nc.relu_t(nc.linear(nc.windows(emb, n), params[f"cls.conv{n}.w"],
+                                        params[f"cls.conv{n}.b"])))
+        for n in config.classifier_windows
+    ]
     return nc.affine(params["cls.out.w"], nc.concat(pooled), params["cls.out.b"])
 
 
-def classify_distributions(probs: list[nc.Tensor], params: nc.ParamStore,
+def classify_distributions(probs: nc.Tensor, params: nc.ParamStore,
                            config: DecoderConfig) -> nc.Tensor:
-    """Topic logits from per-step word distributions (continuous path)."""
-    emb_seq = [nc.vecmat(p, params["cls.embed"]) for p in probs]
-    return _logits_from_embeddings(emb_seq, params, config)
+    """Topic logits from word distributions, one per row of ``probs`` (T, V)
+    (continuous path)."""
+    return _logits_from_embeddings(nc.vecmat(probs, params["cls.embed"]), params, config)
 
 
 def classify_tokens(token_ids: list[int], params: nc.ParamStore,
                     config: DecoderConfig) -> nc.Tensor:
     """Topic logits from a discrete token sequence."""
-    emb_seq = [nc.embedding(params["cls.embed"], i) for i in token_ids]
-    return _logits_from_embeddings(emb_seq, params, config)
+    return _logits_from_embeddings(nc.embedding(params["cls.embed"], list(token_ids)),
+                                   params, config)
 
 
 def predict_topic(token_ids: list[int], params: nc.ParamStore,

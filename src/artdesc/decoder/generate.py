@@ -11,7 +11,8 @@ beam search is never worse than greedy.
 
 Decoding builds no autodiff graph: it steps the tape-free
 :class:`~artdesc.decoder.model.DecodeStep`, whose log-probs are bit-identical
-to the training forward's, and steps each token prefix once per decode.
+to the per-step tape path kept as the oracle in the tests, and steps each
+token prefix once per decode.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Decoder forward pieces: attention, state init, one decode step, and the
-tape-free step that decoding runs.
+"""Decoder parameters, the initial state, and the tape-free step that
+decoding runs.
 
 Parameter namespaces: the baseline and conditional decoders live under the
 "dec" prefix; the parallel decoder keeps three fully disjoint sub-decoders
@@ -78,20 +78,6 @@ def init_decoder_params(config: DecoderConfig, rng: np.random.Generator) -> nc.P
     return store
 
 
-def attend(grid: FeatureGrid, h_prev: nc.Tensor, params: nc.ParamStore,
-           prefix: str = "dec") -> tuple[nc.Tensor, nc.Tensor]:
-    """Attention context and weights over the grid's L locations."""
-    return nc.mlp_attention(
-        grid.values,
-        h_prev,
-        params[f"{prefix}.att.w_v"],
-        params[f"{prefix}.att.w_h"],
-        params[f"{prefix}.att.b1"],
-        params[f"{prefix}.att.w2"],
-        params[f"{prefix}.att.b2"],
-    )
-
-
 def init_state(grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec") -> State:
     """Initial (h0, c0) from the mean-pooled grid through affine + tanh."""
     vbar = nc.constant(mean_pool(grid), name="vbar")
@@ -100,50 +86,16 @@ def init_state(grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec") ->
     return h0, c0
 
 
-def decode_logits(
-    z: nc.Tensor,
-    state: State,
-    y_prev: int,
-    params: nc.ParamStore,
-    prefix: str = "dec",
-    topic_idx: int | None = None,
-) -> tuple[State, nc.Tensor]:
-    """One recurrent step; returns the new state and the vocab logits."""
-    h_prev, c_prev = state
-    embed = params[f"{prefix}.embed"]
-    if not 0 <= y_prev < embed.data.shape[0]:
-        raise ValueError(f"decode step: previous token id {y_prev} out of vocab range")
-    parts = [z, nc.embedding(embed, y_prev)]
-    if topic_idx is not None:
-        parts.append(nc.embedding(params[f"{prefix}.topic.embed"], topic_idx))
-    x = nc.concat(parts)
-    h, c = nc.lstm_step(x, h_prev, c_prev, params[f"{prefix}.lstm.w"], params[f"{prefix}.lstm.b"])
-    logits = nc.affine(params[f"{prefix}.out.w"], nc.concat([h, z]), params[f"{prefix}.out.b"])
-    return (h, c), logits
-
-
-def decode_step(
-    z: nc.Tensor,
-    state: State,
-    y_prev: int,
-    params: nc.ParamStore,
-    prefix: str = "dec",
-    topic_idx: int | None = None,
-) -> tuple[State, nc.Tensor]:
-    """Like decode_logits but returns the word distribution (sums to 1)."""
-    new_state, logits = decode_logits(z, state, y_prev, params, prefix, topic_idx)
-    return new_state, nc.softmax(logits)
-
-
 class DecodeStep:
-    """Tape-free ``attend`` + ``decode_logits`` for one grid and sub-decoder.
+    """One tape-free decoder step for one grid and sub-decoder.
 
     Built once per decoded sentence: the grid's attention projection
     ``grid @ w_v.T`` and the initial state are computed here, once. Each call
-    then runs the numcore forward helpers that the tape nodes run, on the
-    same arrays in the same order, so its logits are bit-identical to
-    ``decode_logits`` after ``attend``. A step whose context, state or logits
-    hold a non-finite value raises FloatingPointError, as a tape node would.
+    then runs the numcore forward helpers that the training node
+    ``attend_lstm_seq`` runs, and the output layer as one GEMV. Its logits
+    are bit-identical to the per-step tape path that the tests keep as the
+    oracle. A step whose context, state or logits hold a non-finite value
+    raises FloatingPointError, as a tape node would.
     """
 
     def __init__(self, grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec",

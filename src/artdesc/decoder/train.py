@@ -18,8 +18,6 @@ from artdesc.corpus.vocab import Vocab
 from artdesc.decoder.classifier import classify_distributions
 from artdesc.decoder.config import DecoderConfig
 from artdesc.decoder.model import (
-    attend,
-    decode_logits,
     init_decoder_params,
     init_state,
     sub_prefix,
@@ -69,23 +67,26 @@ def sequence_loss(
     params: nc.ParamStore,
     prefix: str,
     topic_idx: int | None = None,
-    collect_probs: bool = False,
-) -> tuple[nc.Tensor, int, list[nc.Tensor]]:
-    """Teacher-forced NLL summed over transitions; optionally also the
-    per-step output distributions for the topic classifier."""
-    state = init_state(grid, params, prefix)
-    losses: list[nc.Tensor] = []
-    probs: list[nc.Tensor] = []
-    for prev, nxt in zip(token_ids[:-1], token_ids[1:]):
-        z, _ = attend(grid, state[0], params, prefix)
-        state, logits = decode_logits(z, state, prev, params, prefix, topic_idx)
-        if collect_probs:
-            p = nc.softmax(logits)
-            probs.append(p)
-            losses.append(nc.neg_log_pick(p, nxt))
-        else:
-            losses.append(nc.cross_entropy(logits, nxt))
-    return nc.add_n(losses), len(losses), probs
+) -> tuple[nc.Tensor, int, nc.Tensor]:
+    """Teacher-forced NLL summed over the transitions of ``token_ids``, the
+    number of transitions T, and the (T, V) output logits, one row per
+    transition (the topic classifier reads their distributions).
+
+    The whole sequence is a handful of nodes: one embedding gather, one
+    ``attend_lstm_seq`` recurrence, one output GEMM and one row-wise
+    cross-entropy."""
+    def p(name: str) -> nc.Tensor:
+        return params[f"{prefix}.{name}"]
+
+    inputs = token_ids[:-1]
+    x = nc.embedding(p("embed"), inputs)
+    if topic_idx is not None:
+        x = nc.concat([x, nc.embedding(p("topic.embed"), [topic_idx] * len(inputs))], axis=1)
+    h0, c0 = init_state(grid, params, prefix)
+    att = tuple(p(f"att.{name}") for name in ("w_v", "w_h", "b1", "w2", "b2"))
+    hz = nc.attend_lstm_seq(grid.values, x, h0, c0, att, (p("lstm.w"), p("lstm.b")))
+    logits = nc.linear(hz, p("out.w"), p("out.b"))
+    return nc.cross_entropy(logits, token_ids[1:]), len(inputs), logits
 
 
 def _validate(records: list[PaintingRecord], config: DecoderConfig) -> None:
@@ -108,16 +109,14 @@ def _train(records: list[PaintingRecord], vocab: Vocab, config: DecoderConfig,
     def item_loss(item: TrainingItem, store: nc.ParamStore):
         prefix = sub_prefix(config.variant, item.topic)
         topic_idx = topic_embedding_index(config.variant, item.topic)
-        nll, n_tokens, probs = sequence_loss(
-            item.grid, item.token_ids, store, prefix, topic_idx,
-            collect_probs=use_classifier,
-        )
+        nll, n_tokens, logits = sequence_loss(item.grid, item.token_ids, store, prefix,
+                                              topic_idx)
         stats = {"nll": nll.item()}
         if not use_classifier:
             return nll, n_tokens, stats
         # classify the word steps (the final step predicts </s>)
-        word_probs = probs[:-1] if len(probs) > 1 else probs
-        cls_logits = classify_distributions(word_probs, store, config)
+        word_logits = nc.embedding(logits, range(max(n_tokens - 1, 1)))
+        cls_logits = classify_distributions(nc.softmax(word_logits), store, config)
         ce = nc.cross_entropy(cls_logits, int(item.topic))
         stats["ce"] = ce.item()
         return nc.add(nll, nc.scale(ce, classifier_weight)), n_tokens, stats

@@ -63,32 +63,28 @@ def init_filler_params(config: FillerConfig, rng: np.random.Generator) -> nc.Par
     return store
 
 
-def encode_description(ids: list[int], params: nc.ParamStore,
-                       config: FillerConfig) -> list[nc.Tensor]:
-    """Per-position BiLSTM states (2H) over the description-side token ids."""
-    h = config.hidden_size
-    embs = [nc.embedding(params["fill.embed"], i) for i in ids]
-    fwd: list[nc.Tensor] = []
-    state = (nc.constant(np.zeros(h)), nc.constant(np.zeros(h)))
-    for e in embs:
-        hN, cN = nc.lstm_step(e, state[0], state[1], params["fill.fwd.w"], params["fill.fwd.b"])
-        state = (hN, cN)
-        fwd.append(hN)
-    bwd: list[nc.Tensor] = [None] * len(embs)
-    state = (nc.constant(np.zeros(h)), nc.constant(np.zeros(h)))
-    for pos in range(len(embs) - 1, -1, -1):
-        hN, cN = nc.lstm_step(embs[pos], state[0], state[1],
-                              params["fill.bwd.w"], params["fill.bwd.b"])
-        state = (hN, cN)
-        bwd[pos] = hN
-    return [nc.concat([f, b]) for f, b in zip(fwd, bwd)]
+def encode_description(ids: list[int], params: nc.ParamStore) -> nc.Tensor:
+    """BiLSTM states (T, 2H) over the description-side token ids: row t is
+    the forward state at position t beside the backward one."""
+    x = nc.embedding(params["fill.embed"], ids)
+    return nc.concat([nc.lstm_seq(x, params["fill.fwd.w"], params["fill.fwd.b"]),
+                      nc.lstm_seq(x, params["fill.bwd.w"], params["fill.bwd.b"], reverse=True)],
+                     axis=1)
+
+
+def _description_ids(fill_input: FillInput, vocab: Vocab) -> list[int]:
+    return [vocab.id_of(t) for t in fill_input.tokens[: fill_input.sep_position + 1]]
+
+
+def _candidate_ids(surface: str, vocab: Vocab) -> list[int]:
+    return [vocab.id_of(t) for t in tokenize(surface)] or [vocab.unk]
 
 
 def candidate_vector(surface: str, etype: EntityType, params: nc.ParamStore,
                      vocab: Vocab) -> nc.Tensor:
     """Mean word embedding of the candidate's tokens plus its type embedding,
     projected through tanh. Position-free by construction."""
-    word_ids = [vocab.id_of(t) for t in tokenize(surface)] or [vocab.unk]
+    word_ids = _candidate_ids(surface, vocab)
     embs = [nc.embedding(params["fill.embed"], i) for i in word_ids]
     mean = nc.scale(nc.add_n(embs), 1.0 / len(embs))
     tvec = nc.embedding(params["fill.type"], int(etype))
@@ -101,16 +97,14 @@ def slot_scores(
     candidates: CandidateSet,
     params: nc.ParamStore,
     vocab: Vocab,
-    config: FillerConfig,
 ) -> list[list[tuple[int, nc.Tensor]]]:
     """For each slot, bilinear scores against its type-compatible candidates
     as (candidate index, score) pairs."""
-    seg_ids = [vocab.id_of(t) for t in fill_input.tokens[: fill_input.sep_position + 1]]
-    states = encode_description(seg_ids, params, config)
+    states = encode_description(_description_ids(fill_input, vocab), params)
     cand_vecs: dict[int, nc.Tensor] = {}
     per_slot: list[list[tuple[int, nc.Tensor]]] = []
     for pos, etype in zip(fill_input.slot_positions, fill_input.slot_types):
-        h_slot = states[pos]
+        h_slot = nc.embedding(states, pos)
         scored: list[tuple[int, nc.Tensor]] = []
         for idx, cand in candidates.of_type(etype):
             if idx not in cand_vecs:
@@ -118,5 +112,31 @@ def slot_scores(
                                                   params, vocab)
             score = nc.dot(h_slot, nc.affine(params["fill.bilinear"], cand_vecs[idx]))
             scored.append((idx, score))
+        per_slot.append(scored)
+    return per_slot
+
+
+def slot_score_values(fill_input: FillInput, candidates: CandidateSet,
+                      params: nc.ParamStore, vocab: Vocab) -> list[list[tuple[int, float]]]:
+    """:func:`slot_scores` with no tape, as slot filling runs it: the same
+    forward helpers and operations in the same order, so each score equals
+    the training forward's bit for bit."""
+    def p(name: str) -> np.ndarray:
+        return params[f"fill.{name}"].data
+
+    x = p("embed")[_description_ids(fill_input, vocab)]
+    states = np.concatenate([nc.lstm_seq_np(x, p("fwd.w"), p("fwd.b"))[0],
+                             nc.lstm_seq_np(x, p("bwd.w"), p("bwd.b"), reverse=True)[0]], axis=1)
+    cand_vecs: dict[int, np.ndarray] = {}
+    per_slot: list[list[tuple[int, float]]] = []
+    for pos, etype in zip(fill_input.slot_positions, fill_input.slot_types):
+        scored = []
+        for idx, cand in candidates.of_type(etype):
+            if idx not in cand_vecs:
+                rows = p("embed")[_candidate_ids(cand.surface, vocab)]
+                mean = rows.sum(axis=0) * (1.0 / len(rows))
+                feats = np.concatenate([mean, p("type")[int(cand.entity_type)]])
+                cand_vecs[idx] = np.tanh(p("cand.w") @ feats + p("cand.b"))
+            scored.append((idx, float(states[pos] @ (p("bilinear") @ cand_vecs[idx]))))
         per_slot.append(scored)
     return per_slot

@@ -19,7 +19,12 @@ from artdesc.corpus.vocab import Vocab
 from artdesc.errors import ConfigError
 from artdesc.filler.candidates import ATTRIBUTE_TYPES, Candidate, CandidateSet
 from artdesc.filler.encoding import encode_fill_input
-from artdesc.filler.model import FillerConfig, init_filler_params, slot_scores
+from artdesc.filler.model import (
+    FillerConfig,
+    init_filler_params,
+    slot_score_values,
+    slot_scores,
+)
 from artdesc.training import Checkpoint, TrainConfig, fit, load_model, save_model
 
 
@@ -66,7 +71,7 @@ def fill_pair_loss(
     """Sum of per-slot cross-entropies over type-compatible candidates.
     Returns (loss or None, scored slot count, skipped slot count)."""
     fill_input = encode_fill_input(pair.masked, pair.candidates, config.max_len)
-    per_slot = slot_scores(fill_input, pair.candidates, params, vocab, config)
+    per_slot = slot_scores(fill_input, pair.candidates, params, vocab)
     losses: list[nc.Tensor] = []
     skipped = 0
     for scored, target, etype in zip(per_slot, pair.targets, fill_input.slot_types):
@@ -157,9 +162,9 @@ def fill_slots(
     """Replace each slot with the argmax type-compatible candidate; slots with
     no compatible candidate render as a visible placeholder. Non-slot tokens
     pass through verbatim. Score ties break by candidate surface so the
-    choice is independent of candidate order."""
+    choice is independent of candidate order. Builds no autodiff graph."""
     fill_input = encode_fill_input(masked, candidates, ckpt.config.max_len)
-    per_slot = slot_scores(fill_input, candidates, ckpt.store, ckpt.vocab, ckpt.config)
+    per_slot = slot_score_values(fill_input, candidates, ckpt.store, ckpt.vocab)
 
     chosen: dict[int, FillDecision] = {}
     for (pos, etype), scored in zip(
@@ -169,7 +174,7 @@ def fill_slots(
             chosen[pos] = FillDecision(pos, etype.name.lower(), None, None, 0)
             continue
         ranked = sorted(
-            ((float(score.data), candidates.entries[idx].surface) for idx, score in scored),
+            ((score, candidates.entries[idx].surface) for idx, score in scored),
             key=lambda t: (-t[0], t[1].lower()),
         )
         best_score, best_surface = ranked[0]

@@ -20,7 +20,7 @@ def _as_f64(data) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise FloatingPointError(f"non-finite values produced by {context}")
 
 
@@ -170,19 +170,20 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concat(ts: Sequence[Tensor]) -> Tensor:
-    for t in ts:
-        _require_1d(t, "concat")
-    sizes = [t.data.shape[0] for t in ts]
+def concat(ts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Tensors joined along ``axis``; their other dimensions must agree."""
+    try:
+        data = np.concatenate([t.data for t in ts], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat: {exc} ({[t.name for t in ts]})") from None
+    sizes = [t.data.shape[axis] for t in ts]
 
     def bwd(out: Tensor) -> None:
-        offset = 0
-        for t, n in zip(ts, sizes):
+        for t, g in zip(ts, np.split(out.grad, np.cumsum(sizes[:-1]), axis=axis)):
             if _wants_grad(t):
-                t.accumulate_grad(out.grad[offset : offset + n])
-            offset += n
+                t.accumulate_grad(g)
 
-    return _node(np.concatenate([t.data for t in ts]), tuple(ts), bwd, "concat")
+    return _node(data, tuple(ts), bwd, "concat")
 
 
 def narrow(a: Tensor, start: int, length: int) -> Tensor:
@@ -212,24 +213,40 @@ def stack_scalars(ts: Sequence[Tensor]) -> Tensor:
     return _node(np.array([float(t.data.reshape(())) for t in ts]), tuple(ts), bwd, "stack_scalars")
 
 
-def maximum_list(ts: Sequence[Tensor]) -> Tensor:
-    """Elementwise max over same-shaped tensors; grads route to the first
-    tensor attaining the max (deterministic tie-break)."""
-    if not ts:
-        raise ShapeError("maximum_list: empty input")
-    shape = ts[0].shape
-    for t in ts:
-        if t.shape != shape:
-            raise ShapeError(f"maximum_list: shape mismatch {shape} vs {t.shape} ('{t.name}')")
-    stacked = np.stack([t.data for t in ts])
-    winner = np.argmax(stacked, axis=0)  # first occurrence wins
+def max_rows(x: Tensor) -> Tensor:
+    """Column-wise max over the rows of a 2-D tensor (max-pooling over
+    time); each column's gradient goes to the first row attaining its max."""
+    if x.data.ndim != 2 or x.data.shape[0] == 0:
+        raise ShapeError(f"max_rows: expected a non-empty 2-D tensor, got {x.shape} for '{x.name}'")
+    winner = np.argmax(x.data, axis=0)  # first occurrence wins
+    cols = np.arange(x.data.shape[1])
 
     def bwd(out: Tensor) -> None:
-        for i, t in enumerate(ts):
-            if _wants_grad(t):
-                t.accumulate_grad(out.grad * (winner == i))
+        if _wants_grad(x):
+            g = np.zeros_like(x.data)
+            g[winner, cols] = out.grad
+            x.accumulate_grad(g)
 
-    return _node(stacked.max(axis=0), tuple(ts), bwd, "maximum_list")
+    return _node(x.data[winner, cols], (x,), bwd, "max_rows")
+
+
+def windows(x: Tensor, n: int) -> Tensor:
+    """The im2col layout of a width-``n`` convolution over the rows of x
+    (T, k): row j of the (T-n+1, n*k) result is rows j..j+n-1 side by side."""
+    if x.data.ndim != 2 or not 1 <= n <= x.data.shape[0]:
+        raise ShapeError(f"windows: width {n} does not fit '{x.name}' of shape {x.shape}")
+    steps, k = x.data.shape
+    span = steps - n + 1
+
+    def bwd(out: Tensor) -> None:
+        if _wants_grad(x):
+            g = np.zeros_like(x.data)
+            for i in range(n):
+                g[i : i + span] += out.grad[:, i * k : (i + 1) * k]
+            x.accumulate_grad(g)
+
+    data = np.concatenate([x.data[i : i + span] for i in range(n)], axis=1)
+    return _node(data, (x,), bwd, "windows")
 
 
 # ---------------------------------------------------------------------------
@@ -265,38 +282,65 @@ def affine(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     return _node(y, parents, bwd, "affine")
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w.T (+ b): :func:`affine` applied to every row of x (T, n) with
+    one GEMM. w (m, n), b (m,)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise ShapeError(f"linear: input '{x.name}' {x.shape} incompatible with weight "
+                         f"'{w.name}' {w.shape}")
+    if b is not None and b.shape != (w.data.shape[0],):
+        raise ShapeError(f"linear: bias '{b.name}' {b.shape} incompatible with weight {w.shape}")
+    y = x.data @ w.data.T
+    if b is not None:
+        y += b.data
+
+    def bwd(out: Tensor) -> None:
+        g = out.grad
+        if _wants_grad(w):
+            w.accumulate_grad(g.T @ x.data)
+        if _wants_grad(x):
+            x.accumulate_grad(g @ w.data)
+        if b is not None and _wants_grad(b):
+            b.accumulate_grad(g.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(y, parents, bwd, "linear")
+
+
 def vecmat(p: Tensor, e: Tensor) -> Tensor:
-    """e.T @ p with e (v, d), p (v,) -> (d,). Both sides differentiable."""
+    """p @ e with e (v, d) and p (v,) or (T, v). Both sides differentiable."""
     if e.data.ndim != 2:
         raise ShapeError(f"vecmat: matrix '{e.name}' must be 2-D, got {e.shape}")
-    _require_1d(p, "vecmat")
-    if e.data.shape[0] != p.data.shape[0]:
+    if p.data.ndim not in (1, 2) or p.data.shape[-1] != e.data.shape[0]:
         raise ShapeError(f"vecmat: '{p.name}' {p.shape} incompatible with '{e.name}' {e.shape}")
 
     def bwd(out: Tensor) -> None:
         g = out.grad
         if _wants_grad(p):
-            p.accumulate_grad(e.data @ g)
+            p.accumulate_grad(g @ e.data.T)
         if _wants_grad(e):
-            e.accumulate_grad(np.outer(p.data, g))
+            e.accumulate_grad(np.atleast_2d(p.data).T @ np.atleast_2d(g))
 
-    return _node(e.data.T @ p.data, (p, e), bwd, "vecmat")
+    return _node(p.data @ e.data, (p, e), bwd, "vecmat")
 
 
-def embedding(e: Tensor, idx: int) -> Tensor:
-    """Row lookup e[idx] with gradient scattered back into that row."""
+def embedding(e: Tensor, idx) -> Tensor:
+    """Rows of a 2-D tensor: ``e[idx]`` is one row (k,) for an int index and
+    an (n, k) block for a sequence of n ints. The gradient is scattered back
+    into those rows, adding up where an index repeats."""
     if e.data.ndim != 2:
         raise ShapeError(f"embedding: table '{e.name}' must be 2-D, got {e.shape}")
-    if not 0 <= idx < e.data.shape[0]:
+    ids = np.asarray(idx, dtype=np.intp)
+    if ids.size and not (0 <= ids.min() and ids.max() < e.data.shape[0]):
         raise ValueError(f"embedding: index {idx} out of range for table '{e.name}' {e.shape}")
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(e):
             if e.grad is None:
                 e.grad = np.zeros_like(e.data)
-            e.grad[idx] += out.grad
+            np.add.at(e.grad, ids, out.grad)
 
-    return _node(e.data[idx].copy(), (e,), bwd, "embedding")
+    return _node(np.take(e.data, ids, axis=0), (e,), bwd, "embedding")
 
 
 # ---------------------------------------------------------------------------
@@ -312,62 +356,62 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: Tensor) -> Tensor:
-    """Numerically stabilized softmax of a non-empty 1-D tensor."""
-    _require_1d(logits, "softmax")
-    if logits.data.shape[0] == 0:
+    """Numerically stabilized softmax over the last axis of a 1-D tensor or
+    of each row of a 2-D one."""
+    if logits.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax: expected 1-D or 2-D tensor, got {logits.shape} "
+                         f"for '{logits.name}'")
+    if logits.data.shape[-1] == 0:
         raise ValueError("softmax: empty input")
-    y = softmax_np(logits.data)
+    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(logits):
             g = out.grad
-            logits.accumulate_grad(y * (g - float(y @ g)))
+            logits.accumulate_grad(y * (g - (y * g).sum(axis=-1, keepdims=True)))
 
     return _node(y, (logits,), bwd, "softmax")
 
 
-def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
-    """-log softmax(logits)[target], fused and stabilized."""
-    _require_1d(logits, "cross_entropy")
-    n = logits.data.shape[0]
-    if not 0 <= target_index < n:
-        raise ValueError(f"cross_entropy: target index {target_index} out of range [0, {n})")
-    m = logits.data.max()
-    shifted = logits.data - m
-    logz = float(np.log(np.exp(shifted).sum()))
-    loss = logz - float(shifted[target_index])
-    p = np.exp(shifted - logz)
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """-log softmax(logits)[target], fused and stabilized. For (T, V) logits
+    and a sequence of T targets, the sum of every row's loss."""
+    if logits.data.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy: expected 1-D or 2-D logits, got {logits.shape}")
+    rows = np.atleast_2d(logits.data)
+    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
+    n_rows, n = rows.shape
+    if targets.shape != (n_rows,):
+        raise ShapeError(f"cross_entropy: {targets.size} targets for {n_rows} rows of logits")
+    if not (0 <= targets.min() and targets.max() < n):
+        raise ValueError(f"cross_entropy: target index {target} out of range [0, {n})")
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1))
+    picked = np.arange(n_rows), targets
+    loss = (logz - shifted[picked]).sum()
+    p = np.exp(shifted - logz[:, None])
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(logits):
             g = p.copy()
-            g[target_index] -= 1.0
-            logits.accumulate_grad(float(out.grad) * g)
+            g[picked] -= 1.0
+            logits.accumulate_grad(float(out.grad) * g.reshape(logits.shape))
 
     return _node(np.array(loss), (logits,), bwd, "cross_entropy")
-
-
-def neg_log_pick(probs: Tensor, idx: int) -> Tensor:
-    """-log(probs[idx]) for probs from an upstream softmax node."""
-    _require_1d(probs, "neg_log_pick")
-    if not 0 <= idx < probs.data.shape[0]:
-        raise ValueError(f"neg_log_pick: index {idx} out of range")
-    p = float(probs.data[idx])
-    if p <= 0.0:
-        raise FloatingPointError("neg_log_pick: zero probability at target index")
-
-    def bwd(out: Tensor) -> None:
-        if _wants_grad(probs):
-            if probs.grad is None:
-                probs.grad = np.zeros_like(probs.data)
-            probs.grad[idx] -= float(out.grad) / p
-
-    return _node(np.array(-np.log(p)), (probs,), bwd, "neg_log_pick")
 
 
 # ---------------------------------------------------------------------------
 # Fused recurrent / attention cells
 # ---------------------------------------------------------------------------
+
+
+def _check_lstm(what: str, xdim: int, hidden: int, w: Tensor, b: Tensor) -> None:
+    if w.data.shape != (4 * hidden, xdim + hidden):
+        raise ShapeError(f"{what}: weight '{w.name}' has shape {w.shape}, "
+                         f"expected {(4 * hidden, xdim + hidden)}")
+    if b.data.shape != (4 * hidden,):
+        raise ShapeError(f"{what}: bias '{b.name}' has shape {b.shape}, expected {(4 * hidden,)}")
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
@@ -384,28 +428,13 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
             f"lstm_step: cell state '{c_prev.name}' {c_prev.shape} vs hidden {h_prev.shape}"
         )
     xdim = x.data.shape[0]
-    if w.data.shape != (4 * hidden, xdim + hidden):
-        raise ShapeError(
-            f"lstm_step: weight '{w.name}' has shape {w.shape}, "
-            f"expected {(4 * hidden, xdim + hidden)}"
-        )
-    if b.data.shape != (4 * hidden,):
-        raise ShapeError(f"lstm_step: bias '{b.name}' has shape {b.shape}, expected {(4 * hidden,)}")
+    _check_lstm("lstm_step", xdim, hidden, w, b)
 
     xh = np.concatenate([x.data, h_prev.data])
-    h, c, (i, f, o, g, tc) = lstm_np(xh, c_prev.data, w.data, b.data)
+    h, c, gates = lstm_np(xh, c_prev.data, w.data, b.data)
 
     def bwd(out: Tensor) -> None:
-        gh = out.grad[:hidden]
-        gc = out.grad[hidden:]
-        gc_total = gc + gh * o * (1.0 - tc * tc)
-        go = gh * tc
-        gi = gc_total * g
-        gf = gc_total * c_prev.data
-        gg = gc_total * i
-        gu = np.concatenate(
-            [gi * i * (1.0 - i), gf * f * (1.0 - f), go * o * (1.0 - o), gg * (1.0 - g * g)]
-        )
+        gu, gc_prev = _lstm_bwd_np(out.grad[:hidden], out.grad[hidden:], c_prev.data, gates)
         if _wants_grad(w):
             w.accumulate_grad(np.outer(gu, xh))
         if _wants_grad(b):
@@ -416,7 +445,7 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
         if _wants_grad(h_prev):
             h_prev.accumulate_grad(gxh[xdim:])
         if _wants_grad(c_prev):
-            c_prev.accumulate_grad(gc_total * f)
+            c_prev.accumulate_grad(gc_prev)
 
     hc = _node(np.concatenate([h, c]), (x, h_prev, c_prev, w, b), bwd, "lstm_step")
     return narrow(hc, 0, hidden), narrow(hc, hidden, hidden)
@@ -428,8 +457,13 @@ def lstm_np(xh: np.ndarray, c_prev: np.ndarray, w: np.ndarray,
 
     Returns (h, c, (i, f, o, g, tanh(c))); the gates feed the backward pass.
     """
+    return lstm_cell_np(w @ xh + b, c_prev)
+
+
+def lstm_cell_np(u: np.ndarray, c_prev: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """:func:`lstm_np` given the gate pre-activations ``u = w @ xh + b``."""
     hidden = c_prev.shape[0]
-    u = w @ xh + b
     ifo = _sigmoid(u[: 3 * hidden])  # elementwise, so one call serves the three gates
     i, f, o = ifo[:hidden], ifo[hidden : 2 * hidden], ifo[2 * hidden :]
     g = np.tanh(u[3 * hidden :])
@@ -438,13 +472,86 @@ def lstm_np(xh: np.ndarray, c_prev: np.ndarray, w: np.ndarray,
     return o * tc, c, (i, f, o, g, tc)
 
 
+def _lstm_bwd_np(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
+                 gates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """One cell's backward: the gradients of its gate pre-activations (4H,)
+    and of c_prev, given those of its h and c."""
+    i, f, o, g, tc = gates
+    gc_total = gc + gh * o * (1.0 - tc * tc)
+    go = gh * tc
+    gi = gc_total * g
+    gf = gc_total * c_prev
+    gg = gc_total * i
+    gu = np.concatenate(
+        [gi * i * (1.0 - i), gf * f * (1.0 - f), go * o * (1.0 - o), gg * (1.0 - g * g)]
+    )
+    return gu, gc_total * f
+
+
+def lstm_seq_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool = False
+                ) -> tuple[np.ndarray, list]:
+    """Plain-array forward of :func:`lstm_seq`: the hidden states (T, H) and,
+    per row, the (c_prev, gates) its backward pass reads."""
+    steps, xdim = x.shape
+    hidden = b.shape[0] // 4
+    ux = x @ w[:, :xdim].T + b  # the input half of every step's gates in one GEMM
+    w_h = w[:, xdim:]
+    h = c = np.zeros(hidden)
+    hs = np.empty((steps, hidden))
+    cache: list = [None] * steps
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        h, c_next, gates = lstm_cell_np(ux[t] + w_h @ h, c)
+        cache[t] = (c, gates)
+        hs[t] = h
+        c = c_next
+    return hs, cache
+
+
+def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """An LSTM over the rows of x (T, X) from a zero state, as one node;
+    with ``reverse`` it reads the last row first. Row t of the (T, H) result
+    is the hidden state after reading row t. w (4H, X+H) and b (4H,) are laid
+    out as for :func:`lstm_step`.
+
+    The input side of the gates is one GEMM over all T rows; the backward
+    pass collects each step's gate gradients and forms the gradients of w
+    and x with one GEMM each.
+    """
+    if x.data.ndim != 2 or x.data.shape[0] == 0:
+        raise ShapeError(f"lstm_seq: input '{x.name}' must be a non-empty 2-D tensor, "
+                         f"got {x.shape}")
+    steps, xdim = x.data.shape
+    hidden = b.data.shape[0] // 4
+    _check_lstm("lstm_seq", xdim, hidden, w, b)
+    hs, cache = lstm_seq_np(x.data, w.data, b.data, reverse)
+
+    def bwd(out: Tensor) -> None:
+        w_h = w.data[:, xdim:]
+        gus = np.empty((steps, 4 * hidden))
+        gh = gc = np.zeros(hidden)
+        for t in (range(steps) if reverse else range(steps - 1, -1, -1)):
+            c_prev, gates = cache[t]
+            gus[t], gc = _lstm_bwd_np(out.grad[t] + gh, gc, c_prev, gates)
+            gh = w_h.T @ gus[t]
+        if _wants_grad(w):
+            h_prev = np.zeros_like(hs)
+            if reverse:
+                h_prev[:-1] = hs[1:]
+            else:
+                h_prev[1:] = hs[:-1]
+            w.accumulate_grad(gus.T @ np.concatenate([x.data, h_prev], axis=1))
+        if _wants_grad(b):
+            b.accumulate_grad(gus.sum(axis=0))
+        if _wants_grad(x):
+            x.accumulate_grad(gus @ w.data[:, :xdim])
+
+    return _node(hs, (x, w, b), bwd, "lstm_seq")
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so no exp overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def attention_np(
@@ -467,6 +574,22 @@ def attention_np(
     return alpha @ grid, alpha, act
 
 
+def _check_attention(what: str, grid, hidden: int, w_v: Tensor, w_h: Tensor, b1: Tensor,
+                     w2: Tensor, b2: Tensor) -> np.ndarray:
+    """The grid as a float64 (L, D) array, once the MLP's shapes fit it."""
+    grid = _as_f64(grid)
+    if grid.ndim != 2:
+        raise ShapeError(f"{what}: grid must be 2-D, got shape {grid.shape}")
+    att = w_v.data.shape[0]
+    if w_v.data.shape != (att, grid.shape[1]):
+        raise ShapeError(f"{what}: '{w_v.name}' {w_v.shape} vs grid feature dim {grid.shape[1]}")
+    if w_h.data.shape != (att, hidden):
+        raise ShapeError(f"{what}: '{w_h.name}' {w_h.shape} vs state size {hidden}")
+    if b1.data.shape != (att,) or w2.data.shape != (att,) or b2.data.shape != (1,):
+        raise ShapeError(f"{what}: bad MLP shapes b1={b1.shape} w2={w2.shape} b2={b2.shape}")
+    return grid
+
+
 def mlp_attention(
     grid: np.ndarray,
     h_prev: Tensor,
@@ -482,20 +605,8 @@ def mlp_attention(
     weights, context = weighted sum of rows. Returns (context (D,), weights (L,)).
     The grid is a constant input; gradients flow to h_prev and the MLP params.
     """
-    grid = _as_f64(grid)
-    if grid.ndim != 2:
-        raise ShapeError(f"mlp_attention: grid must be 2-D, got shape {grid.shape}")
+    grid = _check_attention("mlp_attention", grid, h_prev.data.shape[0], w_v, w_h, b1, w2, b2)
     n_loc, feat = grid.shape
-    att = w_v.data.shape[0]
-    if w_v.data.shape != (att, feat):
-        raise ShapeError(f"mlp_attention: '{w_v.name}' {w_v.shape} vs grid feature dim {feat}")
-    if w_h.data.shape != (att, h_prev.data.shape[0]):
-        raise ShapeError(f"mlp_attention: '{w_h.name}' {w_h.shape} vs state {h_prev.shape}")
-    if b1.data.shape != (att,) or w2.data.shape != (att,) or b2.data.shape != (1,):
-        raise ShapeError(
-            f"mlp_attention: bad MLP shapes b1={b1.shape} w2={w2.shape} b2={b2.shape}"
-        )
-
     z, alpha, act = attention_np(grid @ w_v.data.T, grid, h_prev.data, w_h.data, b1.data,
                                  w2.data, b2.data)
 
@@ -523,6 +634,85 @@ def mlp_attention(
         np.concatenate([z, alpha]), (h_prev, w_v, w_h, b1, w2, b2), bwd, "mlp_attention"
     )
     return narrow(za, 0, feat), narrow(za, feat, n_loc)
+
+
+def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
+                    att: tuple[Tensor, Tensor, Tensor, Tensor, Tensor],
+                    lstm: tuple[Tensor, Tensor]) -> Tensor:
+    """A teacher-forced attention LSTM over a whole sequence, as one node.
+
+    Step t runs :func:`mlp_attention` over the (L, D) grid from h_{t-1},
+    then :func:`lstm_step` on [z_t; x_t; h_{t-1}], from the state (h0, c0).
+    x (T, X) holds the step inputs that follow the context; ``att`` is
+    (w_v, w_h, b1, w2, b2) and ``lstm`` is (w, b), laid out as for those two
+    ops. Returns (T, H+D): row t is [h_t; z_t], the output layer's input.
+
+    The forward projects the grid once and runs the shared forward helpers;
+    the backward pass (BPTT) collects each step's small gradient vectors and
+    forms every weight gradient with one GEMM over the stacked steps. The
+    grid is constant, so w_v's gradient is (sum_t gpre_t).T @ grid.
+    """
+    w_v, w_h, b1, w2, b2 = att
+    w, b = lstm
+    hidden = h0.data.shape[0]
+    grid = _check_attention("attend_lstm_seq", grid, hidden, w_v, w_h, b1, w2, b2)
+    if x.data.ndim != 2 or x.data.shape[0] == 0 or h0.shape != (hidden,) or c0.shape != (hidden,):
+        raise ShapeError(f"attend_lstm_seq: inputs '{x.name}' {x.shape}, state "
+                         f"{h0.shape}/{c0.shape}")
+    n_loc, feat = grid.shape
+    steps, xdim = x.data.shape
+    _check_lstm("attend_lstm_seq", feat + xdim, hidden, w, b)
+
+    proj = grid @ w_v.data.T
+    att_arrays = (w_h.data, b1.data, w2.data, b2.data)
+    alphas = np.empty((steps, n_loc))
+    acts = np.empty((steps, n_loc, w_v.data.shape[0]))
+    xhs = np.empty((steps, feat + xdim + hidden))  # [z_t; x_t; h_{t-1}]
+    out = np.empty((steps, hidden + feat))
+    cache = []
+    h, c = h0.data, c0.data
+    for t in range(steps):
+        z, alphas[t], acts[t] = attention_np(proj, grid, h, *att_arrays)
+        xhs[t] = np.concatenate([z, x.data[t], h])
+        h, c_next, gates = lstm_np(xhs[t], c, w.data, b.data)
+        cache.append((c, gates))
+        out[t, :hidden] = h
+        out[t, hidden:] = z
+        c = c_next
+
+    def bwd(node: Tensor) -> None:
+        g_out = node.grad
+        dact = 1.0 - acts * acts
+        gus = np.empty((steps, 4 * hidden))
+        gss = np.empty((steps, n_loc))  # score gradients
+        gps = np.empty((steps, w_v.data.shape[0]))  # attention pre-activation sums
+        gh = gc = np.zeros(hidden)
+        for t in range(steps - 1, -1, -1):
+            c_prev, gates = cache[t]
+            gus[t], gc = _lstm_bwd_np(g_out[t, :hidden] + gh, gc, c_prev, gates)
+            gxh = w.data.T @ gus[t]
+            ga = grid @ (g_out[t, hidden:] + gxh[:feat])
+            alpha = alphas[t]
+            gss[t] = alpha * (ga - alpha @ ga)
+            gps[t] = w2.data * (gss[t] @ dact[t])
+            gh = gxh[feat + xdim :] + w_h.data.T @ gps[t]
+        grads = (
+            (w_v, lambda: (w2.data * np.einsum("tl,tla->la", gss, dact)).T @ grid),
+            (w_h, lambda: gps.T @ xhs[:, feat + xdim :]),
+            (b1, lambda: gps.sum(axis=0)),
+            (w2, lambda: gss.reshape(-1) @ acts.reshape(steps * n_loc, -1)),
+            (b2, lambda: np.array([gss.sum()])),
+            (w, lambda: gus.T @ xhs),
+            (b, lambda: gus.sum(axis=0)),
+            (x, lambda: gus @ w.data[:, feat : feat + xdim]),
+            (h0, lambda: gh),
+            (c0, lambda: gc),
+        )
+        for parent, grad in grads:
+            if _wants_grad(parent):
+                parent.accumulate_grad(grad())
+
+    return _node(out, (x, h0, c0, w_v, w_h, b1, w2, b2, w, b), bwd, "attend_lstm_seq")
 
 
 # ---------------------------------------------------------------------------

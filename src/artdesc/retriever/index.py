@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from artdesc.corpus.corpusio import read_jsonl
+from artdesc.corpus.corpusio import read_jsonl, read_text
 from artdesc.errors import DataError
 from artdesc.numcore.checkpoint import load_container, save_container
 from artdesc.retriever.normalize import normalize_text
@@ -225,7 +225,7 @@ def read_articles_dir(directory: str | Path) -> list[KnowledgeArticle]:
     directory = Path(directory)
     articles = []
     for path in sorted(directory.glob("*.txt")):
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
         first = text.splitlines()[0].strip() if text.splitlines() else path.stem
         articles.append(KnowledgeArticle(id=path.stem, title=first, body=text))
     return articles

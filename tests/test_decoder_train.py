@@ -1,5 +1,6 @@
 """Training loop contracts: learning signal, determinism, joint objective."""
 
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from synth import memorization_corpus, topic_disjoint_corpus
 
+import artdesc.numcore as nc
 from artdesc.decoder import (
     DecoderConfig,
     TrainConfig,
@@ -46,6 +48,41 @@ def test_identical_seed_identical_curve(corpus):
     assert [h["nll_per_token"] for h in a.history] == [h["nll_per_token"] for h in b.history]
     for name in a.store.names():
         assert np.array_equal(a.store[name].data, b.store[name].data)
+
+
+def test_each_epoch_is_logged_as_it_ends(corpus, monkeypatch):
+    records, vocab = corpus
+    seen = []
+    original = nc.scheduled_lr
+
+    def starts(base_lr, epoch, *args):
+        seen.append(("start", epoch))
+        return original(base_lr, epoch, *args)
+
+    class Ends(logging.Handler):
+        def emit(self, record):
+            seen.append(("end", record))
+
+    monkeypatch.setattr(nc, "scheduled_lr", starts)
+    handler = Ends(logging.INFO)
+    logger = logging.getLogger("artdesc.training")
+    logger.addHandler(handler)
+    monkeypatch.setattr(logger, "level", logging.INFO)
+    try:
+        ckpt = train_decoder(records, vocab, small_config(vocab),
+                             TrainConfig(epochs=2, batch_size=3, seed=5))
+    finally:
+        logger.removeHandler(handler)
+    assert [kind for kind, _ in seen] == ["start", "end", "start", "end"]
+    tokens = sum(len(item.token_ids) - 1 for item in build_training_items(records, vocab,
+                                                                          "baseline"))
+    for (_, record), entry in zip(seen[1::2], ckpt.history):
+        assert record.getMessage() == "epoch"
+        for key, value in entry.items():  # the history entry, as it was appended
+            assert getattr(record, key) == value
+        assert record.units_per_s == pytest.approx(tokens / record.seconds)
+    # timings go to the log only: a fixed seed reproduces the history exactly
+    assert all(set(entry) == {"epoch", "lr", "nll_per_token"} for entry in ckpt.history)
 
 
 def test_different_seed_differs(corpus):

@@ -1,6 +1,7 @@
 """Source-level guards: runtime dependencies stay numpy-only (scipy is
-installed alongside but is not a declared dependency of the package), and
-every file the package writes goes through ``atomic_write``."""
+installed alongside but is not a declared dependency of the package), every
+file the package writes goes through ``atomic_write``, and the models train
+on whole-sequence nodes, not on the per-step tape path."""
 
 import ast
 from pathlib import Path
@@ -70,4 +71,31 @@ def test_src_writes_files_only_through_atomic_write():
                 exempt |= {id(inner) for inner in ast.walk(node)}
         offenders += [f"{rel}:{call.lineno}" for call in _file_writes(tree)
                       if id(call) not in exempt]
+    assert offenders == []
+
+
+# the per-step tape ops; their only callers are numcore itself and tests/tape_oracle.py
+PER_STEP_OPS = frozenset({"lstm_step", "mlp_attention", "narrow", "neg_log_pick"})
+
+
+def _referenced_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.asname or node.name.rsplit(".", 1)[-1]
+            yield node.lineno, node.name.rsplit(".", 1)[-1]
+
+
+def test_models_do_not_reference_per_step_ops():
+    offenders = []
+    for package in ("decoder", "filler"):
+        paths = sorted((SRC / package).rglob("*.py"))
+        assert paths, f"no sources under {package}"
+        for path in paths:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            offenders += [f"{path.relative_to(SRC)}:{lineno}: {name}"
+                          for lineno, name in _referenced_names(tree) if name in PER_STEP_OPS]
     assert offenders == []
