@@ -118,7 +118,7 @@ def cmd_preprocess(args) -> int:
         sentences = []
         for text, topic in sentence_specs:
             if len(tokenize(text)) < args.min_sentence_tokens:
-                logger.info("dropping short sentence in '%s': %r", raw["id"], text)
+                logger.info("dropped short sentence", extra={"record": raw["id"], "text": text})
                 continue
             spans = tag_entities(text, gazetteer)
             _, values = mask_sentence(text, spans)
@@ -136,7 +136,7 @@ def cmd_preprocess(args) -> int:
             "reference": raw.get("reference", raw.get("comment", "")),
         }, ensure_ascii=False))
     atomic_write(args.out, [("\n".join(out_lines) + "\n").encode("utf-8")])
-    logger.info("preprocessed %d records into %s", len(out_lines), args.out)
+    logger.info("preprocessed", extra={"records": len(out_lines), "out": args.out})
     return EXIT_OK
 
 
@@ -170,8 +170,8 @@ def cmd_train_decoder(args) -> int:
     else:
         ckpt = train_decoder(records, vocab, config, tcfg)
     save_decoder_checkpoint(args.out, ckpt)
-    logger.info("trained %s decoder in %.1fs -> %s", args.variant,
-                time.perf_counter() - start, args.out)
+    logger.info("trained decoder", extra={"variant": args.variant, "out": args.out,
+                                          "seconds": time.perf_counter() - start})
     return EXIT_OK
 
 
@@ -185,13 +185,14 @@ def cmd_train_filler(args) -> int:
         type_embed_size=args.type_embed_size,
         max_len=args.max_input_len,
     )
+    start = time.perf_counter()
     ckpt = train_filler(
         records, vocab, config, epochs=args.epochs, lr=args.lr,
         lr_decay=args.lr_decay, lr_decay_every=args.lr_decay_every,
         batch_size=args.batch_size, seed=args.seed,
     )
     save_filler_checkpoint(args.out, ckpt)
-    logger.info("trained filler -> %s", args.out)
+    logger.info("trained filler", extra={"out": args.out, "seconds": time.perf_counter() - start})
     return EXIT_OK
 
 
@@ -203,8 +204,8 @@ def cmd_index(args) -> int:
     stopwords = load_stopwords(args.stoplist) if args.stoplist else None
     index = TfIdfIndex.build(articles, stopwords)
     index.save(args.out)
-    logger.info("indexed %d articles, %d terms -> %s",
-                index.n_docs, len(index.terms), args.out)
+    logger.info("indexed", extra={"articles": index.n_docs, "terms": len(index.terms),
+                                  "out": args.out})
     return EXIT_OK
 
 
@@ -241,7 +242,7 @@ def cmd_describe(args) -> int:
     payload = "\n".join(report_to_json(r) for r in reports) + "\n"
     if args.out:
         atomic_write(args.out, [payload.encode("utf-8")])
-        logger.info("wrote %d describe reports to %s", len(reports), args.out)
+        logger.info("wrote reports", extra={"reports": len(reports), "out": args.out})
     else:
         sys.stdout.write(payload)
     return EXIT_OK

@@ -1,14 +1,18 @@
-"""Named trainable parameters plus Adam state."""
+"""Named trainable parameters in one block, plus Adam."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from artdesc.errors import DataError, ShapeError, StateError
-from artdesc.numcore.tensor import Tensor
+from artdesc.numcore.tensor import Tensor, _check_finite
 
 # Recurrent/embedding weights start uniform in [-0.08, 0.08]; biases at zero.
 INIT_SCALE = 0.08
+
+# Elements per Adam pass: the chunk's slices of the four rows and the two
+# scratch vectors (6 x 256 KiB) stay in L2 across its 14 ufunc passes.
+ADAM_CHUNK = 1 << 15
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float = INIT_SCALE) -> np.ndarray:
@@ -16,25 +20,36 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float 
 
 
 class ParamStore:
-    """Maps parameter names to leaf tensors; owns the Adam moment buffers.
+    """Maps parameter names to leaf tensors; owns the parameter block.
 
     Iteration order is sorted by name everywhere so that updates are
     deterministic regardless of registration order.
+
+    The first ``clear_grads``, ``backward`` or ``adam_step`` moves every
+    parameter into one float64 block of four rows: data, gradient and the
+    Adam moments m and v, each parameter at the same offset in every row.
+    From then on each parameter's ``.data`` and ``.grad`` are reshaped views
+    of its slice, and no parameter may be added. A ``.grad`` that a caller
+    assigns is copied into the block before the next Adam step; a ``.data``
+    rebound away from its view raises StateError, because Adam would
+    otherwise train a copy the model no longer reads.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._block: np.ndarray | None = None
+        # (name, tensor, data view, grad view), sorted by name, once packed
+        self._views: list[tuple[str, Tensor, np.ndarray, np.ndarray]] = []
+        self._scratch: np.ndarray | None = None
         self.step = 0
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise StateError(f"parameter '{name}' already registered")
+        if self._block is not None:
+            raise StateError(f"parameter '{name}' added after the parameter block was built")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
         self._params[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -52,12 +67,71 @@ class ParamStore:
     def names(self) -> list[str]:
         return sorted(self._params)
 
-    def gradients(self) -> dict[str, np.ndarray | None]:
-        return {name: self._params[name].grad for name in self.names()}
+    def _packed(self) -> np.ndarray:
+        """The (4, n) block, built on first use; checks that no ``.data``
+        was rebound since."""
+        if self._block is None:
+            names = self.names()
+            n = sum(self._params[name].data.size for name in names)
+            # np.zeros maps fresh zero pages: the gradient and moment rows
+            # cost no memory until they are written
+            block = np.zeros((4, n))
+            offset = 0
+            for name in names:
+                t = self._params[name]
+                end = offset + t.data.size
+                data = block[0, offset:end].reshape(t.shape)
+                data[...] = t.data
+                t.data = data  # the old array is freed as it is moved in
+                self._views.append((name, t, data, block[1, offset:end].reshape(t.shape)))
+                offset = end
+            self._block = block
+            self._scratch = np.empty((2, min(n, ADAM_CHUNK)))
+        for name, t, data, _ in self._views:
+            if t.data is not data:
+                raise StateError(
+                    f"parameter '{name}': .data was rebound away from the parameter block"
+                )
+        return self._block
 
     def clear_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
+        """Zero the gradient row and point every ``.grad`` at its view."""
+        self._packed()[1].fill(0.0)
+        for _, t, _, grad in self._views:
+            t.grad = grad
+
+    def bind_grads(self) -> None:
+        """Point each missing ``.grad`` at its view, zeroed; gradients that
+        are already there keep accumulating."""
+        self._packed()
+        for _, t, _, grad in self._views:
+            if t.grad is None:
+                grad.fill(0.0)
+                t.grad = grad
+
+    def check_grads(self) -> None:
+        """Raise FloatingPointError naming the first parameter, by name,
+        whose gradient holds a non-finite value."""
+        if np.isfinite(self._packed()[1]).all() and all(
+                t.grad is grad for _, t, _, grad in self._views):
+            return
+        for name, t, _, _ in self._views:
+            _check_finite(t.grad, f"gradient of '{name}'")
+
+    def _gradient_row(self) -> np.ndarray:
+        """The gradient row, after copying in every ``.grad`` a caller assigned."""
+        block = self._packed()
+        for name, t, _, grad in self._views:
+            if t.grad is grad:
+                continue
+            if t.grad is None:
+                raise StateError(f"adam_step: no gradient for parameter '{name}'; run backward first")
+            if np.shape(t.grad) != grad.shape:
+                raise ShapeError(f"parameter '{name}': gradient shape {np.shape(t.grad)} "
+                                 f"vs expected {grad.shape}")
+            grad[...] = t.grad
+            t.grad = grad
+        return block[1]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: self._params[name].data for name in self.names()}
@@ -86,25 +160,40 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """Standard Adam update with bias correction; increments the step counter."""
+    """Standard Adam update with bias correction; increments the step counter.
+
+    One in-place pass over the parameter block, a chunk at a time (Kingma &
+    Ba, 2015). Each element sees the operations of the textbook update in
+    the same order (m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b^t), so neither the
+    chunking nor the block changes a bit of the result.
+    """
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
     beta1, beta2 = betas
     t = params.step + 1
-    for name in params.names():
-        p = params[name]
-        if p.grad is None:
-            raise StateError(f"adam_step: no gradient for parameter '{name}'; run backward first")
-        g = p.grad
-        m = params._m[name]
-        v = params._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    grad = params._gradient_row()
+    data, _, m, v = params._block
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for start in range(0, data.size, ADAM_CHUNK):
+        end = min(start + ADAM_CHUNK, data.size)
+        g, mc, vc = grad[start:end], m[start:end], v[start:end]
+        x, y = params._scratch[:, : end - start]
+        mc *= beta1
+        np.multiply(g, 1.0 - beta1, out=x)
+        mc += x
+        vc *= beta2
+        np.multiply(g, g, out=x)
+        x *= 1.0 - beta2
+        vc += x
+        np.divide(mc, c1, out=x)
+        x *= lr
+        np.divide(vc, c2, out=y)
+        np.sqrt(y, out=y)
+        y += eps
+        x /= y
+        data[start:end] -= x
     params.step = t
 
 

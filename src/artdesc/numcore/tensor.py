@@ -723,15 +723,19 @@ def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
 def backward(loss: Tensor, params: "object | None" = None) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates .grad on every participating tensor; if a ParamStore is given,
-    parameters not reached by the graph get explicit zero gradients. Calling
-    backward twice on the same loss node raises StateError.
+    Populates .grad on every participating tensor. If a ParamStore is given,
+    each parameter's gradient accumulates in place in the store's gradient
+    row, so a parameter the graph does not reach keeps a zero gradient, and a
+    non-finite gradient raises FloatingPointError naming its parameter.
+    Calling backward twice on the same loss node raises StateError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._done:
         raise StateError("backward already ran for this loss; rebuild the graph first")
     loss._done = True
+    if params is not None:
+        params.bind_grads()
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -755,9 +759,4 @@ def backward(loss: Tensor, params: "object | None" = None) -> None:
             node._backward_fn(node)
 
     if params is not None:
-        for name in params.names():
-            t = params[name]
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            else:
-                _check_finite(t.grad, f"gradient of '{name}'")
+        params.check_grads()

@@ -10,6 +10,7 @@ rejects a missing or unknown key.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -45,11 +46,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.lr_decay) and 0 < self.lr_decay <= 1):
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if self.lr_decay_every is not None and self.lr_decay_every < 1:
+            raise ConfigError(f"lr_decay_every must be >= 1 or None, got {self.lr_decay_every}")
+        self.betas = tuple(self.betas)
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        self.betas = tuple(self.betas)
+        if not (math.isfinite(self.classifier_loss_weight) and self.classifier_loss_weight >= 0):
+            raise ConfigError(
+                f"classifier_loss_weight must be finite and >= 0, got {self.classifier_loss_weight}")
 
 
 @dataclass

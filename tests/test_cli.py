@@ -55,6 +55,16 @@ def cli_world(tmp_path_factory):
     return root, records, corpus_path, features_dir, gazetteer_path, knowledge_dir
 
 
+def _events(capsys) -> list[dict]:
+    """The JSON log lines written to stderr since the last read."""
+    return [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+
+
+def _event(events: list[dict], name: str) -> dict:
+    (event,) = [e for e in events if e["event"] == name]
+    return event
+
+
 def test_full_command_flow(cli_world, capsys):
     root, records, corpus_path, features_dir, gazetteer_path, knowledge_dir = cli_world
 
@@ -65,6 +75,9 @@ def test_full_command_flow(cli_world, capsys):
         "--hidden-size", "12", "--embed-size", "8", "--seed", "1",
     ]) == EXIT_OK
     assert decoder_path.exists()
+    trained = _event(_events(capsys), "trained decoder")
+    assert trained["variant"] == "parallel" and trained["out"] == str(decoder_path)
+    assert trained["seconds"] > 0
 
     filler_path = root / "filler.ckpt"
     assert main([
@@ -72,12 +85,16 @@ def test_full_command_flow(cli_world, capsys):
         "--epochs", "2", "--hidden-size", "8", "--embed-size", "8", "--seed", "1",
     ]) == EXIT_OK
     assert filler_path.exists()
+    trained = _event(_events(capsys), "trained filler")
+    assert trained["out"] == str(filler_path) and trained["seconds"] > 0
 
     index_path = root / "knowledge.idx"
     assert main(["index", "--knowledge-dir", str(knowledge_dir),
                  "--out", str(index_path)]) == EXIT_OK
     assert index_path.exists()
-    capsys.readouterr()
+    indexed = _event(_events(capsys), "indexed")
+    assert indexed["out"] == str(index_path)
+    assert indexed["articles"] == len(records) and indexed["terms"] > 0
 
     assert main(["retrieve", "--index", str(index_path),
                  "--query", records[0].attributes["artist"], "--k", "2"]) == EXIT_OK
@@ -104,6 +121,8 @@ def test_full_command_flow(cli_world, capsys):
                  "--out", str(reports_path)]) == EXIT_OK
     lines = reports_path.read_text().strip().splitlines()
     assert len(lines) == len(records)
+    wrote = _event(_events(capsys), "wrote reports")
+    assert wrote["reports"] == len(records) and wrote["out"] == str(reports_path)
     report = json.loads(lines[0])
     assert report["painting_id"] == records[0].id
     assert "description" in report
@@ -173,7 +192,7 @@ def test_fill_and_single_topic_describe(cli_world, tmp_path, capsys):
         assert set(report["sentences"]) == {"content"}
 
 
-def test_preprocess_round_trip(cli_world, tmp_path):
+def test_preprocess_round_trip(cli_world, tmp_path, capsys):
     root, records, corpus_path, features_dir, gazetteer_path, _ = cli_world
     raw_path = tmp_path / "raw.jsonl"
     raw_path.write_text(json.dumps({
@@ -185,6 +204,8 @@ def test_preprocess_round_trip(cli_world, tmp_path):
     out_path = tmp_path / "preprocessed.jsonl"
     assert main(["preprocess", "--input", str(raw_path), "--gazetteer", str(gazetteer_path),
                  "--out", str(out_path)]) == EXIT_OK
+    done = _event(_events(capsys), "preprocessed")
+    assert done["records"] == 1 and done["out"] == str(out_path)
     record = json.loads(out_path.read_text().splitlines()[0])
     assert record["id"] == "x1"
     assert len(record["sentences"]) == 2
@@ -195,6 +216,12 @@ def test_preprocess_round_trip(cli_world, tmp_path):
 
     loaded = load_corpus(out_path)  # masks re-derived from the entity lists
     assert loaded[0].total_slots() == 2
+
+    assert main(["preprocess", "--input", str(raw_path), "--gazetteer", str(gazetteer_path),
+                 "--out", str(out_path), "--min-sentence-tokens", "6"]) == EXIT_OK
+    dropped = _event(_events(capsys), "dropped short sentence")
+    assert dropped["record"] == "x1" and dropped["text"] == "A very small work."
+    assert len(json.loads(out_path.read_text())["sentences"]) == 1
 
 
 def test_usage_error_exit_code():
@@ -209,21 +236,39 @@ def test_missing_artifact_exit_code(tmp_path):
     assert main(["describe", "--config", str(tmp_path / "nope.json")]) == EXIT_MISSING
 
 
-@pytest.mark.parametrize("corpus, settings", [
-    ("bad", ["--epochs", "1"]),
-    ("good", ["--batch-size", "0"]),
-    ("good", ["--lr", "0"]),
-    ("good", ["--epochs", "0"]),
-], ids=["bad-corpus", "batch-size-0", "lr-0", "epochs-0"])
-def test_data_error_exit_code(cli_world, tmp_path, corpus, settings):
+# learning-rate schedules that used to crash, fail after an epoch or train
+# with a growing rate
+LR_SCHEDULE_CASES = {
+    "lr-decay-every-0": ["--lr-decay-every", "0"],
+    "lr-decay-every-negative": ["--lr-decay-every", "-1"],
+    "lr-decay-0": ["--lr-decay", "0"],
+    "lr-decay-negative": ["--lr-decay", "-1"],
+    "lr-nan": ["--lr", "nan"],
+}
+
+
+@pytest.mark.parametrize("command, corpus, settings", [
+    ("train-filler", "bad", ["--epochs", "1"]),
+    ("train-filler", "good", ["--batch-size", "0"]),
+    ("train-filler", "good", ["--lr", "0"]),
+    ("train-filler", "good", ["--epochs", "0"]),
+    *[(command, "good", settings) for command in ("train-filler", "train-decoder")
+      for settings in LR_SCHEDULE_CASES.values()],
+], ids=["bad-corpus", "batch-size-0", "lr-0", "epochs-0",
+        *[f"{model}-{case}" for model in ("filler", "decoder") for case in LR_SCHEDULE_CASES]])
+def test_data_error_exit_code(cli_world, tmp_path, capsys, command, corpus, settings):
     corpus_path = cli_world[2]
     if corpus == "bad":
         corpus_path = tmp_path / "bad.jsonl"
         corpus_path.write_text("not json\n", encoding="utf-8")
     out = tmp_path / "out.ckpt"
-    assert main(["train-filler", "--corpus", str(corpus_path), "--out", str(out),
-                 *settings]) == EXIT_DATA
+    extra = ["--features-dir", str(cli_world[3])] if command == "train-decoder" else []
+    assert main([command, "--corpus", str(corpus_path), "--out", str(out), *extra,
+                 "--epochs", "1", *settings]) == EXIT_DATA
     assert not out.exists()
+    if corpus == "good":  # the error names the setting, e.g. "--lr-decay" -> "lr_decay"
+        field = settings[0][2:].replace("-", "_")
+        assert _events(capsys)[-1]["event"].startswith(f"data error: {field} must")
 
 
 

@@ -103,6 +103,19 @@ def test_small_corpus_memorizes():
     assert ckpt.history[-1]["nll_per_token"] <= 0.05
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.inf), ("lr", math.nan), ("lr", -1e-3),
+    ("lr_decay", 0.0), ("lr_decay", 1.5), ("lr_decay", math.nan),
+    ("lr_decay_every", 0), ("lr_decay_every", -1),
+    ("betas", (0.9,)), ("betas", (1.0, 0.999)), ("betas", (0.9, -0.1)), ("betas", (math.nan, 0.9)),
+    ("eps", 0.0), ("eps", math.inf),
+    ("classifier_loss_weight", -1.0), ("classifier_loss_weight", math.nan),
+])
+def test_bad_optimizer_settings_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(epochs=1, **{field: value})
+
+
 def test_vocab_mismatch_rejected(corpus):
     records, vocab = corpus
     bad = small_config(vocab)
