@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 
 from artdesc import __version__
 from artdesc.corpus import (
@@ -224,15 +225,11 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    config = PipelineConfig.from_file(args.config)
-    if args.beam_size is not None:
-        config.beam_size = args.beam_size
-    if args.max_len is not None:
-        config.max_decode_len = args.max_len
-    if args.mode is not None:
-        config.decode_mode = args.mode
-    if args.seed is not None:
-        config.seed = args.seed
+    flags = {"beam_size": args.beam_size, "max_decode_len": args.max_len,
+             "decode_mode": args.mode, "seed": args.seed}
+    # replace() checks the overridden config as from_file checked the file's
+    config = replace(PipelineConfig.from_file(args.config),
+                     **{name: value for name, value in flags.items() if value is not None})
     topics = (TopicLabel.from_name(args.topic),) if args.topic else TOPIC_ORDER
     pipeline = Pipeline(config)
     if args.painting_id:

@@ -9,7 +9,7 @@ Record schema:
      "reference": str}
 
 Feature grids live in separate binary files named <id>.fgrd under a features
-directory.
+directory; ``read_record_grid`` reads one onto its record.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from artdesc.corpus.types import (
 )
 from artdesc.errors import DataError
 from artdesc.numcore.checkpoint import atomic_write
-
-FEATURE_SUFFIX = ".fgrd"
 
 
 def _field(obj, key: str, where: str):
@@ -74,7 +72,7 @@ def check_metadata(obj: dict, where: str, attribute_types: tuple[type, ...] = (s
     return obj
 
 
-def record_from_dict(obj: dict, features_dir: str | Path | None = None) -> PaintingRecord:
+def record_from_dict(obj: dict) -> PaintingRecord:
     # a null attribute is a missing one (PaintingRecord stores it as "")
     check_metadata(obj, f"painting '{obj.get('id')}'", (str, type(None)))
     sentences = []
@@ -87,20 +85,27 @@ def record_from_dict(obj: dict, features_dir: str | Path | None = None) -> Paint
         spans = _spans_for_values(text, sent.get("entities", []), where)
         masked, values = mask_sentence(text, spans, topic)
         sentences.append(SentenceEntry(text, masked, values, topic_labeled))
-    features = None
-    if features_dir is not None:
-        fpath = Path(features_dir) / f"{obj['id']}{FEATURE_SUFFIX}"
-        if not fpath.exists():
-            raise DataError(f"missing feature file for painting '{obj['id']}': {fpath}")
-        features = load_feature_grid(fpath)
     return PaintingRecord(
         id=obj["id"],
         sentences=sentences,
         attributes=obj.get("attributes", {}),
         objects=list(obj.get("objects", [])),
         reference=obj.get("reference", ""),
-        features=features,
     )
+
+
+def feature_path(features_dir: str | Path, painting_id: str) -> Path:
+    return Path(features_dir) / f"{painting_id}.fgrd"
+
+
+def read_record_grid(record: PaintingRecord, features_dir: str | Path) -> None:
+    """Reads the record's grid from ``features_dir`` onto ``record.features``.
+    A missing file raises DataError naming it, a corrupt one FormatError."""
+    fpath = feature_path(features_dir, record.id)
+    try:
+        record.features = load_feature_grid(fpath)
+    except FileNotFoundError:
+        raise DataError(f"missing feature file for painting '{record.id}': {fpath}") from None
 
 
 def record_to_dict(record: PaintingRecord) -> dict:
@@ -133,10 +138,14 @@ def _check_object(obj, where: str, required: tuple[str, ...], types: dict | None
     if missing:
         raise DataError(f"{where}: missing keys {missing}")
     for key, expected in (types or {}).items():
-        if key in obj and not isinstance(obj[key], expected):
-            names = [t.__name__ for t in (expected if isinstance(expected, tuple) else [expected])]
+        expected = expected if isinstance(expected, tuple) else (expected,)
+        value = obj.get(key)
+        # a JSON true is not an int, although Python's bool is one
+        if key in obj and (not isinstance(value, expected)
+                           or isinstance(value, bool) and bool not in expected):
+            names = ["null" if t is type(None) else t.__name__ for t in expected]
             raise DataError(f"{where}: '{key}' must be {' or '.join(names)}, "
-                            f"got {type(obj[key]).__name__}")
+                            f"got {type(value).__name__}")
     return obj
 
 
@@ -186,7 +195,9 @@ def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> lis
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path, required=("id",)):
         try:
-            record = record_from_dict(obj, features_dir)
+            record = record_from_dict(obj)
+            if features_dir is not None:
+                read_record_grid(record, features_dir)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if record.id in seen:

@@ -2,8 +2,8 @@
 
 File layout: 4 magic bytes b"FGRD", u32 L, u32 D (little-endian), then
 L*D little-endian float32 values in row-major order (converted to float64
-on load). Grids carry no checksum: a cold describe reads many of them, and
-hashing them would add about a fifth to its time.
+on load). Grids carry no checksum; a bad magic, a size that does not match
+the header or a non-finite value is refused.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def load_feature_grid(path: str | Path) -> FeatureGrid:
             f"feature data size mismatch in {path}: have {len(raw)} bytes, want {expected}",
             min(len(raw), expected),
         )
-    data = np.frombuffer(raw[12:], dtype="<f4").astype(np.float64).reshape(n_loc, feat)
+    data = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64).reshape(n_loc, feat)
     return FeatureGrid(data)
 
 

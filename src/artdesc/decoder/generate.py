@@ -30,6 +30,7 @@ from artdesc.training import Checkpoint
 logger = logging.getLogger(__name__)
 
 NextLogp = Callable[[tuple[int, ...]], np.ndarray]
+DECODE_MODES = ("greedy", "beam")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -137,7 +138,7 @@ def generate(
 ) -> MaskedSentence:
     """Generate one masked sentence for a topic. Deterministic given
     (checkpoint, grid, topic, mode, beam_size)."""
-    if mode not in ("greedy", "beam"):
+    if mode not in DECODE_MODES:
         raise ConfigError(f"unknown decode mode '{mode}'")
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")

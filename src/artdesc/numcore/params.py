@@ -48,7 +48,7 @@ class ParamStore:
             raise StateError(f"parameter '{name}' already registered")
         if self._block is not None:
             raise StateError(f"parameter '{name}' added after the parameter block was built")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
+        t = Tensor(data, requires_grad=True, name=name)
         self._params[name] = t
         return t
 
@@ -137,6 +137,9 @@ class ParamStore:
         return {name: self._params[name].data for name in self.names()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Adopts each checkpoint array as its parameter's ``.data`` once its
+        shape and values check out; the store's own arrays only give the
+        shapes, so a load writes no parameter twice."""
         for name in self.names():
             src = arrays.get(name)
             if src is None:
@@ -148,7 +151,7 @@ class ParamStore:
                 )
             if not np.all(np.isfinite(src)):
                 raise DataError(f"parameter '{name}': checkpoint holds non-finite values")
-            self._params[name].data[...] = src
+            self._params[name].data = np.asarray(src, np.float64)
         extra = set(arrays) - set(self._params)
         if extra:
             raise StateError(f"checkpoint has unknown parameters: {sorted(extra)}")

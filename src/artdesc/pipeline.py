@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
+import time
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,8 +23,9 @@ from artdesc.corpus import (
     load_corpus,
     tokenize,
 )
-from artdesc.corpus.corpusio import read_json
+from artdesc.corpus.corpusio import feature_path, read_json, read_record_grid
 from artdesc.decoder import compose_description, generate, load_decoder_checkpoint
+from artdesc.decoder.generate import DECODE_MODES
 from artdesc.errors import ConfigError, DataError, MissingArtifactError
 from artdesc.filler import (
     extract_candidates,
@@ -84,9 +87,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.knowledge_mode not in KNOWLEDGE_MODES:
-            raise ConfigError(f"unknown knowledge mode '{self.knowledge_mode}'")
-        if self.retrieval_k < 1:
-            raise ConfigError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
+            raise ConfigError(f"unknown knowledge_mode '{self.knowledge_mode}'; "
+                              f"expected one of {list(KNOWLEDGE_MODES)}")
+        if self.decode_mode not in DECODE_MODES:
+            raise ConfigError(f"unknown decode_mode '{self.decode_mode}'; "
+                              f"expected one of {list(DECODE_MODES)}")
+        for name in ("retrieval_k", "beam_size", "max_decode_len"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -96,15 +105,20 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        # each value must be of its field's annotated type (str | None -> (str, NoneType))
+        types = {name: typing.get_args(hint) or hint
+                 for name, hint in typing.get_type_hints(cls).items()}
         try:
-            payload = read_json(path)
+            payload = read_json(path, types=types)
         except FileNotFoundError:
             raise MissingArtifactError(f"pipeline config not found: {path}") from None
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        unknown = set(payload) - types.keys()
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def require(self, *fields: str) -> None:
         """Validate that the named path fields are set and exist on disk."""
@@ -118,10 +132,21 @@ class PipelineConfig:
                 raise MissingArtifactError(f"'{name}' points to a missing path: {value}")
 
 
+def _logged_load(artifact: str, path, load, *args):
+    """``load(*args)``, logged as a DEBUG ``loaded artifact`` event."""
+    started = time.perf_counter()
+    value = load(*args)
+    logger.debug("loaded artifact", extra={"artifact": artifact, "path": str(path),
+                                           "seconds": time.perf_counter() - started})
+    return value
+
+
 class Pipeline:
     """Lazily loads artifacts; any missing stage raises MissingArtifactError
     naming what to produce first. Paths that the config does set are
-    validated up front."""
+    validated up front. The corpus loads without its feature grids: a
+    painting's grid is read when ``record_by_id`` or ``describe`` first
+    needs it, and then stays on its record."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -130,12 +155,7 @@ class Pipeline:
                      "decoder_checkpoint", "filler_checkpoint", "index"):
             if getattr(config, name) is not None:
                 config.require(name)
-        self._records: list[PaintingRecord] | None = None
-        self._gazetteer: Gazetteer | None = None
-        self._decoder = None
-        self._filler = None
-        self._index: TfIdfIndex | None = None
-        self._articles: dict[str, KnowledgeArticle] | None = None
+        self._artifacts: dict[str, object] = {}
         self._stopwords = (
             load_stopwords(config.stoplist) if config.stoplist else default_stopwords()
         )
@@ -147,60 +167,57 @@ class Pipeline:
     # Artifact loading
     # ------------------------------------------------------------------
 
+    def _artifact(self, name: str, field: str, load):
+        """``load(path)`` of the config's ``field``, on first use only."""
+        if name not in self._artifacts:
+            self.config.require(field)
+            path = getattr(self.config, field)
+            self._artifacts[name] = _logged_load(name, path, load, path)
+        return self._artifacts[name]
+
     @property
     def records(self) -> list[PaintingRecord]:
-        if self._records is None:
-            self.config.require("corpus")
-            self._records = load_corpus(self.config.corpus, self.config.features_dir)
-        return self._records
+        return self._artifact("corpus", "corpus", load_corpus)
+
+    def _with_grid(self, record: PaintingRecord) -> PaintingRecord:
+        if record.features is None and self.config.features_dir is not None:
+            _logged_load("feature grid", feature_path(self.config.features_dir, record.id),
+                         read_record_grid, record, self.config.features_dir)
+        return record
 
     def record_by_id(self, painting_id: str) -> PaintingRecord:
         for record in self.records:
             if record.id == painting_id:
-                return record
+                return self._with_grid(record)
         raise DataError(f"painting '{painting_id}' not found in the corpus")
 
     @property
     def gazetteer(self) -> Gazetteer:
-        if self._gazetteer is None:
-            self.config.require("gazetteer")
-            self._gazetteer = Gazetteer.from_file(self.config.gazetteer)
-        return self._gazetteer
+        return self._artifact("gazetteer", "gazetteer", Gazetteer.from_file)
 
     @property
     def decoder(self):
-        if self._decoder is None:
-            self.config.require("decoder_checkpoint")
-            self._decoder = load_decoder_checkpoint(self.config.decoder_checkpoint)
-        return self._decoder
+        return self._artifact("decoder", "decoder_checkpoint", load_decoder_checkpoint)
 
     @property
     def filler(self):
-        if self._filler is None:
-            self.config.require("filler_checkpoint")
-            self._filler = load_filler_checkpoint(self.config.filler_checkpoint)
-        return self._filler
+        return self._artifact("filler", "filler_checkpoint", load_filler_checkpoint)
 
     @property
     def index(self) -> TfIdfIndex:
-        if self._index is None:
-            self.config.require("index")
-            self._index = TfIdfIndex.load(self.config.index)
-        return self._index
+        return self._artifact("index", "index", TfIdfIndex.load)
 
     @property
     def articles(self) -> dict[str, KnowledgeArticle]:
-        if self._articles is None:
-            if self.config.knowledge_dir:
-                loaded = read_articles_dir(self.config.knowledge_dir)
-            elif self.config.knowledge_file:
-                loaded = read_articles_jsonl(self.config.knowledge_file)
-            else:
-                raise MissingArtifactError(
-                    "external-corpus mode needs 'knowledge_dir' or 'knowledge_file'"
-                )
-            self._articles = {a.id: a for a in loaded}
-        return self._articles
+        if self.config.knowledge_dir:
+            field, read = "knowledge_dir", read_articles_dir
+        elif self.config.knowledge_file:
+            field, read = "knowledge_file", read_articles_jsonl
+        else:
+            raise MissingArtifactError(
+                "external-corpus mode needs 'knowledge_dir' or 'knowledge_file'"
+            )
+        return self._artifact("articles", field, lambda path: {a.id: a for a in read(path)})
 
     # ------------------------------------------------------------------
     # describe
@@ -231,7 +248,7 @@ class Pipeline:
     def describe(self, record: PaintingRecord,
                  topics: tuple = TOPIC_ORDER) -> dict:
         """Full pipeline for one painting; returns the provenance report."""
-        if record.features is None:
+        if self._with_grid(record).features is None:
             raise MissingArtifactError(
                 f"painting '{record.id}' has no feature grid; supply features first"
             )

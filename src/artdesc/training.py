@@ -160,6 +160,16 @@ def _check_keys(what: str, obj, expected: set[str] | frozenset[str]) -> None:
         raise ConfigError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
+class _ShapesOnly:
+    """The generator ``load_model`` hands to ``init_params``: every draw is a
+    zero-stride view of the asked shape, so a load draws no random numbers
+    and writes no parameter before ``load_state`` adopts the checkpoint's."""
+
+    @staticmethod
+    def uniform(low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
+        return np.broadcast_to(0.0, size)
+
+
 def load_model(
     path: str | Path,
     kind: str,
@@ -168,7 +178,8 @@ def load_model(
     extra_keys: frozenset[str] = frozenset(),
 ) -> Checkpoint:
     """Read a checkpoint that ``save_model`` wrote with this ``kind`` and the
-    ``extra_keys``; the store is rebuilt by ``init_params`` and overwritten."""
+    ``extra_keys``; ``init_params`` names the parameters and gives their
+    shapes, and the checkpoint's arrays become their values."""
     arrays, digest, meta, _ = nc.load_checkpoint(path)
     if meta.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} checkpoint (kind={meta.get('kind')!r})")
@@ -183,6 +194,6 @@ def load_model(
         raise ConfigError(f"{path}: config digest mismatch; file corrupt or edited")
     if vocab.digest() != meta["vocab_digest"]:
         raise ConfigError(f"{path}: vocab digest mismatch; file corrupt or edited")
-    store = init_params(config, np.random.default_rng(0))
+    store = init_params(config, _ShapesOnly())
     store.load_state(arrays)
     return Checkpoint(config, vocab, store, meta["seed"])

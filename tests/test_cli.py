@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
 from test_checkpoint import save_checkpoint_v1
+from test_pipeline import damage_grid
 
 import artdesc
 import artdesc.numcore as nc
@@ -575,6 +577,87 @@ def test_malformed_json_exit_code(world, tmp_path, capsys, flag, text, message):
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
     assert out == "" and f"{bad}" in line and message in line
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("retrieval_k", "5", "'retrieval_k' must be int, got str"),
+    ("beam_size", "x", "'beam_size' must be int, got str"),
+    ("max_decode_len", "7", "'max_decode_len' must be int or null, got str"),
+    ("corpus", 5, "'corpus' must be str or null, got int"),
+    ("seed", [1], "'seed' must be int, got list"),
+    ("seed", True, "'seed' must be int, got bool"),
+    ("knowledge_mode", None, "'knowledge_mode' must be str, got NoneType"),
+    ("decode_mode", "sample", "unknown decode_mode 'sample'"),
+    ("beam_size", 0, "beam_size must be >= 1, got 0"),
+    ("max_decode_len", 0, "max_decode_len must be >= 1, got 0"),
+    ("retrieval_k", -1, "retrieval_k must be >= 1, got -1"),
+], ids=["retrieval_k-str", "beam_size-str", "max_decode_len-str", "corpus-int", "seed-list",
+        "seed-bool", "knowledge_mode-null", "decode_mode-unknown", "beam_size-zero",
+        "max_decode_len-zero", "retrieval_k-negative"])
+def test_mistyped_config_value_exit_code(world, tmp_path, capsys, key, value, message):
+    _, records, config, _ = world
+    bad = tmp_path / "pipeline.json"
+    bad.write_text(json.dumps({**config, key: value}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["describe", "--config", str(bad), "--painting-id", records[0].id]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and f"{bad}: " in line and message in line
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--beam-size", "0"], "beam_size must be >= 1, got 0"),
+    (["--max-len", "0"], "max_decode_len must be >= 1, got 0"),
+], ids=["beam-size-zero", "max-len-zero"])
+def test_out_of_range_describe_flag_exit_code(world, capsys, flag, message):
+    _, records, _, config_path = world
+    capsys.readouterr()
+    assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
+                 *flag]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and message in line
+
+
+@pytest.mark.parametrize("how", ["missing", "corrupt"])
+def test_broken_grid_of_the_described_painting_exit_code(world, tmp_path, capsys, how):
+    _, records, config, _ = world
+    features = tmp_path / "features"
+    shutil.copytree(config["features_dir"], features)
+    grid = features / f"{records[0].id}.fgrd"
+    damage_grid(grid, how)
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({**config, "features_dir": str(features)}),
+                           encoding="utf-8")
+    capsys.readouterr()
+    assert main(["describe", "--config", str(config_path),
+                 "--painting-id", records[0].id]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and str(grid) in json.loads(line)["event"]
+
+
+def test_verbose_describe_logs_each_artifact_load(world, tmp_path, capsys):
+    """--verbose adds one DEBUG event per artifact load on stderr; the
+    report stays byte-identical."""
+    _, records, config, config_path = world
+    argv = ["describe", "--config", str(config_path), "--painting-id", records[0].id]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    quiet = capsys.readouterr()
+    assert main(["--verbose", *argv]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == quiet.out and quiet.err == ""
+    loads = [e for e in map(json.loads, err.splitlines()) if e["event"] == "loaded artifact"]
+    grid = str(Path(config["features_dir"]) / f"{records[0].id}.fgrd")
+    assert {(e["artifact"], e["path"]) for e in loads} == {
+        ("corpus", config["corpus"]), ("feature grid", grid),
+        ("decoder", config["decoder_checkpoint"]), ("gazetteer", config["gazetteer"]),
+        ("filler", config["filler_checkpoint"]),
+    }
+    assert len(loads) == 5
+    assert all(e["level"] == "debug" and e["seconds"] >= 0 for e in loads)
+    assert "loaded artifact" not in out
 
 
 def test_overflowing_checkpoint_exit_code(world, tmp_path):

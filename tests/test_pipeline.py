@@ -5,10 +5,12 @@ The session-scoped `world` fixture (trained corpus + checkpoints + index on
 disk) lives in conftest.py and is shared with the acceptance suite."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from artdesc.corpus import tokenize
+from artdesc.corpus import corpusio, tokenize
 from artdesc.errors import DataError, MissingArtifactError
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 
@@ -77,6 +79,68 @@ class TestDescribeOracle:
         pipeline = Pipeline(PipelineConfig(**broken))
         with pytest.raises(MissingArtifactError, match="decoder_checkpoint"):
             pipeline.describe(records[0])
+
+
+@pytest.fixture
+def grid_reads(monkeypatch):
+    """The names of the .fgrd files read, in order."""
+    reads = []
+    read = corpusio.load_feature_grid
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return read(path)
+
+    monkeypatch.setattr(corpusio, "load_feature_grid", counting)
+    return reads
+
+
+@pytest.fixture
+def own_grids(world, tmp_path):
+    """(records, config, features dir): the world's config with a private
+    copy of its feature grids, free to damage."""
+    _, records, config, _ = world
+    features = tmp_path / "features"
+    shutil.copytree(config["features_dir"], features)
+    return records, dict(config, features_dir=str(features)), features
+
+
+def damage_grid(path: Path, how: str) -> None:
+    if how == "missing":
+        path.unlink()
+    else:
+        path.write_bytes(b"FGRD" + path.read_bytes()[4:-1])  # one byte short
+
+
+class TestLazyGrids:
+    def test_describe_by_id_reads_only_its_grid(self, own_grids, grid_reads):
+        records, config, _ = own_grids
+        Pipeline(PipelineConfig(**config)).describe_by_id(records[2].id)
+        assert grid_reads == [f"{records[2].id}.fgrd"]
+
+    @pytest.mark.parametrize("how", ["missing", "corrupt"])
+    def test_broken_grid_of_another_painting_does_not_block(self, own_grids, how):
+        records, config, features = own_grids
+        expected = Pipeline(PipelineConfig(**config)).describe_by_id(records[0].id)
+        damage_grid(features / f"{records[1].id}.fgrd", how)
+        report = Pipeline(PipelineConfig(**config)).describe_by_id(records[0].id)
+        assert report_to_json(report) == report_to_json(expected)
+
+    def test_every_grid_is_read_once(self, own_grids, grid_reads):
+        records, config, _ = own_grids
+        pipeline = Pipeline(PipelineConfig(**config))
+        for record in pipeline.records:
+            pipeline.describe(record)
+        for record in records:
+            pipeline.describe_by_id(record.id)
+        assert sorted(grid_reads) == sorted(f"{r.id}.fgrd" for r in records)
+
+    def test_evaluate_reads_no_grid(self, own_grids, grid_reads):
+        records, config, _ = own_grids
+        reports = [Pipeline(PipelineConfig(**config)).describe_by_id(records[0].id)]
+        grid_reads.clear()
+        result = Pipeline(PipelineConfig(**config)).evaluate(reports)
+        assert result["num_paintings"] == 1 and grid_reads == []
 
 
 class TestEvaluate:
