@@ -6,8 +6,9 @@ distributions through their expected embeddings (sum_w p(w) * E[w]), so the
 whole objective stays differentiable without sampling. On discrete token
 sequences the same network runs on plain embedding rows.
 
-The sequence is one (T, E) tensor throughout: the expected embeddings are
-one GEMM, each window size is one im2col GEMM, and max-pooling is one node.
+A minibatch is one tensor throughout: the expected embeddings of all its
+steps are one GEMM, the padded (B, T, E) layout is one gather, each window
+size is one im2col GEMM, and max-pooling over time is one masked node.
 """
 
 from __future__ import annotations
@@ -32,32 +33,45 @@ def init_classifier_params(store: nc.ParamStore, config: DecoderConfig,
     store.add("cls.out.b", np.zeros(len(TopicLabel)))
 
 
-def _logits_from_embeddings(emb: nc.Tensor, params: nc.ParamStore,
+def _logits_from_embeddings(emb: nc.Tensor, lengths, params: nc.ParamStore,
                             config: DecoderConfig) -> nc.Tensor:
-    # pad with the <pad> embedding so every window size has >=1 position
-    missing = max(config.classifier_windows) - emb.shape[0]
-    if missing > 0:
-        emb = nc.concat([emb, nc.embedding(params["cls.embed"], [Vocab.pad] * missing)])
+    """Topic logits (B, 3) of B sequences whose embeddings stand one after
+    another in the rows of emb, ``lengths[b]`` rows for sequence b.
+
+    The minibatch is laid out as one (B, T, E) tensor: each sequence's rows,
+    then <pad> embeddings up to the widest window so that every window size
+    has at least one position, then batch padding, which the max over time
+    never reads."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    readable = np.maximum(lengths, max(config.classifier_windows))
+    pad_row = emb.shape[0]
+    rows = np.full((len(lengths), readable.max()), pad_row)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.arange(pad_row)
+    table = nc.concat([emb, nc.embedding(params["cls.embed"], [Vocab.pad])])
+    seqs = nc.embedding(table, rows)
     pooled = [
-        nc.max_rows(nc.relu_t(nc.linear(nc.windows(emb, n), params[f"cls.conv{n}.w"],
-                                        params[f"cls.conv{n}.b"])))
+        nc.max_rows(nc.relu_t(nc.linear(nc.windows(seqs, n), params[f"cls.conv{n}.w"],
+                                        params[f"cls.conv{n}.b"])), readable - n + 1)
         for n in config.classifier_windows
     ]
-    return nc.affine(params["cls.out.w"], nc.concat(pooled), params["cls.out.b"])
+    return nc.linear(nc.concat(pooled, axis=1), params["cls.out.w"], params["cls.out.b"])
 
 
-def classify_distributions(probs: nc.Tensor, params: nc.ParamStore,
-                           config: DecoderConfig) -> nc.Tensor:
-    """Topic logits from word distributions, one per row of ``probs`` (T, V)
-    (continuous path)."""
-    return _logits_from_embeddings(nc.vecmat(probs, params["cls.embed"]), params, config)
+def classify_distributions(probs: nc.Tensor, params: nc.ParamStore, config: DecoderConfig,
+                           lengths=None) -> nc.Tensor:
+    """Topic logits (B, 3) from word distributions (continuous path): the
+    rows of ``probs`` (N, V) are B sequences one after another, of
+    ``lengths`` rows each (one sequence of all N rows by default)."""
+    return _logits_from_embeddings(nc.vecmat(probs, params["cls.embed"]),
+                                   [probs.shape[0]] if lengths is None else lengths,
+                                   params, config)
 
 
 def classify_tokens(token_ids: list[int], params: nc.ParamStore,
                     config: DecoderConfig) -> nc.Tensor:
-    """Topic logits from a discrete token sequence."""
+    """Topic logits (1, 3) from a discrete token sequence."""
     return _logits_from_embeddings(nc.embedding(params["cls.embed"], list(token_ids)),
-                                   params, config)
+                                   [len(token_ids)], params, config)
 
 
 def predict_topic(token_ids: list[int], params: nc.ParamStore,

@@ -78,11 +78,12 @@ def init_decoder_params(config: DecoderConfig, rng: np.random.Generator) -> nc.P
     return store
 
 
-def init_state(grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec") -> State:
-    """Initial (h0, c0) from the mean-pooled grid through affine + tanh."""
-    vbar = nc.constant(mean_pool(grid), name="vbar")
-    h0 = nc.tanh_t(nc.affine(params[f"{prefix}.init.w_h"], vbar, params[f"{prefix}.init.b_h"]))
-    c0 = nc.tanh_t(nc.affine(params[f"{prefix}.init.w_c"], vbar, params[f"{prefix}.init.b_c"]))
+def init_state(grids: np.ndarray, params: nc.ParamStore, prefix: str = "dec") -> State:
+    """Initial (h0, c0), each (B, H), from a (B, L, D) stack of grids: each
+    grid's mean over its L locations through linear + tanh."""
+    vbar = nc.constant(grids.mean(axis=1), name="vbar")
+    h0 = nc.tanh_t(nc.linear(vbar, params[f"{prefix}.init.w_h"], params[f"{prefix}.init.b_h"]))
+    c0 = nc.tanh_t(nc.linear(vbar, params[f"{prefix}.init.w_c"], params[f"{prefix}.init.b_c"]))
     return h0, c0
 
 

@@ -10,7 +10,11 @@ topic. Sentences whose topic annotation is absent never enter topic training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from artdesc import numcore as nc
 from artdesc.corpus import FeatureGrid, PaintingRecord, TopicLabel
@@ -24,7 +28,7 @@ from artdesc.decoder.model import (
     topic_embedding_index,
 )
 from artdesc.errors import ConfigError
-from artdesc.training import Checkpoint, TrainConfig, fit, load_model, save_model
+from artdesc.training import Checkpoint, TrainConfig, fit, load_model, padding, save_model
 
 
 @dataclass
@@ -62,31 +66,90 @@ def build_training_items(records: list[PaintingRecord], vocab: Vocab,
 
 
 def sequence_loss(
-    grid: FeatureGrid,
-    token_ids: list[int],
+    grids: FeatureGrid | Sequence[FeatureGrid],
+    token_ids: list[int] | Sequence[list[int]],
     params: nc.ParamStore,
     prefix: str,
-    topic_idx: int | None = None,
+    topic_idx: int | Sequence[int] | None = None,
 ) -> tuple[nc.Tensor, int, nc.Tensor]:
-    """Teacher-forced NLL summed over the transitions of ``token_ids``, the
-    number of transitions T, and the (T, V) output logits, one row per
-    transition (the topic classifier reads their distributions).
+    """Teacher-forced NLL of B sequences (``<s> ... </s>`` each) on the
+    sub-decoder ``prefix``, summed over all their transitions; the number of
+    transitions N; and the (N, V) output logits, one row per transition,
+    sequence after sequence (the topic classifier reads their distributions).
+    One grid with one token list (and an int topic) is a batch of one.
+    Sequences come longest first.
 
-    The whole sequence is a handful of nodes: one embedding gather, one
-    ``attend_lstm_seq`` recurrence, one output GEMM and one row-wise
-    cross-entropy."""
+    The minibatch is a handful of nodes: one embedding gather of the padded
+    (B, T) inputs, one ``attend_lstm_seq`` recurrence, one output GEMM over
+    the real rows and one row-wise cross-entropy."""
+    if isinstance(grids, FeatureGrid):
+        grids, token_ids = [grids], [token_ids]
+        topic_idx = None if topic_idx is None else [topic_idx]
+
     def p(name: str) -> nc.Tensor:
         return params[f"{prefix}.{name}"]
 
-    inputs = token_ids[:-1]
+    lengths = [len(ids) - 1 for ids in token_ids]
+    inputs = np.full((len(token_ids), max(lengths)), Vocab.pad)
+    for row, ids in zip(inputs, token_ids):
+        row[: len(ids) - 1] = ids[:-1]
     x = nc.embedding(p("embed"), inputs)
     if topic_idx is not None:
-        x = nc.concat([x, nc.embedding(p("topic.embed"), [topic_idx] * len(inputs))], axis=1)
-    h0, c0 = init_state(grid, params, prefix)
+        topics = np.repeat(np.asarray(topic_idx)[:, None], inputs.shape[1], axis=1)
+        x = nc.concat([x, nc.embedding(p("topic.embed"), topics)], axis=2)
+    stack = np.stack([grid.values for grid in grids])
+    h0, c0 = init_state(stack, params, prefix)
     att = tuple(p(f"att.{name}") for name in ("w_v", "w_h", "b1", "w2", "b2"))
-    hz = nc.attend_lstm_seq(grid.values, x, h0, c0, att, (p("lstm.w"), p("lstm.b")))
+    hz = nc.attend_lstm_seq(stack, x, h0, c0, att, (p("lstm.w"), p("lstm.b")), lengths)
     logits = nc.linear(hz, p("out.w"), p("out.b"))
-    return nc.cross_entropy(logits, token_ids[1:]), len(inputs), logits
+    targets = [t for ids in token_ids for t in ids[1:]]
+    return nc.cross_entropy(logits, targets), len(targets), logits
+
+
+def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore, config: DecoderConfig,
+               classifier_weight: float = 0.0) -> tuple[nc.Tensor, int, dict[str, float]]:
+    """The summed loss of a minibatch, its token transitions and its stats
+    (``nll``, ``ce`` with the classifier, and the padding counts of
+    ``training.padding``).
+
+    The items run as one recurrence per sub-decoder and grid size (the
+    parallel variant groups them by topic), longest first. With a nonzero
+    ``classifier_weight`` the conditional variant adds that weight times the
+    topic classifier's cross-entropy on each item's word steps (the final
+    step predicts </s>; a one-transition item keeps its one step)."""
+    use_classifier = classifier_weight != 0.0 and config.variant == "conditional"
+    parallel = config.variant == "parallel"
+    ordered = sorted(items, key=lambda item: (int(item.topic) if parallel else 0,
+                                              item.grid.n_locations, -len(item.token_ids)))
+    losses: list[nc.Tensor] = []
+    stats = {"nll": 0.0, "positions": 0, "padded": 0}
+    units = 0
+    for (prefix, _), grouped in groupby(ordered, key=lambda item: (
+            sub_prefix(config.variant, item.topic), item.grid.n_locations)):
+        group = list(grouped)
+        topics = None
+        if config.variant == "conditional":
+            topics = [topic_embedding_index(config.variant, item.topic) for item in group]
+        nll, n_tokens, logits = sequence_loss([item.grid for item in group],
+                                              [item.token_ids for item in group],
+                                              params, prefix, topics)
+        lengths = [len(item.token_ids) - 1 for item in group]
+        for key, value in padding(lengths).items():
+            stats[key] += value
+        stats["nll"] += nll.item()
+        units += n_tokens
+        if not use_classifier:
+            losses.append(nll)
+            continue
+        words = [max(n - 1, 1) for n in lengths]
+        starts = np.cumsum(lengths) - lengths
+        rows = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, words)])
+        cls_logits = classify_distributions(nc.softmax(nc.embedding(logits, rows)), params,
+                                            config, words)
+        ce = nc.cross_entropy(cls_logits, topics)
+        stats["ce"] = stats.get("ce", 0.0) + ce.item()
+        losses.append(nc.add(nll, nc.scale(ce, classifier_weight)))
+    return (losses[0] if len(losses) == 1 else nc.add_n(losses)), units, stats
 
 
 def _validate(records: list[PaintingRecord], config: DecoderConfig) -> None:
@@ -106,28 +169,15 @@ def _train(records: list[PaintingRecord], vocab: Vocab, config: DecoderConfig,
     items = build_training_items(records, vocab, config.variant)
     use_classifier = classifier_weight != 0.0 and config.variant == "conditional"
 
-    def item_loss(item: TrainingItem, store: nc.ParamStore):
-        prefix = sub_prefix(config.variant, item.topic)
-        topic_idx = topic_embedding_index(config.variant, item.topic)
-        nll, n_tokens, logits = sequence_loss(item.grid, item.token_ids, store, prefix,
-                                              topic_idx)
-        stats = {"nll": nll.item()}
-        if not use_classifier:
-            return nll, n_tokens, stats
-        # classify the word steps (the final step predicts </s>)
-        word_logits = nc.embedding(logits, range(max(n_tokens - 1, 1)))
-        cls_logits = classify_distributions(nc.softmax(word_logits), store, config)
-        ce = nc.cross_entropy(cls_logits, int(item.topic))
-        stats["ce"] = ce.item()
-        return nc.add(nll, nc.scale(ce, classifier_weight)), n_tokens, stats
-
     def summarize(totals: dict) -> dict:
         entry = {"nll_per_token": totals["nll"] / totals["units"]}
         if use_classifier:
             entry["classifier_ce_per_item"] = totals["ce"] / len(items)
         return entry
 
-    return fit(config, vocab, init_decoder_params, items, tcfg, item_loss, summarize)
+    return fit(config, vocab, init_decoder_params, items, tcfg,
+               lambda batch, store: batch_loss(batch, store, config, classifier_weight),
+               summarize)
 
 
 def train_decoder(records: list[PaintingRecord], vocab: Vocab,

@@ -10,6 +10,7 @@ content and permuting the candidate list never changes a choice.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,80 +64,96 @@ def init_filler_params(config: FillerConfig, rng: np.random.Generator) -> nc.Par
     return store
 
 
-def encode_description(ids: list[int], params: nc.ParamStore) -> nc.Tensor:
-    """BiLSTM states (T, 2H) over the description-side token ids: row t is
-    the forward state at position t beside the backward one."""
-    x = nc.embedding(params["fill.embed"], ids)
-    return nc.concat([nc.lstm_seq(x, params["fill.fwd.w"], params["fill.fwd.b"]),
-                      nc.lstm_seq(x, params["fill.bwd.w"], params["fill.bwd.b"], reverse=True)],
-                     axis=1)
-
-
 def _description_ids(fill_input: FillInput, vocab: Vocab) -> list[int]:
     return [vocab.id_of(t) for t in fill_input.tokens[: fill_input.sep_position + 1]]
 
 
-def _candidate_ids(surface: str, vocab: Vocab) -> list[int]:
-    return [vocab.id_of(t) for t in tokenize(surface)] or [vocab.unk]
+def _candidate_words(candidate_sets: Sequence[CandidateSet],
+                     vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:
+    """The word ids of every candidate, set after set, one after another,
+    and the (C, W) matrix whose row c averages candidate c's rows."""
+    words = [[vocab.id_of(t) for t in tokenize(cand.surface)] or [vocab.unk]
+             for cands in candidate_sets for cand in cands]
+    counts = np.array([len(w) for w in words], dtype=np.intp)
+    ids = np.array([i for w in words for i in w], dtype=np.intp)
+    mean = np.zeros((len(words), len(ids)))
+    mean[np.repeat(np.arange(len(words)), counts), np.arange(len(ids))] = np.repeat(1.0 / counts,
+                                                                                   counts)
+    return ids, mean
 
 
-def candidate_vector(surface: str, etype: EntityType, params: nc.ParamStore,
-                     vocab: Vocab) -> nc.Tensor:
-    """Mean word embedding of the candidate's tokens plus its type embedding,
-    projected through tanh. Position-free by construction."""
-    word_ids = _candidate_ids(surface, vocab)
-    embs = [nc.embedding(params["fill.embed"], i) for i in word_ids]
-    mean = nc.scale(nc.add_n(embs), 1.0 / len(embs))
-    tvec = nc.embedding(params["fill.type"], int(etype))
-    return nc.tanh_t(nc.affine(params["fill.cand.w"], nc.concat([mean, tvec]),
-                               params["fill.cand.b"]))
+def _compatible(fill_inputs: Sequence[FillInput],
+                candidate_sets: Sequence[CandidateSet]) -> np.ndarray:
+    """(slots, candidates): True where the candidate belongs to the slot's
+    own input and has the slot's entity type."""
+    slots = np.array([(k, int(etype)) for k, fi in enumerate(fill_inputs)
+                      for etype in fi.slot_types], dtype=np.intp).reshape(-1, 2)
+    cands = np.array([(k, int(cand.entity_type)) for k, cands in enumerate(candidate_sets)
+                      for cand in cands], dtype=np.intp).reshape(-1, 2)
+    return (slots[:, None, :] == cands[None, :, :]).all(axis=2)
 
 
 def slot_scores(
-    fill_input: FillInput,
-    candidates: CandidateSet,
+    fill_inputs: FillInput | Sequence[FillInput],
+    candidate_sets: CandidateSet | Sequence[CandidateSet],
     params: nc.ParamStore,
     vocab: Vocab,
-) -> list[list[tuple[int, nc.Tensor]]]:
-    """For each slot, bilinear scores against its type-compatible candidates
-    as (candidate index, score) pairs."""
-    states = encode_description(_description_ids(fill_input, vocab), params)
-    cand_vecs: dict[int, nc.Tensor] = {}
-    per_slot: list[list[tuple[int, nc.Tensor]]] = []
-    for pos, etype in zip(fill_input.slot_positions, fill_input.slot_types):
-        h_slot = nc.embedding(states, pos)
-        scored: list[tuple[int, nc.Tensor]] = []
-        for idx, cand in candidates.of_type(etype):
-            if idx not in cand_vecs:
-                cand_vecs[idx] = candidate_vector(cand.surface, cand.entity_type,
-                                                  params, vocab)
-            score = nc.dot(h_slot, nc.affine(params["fill.bilinear"], cand_vecs[idx]))
-            scored.append((idx, score))
-        per_slot.append(scored)
-    return per_slot
+) -> tuple[nc.Tensor, np.ndarray]:
+    """Bilinear scores of every slot of a minibatch of fill inputs against
+    every candidate, as one (slots, candidates) tensor, and the boolean mask
+    of the type-compatible pairs: a slot matches the candidates of its own
+    input's set that have its type. Rows are the slots input after input;
+    columns are the candidates set after set. One input with its candidate
+    set is a batch of one.
+
+    One padded BiLSTM reads every description, longest first; the
+    candidates' mean word embeddings are one segment-mean GEMM, and the
+    bilinear term is one GEMM over all slots and candidates."""
+    if isinstance(fill_inputs, FillInput):
+        fill_inputs, candidate_sets = [fill_inputs], [candidate_sets]
+    descriptions = [_description_ids(fi, vocab) for fi in fill_inputs]
+    order = sorted(range(len(descriptions)), key=lambda k: -len(descriptions[k]))
+    lengths = [len(descriptions[k]) for k in order]
+    ids = np.full((len(order), lengths[0]), Vocab.pad)
+    for row, k in zip(ids, order):
+        row[: len(descriptions[k])] = descriptions[k]
+    x = nc.embedding(params["fill.embed"], ids)
+    states = nc.concat([
+        nc.lstm_seq(x, params["fill.fwd.w"], params["fill.fwd.b"], lengths=lengths),
+        nc.lstm_seq(x, params["fill.bwd.w"], params["fill.bwd.b"], reverse=True, lengths=lengths),
+    ], axis=1)  # the real rows, in ``order``
+    first_row = dict(zip(order, np.cumsum(lengths) - lengths))
+    slots = nc.embedding(states, [first_row[k] + pos for k, fi in enumerate(fill_inputs)
+                                  for pos in fi.slot_positions])
+    word_ids, mean = _candidate_words(candidate_sets, vocab)
+    types = [int(cand.entity_type) for cands in candidate_sets for cand in cands]
+    feats = nc.concat([nc.vecmat(nc.constant(mean), nc.embedding(params["fill.embed"], word_ids)),
+                       nc.embedding(params["fill.type"], types)], axis=1)
+    vecs = nc.tanh_t(nc.linear(feats, params["fill.cand.w"], params["fill.cand.b"]))
+    scores = nc.linear(slots, nc.linear(vecs, params["fill.bilinear"]))
+    return scores, _compatible(fill_inputs, candidate_sets)
 
 
 def slot_score_values(fill_input: FillInput, candidates: CandidateSet,
                       params: nc.ParamStore, vocab: Vocab) -> list[list[tuple[int, float]]]:
-    """:func:`slot_scores` with no tape, as slot filling runs it: the same
-    forward helpers and operations in the same order, so each score equals
-    the training forward's bit for bit."""
+    """For each slot, (candidate index, score) over its type-compatible
+    candidates, with no tape, as slot filling runs it. The forward is that
+    of :func:`slot_scores` for a batch of one, operation for operation, so
+    each score equals the training forward's bit for bit."""
     def p(name: str) -> np.ndarray:
         return params[f"fill.{name}"].data
 
-    x = p("embed")[_description_ids(fill_input, vocab)]
-    states = np.concatenate([nc.lstm_seq_np(x, p("fwd.w"), p("fwd.b"))[0],
-                             nc.lstm_seq_np(x, p("bwd.w"), p("bwd.b"), reverse=True)[0]], axis=1)
-    cand_vecs: dict[int, np.ndarray] = {}
-    per_slot: list[list[tuple[int, float]]] = []
-    for pos, etype in zip(fill_input.slot_positions, fill_input.slot_types):
-        scored = []
-        for idx, cand in candidates.of_type(etype):
-            if idx not in cand_vecs:
-                rows = p("embed")[_candidate_ids(cand.surface, vocab)]
-                mean = rows.sum(axis=0) * (1.0 / len(rows))
-                feats = np.concatenate([mean, p("type")[int(cand.entity_type)]])
-                cand_vecs[idx] = np.tanh(p("cand.w") @ feats + p("cand.b"))
-            scored.append((idx, float(states[pos] @ (p("bilinear") @ cand_vecs[idx]))))
-        per_slot.append(scored)
-    return per_slot
+    x = np.take(p("embed"), [_description_ids(fill_input, vocab)], axis=0)
+    states = np.concatenate([nc.lstm_seq_np(x, p("fwd.w"), p("fwd.b"))[0][:, 0],
+                             nc.lstm_seq_np(x, p("bwd.w"), p("bwd.b"), reverse=True)[0][:, 0]],
+                            axis=1)
+    word_ids, mean = _candidate_words([candidates], vocab)
+    types = np.array([int(cand.entity_type) for cand in candidates], dtype=np.intp)
+    feats = np.concatenate([mean @ np.take(p("embed"), word_ids, axis=0),
+                            np.take(p("type"), types, axis=0)], axis=1)
+    vecs = feats @ p("cand.w").T
+    vecs += p("cand.b")
+    scores = states[fill_input.slot_positions] @ (np.tanh(vecs) @ p("bilinear").T).T
+    compatible = _compatible([fill_input], [candidates])
+    return [[(int(idx), float(row[idx])) for idx in np.flatnonzero(ok)]
+            for row, ok in zip(scores, compatible)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from artdesc import numcore as nc
 from artdesc.corpus import MaskedSentence, PaintingRecord, Slot, tokenize
@@ -25,7 +26,7 @@ from artdesc.filler.model import (
     slot_score_values,
     slot_scores,
 )
-from artdesc.training import Checkpoint, TrainConfig, fit, load_model, save_model
+from artdesc.training import Checkpoint, TrainConfig, fit, load_model, padding, save_model
 
 
 @dataclass
@@ -63,28 +64,41 @@ def build_fill_pairs(records: list[PaintingRecord]) -> list[FillPair]:
 
 
 def fill_pair_loss(
-    pair: FillPair,
+    pairs: FillPair | Sequence[FillPair],
     params: nc.ParamStore,
     vocab: Vocab,
     config: FillerConfig,
 ) -> tuple[nc.Tensor | None, int, int]:
-    """Sum of per-slot cross-entropies over type-compatible candidates.
-    Returns (loss or None, scored slot count, skipped slot count)."""
-    fill_input = encode_fill_input(pair.masked, pair.candidates, config.max_len)
-    per_slot = slot_scores(fill_input, pair.candidates, params, vocab)
-    losses: list[nc.Tensor] = []
-    skipped = 0
-    for scored, target, etype in zip(per_slot, pair.targets, fill_input.slot_types):
-        gold = pair.candidates.find(target, etype)
-        local = next((i for i, (idx, _) in enumerate(scored) if idx == gold), None)
-        if gold is None or local is None or not scored:
-            skipped += 1
-            continue
-        logits = nc.stack_scalars([score for _, score in scored])
-        losses.append(nc.cross_entropy(logits, local))
-    if not losses:
+    """Sum of per-slot cross-entropies over type-compatible candidates, for
+    one pair or a minibatch of them. Returns (loss or None, scored slot
+    count, skipped slot count).
+
+    Every slot's scores are one row of the minibatch's score matrix
+    (:func:`slot_scores`), and one masked row-wise cross-entropy over the
+    scored slots' rows keeps each softmax to the slot's compatible
+    candidates."""
+    if isinstance(pairs, FillPair):
+        pairs = [pairs]
+    fill_inputs = [encode_fill_input(pair.masked, pair.candidates, config.max_len)
+                   for pair in pairs]
+    rows: list[int] = []
+    golds: list[int] = []
+    slot = column = 0
+    for pair, fill_input in zip(pairs, fill_inputs):
+        for target, etype in zip(pair.targets, fill_input.slot_types):
+            gold = pair.candidates.find(target, etype)
+            if gold is not None:
+                rows.append(slot)
+                golds.append(column + gold)
+            slot += 1
+        column += len(pair.candidates)
+    skipped = slot - len(rows)
+    if not rows:
         return None, 0, skipped
-    return nc.add_n(losses), len(losses), skipped
+    scores, compatible = slot_scores(fill_inputs, [pair.candidates for pair in pairs],
+                                     params, vocab)
+    loss = nc.cross_entropy(nc.embedding(scores, rows), golds, mask=compatible[rows])
+    return loss, len(rows), skipped
 
 
 def train_filler(
@@ -104,10 +118,12 @@ def train_filler(
                        betas=betas, eps=eps, batch_size=batch_size, seed=seed)
     pairs = build_fill_pairs(records)
 
-    def item_loss(pair: FillPair, store: nc.ParamStore):
-        loss, n_slots, skipped = fill_pair_loss(pair, store, vocab, config)
+    def batch_loss(batch: list[FillPair], store: nc.ParamStore):
+        loss, n_slots, skipped = fill_pair_loss(batch, store, vocab, config)
+        # a description is [CLS] y [SEP]
+        lengths = [sum(len(s.tokens) for s in pair.masked) + 2 for pair in batch]
         return loss, n_slots, {"loss": 0.0 if loss is None else loss.item(),
-                               "skipped": skipped}
+                               "skipped": skipped, **padding(lengths)}
 
     def summarize(totals: dict) -> dict:
         return {
@@ -115,7 +131,7 @@ def train_filler(
             "skipped_slots": totals["skipped"],
         }
 
-    return fit(config, vocab, init_filler_params, pairs, tcfg, item_loss, summarize)
+    return fit(config, vocab, init_filler_params, pairs, tcfg, batch_loss, summarize)
 
 
 def save_filler_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:

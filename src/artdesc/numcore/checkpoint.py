@@ -2,11 +2,11 @@
 filler checkpoints, the knowledge index), and the atomic write behind every
 file the package writes.
 
-Version 2 layout (integers little-endian; a string is a u32 byte length
+Version 3 layout (integers little-endian; a string is a u32 byte length
 followed by that many UTF-8 bytes):
 
     magic        8 bytes  b"ARTDCKP1"
-    version      u32      2
+    version      u32      3
     metadata     string   a JSON object: "kind" and the writer's own keys
     n_arrays     u32
     then per array, in the writer's order:
@@ -14,12 +14,15 @@ followed by that many UTF-8 bytes):
       dtype      string   one of f8, i8, u8, u4
       ndim       u8
       dims       ndim x u32
+      pad        u8       0-7, then that many zero bytes, so that the data
+                          starts at a multiple of 8 bytes from the file start
       data       prod(dims) values, little-endian, C order
     sha256       32 bytes, the digest of every byte before it
 
 The reader checks the trailer before it parses anything after the version.
+Version 2 had no pad fields, so its array data lay at any byte offset.
 Version 1 (checkpoints only) had no trailer, a config digest string before
-the metadata and no dtype strings (every array f8); it still loads. Round
+the metadata and no dtype strings (every array f8). Both still load. Round
 trips are bit-exact.
 """
 
@@ -39,8 +42,9 @@ import numpy as np
 from artdesc.errors import FormatError
 
 MAGIC = b"ARTDCKP1"
-VERSION = 2
+VERSION = 3
 DTYPES = ("f8", "i8", "u8", "u4")
+ALIGN = 8  # array data starts at a multiple of this many bytes (version 3)
 _TRAILER = 32
 # the magic of the first index format, which stored its own layout
 _INDEX_V1_MAGIC = b"TFIX"
@@ -85,13 +89,17 @@ def save_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) 
     chunks = [MAGIC, struct.pack("<I", VERSION),
               _string(json.dumps(meta, sort_keys=True, separators=(",", ":"))),
               struct.pack("<I", len(arrays))]
+    offset = sum(len(chunk) for chunk in chunks)
     for name, array in arrays.items():
         code = array.dtype.str[1:]
         if code not in DTYPES:
             raise ValueError(f"array '{name}' has unsupported dtype {array.dtype}")
-        chunks += [_string(name) + _string(code),
-                   struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
-                   np.ascontiguousarray(array, "<" + code).reshape(-1).view(np.uint8)]
+        head = _string(name) + _string(code) + struct.pack(f"<B{array.ndim}I", array.ndim,
+                                                           *array.shape)
+        pad = -(offset + len(head) + 1) % ALIGN
+        data = np.ascontiguousarray(array, "<" + code).reshape(-1).view(np.uint8)
+        chunks += [head + bytes([pad]) + bytes(pad), data]
+        offset += len(head) + 1 + pad + data.size
 
     def sealed():
         digest = hashlib.sha256()
@@ -140,17 +148,26 @@ class ByteReader:
 def load_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray], int]:
     """Returns (meta, arrays, version); ``kind`` names the file in errors. A
     version 1 checkpoint's config digest comes back as meta["config_digest"],
-    where version 2 stores it."""
-    r = ByteReader(memoryview(Path(path).read_bytes()), kind)
+    where later versions store it.
+
+    The file is read once into one buffer and hashed there, and each array
+    is a read-only view of its bytes in that buffer. Only an array of an
+    older version whose bytes do not start at a multiple of its item size
+    is copied, because BLAS and many numpy loops slow down badly on
+    unaligned data."""
+    with open(path, "rb") as f:
+        buffer = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
+        f.readinto(buffer)
+    r = ByteReader(memoryview(buffer), kind)
     if r.raw[: len(_INDEX_V1_MAGIC)] == _INDEX_V1_MAGIC:
         raise FormatError("this index has the version 1 layout, which is no longer "
                           "read; rebuild it with `artdesc index`", 0)
     if r.take(len(MAGIC), "magic") != MAGIC:
         raise FormatError(f"bad {kind} magic", 0)
     (version,) = r.unpack("<I", "version")
-    if version not in (1, VERSION):
+    if version not in (1, 2, VERSION):
         raise FormatError(f"unsupported {kind} version {version}", r.pos - 4)
-    if version == VERSION:
+    if version >= 2:
         body = len(r.raw) - _TRAILER
         if body < r.pos or hashlib.sha256(r.raw[:body]).digest() != r.raw[body:]:
             raise FormatError(f"{kind} checksum mismatch: the file is corrupt", max(body, 0))
@@ -169,14 +186,22 @@ def load_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndar
     arrays = {}
     for _ in range(count):
         name = r.string("array name")
-        code = r.string(f"dtype of '{name}'") if version == VERSION else "f8"
+        code = r.string(f"dtype of '{name}'") if version >= 2 else "f8"
         if code not in DTYPES:
             raise FormatError(f"array '{name}' has unknown dtype '{code}'", r.pos)
         (ndim,) = r.unpack("<B", f"ndim of '{name}'")
         shape = r.unpack(f"<{ndim}I", f"dims of '{name}'")
+        if version >= 3:
+            (pad,) = r.unpack("<B", f"padding of '{name}'")
+            if pad >= ALIGN or any(r.take(pad, f"padding of '{name}'")):
+                raise FormatError(f"bad padding before the data of '{name}'", r.pos - 1)
         dtype = np.dtype("<" + code)
         blob = r.take(dtype.itemsize * math.prod(shape), f"data of '{name}'")
-        arrays[name] = np.frombuffer(blob, dtype).astype(code).reshape(shape)
+        array = np.frombuffer(blob, dtype).reshape(shape)
+        if not array.flags.aligned:
+            array = array.copy()
+        array.flags.writeable = False
+        arrays[name] = array
     r.end("last array")
     return meta, arrays, version
 

@@ -139,7 +139,9 @@ class ParamStore:
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Adopts each checkpoint array as its parameter's ``.data`` once its
         shape and values check out; the store's own arrays only give the
-        shapes, so a load writes no parameter twice."""
+        shapes, so a load writes no parameter twice. The arrays may be
+        read-only views of the checkpoint file: training copies them into
+        the parameter block, and nothing else writes a parameter."""
         for name in self.names():
             src = arrays.get(name)
             if src is None:

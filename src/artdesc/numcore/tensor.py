@@ -8,6 +8,7 @@ differences by :mod:`artdesc.numcore.gradcheck`.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -213,39 +214,51 @@ def stack_scalars(ts: Sequence[Tensor]) -> Tensor:
     return _node(np.array([float(t.data.reshape(())) for t in ts]), tuple(ts), bwd, "stack_scalars")
 
 
-def max_rows(x: Tensor) -> Tensor:
-    """Column-wise max over the rows of a 2-D tensor (max-pooling over
-    time); each column's gradient goes to the first row attaining its max."""
-    if x.data.ndim != 2 or x.data.shape[0] == 0:
-        raise ShapeError(f"max_rows: expected a non-empty 2-D tensor, got {x.shape} for '{x.name}'")
-    winner = np.argmax(x.data, axis=0)  # first occurrence wins
-    cols = np.arange(x.data.shape[1])
+def max_rows(x: Tensor, lengths=None) -> Tensor:
+    """Max over the rows (time) of x: (T, F) gives (F,), and (B, T, F) gives
+    (B, F), where sequence b reads only its first ``lengths[b]`` rows (all T
+    by default). Each output's gradient goes to the first row attaining its
+    max; rows past a sequence's length get none."""
+    if x.data.ndim not in (2, 3) or x.data.shape[-2] == 0:
+        raise ShapeError(f"max_rows: expected a non-empty (T, F) or (B, T, F) tensor, "
+                         f"got {x.shape} for '{x.name}'")
+    data = x.data.reshape((-1,) + x.data.shape[-2:])
+    steps = data.shape[1]
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.shape != data.shape[:1] or not np.all((1 <= lengths) & (lengths <= steps)):
+            raise ShapeError(f"max_rows: lengths {lengths.tolist()} do not fit '{x.name}' {x.shape}")
+        data = np.where((np.arange(steps) < lengths[:, None])[:, :, None], data, -np.inf)
+    winner = np.argmax(data, axis=1)[:, None, :]  # first occurrence wins
+    out_shape = x.data.shape[:-2] + x.data.shape[-1:]
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(x):
-            g = np.zeros_like(x.data)
-            g[winner, cols] = out.grad
-            x.accumulate_grad(g)
+            g = np.zeros(data.shape)
+            np.put_along_axis(g, winner, out.grad.reshape(winner.shape), axis=1)
+            x.accumulate_grad(g.reshape(x.shape))
 
-    return _node(x.data[winner, cols], (x,), bwd, "max_rows")
+    return _node(np.take_along_axis(data, winner, axis=1).reshape(out_shape), (x,), bwd,
+                 "max_rows")
 
 
 def windows(x: Tensor, n: int) -> Tensor:
     """The im2col layout of a width-``n`` convolution over the rows of x
-    (T, k): row j of the (T-n+1, n*k) result is rows j..j+n-1 side by side."""
-    if x.data.ndim != 2 or not 1 <= n <= x.data.shape[0]:
+    (T, k), or of each x[b] (B, T, k): row j of the (T-n+1, n*k) result is
+    rows j..j+n-1 side by side."""
+    if x.data.ndim not in (2, 3) or not 1 <= n <= x.data.shape[-2]:
         raise ShapeError(f"windows: width {n} does not fit '{x.name}' of shape {x.shape}")
-    steps, k = x.data.shape
+    steps, k = x.data.shape[-2:]
     span = steps - n + 1
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(x):
             g = np.zeros_like(x.data)
             for i in range(n):
-                g[i : i + span] += out.grad[:, i * k : (i + 1) * k]
+                g[..., i : i + span, :] += out.grad[..., i * k : (i + 1) * k]
             x.accumulate_grad(g)
 
-    data = np.concatenate([x.data[i : i + span] for i in range(n)], axis=1)
+    data = np.concatenate([x.data[..., i : i + span, :] for i in range(n)], axis=-1)
     return _node(data, (x,), bwd, "windows")
 
 
@@ -283,28 +296,29 @@ def affine(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w.T (+ b): :func:`affine` applied to every row of x (T, n) with
-    one GEMM. w (m, n), b (m,)."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+    """x @ w.T (+ b): :func:`affine` applied to every row of x (T, n), or of
+    x (..., n) with any leading dimensions, as one GEMM. w (m, n), b (m,)."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"linear: input '{x.name}' {x.shape} incompatible with weight "
                          f"'{w.name}' {w.shape}")
     if b is not None and b.shape != (w.data.shape[0],):
         raise ShapeError(f"linear: bias '{b.name}' {b.shape} incompatible with weight {w.shape}")
-    y = x.data @ w.data.T
+    rows = x.data.reshape(-1, x.data.shape[-1])
+    y = rows @ w.data.T
     if b is not None:
         y += b.data
 
     def bwd(out: Tensor) -> None:
-        g = out.grad
+        g = out.grad.reshape(y.shape)
         if _wants_grad(w):
-            w.accumulate_grad(g.T @ x.data)
+            w.accumulate_grad(g.T @ rows)
         if _wants_grad(x):
-            x.accumulate_grad(g @ w.data)
+            x.accumulate_grad((g @ w.data).reshape(x.shape))
         if b is not None and _wants_grad(b):
             b.accumulate_grad(g.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
-    return _node(y, parents, bwd, "linear")
+    return _node(y.reshape(x.data.shape[:-1] + y.shape[-1:]), parents, bwd, "linear")
 
 
 def vecmat(p: Tensor, e: Tensor) -> Tensor:
@@ -374,9 +388,11 @@ def softmax(logits: Tensor) -> Tensor:
     return _node(y, (logits,), bwd, "softmax")
 
 
-def cross_entropy(logits: Tensor, target) -> Tensor:
+def cross_entropy(logits: Tensor, target, mask=None) -> Tensor:
     """-log softmax(logits)[target], fused and stabilized. For (T, V) logits
-    and a sequence of T targets, the sum of every row's loss."""
+    and a sequence of T targets, the sum of every row's loss. A boolean
+    ``mask`` of the logits' shape keeps each row's softmax to its True
+    entries: the others count as -inf and get a zero gradient."""
     if logits.data.ndim not in (1, 2):
         raise ShapeError(f"cross_entropy: expected 1-D or 2-D logits, got {logits.shape}")
     rows = np.atleast_2d(logits.data)
@@ -386,9 +402,14 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         raise ShapeError(f"cross_entropy: {targets.size} targets for {n_rows} rows of logits")
     if not (0 <= targets.min() and targets.max() < n):
         raise ValueError(f"cross_entropy: target index {target} out of range [0, {n})")
+    picked = np.arange(n_rows), targets
+    if mask is not None:
+        mask = np.atleast_2d(mask)
+        if mask.shape != rows.shape or not mask[picked].all():
+            raise ValueError("cross_entropy: the mask must fit the logits and keep every target")
+        rows = np.where(mask, rows, -np.inf)
     shifted = rows - rows.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
-    picked = np.arange(n_rows), targets
     loss = (logz - shifted[picked]).sum()
     p = np.exp(shifted - logz[:, None])
 
@@ -462,96 +483,154 @@ def lstm_np(xh: np.ndarray, c_prev: np.ndarray, w: np.ndarray,
 
 def lstm_cell_np(u: np.ndarray, c_prev: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """:func:`lstm_np` given the gate pre-activations ``u = w @ xh + b``."""
-    hidden = c_prev.shape[0]
-    ifo = _sigmoid(u[: 3 * hidden])  # elementwise, so one call serves the three gates
-    i, f, o = ifo[:hidden], ifo[hidden : 2 * hidden], ifo[2 * hidden :]
-    g = np.tanh(u[3 * hidden :])
-    c = f * c_prev + i * g
+    """:func:`lstm_np` given the gate pre-activations ``u = w @ xh + b``;
+    u (4H,) with c_prev (H,), or one row per sequence, (n, 4H) with (n, H).
+    The gates it returns feed :func:`_lstm_bwd_np`."""
+    hidden = c_prev.shape[-1]
+    # one tanh serves all four gates: sigmoid(u) = (1 + tanh(u/2)) / 2 for
+    # i, f and o, and g = tanh(u); no exp can overflow
+    act = np.tanh(u * _gate_scales(hidden)[0])
+    ifo = 0.5 * act[..., : 3 * hidden] + 0.5
+    c = ifo[..., hidden : 2 * hidden] * c_prev + ifo[..., :hidden] * act[..., 3 * hidden :]
     tc = np.tanh(c)
-    return o * tc, c, (i, f, o, g, tc)
+    return ifo[..., 2 * hidden :] * tc, c, (act, ifo, tc)
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_scales(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per gate pre-activation: the factor inside the tanh, and the
+    derivative of the gate by (1 - tanh^2) times it: 1/2 and 1/4 for the
+    sigmoid gates i, f, o, and 1 and 1 for g."""
+    sigmoid = np.arange(4 * hidden) < 3 * hidden
+    return np.where(sigmoid, 0.5, 1.0), np.where(sigmoid, 0.25, 1.0)
 
 
 def _lstm_bwd_np(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
                  gates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """One cell's backward: the gradients of its gate pre-activations (4H,)
-    and of c_prev, given those of its h and c."""
-    i, f, o, g, tc = gates
-    gc_total = gc + gh * o * (1.0 - tc * tc)
-    go = gh * tc
-    gi = gc_total * g
-    gf = gc_total * c_prev
-    gg = gc_total * i
-    gu = np.concatenate(
-        [gi * i * (1.0 - i), gf * f * (1.0 - f), go * o * (1.0 - o), gg * (1.0 - g * g)]
-    )
-    return gu, gc_total * f
+    and of c_prev, given those of its h and c (row by row for (n, H))."""
+    act, ifo, tc = gates
+    hidden = tc.shape[-1]
+    gc_total = gc + gh * ifo[..., 2 * hidden :] * (1.0 - tc * tc)
+    gu = np.empty(act.shape)
+    # the gradients reaching i, f, o and g, then through their activations
+    np.multiply(gc_total, act[..., 3 * hidden :], out=gu[..., :hidden])
+    np.multiply(gc_total, c_prev, out=gu[..., hidden : 2 * hidden])
+    np.multiply(gh, tc, out=gu[..., 2 * hidden : 3 * hidden])
+    np.multiply(gc_total, ifo[..., :hidden], out=gu[..., 3 * hidden :])
+    gu *= (1.0 - act * act) * _gate_scales(hidden)[1]
+    return gu, gc_total * ifo[..., hidden : 2 * hidden]
 
 
-def lstm_seq_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool = False
-                ) -> tuple[np.ndarray, list]:
-    """Plain-array forward of :func:`lstm_seq`: the hidden states (T, H) and,
-    per row, the (c_prev, gates) its backward pass reads."""
-    steps, xdim = x.shape
+def _batch_lengths(what: str, lengths, batch: int, steps: int) -> np.ndarray:
+    """Each sequence's length, ``steps`` for all by default. They must run
+    longest first, so the sequences still stepping at any time are a prefix
+    of the batch."""
+    if lengths is None:
+        return np.full(batch, steps, dtype=np.intp)
+    lens = np.asarray(lengths, dtype=np.intp)
+    if (lens.shape != (batch,) or lens[0] != steps or lens[-1] < 1
+            or np.any(lens[1:] > lens[:-1])):
+        raise ShapeError(f"{what}: lengths {lens.tolist()} must fall from {steps} to >= 1 "
+                         f"over {batch} sequences")
+    return lens
+
+
+def _rows(a: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of a, with zero rows appended where a has fewer."""
+    if len(a) >= n:
+        return a[:n]
+    return np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:])])
+
+
+def _packing(lens: np.ndarray, steps: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """How many sequences step at each time, and the (time, sequence)
+    indices of the real positions, sequence after sequence."""
+    real = np.arange(steps) < lens[:, None]  # (B, T)
+    seq, time = np.nonzero(real)
+    return real.sum(axis=0), (time, seq)
+
+
+def lstm_seq_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool = False,
+                lengths=None) -> tuple[np.ndarray, list]:
+    """Plain-array forward of :func:`lstm_seq` over a padded batch x
+    (B, T, X): the hidden states (T, B, H), zero where a sequence has no
+    row, and per step the (c_prev, gates) of the sequences it steps, which
+    the backward pass reads."""
+    batch, steps, xdim = x.shape
     hidden = b.shape[0] // 4
-    ux = x @ w[:, :xdim].T + b  # the input half of every step's gates in one GEMM
-    w_h = w[:, xdim:]
-    h = c = np.zeros(hidden)
-    hs = np.empty((steps, hidden))
+    active, _ = _packing(_batch_lengths("lstm_seq", lengths, batch, steps), steps)
+    # the input half of every step's gates in one GEMM
+    ux = (x.reshape(-1, xdim) @ w[:, :xdim].T + b).reshape(batch, steps, 4 * hidden)
+    w_hT = w[:, xdim:].T
+    hs = np.zeros((steps, batch, hidden))
+    h = c = np.zeros((0, hidden))
     cache: list = [None] * steps
     for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        h, c_next, gates = lstm_cell_np(ux[t] + w_h @ h, c)
+        n = active[t]
+        h, c = _rows(h, n), _rows(c, n)
+        h, c_next, gates = lstm_cell_np(ux[:n, t] + h @ w_hT, c)
         cache[t] = (c, gates)
-        hs[t] = h
+        hs[t, :n] = h
         c = c_next
     return hs, cache
 
 
-def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False, lengths=None) -> Tensor:
     """An LSTM over the rows of x (T, X) from a zero state, as one node;
     with ``reverse`` it reads the last row first. Row t of the (T, H) result
     is the hidden state after reading row t. w (4H, X+H) and b (4H,) are laid
     out as for :func:`lstm_step`.
 
-    The input side of the gates is one GEMM over all T rows; the backward
+    A padded minibatch x (B, T, X) runs as one recurrence. Sequence b is
+    its first ``lengths[b]`` rows (all T by default), longest first; the
+    reverse direction starts at each sequence's own last row. A step past a
+    sequence's end leaves its state alone and gets no gradient. The result
+    holds the real rows only, (sum(lengths), H), sequence after sequence.
+
+    The input side of the gates is one GEMM over all rows; the backward
     pass collects each step's gate gradients and forms the gradients of w
     and x with one GEMM each.
     """
-    if x.data.ndim != 2 or x.data.shape[0] == 0:
-        raise ShapeError(f"lstm_seq: input '{x.name}' must be a non-empty 2-D tensor, "
-                         f"got {x.shape}")
-    steps, xdim = x.data.shape
+    if x.data.ndim not in (2, 3) or x.data.shape[-2] == 0:
+        raise ShapeError(f"lstm_seq: input '{x.name}' must be a non-empty (T, X) or (B, T, X) "
+                         f"tensor, got {x.shape}")
+    xs = x.data.reshape((-1,) + x.data.shape[-2:])
+    batch, steps, xdim = xs.shape
     hidden = b.data.shape[0] // 4
     _check_lstm("lstm_seq", xdim, hidden, w, b)
-    hs, cache = lstm_seq_np(x.data, w.data, b.data, reverse)
+    lens = _batch_lengths("lstm_seq", lengths, batch, steps)
+    _, real = _packing(lens, steps)
+    hs, cache = lstm_seq_np(xs, w.data, b.data, reverse, lens)
 
     def bwd(out: Tensor) -> None:
+        g_hs = np.zeros_like(hs)
+        g_hs[real] = out.grad
         w_h = w.data[:, xdim:]
-        gus = np.empty((steps, 4 * hidden))
-        gh = gc = np.zeros(hidden)
+        gus = np.zeros((steps, batch, 4 * hidden))
+        gh = gc = np.zeros((0, hidden))
         for t in (range(steps) if reverse else range(steps - 1, -1, -1)):
             c_prev, gates = cache[t]
-            gus[t], gc = _lstm_bwd_np(out.grad[t] + gh, gc, c_prev, gates)
-            gh = w_h.T @ gus[t]
+            n = len(c_prev)
+            gu, gc = _lstm_bwd_np(g_hs[t, :n] + _rows(gh, n), _rows(gc, n), c_prev, gates)
+            gus[t, :n] = gu
+            gh = gu @ w_h
+        gus = gus.reshape(-1, 4 * hidden)
         if _wants_grad(w):
-            h_prev = np.zeros_like(hs)
+            h_prev = np.zeros_like(hs)  # zero before each sequence's first step
             if reverse:
                 h_prev[:-1] = hs[1:]
             else:
                 h_prev[1:] = hs[:-1]
-            w.accumulate_grad(gus.T @ np.concatenate([x.data, h_prev], axis=1))
+            xh = np.concatenate([xs.transpose(1, 0, 2), h_prev], axis=2)
+            w.accumulate_grad(gus.T @ xh.reshape(-1, xdim + hidden))
         if _wants_grad(b):
             b.accumulate_grad(gus.sum(axis=0))
         if _wants_grad(x):
-            x.accumulate_grad(gus @ w.data[:, :xdim])
+            gx = (gus @ w.data[:, :xdim]).reshape(steps, batch, xdim)
+            x.accumulate_grad(gx.transpose(1, 0, 2).reshape(x.shape))
 
-    return _node(hs, (x, w, b), bwd, "lstm_seq")
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so no exp overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _node(hs[real], (x, w, b), bwd, "lstm_seq")
 
 
 def attention_np(
@@ -575,14 +654,16 @@ def attention_np(
 
 
 def _check_attention(what: str, grid, hidden: int, w_v: Tensor, w_h: Tensor, b1: Tensor,
-                     w2: Tensor, b2: Tensor) -> np.ndarray:
-    """The grid as a float64 (L, D) array, once the MLP's shapes fit it."""
+                     w2: Tensor, b2: Tensor, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+    """The grid as a float64 (L, D) array (or a (B, L, D) stack, where
+    ``ndims`` allows 3), once the MLP's shapes fit it."""
     grid = _as_f64(grid)
-    if grid.ndim != 2:
-        raise ShapeError(f"{what}: grid must be 2-D, got shape {grid.shape}")
+    if grid.ndim not in ndims:
+        raise ShapeError(f"{what}: grid must be {' or '.join(f'{n}-D' for n in ndims)}, "
+                         f"got shape {grid.shape}")
     att = w_v.data.shape[0]
-    if w_v.data.shape != (att, grid.shape[1]):
-        raise ShapeError(f"{what}: '{w_v.name}' {w_v.shape} vs grid feature dim {grid.shape[1]}")
+    if w_v.data.shape != (att, grid.shape[-1]):
+        raise ShapeError(f"{what}: '{w_v.name}' {w_v.shape} vs grid feature dim {grid.shape[-1]}")
     if w_h.data.shape != (att, hidden):
         raise ShapeError(f"{what}: '{w_h.name}' {w_h.shape} vs state size {hidden}")
     if b1.data.shape != (att,) or w2.data.shape != (att,) or b2.data.shape != (1,):
@@ -638,7 +719,7 @@ def mlp_attention(
 
 def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
                     att: tuple[Tensor, Tensor, Tensor, Tensor, Tensor],
-                    lstm: tuple[Tensor, Tensor]) -> Tensor:
+                    lstm: tuple[Tensor, Tensor], lengths=None) -> Tensor:
     """A teacher-forced attention LSTM over a whole sequence, as one node.
 
     Step t runs :func:`mlp_attention` over the (L, D) grid from h_{t-1},
@@ -647,72 +728,103 @@ def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
     (w_v, w_h, b1, w2, b2) and ``lstm`` is (w, b), laid out as for those two
     ops. Returns (T, H+D): row t is [h_t; z_t], the output layer's input.
 
-    The forward projects the grid once and runs the shared forward helpers;
-    the backward pass (BPTT) collects each step's small gradient vectors and
-    forms every weight gradient with one GEMM over the stacked steps. The
-    grid is constant, so w_v's gradient is (sum_t gpre_t).T @ grid.
+    A minibatch runs as one recurrence: a (B, L, D) stack of grids, padded
+    inputs x (B, T, X), states h0 and c0 (B, H), and sequence b's length
+    ``lengths[b]`` (all T by default), longest first. A step past a
+    sequence's end leaves its state alone and gets no gradient. The result
+    holds the real rows only, (sum(lengths), H+D), sequence after sequence.
+
+    The forward projects every grid with one GEMM and steps the running
+    sequences together. The backward pass (BPTT) collects each step's small
+    gradient arrays and forms every weight gradient with one GEMM over the
+    stacked steps. The grids are constant, so w_v's gradient sums the
+    attention pre-activation gradients over the steps first and then takes
+    one (B*L, A).T @ (B*L, D) GEMM. The softmax ignores b2, which shifts
+    every score alike, so b2 gets no gradient.
     """
     w_v, w_h, b1, w2, b2 = att
     w, b = lstm
-    hidden = h0.data.shape[0]
-    grid = _check_attention("attend_lstm_seq", grid, hidden, w_v, w_h, b1, w2, b2)
-    if x.data.ndim != 2 or x.data.shape[0] == 0 or h0.shape != (hidden,) or c0.shape != (hidden,):
-        raise ShapeError(f"attend_lstm_seq: inputs '{x.name}' {x.shape}, state "
-                         f"{h0.shape}/{c0.shape}")
-    n_loc, feat = grid.shape
-    steps, xdim = x.data.shape
+    hidden = h0.data.shape[-1]
+    grids = _check_attention("attend_lstm_seq", grid, hidden, w_v, w_h, b1, w2, b2, (2, 3))
+    lead = grids.shape[:-2]  # () for one sequence, (B,) for a minibatch
+    if (x.data.ndim != len(lead) + 2 or x.data.shape[:-2] != lead or x.data.shape[-2] == 0
+            or h0.shape != lead + (hidden,) or c0.shape != lead + (hidden,)):
+        raise ShapeError(f"attend_lstm_seq: grid {grids.shape}, inputs '{x.name}' {x.shape}, "
+                         f"state {h0.shape}/{c0.shape}")
+    grids = grids.reshape((-1,) + grids.shape[-2:])
+    xs = x.data.reshape((-1,) + x.data.shape[-2:])
+    batch, n_loc, feat = grids.shape
+    steps, xdim = xs.shape[1:]
     _check_lstm("attend_lstm_seq", feat + xdim, hidden, w, b)
+    active, real = _packing(_batch_lengths("attend_lstm_seq", lengths, batch, steps), steps)
 
-    proj = grid @ w_v.data.T
-    att_arrays = (w_h.data, b1.data, w2.data, b2.data)
-    alphas = np.empty((steps, n_loc))
-    acts = np.empty((steps, n_loc, w_v.data.shape[0]))
-    xhs = np.empty((steps, feat + xdim + hidden))  # [z_t; x_t; h_{t-1}]
-    out = np.empty((steps, hidden + feat))
+    n_att = w_v.data.shape[0]
+    proj = (grids.reshape(-1, feat) @ w_v.data.T + b1.data).reshape(batch, n_loc, n_att)
+    w_hT, wT = w_h.data.T, w.data.T
+    acts = np.zeros((steps, batch, n_loc, n_att))
+    alphas = np.zeros((steps, batch, n_loc))
+    # row t is [z_t; x_t; h_{t-1}], the LSTM input of step t; the last row
+    # only holds the final states
+    xhs = np.zeros((steps + 1, batch, feat + xdim + hidden))
+    xhs[:steps, :, feat : feat + xdim] = xs.transpose(1, 0, 2)
+    xhs[0, :, feat + xdim :] = h0.data.reshape(batch, hidden)
     cache = []
-    h, c = h0.data, c0.data
+    c = c0.data.reshape(batch, hidden)
     for t in range(steps):
-        z, alphas[t], acts[t] = attention_np(proj, grid, h, *att_arrays)
-        xhs[t] = np.concatenate([z, x.data[t], h])
-        h, c_next, gates = lstm_np(xhs[t], c, w.data, b.data)
-        cache.append((c, gates))
-        out[t, :hidden] = h
-        out[t, hidden:] = z
+        n = active[t]
+        xh = xhs[t, :n]
+        act = np.tanh(proj[:n] + (xh[:, feat + xdim :] @ w_hT)[:, None, :], out=acts[t, :n])
+        scores = act @ w2.data  # b2 shifts every score alike, so the softmax drops it
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha = np.divide(e, e.sum(axis=1, keepdims=True), out=alphas[t, :n])
+        np.matmul(alpha[:, None, :], grids[:n], out=xh[:, None, :feat])
+        h, c_next, gates = lstm_cell_np(xh @ wT + b.data, c[:n])
+        cache.append((c[:n], gates))
+        xhs[t + 1, :n, feat + xdim :] = h
         c = c_next
+    xhs, h_out = xhs[:steps], xhs[1:, :, feat + xdim :]
+    out = np.concatenate([h_out, xhs[:, :, :feat]], axis=2)  # rows [h_t; z_t]
 
     def bwd(node: Tensor) -> None:
-        g_out = node.grad
+        g_out = np.zeros_like(out)
+        g_out[real] = node.grad
         dact = 1.0 - acts * acts
-        gus = np.empty((steps, 4 * hidden))
-        gss = np.empty((steps, n_loc))  # score gradients
-        gps = np.empty((steps, w_v.data.shape[0]))  # attention pre-activation sums
-        gh = gc = np.zeros(hidden)
+        gus = np.zeros((steps, batch, 4 * hidden))
+        gss = np.zeros((steps, batch, n_loc))  # score gradients
+        gps = np.zeros((steps, batch, n_att))  # attention pre-activation sums
+        gh = gc = np.zeros((0, hidden))
         for t in range(steps - 1, -1, -1):
             c_prev, gates = cache[t]
-            gus[t], gc = _lstm_bwd_np(g_out[t, :hidden] + gh, gc, c_prev, gates)
-            gxh = w.data.T @ gus[t]
-            ga = grid @ (g_out[t, hidden:] + gxh[:feat])
-            alpha = alphas[t]
-            gss[t] = alpha * (ga - alpha @ ga)
-            gps[t] = w2.data * (gss[t] @ dact[t])
-            gh = gxh[feat + xdim :] + w_h.data.T @ gps[t]
+            n = len(c_prev)
+            gu, gc = _lstm_bwd_np(g_out[t, :n, :hidden] + _rows(gh, n), _rows(gc, n),
+                                  c_prev, gates)
+            gus[t, :n] = gu
+            gxh = gu @ w.data
+            gz = g_out[t, :n, hidden:] + gxh[:, :feat]
+            ga = (grids[:n] @ gz[:, :, None])[:, :, 0]
+            alpha = alphas[t, :n]
+            gs = np.multiply(alpha, ga - (alpha * ga).sum(axis=1, keepdims=True), out=gss[t, :n])
+            gp = np.multiply(w2.data, (gs[:, None, :] @ dact[t, :n])[:, 0], out=gps[t, :n])
+            gh = gxh[:, feat + xdim :] + gp @ w_h.data
+        gus, gps = gus.reshape(-1, 4 * hidden), gps.reshape(-1, n_att)
         grads = (
-            (w_v, lambda: (w2.data * np.einsum("tl,tla->la", gss, dact)).T @ grid),
-            (w_h, lambda: gps.T @ xhs[:, feat + xdim :]),
+            (w_v, lambda: (w2.data * np.einsum("tbl,tbla->bla", gss, dact)).reshape(-1, n_att).T
+             @ grids.reshape(-1, feat)),
+            (w_h, lambda: gps.T @ xhs[:, :, feat + xdim :].reshape(-1, hidden)),
             (b1, lambda: gps.sum(axis=0)),
-            (w2, lambda: gss.reshape(-1) @ acts.reshape(steps * n_loc, -1)),
-            (b2, lambda: np.array([gss.sum()])),
-            (w, lambda: gus.T @ xhs),
+            (w2, lambda: gss.reshape(-1) @ acts.reshape(-1, n_att)),
+            (w, lambda: gus.T @ xhs.reshape(-1, xhs.shape[2])),
             (b, lambda: gus.sum(axis=0)),
-            (x, lambda: gus @ w.data[:, feat : feat + xdim]),
-            (h0, lambda: gh),
-            (c0, lambda: gc),
+            (x, lambda: (gus @ w.data[:, feat : feat + xdim]).reshape(steps, batch, xdim)
+             .transpose(1, 0, 2).reshape(x.shape)),
+            (h0, lambda: gh.reshape(h0.shape)),
+            (c0, lambda: gc.reshape(c0.shape)),
         )
         for parent, grad in grads:
             if _wants_grad(parent):
                 parent.accumulate_grad(grad())
 
-    return _node(out, (x, h0, c0, w_v, w_h, b1, w2, b2, w, b), bwd, "attend_lstm_seq")
+    return _node(out[real], (x, h0, c0, w_v, w_h, b1, w2, b2, w, b), bwd, "attend_lstm_seq")
 
 
 # ---------------------------------------------------------------------------

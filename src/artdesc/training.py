@@ -76,29 +76,40 @@ class Checkpoint:
     history: list[dict] = field(default_factory=list)
 
 
+def padding(lengths: Sequence[int]) -> dict[str, int]:
+    """The (B, T) positions of one padded recurrence over sequences of these
+    lengths, and how many of them are padding: the stats under which a batch
+    loss reports its padding to :func:`fit`."""
+    positions = len(lengths) * max(lengths)
+    return {"positions": positions, "padded": positions - sum(lengths)}
+
+
 def fit(
     config,
     vocab: Vocab,
     init_params: Callable[[Any, np.random.Generator], nc.ParamStore],
     items: Sequence,
     tcfg: TrainConfig,
-    item_loss: Callable[[Any, nc.ParamStore], tuple[nc.Tensor | None, int, dict[str, float]]],
+    batch_loss: Callable[[list, nc.ParamStore], tuple[nc.Tensor | None, int, dict[str, float]]],
     summarize: Callable[[dict[str, float]], dict],
 ) -> Checkpoint:
     """Minibatch Adam over ``items`` for a model with this config and vocab,
     whose sizes must agree.
 
     ``init_params`` builds the store from the seeded generator, which then
-    shuffles the items every epoch. ``item_loss(item, store)`` returns the
-    item's summed loss (None when it has none), the units that loss covers
-    and named stats. Each minibatch steps on its summed losses divided by
-    their units; a minibatch without a loss takes no step. The stats, and the
-    units under ``"units"``, are summed over the epoch and ``summarize`` turns
-    them into the fields of its history entry after ``epoch`` and ``lr``.
+    shuffles the items every epoch. ``batch_loss(batch, store)`` returns the
+    minibatch's summed loss (None when it has none), the units that loss
+    covers and named stats. Each minibatch steps on its loss divided by its
+    units; a minibatch without a loss takes no step. The stats, and the units
+    under ``"units"``, are summed over the epoch and ``summarize`` turns them
+    into the fields of its history entry after ``epoch`` and ``lr``.
 
     As each epoch ends, an ``epoch`` event is logged with the history entry's
-    fields plus ``seconds`` and ``units_per_s``. Timings stay out of the
-    history, which a fixed seed reproduces exactly.
+    fields plus ``seconds``, ``units_per_s``, ``batches`` and
+    ``padded_share``: the share of padding among the positions that the
+    batch losses report under ``"positions"`` and ``"padded"`` (see
+    :func:`padding`). Counters and timings stay out of the history, which a
+    fixed seed reproduces exactly.
     """
     if config.vocab_size != len(vocab):
         raise ConfigError(
@@ -112,28 +123,28 @@ def fit(
         started = time.perf_counter()
         rng.shuffle(order)
         lr = nc.scheduled_lr(tcfg.lr, epoch, tcfg.lr_decay, tcfg.lr_decay_every)
-        totals: dict[str, float] = {"units": 0}
-        for start in range(0, len(order), tcfg.batch_size):
+        totals: dict[str, float] = {"units": 0, "positions": 0, "padded": 0}
+        starts = range(0, len(order), tcfg.batch_size)
+        for start in starts:
             store.clear_grads()
-            losses: list[nc.Tensor] = []
-            units = 0
-            for idx in order[start : start + tcfg.batch_size]:
-                loss, n_units, stats = item_loss(items[idx], store)
-                for key, value in stats.items():
-                    totals[key] = totals.get(key, 0) + value
-                if loss is not None:
-                    losses.append(loss)
-                    units += n_units
-            if not losses:
+            batch = [items[idx] for idx in order[start : start + tcfg.batch_size]]
+            loss, units, stats = batch_loss(batch, store)
+            for key, value in stats.items():
+                totals[key] = totals.get(key, 0) + value
+            if loss is None:
                 continue
             totals["units"] += units
-            nc.backward(nc.scale(nc.add_n(losses), 1.0 / units), store)
+            nc.backward(nc.scale(loss, 1.0 / units), store)
             nc.adam_step(store, lr, tcfg.betas, tcfg.eps)
+            del loss  # the graph goes before the next minibatch builds its own
         entry = {"epoch": epoch, "lr": lr, **summarize(totals)}
         history.append(entry)
         seconds = time.perf_counter() - started
-        logger.info("epoch", extra={**entry, "seconds": seconds,
-                                    "units_per_s": totals["units"] / seconds})
+        logger.info("epoch", extra={
+            **entry, "seconds": seconds, "units_per_s": totals["units"] / seconds,
+            "batches": len(starts),
+            "padded_share": totals["padded"] / totals["positions"] if totals["positions"] else 0.0,
+        })
     return Checkpoint(config, vocab, store, tcfg.seed, history)
 
 

@@ -1,14 +1,18 @@
-"""The per-step tape path: the oracle for the whole-sequence training nodes.
+"""The per-item, per-step tape path: the oracle for minibatch training.
 
 Before ``attend_lstm_seq``, ``lstm_seq`` and the one-tensor classifier, the
 package trained and decoded one token at a time through these functions, one
-tape node per op and step. They are kept here unchanged as the reference:
+tape node per op and step; before minibatch-major training it also built one
+graph per item, and scored each filler candidate with its own nodes
+(``candidate_vector``, ``dot``, ``stack_scalars``). They are kept here as
+the reference:
 
 - decoding (``DecodeStep``) must match ``attend`` + ``decode_logits`` bit
   for bit (c05 and ``TestTapeOracle``);
-- training losses and parameter gradients must match the per-step
-  ``sequence_loss``, ``classify_distributions`` and the per-step filler
-  encoder to about 1e-10 relative (stacked GEMMs sum in another order).
+- a minibatch's loss and parameter gradients must match the sum of its
+  items' ``sequence_loss`` (+ ``classify_distributions``) and
+  ``fill_pair_loss`` here to about 1e-10 relative (stacked GEMMs sum in
+  another order).
 
 ``neg_log_pick`` and ``maximum_list`` are the numcore ops that only this path
 used.
@@ -21,12 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from artdesc import numcore as nc
-from artdesc.corpus import FeatureGrid
+from artdesc.corpus import EntityType, FeatureGrid, mean_pool, tokenize
 from artdesc.corpus.vocab import Vocab
 from artdesc.decoder.config import DecoderConfig
-from artdesc.decoder.model import State, init_state
+from artdesc.decoder.model import State
 from artdesc.errors import ShapeError
-from artdesc.filler.model import candidate_vector
+from artdesc.filler.encoding import encode_fill_input
 from artdesc.numcore.tensor import _node, _require_1d, _wants_grad
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,14 @@ def maximum_list(ts: Sequence[nc.Tensor]) -> nc.Tensor:
 # ---------------------------------------------------------------------------
 # Decoder, one step at a time
 # ---------------------------------------------------------------------------
+
+
+def init_state(grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec") -> State:
+    """Initial (h0, c0), each (H,), from the mean-pooled grid through affine + tanh."""
+    vbar = nc.constant(mean_pool(grid), name="vbar")
+    h0 = nc.tanh_t(nc.affine(params[f"{prefix}.init.w_h"], vbar, params[f"{prefix}.init.b_h"]))
+    c0 = nc.tanh_t(nc.affine(params[f"{prefix}.init.w_c"], vbar, params[f"{prefix}.init.b_c"]))
+    return h0, c0
 
 
 def attend(grid: FeatureGrid, h_prev: nc.Tensor, params: nc.ParamStore,
@@ -209,10 +221,22 @@ def encode_description(ids: list[int], params: nc.ParamStore) -> list[nc.Tensor]
     return [nc.concat([f, b]) for f, b in zip(fwd, bwd)]
 
 
+def candidate_vector(surface: str, etype: EntityType, params: nc.ParamStore,
+                     vocab: Vocab) -> nc.Tensor:
+    """Mean word embedding of the candidate's tokens plus its type embedding,
+    projected through tanh."""
+    word_ids = [vocab.id_of(t) for t in tokenize(surface)] or [vocab.unk]
+    embs = [nc.embedding(params["fill.embed"], i) for i in word_ids]
+    mean = nc.scale(nc.add_n(embs), 1.0 / len(embs))
+    tvec = nc.embedding(params["fill.type"], int(etype))
+    return nc.tanh_t(nc.affine(params["fill.cand.w"], nc.concat([mean, tvec]),
+                               params["fill.cand.b"]))
+
+
 def slot_scores(fill_input, candidates, params: nc.ParamStore,
                 vocab: Vocab) -> list[list[tuple[int, nc.Tensor]]]:
-    """``artdesc.filler.model.slot_scores`` over the per-step encoder; patch
-    it into ``artdesc.filler.train`` to run ``fill_pair_loss`` on this path."""
+    """For each slot, bilinear scores against its type-compatible candidates
+    as (candidate index, score) pairs, one node per candidate and score."""
     seg_ids = [vocab.id_of(t) for t in fill_input.tokens[: fill_input.sep_position + 1]]
     states = encode_description(seg_ids, params)
     cand_vecs: dict[int, nc.Tensor] = {}
@@ -228,3 +252,23 @@ def slot_scores(fill_input, candidates, params: nc.ParamStore,
             scored.append((idx, score))
         per_slot.append(scored)
     return per_slot
+
+
+def fill_pair_loss(pair, params: nc.ParamStore, vocab: Vocab,
+                   config) -> tuple[nc.Tensor | None, int, int]:
+    """One pair's summed per-slot cross-entropies over its type-compatible
+    candidates: (loss or None, scored slots, skipped slots)."""
+    fill_input = encode_fill_input(pair.masked, pair.candidates, config.max_len)
+    per_slot = slot_scores(fill_input, pair.candidates, params, vocab)
+    losses: list[nc.Tensor] = []
+    skipped = 0
+    for scored, target, etype in zip(per_slot, pair.targets, fill_input.slot_types):
+        gold = pair.candidates.find(target, etype)
+        local = next((i for i, (idx, _) in enumerate(scored) if idx == gold), None)
+        if gold is None or local is None or not scored:
+            skipped += 1
+            continue
+        losses.append(nc.cross_entropy(nc.stack_scalars([s for _, s in scored]), local))
+    if not losses:
+        return None, 0, skipped
+    return nc.add_n(losses), len(losses), skipped

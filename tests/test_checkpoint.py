@@ -1,6 +1,7 @@
-"""The artifact container: bit-exact round trips, the version 1 reader, and
-atomic writes."""
+"""The artifact container: bit-exact round trips, aligned read-only views,
+the version 1 and 2 readers, and atomic writes."""
 
+import hashlib
 import json
 import os
 import struct
@@ -10,7 +11,14 @@ import pytest
 
 from artdesc.errors import FormatError
 from artdesc.numcore import load_checkpoint, save_checkpoint
-from artdesc.numcore.checkpoint import VERSION, ByteReader, atomic_write, digest_of
+from artdesc.numcore.checkpoint import (
+    VERSION,
+    ByteReader,
+    atomic_write,
+    digest_of,
+    load_container,
+    save_container,
+)
 
 
 def save_checkpoint_v1(path, arrays, config_digest, meta=None):
@@ -37,6 +45,69 @@ def save_checkpoint_v1(path, arrays, config_digest, meta=None):
             f.write(data.astype("<f8", copy=False).tobytes(order="C"))
 
 
+def save_container_v2(path, meta, arrays):
+    """The version 2 writer, as it was before version 3 aligned the array
+    data: kept to write the old files that the reader must still load."""
+    def string(text):
+        blob = text.encode("utf-8")
+        return struct.pack("<I", len(blob)) + blob
+
+    body = [b"ARTDCKP1", struct.pack("<I", 2),
+            string(json.dumps(meta, sort_keys=True, separators=(",", ":"))),
+            struct.pack("<I", len(arrays))]
+    for name, array in arrays.items():
+        code = array.dtype.str[1:]
+        body += [string(name) + string(code),
+                 struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
+                 np.ascontiguousarray(array, "<" + code).tobytes()]
+    blob = b"".join(body)
+    with open(path, "wb") as f:
+        f.write(blob + hashlib.sha256(blob).digest())
+
+
+def _mixed_arrays(rng):
+    """Arrays of every dtype, with names of odd lengths, so that unpadded
+    data would land at every byte offset."""
+    return {"a": rng.normal(size=(3, 5)), "bb": rng.integers(0, 9, size=7).astype("<u4"),
+            "ccc": rng.integers(-5, 5, size=(2, 3)).astype("<i8"), "dddd": rng.normal(size=1),
+            "e": rng.integers(0, 9, size=3).astype("<u8")}
+
+
+def test_load_hands_out_aligned_read_only_views(tmp_path):
+    arrays = _mixed_arrays(np.random.default_rng(16))
+    path = tmp_path / "x.bin"
+    save_container(path, {"kind": "test"}, arrays)
+    meta, loaded, version = load_container(path, "test")
+    assert version == VERSION and meta == {"kind": "test"}
+    buffers = set()
+    for name, array in arrays.items():
+        got = loaded[name]
+        assert got.dtype == array.dtype and np.array_equal(got, array)
+        assert got.flags.aligned and not got.flags.writeable and not got.flags.owndata
+        buffers.add(id(_owner(got)))
+    assert len(buffers) == 1  # views of the one buffer the file was read into
+
+
+def _owner(array):
+    """The object that owns an array's memory."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return _owner(array.obj) if isinstance(array, memoryview) else array
+
+
+def test_version_2_file_loads_the_same(tmp_path):
+    arrays = _mixed_arrays(np.random.default_rng(17))
+    old, new = tmp_path / "v2.bin", tmp_path / "v3.bin"
+    save_container_v2(old, {"kind": "test"}, arrays)
+    save_container(new, {"kind": "test"}, arrays)
+    meta_old, got_old, version_old = load_container(old, "test")
+    meta_new, got_new, version_new = load_container(new, "test")
+    assert (version_old, version_new) == (2, VERSION) and meta_old == meta_new
+    for name, array in arrays.items():
+        assert np.array_equal(got_old[name], array) and got_old[name].dtype == array.dtype
+        assert got_old[name].flags.aligned and not got_old[name].flags.writeable
+
+
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     arrays = {
@@ -49,7 +120,7 @@ def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, arrays, digest, meta)
     loaded, got_digest, got_meta, version = load_checkpoint(path)
-    assert version == VERSION == 2
+    assert version == VERSION == 3
     assert got_digest == digest
     assert got_meta == meta
     assert set(loaded) == set(arrays)
@@ -63,11 +134,11 @@ def test_version_1_file_loads_the_same(tmp_path):
     rng = np.random.default_rng(15)
     arrays = {"emb": rng.normal(size=(4, 3)), "b": rng.normal(size=5), "s": np.float64(2.5)}
     meta = {"kind": "filler", "config": {"hidden_size": 4}, "seed": 1}
-    old, new = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+    old, new = tmp_path / "v1.ckpt", tmp_path / "new.ckpt"
     save_checkpoint_v1(old, arrays, "d" * 64, meta)
     save_checkpoint(new, arrays, "d" * 64, meta)
     got_old, got_new = load_checkpoint(old), load_checkpoint(new)
-    assert got_old[3] == 1 and got_new[3] == 2
+    assert got_old[3] == 1 and got_new[3] == VERSION
     assert got_old[1:3] == got_new[1:3] == ("d" * 64, meta)
     for name, value in arrays.items():
         assert got_old[0][name].shape == np.shape(value)

@@ -355,7 +355,7 @@ def test_non_utf8_word_list_exit_code(cli_world, tmp_path, capsys, flag):
 
 
 def _seal(body: bytes) -> bytes:
-    """A version 2 container's body with its SHA-256 trailer."""
+    """A container's body with its SHA-256 trailer."""
     return body + hashlib.sha256(body).digest()
 
 
@@ -364,12 +364,17 @@ def _string(blob: bytes) -> bytes:
 
 
 def _container_body(meta: bytes, arrays: list[tuple[str, np.ndarray]]) -> bytes:
-    """A version 2 container without its trailer, written field by field, so
-    a test can store what the writer refuses to; ``meta`` is encoded JSON."""
-    return b"".join([b"ARTDCKP1", struct.pack("<II", 2, len(meta)), meta,
-                     struct.pack("<I", len(arrays))] + [
-        _string(name.encode("utf-8")) + _string(a.dtype.str[1:].encode("utf-8"))
-        + struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape) + a.tobytes() for name, a in arrays])
+    """A version 3 container without its trailer, written field by field, so
+    a test can store what the writer refuses to; ``meta`` is encoded JSON.
+    Each array's data starts at a multiple of 8 bytes after a pad field."""
+    body = b"".join([b"ARTDCKP1", struct.pack("<II", 3, len(meta)), meta,
+                     struct.pack("<I", len(arrays))])
+    for name, a in arrays:
+        body += (_string(name.encode("utf-8")) + _string(a.dtype.str[1:].encode("utf-8"))
+                 + struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape))
+        pad = -(len(body) + 1) % 8
+        body += bytes([pad]) + bytes(pad) + a.tobytes()
+    return body
 
 
 def _idx_body(terms, df, doc_ids, indptr, indices, data) -> bytes:
@@ -489,6 +494,7 @@ def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruptio
     bad = tmp_path / f"{kind}.ckpt"
     if corruption == "nan-param":
         arrays, digest, meta, _ = nc.load_checkpoint(config[key])
+        arrays[NAN_PARAM[kind]] = arrays[NAN_PARAM[kind]].copy()  # loads are read-only
         arrays[NAN_PARAM[kind]][0] = np.nan
         nc.save_checkpoint(bad, arrays, digest, meta)
         message = f"parameter '{NAN_PARAM[kind]}': {message}"
@@ -667,7 +673,7 @@ def test_overflowing_checkpoint_exit_code(world, tmp_path):
     because a process warns the way a user sees it."""
     _, records, config, _ = world
     arrays, digest, meta, _ = nc.load_checkpoint(config["decoder_checkpoint"])
-    arrays["content.out.w"][:] = 1e308
+    arrays["content.out.w"] = np.full_like(arrays["content.out.w"], 1e308)
     bad = tmp_path / "decoder.ckpt"
     nc.save_checkpoint(bad, arrays, digest, meta)
     config_path = tmp_path / "pipeline.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from tape_oracle import attend, decode_step
+from tape_oracle import init_state as tape_init_state
 
 from artdesc import numcore as nc
 from artdesc.corpus import FeatureGrid, TopicLabel
@@ -69,7 +70,7 @@ class TestInitState:
             ("init.w_h", (6, 4)), ("init.b_h", (6,)), ("init.w_c", (6, 4)), ("init.b_c", (6,)),
         ):
             store.add(f"dec.{suffix}", np.zeros(shape))
-        h0, c0 = init_state(FeatureGrid(np.zeros((3, 4))), store)
+        h0, c0 = init_state(np.zeros((1, 3, 4)), store)
         assert np.allclose(h0.data, 0.0) and np.allclose(c0.data, 0.0)
 
     def test_outputs_bounded_by_tanh(self):
@@ -77,19 +78,21 @@ class TestInitState:
         config, store = make()
         for _ in range(50):
             grid = FeatureGrid(rng.normal(size=(4, 4)) * 10)
-            h0, c0 = init_state(grid, store)
+            h0, c0 = init_state(grid.values[None], store)
             assert np.all(np.abs(h0.data) < 1.0) and np.all(np.abs(c0.data) < 1.0)
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(33)
         config, store = make()
-        grid = FeatureGrid(rng.normal(size=(5, 4)))
-        h0, c0 = init_state(grid, store)
-        vbar = grid.values.mean(axis=0)
-        want_h = np.tanh(store["dec.init.w_h"].data @ vbar + store["dec.init.b_h"].data)
-        want_c = np.tanh(store["dec.init.w_c"].data @ vbar + store["dec.init.b_c"].data)
-        assert np.max(np.abs(h0.data - want_h)) < 1e-12
-        assert np.max(np.abs(c0.data - want_c)) < 1e-12
+        grids = rng.normal(size=(2, 5, 4))
+        h0, c0 = init_state(grids, store)
+        assert h0.shape == c0.shape == (2, 6)
+        for row, grid in enumerate(grids):
+            vbar = grid.mean(axis=0)
+            want_h = np.tanh(store["dec.init.w_h"].data @ vbar + store["dec.init.b_h"].data)
+            want_c = np.tanh(store["dec.init.w_c"].data @ vbar + store["dec.init.b_c"].data)
+            assert np.max(np.abs(h0.data[row] - want_h)) < 1e-12
+            assert np.max(np.abs(c0.data[row] - want_c)) < 1e-12
 
 
 class TestDecodeStep:
@@ -97,7 +100,7 @@ class TestDecodeStep:
         rng = np.random.default_rng(34)
         config, store = make()
         grid = FeatureGrid(rng.normal(size=(3, 4)))
-        state = init_state(grid, store)
+        state = tape_init_state(grid, store)
         for prev in range(min(12, config.vocab_size)):
             z, _ = attend(grid, state[0], store)
             state, dist = decode_step(z, state, prev, store)
@@ -109,7 +112,7 @@ class TestDecodeStep:
         rng = np.random.default_rng(35)
         config, store = make()
         grid = FeatureGrid(rng.normal(size=(3, 4)))
-        state = init_state(grid, store)
+        state = tape_init_state(grid, store)
         z, alpha = attend(grid, state[0], store)
         (h, c), dist = decode_step(z, state, 2, store)
 
@@ -145,7 +148,7 @@ class TestDecodeStep:
         rng = np.random.default_rng(36)
         config, store = make(variant="conditional")
         grid = FeatureGrid(rng.normal(size=(3, 4)))
-        state = init_state(grid, store)
+        state = tape_init_state(grid, store)
         z, _ = attend(grid, state[0], store)
         _, d_content = decode_step(z, state, 1, store, topic_idx=int(TopicLabel.CONTENT))
         _, d_form = decode_step(z, state, 1, store, topic_idx=int(TopicLabel.FORM))
@@ -156,7 +159,7 @@ class TestDecodeStep:
         config, store = make(variant="conditional")
         store["dec.topic.embed"].data[1] = store["dec.topic.embed"].data[0]
         grid = FeatureGrid(rng.normal(size=(3, 4)))
-        state = init_state(grid, store)
+        state = tape_init_state(grid, store)
         z, _ = attend(grid, state[0], store)
         _, d0 = decode_step(z, state, 1, store, topic_idx=0)
         _, d1 = decode_step(z, state, 1, store, topic_idx=1)

@@ -67,12 +67,14 @@ def test_each_epoch_is_logged_as_it_ends(corpus, monkeypatch):
     handler = Ends(logging.INFO)
     logger = logging.getLogger("artdesc.training")
     logger.addHandler(handler)
-    monkeypatch.setattr(logger, "level", logging.INFO)
+    level = logger.level
+    logger.setLevel(logging.INFO)  # unlike assigning .level, this clears the enabled-for cache
     try:
         ckpt = train_decoder(records, vocab, small_config(vocab),
                              TrainConfig(epochs=2, batch_size=3, seed=5))
     finally:
         logger.removeHandler(handler)
+        logger.setLevel(level)
     assert [kind for kind, _ in seen] == ["start", "end", "start", "end"]
     tokens = sum(len(item.token_ids) - 1 for item in build_training_items(records, vocab,
                                                                           "baseline"))
@@ -83,6 +85,46 @@ def test_each_epoch_is_logged_as_it_ends(corpus, monkeypatch):
         assert record.units_per_s == pytest.approx(tokens / record.seconds)
     # timings go to the log only: a fixed seed reproduces the history exactly
     assert all(set(entry) == {"epoch", "lr", "nll_per_token"} for entry in ckpt.history)
+
+
+class _Events(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.mark.parametrize("variant, batch_size", [("baseline", 6), ("parallel", 3)])
+def test_epoch_event_counts_batches_and_padding(corpus, variant, batch_size):
+    """The epoch event reports the minibatches and the padded share of the
+    recurrences' (B, T) positions; the history holds neither, and logging
+    them changes no history."""
+    records, vocab = corpus
+    config = small_config(vocab, variant=variant)
+    tcfg = TrainConfig(epochs=2, batch_size=batch_size, seed=12)
+    quiet = train_decoder(records, vocab, config, tcfg)
+    handler = _Events()
+    logger = logging.getLogger("artdesc.training")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        ckpt = train_decoder(records, vocab, config, tcfg)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert ckpt.history == quiet.history
+    assert all(set(entry) == {"epoch", "lr", "nll_per_token"} for entry in ckpt.history)
+    items = build_training_items(records, vocab, variant)
+    lengths = [len(item.token_ids) - 1 for item in items]
+    assert [r.batches for r in handler.records] == [math.ceil(len(items) / batch_size)] * 2
+    for record in handler.records:
+        assert 0.0 < record.padded_share < 1.0  # ragged lengths pad, real rows dominate
+    if batch_size >= len(items):  # one minibatch: the share is exact
+        padded = len(items) * max(lengths) - sum(lengths)
+        assert handler.records[0].padded_share == padded / (len(items) * max(lengths))
 
 
 def test_different_seed_differs(corpus):

@@ -1,7 +1,7 @@
 """Source-level guards: runtime dependencies stay numpy-only (scipy is
 installed alongside but is not a declared dependency of the package), every
 file the package writes goes through ``atomic_write``, and the models train
-on whole-sequence nodes, not on the per-step tape path."""
+on whole-minibatch nodes, not on the per-step or per-item tape path."""
 
 import ast
 from pathlib import Path
@@ -98,4 +98,35 @@ def test_models_do_not_reference_per_step_ops():
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offenders += [f"{path.relative_to(SRC)}:{lineno}: {name}"
                           for lineno, name in _referenced_names(tree) if name in PER_STEP_OPS]
+    assert offenders == []
+
+
+def _called_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield node.lineno, name
+
+
+def test_training_hands_whole_minibatches_to_one_loss():
+    """``fit`` takes one batch loss: no module under src/ defines or passes
+    a per-item ``item_loss``, and neither the decoders nor the filler score
+    one candidate or one slot at a time (the per-item path lives on in
+    tests/tape_oracle.py)."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        rel = path.relative_to(SRC)
+        offenders += [f"{rel}:{lineno}: item_loss" for lineno, name in _referenced_names(tree)
+                      if name == "item_loss"]
+        offenders += [f"{rel}:{node.lineno}: item_loss" for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.arg, ast.keyword))
+                      and getattr(node, "name", getattr(node, "arg", None)) == "item_loss"]
+        if rel.parts[0] in ("decoder", "filler"):
+            offenders += [f"{rel}:{lineno}: {name}" for lineno, name in _called_names(tree)
+                          if name in ("stack_scalars", "dot", "candidate_vector")]
+            offenders += [f"{rel}:{node.lineno}: candidate_vector" for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == "candidate_vector"]
     assert offenders == []

@@ -138,6 +138,29 @@ def cue_corpus(rng, n_records, n_symbols=8, per_record=4):
     return records
 
 
+def ragged_cue_corpus(rng, n_records, n_symbols=4):
+    """Records whose sentences hold one, two or three slots, each slot's
+    value set by the cue word before it; every record names two people and
+    two dates, so every slot has two type-compatible candidates."""
+    people = [f"person{i}" for i in range(n_symbols)]
+    dates = [f"{1500 + 40 * i}" for i in range(n_symbols)]
+    records = []
+    for r in range(n_records):
+        p, d = rng.permutation(n_symbols)[:2], rng.permutation(n_symbols)[:2]
+        entries = [
+            slotted_entry(["by", f"cue{p[0]}", Slot(EntityType.PERSON), "."],
+                          [people[p[0]]], TopicLabel.CONTENT),
+            slotted_entry(["the", f"cue{p[1]}", Slot(EntityType.PERSON), "in", f"when{d[0]}",
+                           Slot(EntityType.DATE)], [people[p[1]], dates[d[0]]], TopicLabel.FORM),
+            slotted_entry([f"when{d[1]}", Slot(EntityType.DATE), f"cue{p[0]}",
+                           Slot(EntityType.PERSON), "met", f"cue{p[1]}",
+                           Slot(EntityType.PERSON)],
+                          [dates[d[1]], people[p[0]], people[p[1]]], TopicLabel.CONTEXT),
+        ]
+        records.append(PaintingRecord(id=f"g{r:03d}", sentences=entries))
+    return records
+
+
 @pytest.fixture(scope="module")
 def trained_cue_filler():
     rng = np.random.default_rng(82)
@@ -163,6 +186,25 @@ class TestTrainFiller:
                     total += 1
                     correct += decision.chosen == gold
         assert correct == total
+
+    def test_loss_is_nonzero_and_falls_with_ragged_slots(self):
+        """A real training signal: every slot scores two or more candidates,
+        so the loss is nonzero, and minibatches of ragged descriptions and
+        slot counts drive it down epoch after epoch."""
+        records = ragged_cue_corpus(np.random.default_rng(86), 8)
+        for pair in build_fill_pairs(records):
+            for target, etype in zip(pair.targets, pair.masked[0].slot_types()):
+                assert len(pair.candidates.of_type(etype)) >= 2
+        vocab = build_filler_vocab(records)
+        config = FillerConfig(vocab_size=len(vocab), hidden_size=12, embed_size=10,
+                              type_embed_size=4)
+        ckpt = train_filler(records, vocab, config, epochs=8, lr=1e-2, lr_decay_every=None,
+                            batch_size=5, seed=3)
+        losses = [entry["loss_per_slot"] for entry in ckpt.history]
+        assert all(loss > 0.1 for loss in losses)
+        assert all(b < a for a, b in zip(losses, losses[1:])), losses
+        assert losses[-1] < 0.5 * losses[0]
+        assert all(entry["skipped_slots"] == 0 for entry in ckpt.history)
 
     def test_determinism(self):
         records = cue_corpus(np.random.default_rng(84), 6)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from synth import memorization_corpus, random_grid
-from tape_oracle import attend, decode_logits
+from tape_oracle import attend, decode_logits, init_state
 
 import artdesc.numcore as nc
 from artdesc.corpus import MaskedSentence, TopicLabel, Word
@@ -22,7 +22,7 @@ from artdesc.decoder import (
     train_decoder,
 )
 from artdesc.decoder.generate import _log_softmax
-from artdesc.decoder.model import init_state, sub_prefix, topic_embedding_index
+from artdesc.decoder.model import sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
 from artdesc.training import Checkpoint
 

@@ -8,12 +8,21 @@ import pytest
 from test_checkpoint import save_checkpoint_v1
 
 import artdesc.numcore as nc
+from artdesc.corpus import EntityType, FeatureGrid, MaskedSentence, Slot, TopicLabel, Word
 from artdesc.corpus.vocab import RESERVED, Vocab
-from artdesc.decoder import DecoderConfig, load_decoder_checkpoint, save_decoder_checkpoint
+from artdesc.decoder import (
+    DecoderConfig,
+    greedy_decode,
+    load_decoder_checkpoint,
+    save_decoder_checkpoint,
+)
 from artdesc.decoder.model import init_decoder_params
 from artdesc.errors import DataError, ShapeError, StateError
 from artdesc.filler import (
+    Candidate,
+    CandidateSet,
     FillerConfig,
+    fill_slots,
     init_filler_params,
     load_filler_checkpoint,
     save_filler_checkpoint,
@@ -70,12 +79,37 @@ def test_load_draws_no_random_numbers(saved, monkeypatch):
     _assert_bit_equal(load(path).store, store)
 
 
-def test_loaded_parameters_are_writable_and_contiguous(saved):
+def test_loaded_parameters_are_read_only_and_contiguous(saved):
+    """A load adopts the container's arrays as they are: views of the file's
+    bytes (or aligned copies), which no caller may write."""
     store, path, load = saved
     loaded = load(path).store
     for name in loaded.names():
         data = loaded[name].data
-        assert data.flags.writeable and data.flags.c_contiguous, name
+        assert not data.flags.writeable, name
+        assert data.flags.c_contiguous and data.flags.aligned, name
+        with pytest.raises(ValueError):
+            data[...] = 0.0
+    _assert_bit_equal(loaded, store)
+
+
+def test_loaded_model_reports_like_the_saved_one(saved):
+    """Greedy decoding or slot filling from the loaded, read-only parameters
+    gives the saved model's result bit for bit."""
+    store, path, load = saved
+    loaded = load(path)
+    saved_ckpt = Checkpoint(loaded.config, loaded.vocab, store, seed=5)
+    rng = np.random.default_rng(6)
+    if isinstance(loaded.config, FillerConfig):
+        masked = MaskedSentence([Word("saint"), Slot(EntityType.PERSON), Word("river")])
+        candidates = CandidateSet([Candidate("river saint", EntityType.PERSON, "article"),
+                                   Candidate("saint", EntityType.PERSON, "attribute")])
+        assert fill_slots([masked], candidates, loaded) == fill_slots([masked], candidates,
+                                                                       saved_ckpt)
+        return
+    grid = FeatureGrid(rng.normal(size=(3, 6)))
+    for topic in TopicLabel:
+        assert greedy_decode(loaded, grid, topic, 6) == greedy_decode(saved_ckpt, grid, topic, 6)
 
 
 def test_version_1_checkpoint_loads(saved, tmp_path):
@@ -96,6 +130,7 @@ def _break(arrays: dict, corruption: str) -> str:
     elif corruption == "extra":
         arrays["zzz.bogus"] = np.zeros(3)
     else:
+        arrays[name] = arrays[name].copy()  # loaded arrays are read-only
         arrays[name].flat[-1] = np.inf
     return name
 

@@ -1,9 +1,11 @@
-"""The whole-sequence training nodes against the per-step tape oracle.
+"""The minibatch training nodes against the per-item, per-step tape oracle.
 
 Every new or widened numcore node passes the central-difference check at
-1e-4. Losses and every parameter gradient of the three decoder variants and
-of the filler agree with ``tape_oracle`` to 1e-10 relative: the stacked
-GEMMs sum in another order, so they cannot agree bit for bit.
+1e-4, ragged (masked) minibatches included. Losses and every parameter
+gradient of the three decoder variants and of the filler, for one item and
+for ragged minibatches, agree with the sum of ``tape_oracle``'s per-item
+losses to 1e-10 relative: the stacked GEMMs sum in another order, so they
+cannot agree bit for bit.
 """
 
 import numpy as np
@@ -13,11 +15,12 @@ import tape_oracle as tape
 from synth import slotted_entry
 from test_filler import cue_corpus
 
-import artdesc.filler.train as filler_train
 from artdesc import numcore as nc
 from artdesc.corpus import EntityType, FeatureGrid, PaintingRecord, Slot, TopicLabel
-from artdesc.decoder import DecoderConfig, init_decoder_params, sequence_loss
+from artdesc.decoder import DecoderConfig, TrainingItem, init_decoder_params, sequence_loss
 from artdesc.decoder.classifier import classify_distributions, classify_tokens
+from artdesc.decoder.model import sub_prefix, topic_embedding_index
+from artdesc.decoder.train import batch_loss
 from artdesc.errors import ShapeError
 from artdesc.filler import (
     FillerConfig,
@@ -29,6 +32,8 @@ from artdesc.filler import (
     slot_scores,
 )
 from artdesc.filler.model import slot_score_values
+from artdesc.filler.train import FillPair
+from artdesc.numcore.tensor import _node
 
 
 def _randomize(store, seed, scale=0.5):
@@ -141,6 +146,90 @@ def test_classify_tokens_matches_oracle():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _oracle_item_loss(config, store, item, classifier_weight):
+    """One item's loss on the per-step path, as ``batch_loss`` sums it."""
+    prefix = sub_prefix(config.variant, item.topic)
+    topic_idx = topic_embedding_index(config.variant, item.topic)
+    use_classifier = classifier_weight != 0.0 and config.variant == "conditional"
+    nll, _, probs = tape.sequence_loss(item.grid, item.token_ids, store, prefix, topic_idx,
+                                       collect_probs=use_classifier)
+    if not use_classifier:
+        return nll
+    word = probs[:-1] if len(probs) > 1 else probs
+    ce = nc.cross_entropy(tape.classify_distributions(word, store, config), topic_idx)
+    return nc.add(nll, nc.scale(ce, classifier_weight))
+
+
+def _batch(lengths, topics, seed, n_locs=None):
+    """Items of these transition counts and topics, in the given order."""
+    rng = np.random.default_rng(seed)
+    n_locs = n_locs or [3] * len(lengths)
+    return [TrainingItem(FeatureGrid(rng.normal(size=(n_loc, 4))), topic,
+                         [1] + [int(t) for t in rng.integers(4, 12, size=n - 1)] + [2])
+            for n, topic, n_loc in zip(lengths, topics, n_locs)]
+
+
+C, F, X = TopicLabel.CONTENT, TopicLabel.FORM, TopicLabel.CONTEXT
+BATCHES = {
+    "ragged": ([3, 1, 6, 2, 6], [F, C, F, C, F]),  # the parallel batch has no context item
+    "one-item": ([4], [X]),
+    "length-1-only": ([1, 1], [C, F]),
+    "grid-sizes": ([2, 5, 3], [F, F, C]),
+}
+
+
+@pytest.mark.parametrize("variant", ["baseline", "parallel", "conditional"])
+@pytest.mark.parametrize("batch", list(BATCHES))
+def test_minibatch_loss_and_gradients_match_per_item_oracle(variant, batch):
+    """A minibatch's loss is the sum of its items' per-step losses, and so
+    is every gradient: ragged lengths, a parallel batch without one topic,
+    one item, length-1 sequences and grids of two sizes."""
+    config, store = _decoder(variant, seed=len(batch))
+    lengths, topics = BATCHES[batch]
+    n_locs = [3, 2, 3] if batch == "grid-sizes" else None
+    items = _batch(lengths, topics, seed=len(lengths), n_locs=n_locs)
+    weight = 0.7 if variant == "conditional" else 0.0
+
+    def new():
+        loss, units, stats = batch_loss(items, store, config, weight)
+        assert units == sum(lengths)
+        assert stats["positions"] - stats["padded"] == units
+        return loss
+
+    def oracle():
+        return nc.add_n([_oracle_item_loss(config, store, item, weight) for item in items])
+
+    _assert_matches_oracle(store, new, oracle)
+    if variant == "parallel" and batch == "ragged":
+        _, grads = _loss_and_grads(store, new)
+        assert not any(np.any(grads[name]) for name in store.names()
+                       if name.startswith("context."))
+
+
+def test_sequence_loss_takes_sequences_longest_first():
+    config, store = _decoder("baseline")
+    items = _batch([2, 4], [C, C], seed=1)
+    with pytest.raises(ShapeError):
+        sequence_loss([item.grid for item in items], [item.token_ids for item in items],
+                      store, "dec")
+
+
+def test_classify_distributions_batch_equals_one_by_one():
+    """Padding stays out of the max over time: each sequence's logits equal
+    its own, shorter than the widest window or not."""
+    config, store = _decoder("conditional", windows=(1, 3))
+    rng = np.random.default_rng(4)
+    lengths = [5, 1, 2, 4]
+    probs = nc.softmax(nc.constant(rng.normal(size=(sum(lengths), config.vocab_size))))
+    got = classify_distributions(probs, store, config, lengths).data
+    start = 0
+    for row, n in enumerate(lengths):
+        one = nc.constant(probs.data[start : start + n])
+        want = classify_distributions(one, store, config).data[0]
+        assert np.max(np.abs(got[row] - want)) <= 1e-12 * np.max(np.abs(want))
+        start += n
+
+
 # ----------------------------------------------------------------------
 # Filler
 # ----------------------------------------------------------------------
@@ -160,14 +249,13 @@ def _filler_pair(tokens, values):
     return build_fill_pairs([record])[0], store, vocab, config
 
 
-def _filler_losses(pair, store, vocab, config, monkeypatch):
+def _filler_losses(pairs, store, vocab, config):
     def new():
-        return fill_pair_loss(pair, store, vocab, config)[0]
+        return fill_pair_loss(pairs, store, vocab, config)[0]
 
     def oracle():
-        with monkeypatch.context() as patch:
-            patch.setattr(filler_train, "slot_scores", tape.slot_scores)
-            return fill_pair_loss(pair, store, vocab, config)[0]
+        losses = [tape.fill_pair_loss(pair, store, vocab, config)[0] for pair in pairs]
+        return nc.add_n([loss for loss in losses if loss is not None])
 
     return new, oracle
 
@@ -177,11 +265,41 @@ def _filler_losses(pair, store, vocab, config, monkeypatch):
     (["made", "by", Slot(EntityType.PERSON), "in", Slot(EntityType.DATE), "."],
      ["goya", "1820"]),
 ], ids=["one-token", "two-slots"])
-def test_filler_loss_and_gradients_match_oracle(tokens, values, monkeypatch):
+def test_filler_loss_and_gradients_match_oracle(tokens, values):
     """The one-token case is a description of one word (<cls> aside):
     each LSTM direction reads a single row."""
     pair, store, vocab, config = _filler_pair(tokens, values)
-    new, oracle = _filler_losses(pair, store, vocab, config, monkeypatch)
+    new, oracle = _filler_losses([pair], store, vocab, config)
+    _assert_matches_oracle(store, new, oracle)
+    assert nc.grad_check(new, store, epsilon=1e-4) < 1e-4
+
+
+def test_filler_minibatch_matches_per_pair_oracle():
+    """Ragged descriptions and slot counts, two or more candidates for most
+    slots, a pair with a skipped slot and a pair with no scored slot."""
+    records = [
+        PaintingRecord(id="a", sentences=[
+            slotted_entry(["made", "by", Slot(EntityType.PERSON), "in", Slot(EntityType.DATE),
+                           "for", Slot(EntityType.PERSON), "."],
+                          ["goya", "1820", "vasari"], TopicLabel.CONTENT),
+            slotted_entry([Slot(EntityType.DATE)], ["1799"], TopicLabel.CONTEXT),
+        ]),
+        PaintingRecord(id="b", sentences=[
+            slotted_entry(["shows", Slot(EntityType.PERSON), "and", Slot(EntityType.PERSON)],
+                          ["mary", "john"], TopicLabel.CONTENT),
+        ]),
+    ]
+    vocab = build_filler_vocab(records)
+    config = FillerConfig(vocab_size=len(vocab), hidden_size=4, embed_size=4, type_embed_size=3)
+    store = init_filler_params(config, np.random.default_rng(3))
+    _randomize(store, 9)
+    pairs = build_fill_pairs(records)
+    skipping = FillPair(pairs[0].masked, pairs[0].candidates, ["goya", "1500", "vasari"])
+    nothing = FillPair(pairs[1].masked, pairs[2].candidates, ["1799"])
+    batch = [pairs[1], skipping, pairs[2], pairs[0], nothing]
+    loss, scored, skipped = fill_pair_loss(batch, store, vocab, config)
+    assert (scored, skipped) == (8, 2)
+    new, oracle = _filler_losses(batch, store, vocab, config)
     _assert_matches_oracle(store, new, oracle)
     assert nc.grad_check(new, store, epsilon=1e-4) < 1e-4
 
@@ -224,9 +342,10 @@ def test_fill_slots_scores_equal_the_training_forward():
     _randomize(store, 2)
     for pair in build_fill_pairs(records):
         fill_input = encode_fill_input(pair.masked, pair.candidates, config.max_len)
-        taped = slot_scores(fill_input, pair.candidates, store, vocab)
+        scores, compatible = slot_scores(fill_input, pair.candidates, store, vocab)
         plain = slot_score_values(fill_input, pair.candidates, store, vocab)
-        assert [[(i, float(s.data)) for i, s in row] for row in taped] == plain
+        assert [[(i, float(row[i])) for i in np.flatnonzero(ok)]
+                for row, ok in zip(scores.data, compatible)] == plain
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +356,7 @@ def test_fill_slots_scores_equal_the_training_forward():
 def _node_cases():
     rng = np.random.default_rng(5)
     grid = rng.normal(size=(3, 2))
+    grids = rng.normal(size=(3, 3, 2))
 
     def attend_lstm(s):
         return nc.attend_lstm_seq(grid, s["x"], nc.tanh_t(s["h0"]), nc.tanh_t(s["c0"]),
@@ -259,6 +379,23 @@ def _node_cases():
         "windows": ({"x": (4, 2)}, lambda s: nc.windows(s["x"], 3)),
         "max_rows": ({"x": (4, 3)}, lambda s: nc.max_rows(s["x"])),
         "softmax-rows": ({"x": (3, 4)}, lambda s: nc.softmax(s["x"])),
+        "attend_lstm_seq-ragged": (
+            {"x": (3, 4, 2), "h0": (3, 3), "c0": (3, 3), "w_v": (3, 2), "w_h": (3, 3),
+             "b1": (3,), "w2": (3,), "b2": (1,), "w": (12, 7), "b": (12,)},
+            lambda s: nc.attend_lstm_seq(grids, s["x"], nc.tanh_t(s["h0"]), nc.tanh_t(s["c0"]),
+                                         (s["w_v"], s["w_h"], s["b1"], s["w2"], s["b2"]),
+                                         (s["w"], s["b"]), [4, 2, 1])),
+        "lstm_seq-ragged": ({"x": (3, 4, 2), "w": (8, 4), "b": (8,)},
+                            lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], lengths=[4, 4, 2])),
+        "lstm_seq-ragged-reverse": ({"x": (3, 4, 2), "w": (8, 4), "b": (8,)},
+                                    lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], reverse=True,
+                                                          lengths=[4, 3, 1])),
+        "linear-3d": ({"x": (2, 3, 4), "w": (2, 4), "b": (2,)},
+                      lambda s: nc.linear(s["x"], s["w"], s["b"])),
+        "windows-3d": ({"x": (2, 4, 2)}, lambda s: nc.windows(s["x"], 3)),
+        "max_rows-ragged": ({"x": (3, 4, 2)}, lambda s: nc.max_rows(s["x"], [2, 4, 1])),
+        "cross_entropy-masked": ({"x": (3, 4)}, lambda s: nc.cross_entropy(
+            s["x"], [1, 0, 3], mask=np.array([[1, 1, 0, 1], [1, 0, 0, 0], [0, 1, 1, 1]], bool))),
     }
 
 
@@ -273,11 +410,75 @@ def test_node_passes_gradcheck(name):
     weights = nc.constant(rng.normal(size=out.shape))
 
     def loss():
-        y = build(store)
-        return nc.dot(_flat(weights) if y.data.ndim == 2 else weights,
-                      _flat(y) if y.data.ndim == 2 else y)
+        return _weighted_sum(build(store), weights.data)
 
     assert nc.grad_check(loss, store, epsilon=1e-4) < 1e-4
+
+
+def _weighted_sum(y, weights):
+    """sum(weights * y) as one scalar node, for a y of any shape."""
+    def bwd(out):
+        y.accumulate_grad(float(out.grad) * weights)
+
+    return _node(np.array((weights * y.data).sum()), (y,), bwd, "weighted_sum")
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_ragged_lstm_seq_rows_equal_each_sequence_alone(reverse):
+    """A step past a sequence's end leaves it alone: each sequence's rows,
+    and the gradients, match running it by itself."""
+    rng = np.random.default_rng(12)
+    store = nc.ParamStore()
+    x = store.add("x", rng.normal(size=(3, 5, 2)))
+    w = store.add("w", nc.uniform_init(rng, (8, 4), 0.5))
+    b = store.add("b", nc.uniform_init(rng, (8,), 0.5))
+    lengths = [5, 3, 1]
+    weights = rng.normal(size=(sum(lengths), 2))
+
+    def batched():
+        return _weighted_sum(nc.lstm_seq(x, w, b, reverse, lengths), weights)
+
+    def alone():
+        rows = [nc.lstm_seq(nc.embedding(_seq(x, i), range(n)), w, b, reverse)
+                for i, n in enumerate(lengths)]
+        return _weighted_sum(nc.concat(rows), weights)
+
+    _assert_matches_oracle(store, batched, alone, tol=1e-12)
+
+
+def test_ragged_attend_lstm_seq_rows_equal_each_sequence_alone():
+    rng = np.random.default_rng(13)
+    grids = rng.normal(size=(3, 4, 2))
+    store = nc.ParamStore()
+    shapes = {"x": (3, 5, 2), "h0": (3, 3), "c0": (3, 3), "w_v": (3, 2), "w_h": (3, 3),
+              "b1": (3,), "w2": (3,), "b2": (1,), "w": (12, 7), "b": (12,)}
+    s = {key: store.add(key, rng.uniform(-1.0, 1.0, size=shape)) for key, shape in shapes.items()}
+    att = (s["w_v"], s["w_h"], s["b1"], s["w2"], s["b2"])
+    lengths = [5, 5, 2]
+    weights = rng.normal(size=(sum(lengths), 5))
+
+    def batched():
+        return _weighted_sum(nc.attend_lstm_seq(grids, s["x"], s["h0"], s["c0"], att,
+                                                (s["w"], s["b"]), lengths), weights)
+
+    def alone():
+        rows = [nc.attend_lstm_seq(grids[i], nc.embedding(_seq(s["x"], i), range(n)),
+                                   nc.embedding(s["h0"], i), nc.embedding(s["c0"], i), att,
+                                   (s["w"], s["b"]))
+                for i, n in enumerate(lengths)]
+        return _weighted_sum(nc.concat(rows), weights)
+
+    _assert_matches_oracle(store, batched, alone)
+
+
+def _seq(x, i):
+    """Sequence i of a (B, T, X) tensor as a (T, X) node of its own."""
+    def bwd(out):
+        g = np.zeros_like(x.data)
+        g[i] = out.grad
+        x.accumulate_grad(g)
+
+    return _node(x.data[i].copy(), (x,), bwd, "seq")
 
 
 def test_cross_entropy_rows_is_the_sum_of_row_losses():
