@@ -184,7 +184,6 @@ def cmd_train_filler(args) -> int:
         hidden_size=args.hidden_size,
         embed_size=args.embed_size,
         type_embed_size=args.type_embed_size,
-        max_len=args.max_input_len,
     )
     start = time.perf_counter()
     ckpt = train_filler(
@@ -287,11 +286,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
+    try:
+        ks = tuple(int(k) for k in args.ks.split(","))
+    except ValueError:
+        ks = ()
+    if not ks or min(ks) < 1:
+        raise DataError(f"--ks must be comma-separated positive integers, got {args.ks!r}")
     index = TfIdfIndex.load(args.index)
     records = load_corpus(args.corpus)
     annotations = load_annotations(args.annotations)
     blocklist = load_blocklist(args.blocklist) if args.blocklist else default_blocklist()
-    ks = tuple(int(k) for k in args.ks.split(","))
     rankings = {}
     for record in records:
         query = build_query(record.attributes, record.objects, blocklist)
@@ -348,7 +352,6 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden-size", type=int, default=32)
     p.add_argument("--embed-size", type=int, default=32)
     p.add_argument("--type-embed-size", type=int, default=8)
-    p.add_argument("--max-input-len", type=int, default=120)
     p.add_argument("--min-freq", type=int, default=1)
     p.add_argument("--lr", type=float, default=5e-4)
     p.add_argument("--lr-decay", type=float, default=0.8)

@@ -7,7 +7,6 @@ from artdesc.filler.encoding import (
     SEP,
     FillInput,
     build_filler_vocab,
-    decode_fill_input,
     encode_fill_input,
 )
 from artdesc.filler.model import FillerConfig, init_filler_params, slot_scores
@@ -39,7 +38,6 @@ __all__ = [
     "SEP",
     "build_fill_pairs",
     "build_filler_vocab",
-    "decode_fill_input",
     "encode_fill_input",
     "extract_candidates",
     "fill_pair_loss",

@@ -1,91 +1,55 @@
-"""Fill-model input layout: [CLS] masked-description [SEP] candidates.
+"""Fill-model input layout: [CLS] masked-description [SEP].
 
-The token sequence carries the full layout with segment flags (0 for the
-description side, 1 for the candidate side). Multi-word candidates appear as
-single units. The scorer consumes the candidate segment as a set, so slot
+This module alone knows the layout. The scorer reads the description
+through its BiLSTM and takes the candidates as a separate set, so slot
 choices depend on candidate content, never on list position.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from artdesc.corpus import EntityType, MaskedSentence, PaintingRecord, Slot, Word, tokenize
 from artdesc.corpus.vocab import RESERVED, Vocab
 from artdesc.errors import DataError
-from artdesc.filler.candidates import CandidateSet
-
-logger = logging.getLogger(__name__)
 
 CLS, SEP = "<cls>", "<sep>"
 
 
 @dataclass
 class FillInput:
-    tokens: list[str]  # [CLS], y surfaces, [SEP], candidate units
-    segments: list[int]  # 0 = description side, 1 = candidate side
-    slot_positions: list[int]  # indices into tokens, all before sep_position
+    tokens: list[str]  # [CLS], y surfaces, [SEP]
+    slot_positions: list[int]  # indices into tokens, between CLS and SEP
     slot_types: list[EntityType]
-    sep_position: int = field(default=-1)
 
     def __post_init__(self):
         if self.tokens.count(CLS) != 1 or self.tokens.count(SEP) != 1:
             raise DataError("fill input must contain exactly one CLS and one SEP")
-        if self.sep_position < 0:
-            self.sep_position = self.tokens.index(SEP)
+        sep_position = self.tokens.index(SEP)
         for pos in self.slot_positions:
-            if not 0 < pos < self.sep_position:
+            if not 0 < pos < sep_position:
                 raise DataError(f"slot position {pos} falls outside the description segment")
         if len(self.slot_positions) != len(self.slot_types):
             raise DataError("slot positions/types length mismatch")
-        if len(self.segments) != len(self.tokens):
-            raise DataError("segments length mismatch")
-
-    def description_tokens(self) -> list[str]:
-        return self.tokens[1 : self.sep_position]
-
-    def candidate_tokens(self) -> list[str]:
-        return self.tokens[self.sep_position + 1 :]
 
 
-def encode_fill_input(
-    masked: list[MaskedSentence],
-    candidates: CandidateSet,
-    max_len: int | None = None,
-) -> FillInput:
-    """Lay out [CLS] y [SEP] k; only the candidate segment is truncated when
-    the sequence exceeds max_len."""
-    y_tokens: list[str] = []
+def encode_fill_input(masked: list[MaskedSentence]) -> FillInput:
+    """Lay out [CLS] y [SEP] with the position and type of every slot, in
+    the order the slots appear."""
+    tokens = [CLS]
     slot_positions: list[int] = []
     slot_types: list[EntityType] = []
     for sentence in masked:
         for token in sentence.tokens:
-            pos = 1 + len(y_tokens)  # account for CLS
             if isinstance(token, Slot):
-                slot_positions.append(pos)
+                slot_positions.append(len(tokens))
                 slot_types.append(token.entity_type)
-                y_tokens.append(token.entity_type.slot_surface)
+                tokens.append(token.entity_type.slot_surface)
             else:
-                y_tokens.append(token.text)
-    cand_units = [c.surface for c in candidates]
-    if max_len is not None:
-        budget = max_len - (len(y_tokens) + 2)
-        if budget < len(cand_units):
-            logger.warning(
-                "fill input exceeds max length %d; truncating candidate segment "
-                "from %d to %d units", max_len, len(cand_units), max(budget, 0),
-            )
-            cand_units = cand_units[: max(budget, 0)]
-    tokens = [CLS] + y_tokens + [SEP] + cand_units
-    segments = [0] * (len(y_tokens) + 2) + [1] * len(cand_units)
-    return FillInput(tokens, segments, slot_positions, slot_types)
-
-
-def decode_fill_input(fill_input: FillInput) -> tuple[list[str], list[str]]:
-    """Recover (description surfaces, candidate units) from the layout."""
-    return fill_input.description_tokens(), fill_input.candidate_tokens()
+                tokens.append(token.text)
+    tokens.append(SEP)
+    return FillInput(tokens, slot_positions, slot_types)
 
 
 def build_filler_vocab(records: list[PaintingRecord], min_freq: int = 1) -> Vocab:

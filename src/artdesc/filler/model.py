@@ -30,14 +30,11 @@ class FillerConfig:
     hidden_size: int = 32
     embed_size: int = 32
     type_embed_size: int = 8
-    max_len: int = 120
 
     def __post_init__(self):
         for name in ("vocab_size", "hidden_size", "embed_size", "type_embed_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_len < 4:
-            raise ConfigError(f"max_len must be >= 4, got {self.max_len}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -62,10 +59,6 @@ def init_filler_params(config: FillerConfig, rng: np.random.Generator) -> nc.Par
     store.add("fill.cand.b", np.zeros(2 * h))
     store.add("fill.bilinear", nc.uniform_init(rng, (2 * h, 2 * h)))
     return store
-
-
-def _description_ids(fill_input: FillInput, vocab: Vocab) -> list[int]:
-    return [vocab.id_of(t) for t in fill_input.tokens[: fill_input.sep_position + 1]]
 
 
 def _candidate_words(candidate_sets: Sequence[CandidateSet],
@@ -111,7 +104,7 @@ def slot_scores(
     bilinear term is one GEMM over all slots and candidates."""
     if isinstance(fill_inputs, FillInput):
         fill_inputs, candidate_sets = [fill_inputs], [candidate_sets]
-    descriptions = [_description_ids(fi, vocab) for fi in fill_inputs]
+    descriptions = [[vocab.id_of(t) for t in fi.tokens] for fi in fill_inputs]
     order = sorted(range(len(descriptions)), key=lambda k: -len(descriptions[k]))
     lengths = [len(descriptions[k]) for k in order]
     ids = np.full((len(order), lengths[0]), Vocab.pad)
@@ -132,28 +125,3 @@ def slot_scores(
     vecs = nc.tanh_t(nc.linear(feats, params["fill.cand.w"], params["fill.cand.b"]))
     scores = nc.linear(slots, nc.linear(vecs, params["fill.bilinear"]))
     return scores, _compatible(fill_inputs, candidate_sets)
-
-
-def slot_score_values(fill_input: FillInput, candidates: CandidateSet,
-                      params: nc.ParamStore, vocab: Vocab) -> list[list[tuple[int, float]]]:
-    """For each slot, (candidate index, score) over its type-compatible
-    candidates, with no tape, as slot filling runs it. The forward is that
-    of :func:`slot_scores` for a batch of one, operation for operation, so
-    each score equals the training forward's bit for bit."""
-    def p(name: str) -> np.ndarray:
-        return params[f"fill.{name}"].data
-
-    x = np.take(p("embed"), [_description_ids(fill_input, vocab)], axis=0)
-    states = np.concatenate([nc.lstm_seq_np(x, p("fwd.w"), p("fwd.b"))[0][:, 0],
-                             nc.lstm_seq_np(x, p("bwd.w"), p("bwd.b"), reverse=True)[0][:, 0]],
-                            axis=1)
-    word_ids, mean = _candidate_words([candidates], vocab)
-    types = np.array([int(cand.entity_type) for cand in candidates], dtype=np.intp)
-    feats = np.concatenate([mean @ np.take(p("embed"), word_ids, axis=0),
-                            np.take(p("type"), types, axis=0)], axis=1)
-    vecs = feats @ p("cand.w").T
-    vecs += p("cand.b")
-    scores = states[fill_input.slot_positions] @ (np.tanh(vecs) @ p("bilinear").T).T
-    compatible = _compatible([fill_input], [candidates])
-    return [[(int(idx), float(row[idx])) for idx in np.flatnonzero(ok)]
-            for row, ok in zip(scores, compatible)]

@@ -11,21 +11,19 @@ are counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from artdesc import numcore as nc
 from artdesc.corpus import MaskedSentence, PaintingRecord, Slot, tokenize
 from artdesc.corpus.vocab import Vocab
 from artdesc.errors import ConfigError
 from artdesc.filler.candidates import ATTRIBUTE_TYPES, Candidate, CandidateSet
-from artdesc.filler.encoding import encode_fill_input
-from artdesc.filler.model import (
-    FillerConfig,
-    init_filler_params,
-    slot_score_values,
-    slot_scores,
-)
+from artdesc.filler.encoding import FillInput, encode_fill_input
+from artdesc.filler.model import FillerConfig, init_filler_params, slot_scores
 from artdesc.training import Checkpoint, TrainConfig, fit, load_model, padding, save_model
 
 
@@ -34,6 +32,10 @@ class FillPair:
     masked: list[MaskedSentence]
     candidates: CandidateSet
     targets: list[str]
+
+    @cached_property
+    def fill_input(self) -> FillInput:
+        return encode_fill_input(self.masked)
 
 
 def record_candidates(record: PaintingRecord) -> CandidateSet:
@@ -79,8 +81,7 @@ def fill_pair_loss(
     candidates."""
     if isinstance(pairs, FillPair):
         pairs = [pairs]
-    fill_inputs = [encode_fill_input(pair.masked, pair.candidates, config.max_len)
-                   for pair in pairs]
+    fill_inputs = [pair.fill_input for pair in pairs]
     rows: list[int] = []
     golds: list[int] = []
     slot = column = 0
@@ -120,8 +121,7 @@ def train_filler(
 
     def batch_loss(batch: list[FillPair], store: nc.ParamStore):
         loss, n_slots, skipped = fill_pair_loss(batch, store, vocab, config)
-        # a description is [CLS] y [SEP]
-        lengths = [sum(len(s.tokens) for s in pair.masked) + 2 for pair in batch]
+        lengths = [len(pair.fill_input.tokens) for pair in batch]
         return loss, n_slots, {"loss": 0.0 if loss is None else loss.item(),
                                "skipped": skipped, **padding(lengths)}
 
@@ -175,43 +175,39 @@ def fill_slots(
     candidates: CandidateSet,
     ckpt: Checkpoint,
 ) -> FillResult:
-    """Replace each slot with the argmax type-compatible candidate; slots with
-    no compatible candidate render as a visible placeholder. Non-slot tokens
+    """Replace each slot with the argmax type-compatible candidate under
+    :func:`slot_scores`, the forward that training runs; slots with no
+    compatible candidate render as a visible placeholder. Non-slot tokens
     pass through verbatim. Score ties break by candidate surface so the
-    choice is independent of candidate order. Builds no autodiff graph."""
-    fill_input = encode_fill_input(masked, candidates, ckpt.config.max_len)
-    per_slot = slot_score_values(fill_input, candidates, ckpt.store, ckpt.vocab)
+    choice is independent of candidate order."""
+    fill_input = encode_fill_input(masked)
+    scores, compatible = slot_scores(fill_input, candidates, ckpt.store, ckpt.vocab)
 
-    chosen: dict[int, FillDecision] = {}
-    for (pos, etype), scored in zip(
-        zip(fill_input.slot_positions, fill_input.slot_types), per_slot
-    ):
+    decisions: list[FillDecision] = []
+    for pos, etype, row, ok in zip(fill_input.slot_positions, fill_input.slot_types,
+                                   scores.data, compatible):
+        scored = [(float(row[idx]), candidates.entries[idx].surface)
+                  for idx in np.flatnonzero(ok)]
         if not scored:
-            chosen[pos] = FillDecision(pos, etype.name.lower(), None, None, 0)
+            decisions.append(FillDecision(pos, etype.name.lower(), None, None, 0))
             continue
-        ranked = sorted(
-            ((score, candidates.entries[idx].surface) for idx, score in scored),
-            key=lambda t: (-t[0], t[1].lower()),
-        )
-        best_score, best_surface = ranked[0]
-        chosen[pos] = FillDecision(pos, etype.name.lower(), best_surface,
-                                   best_score, len(scored))
+        best_score, best_surface = min(scored, key=lambda t: (-t[0], t[1].lower()))
+        decisions.append(FillDecision(pos, etype.name.lower(), best_surface,
+                                      best_score, len(scored)))
 
     out_tokens: list[str] = []
-    token_pos = 0
+    fills = iter(decisions)  # one decision per slot, in slot order
     for sentence in masked:
         for token in sentence.tokens:
-            pos = 1 + token_pos  # mirror encode_fill_input's CLS offset
             if isinstance(token, Slot):
-                decision = chosen[pos]
+                decision = next(fills)
                 out_tokens.append(
                     decision.chosen if decision.chosen is not None
                     else placeholder(token.entity_type)
                 )
             else:
                 out_tokens.append(token.text)
-            token_pos += 1
-    return FillResult(out_tokens, [chosen[p] for p in fill_input.slot_positions])
+    return FillResult(out_tokens, decisions)
 
 
 def rendered_tokens(result: FillResult) -> list[str]:

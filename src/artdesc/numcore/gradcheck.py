@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from artdesc.errors import DataError
 from artdesc.numcore.params import ParamStore
 from artdesc.numcore.tensor import Tensor, backward
@@ -54,29 +52,3 @@ def grad_check(
             denom = max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, abs(a - numeric) / denom)
     return worst
-
-
-def finite_difference_grads(
-    loss_fn: Callable[[], float],
-    arrays: dict[str, np.ndarray],
-    epsilon: float = 1e-4,
-) -> dict[str, np.ndarray]:
-    """Central-difference gradients of a plain-float loss over raw arrays.
-
-    Independent of the tape; used by tests that need a from-scratch oracle.
-    """
-    grads = {}
-    for name, data in arrays.items():
-        g = np.zeros_like(data)
-        flat = data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = loss_fn()
-            flat[i] = orig - epsilon
-            f_minus = loss_fn()
-            flat[i] = orig
-            gflat[i] = (f_plus - f_minus) / (2.0 * epsilon)
-        grads[name] = g
-    return grads

@@ -237,8 +237,7 @@ def slot_scores(fill_input, candidates, params: nc.ParamStore,
                 vocab: Vocab) -> list[list[tuple[int, nc.Tensor]]]:
     """For each slot, bilinear scores against its type-compatible candidates
     as (candidate index, score) pairs, one node per candidate and score."""
-    seg_ids = [vocab.id_of(t) for t in fill_input.tokens[: fill_input.sep_position + 1]]
-    states = encode_description(seg_ids, params)
+    states = encode_description([vocab.id_of(t) for t in fill_input.tokens], params)
     cand_vecs: dict[int, nc.Tensor] = {}
     per_slot: list[list[tuple[int, nc.Tensor]]] = []
     for pos, etype in zip(fill_input.slot_positions, fill_input.slot_types):
@@ -258,7 +257,7 @@ def fill_pair_loss(pair, params: nc.ParamStore, vocab: Vocab,
                    config) -> tuple[nc.Tensor | None, int, int]:
     """One pair's summed per-slot cross-entropies over its type-compatible
     candidates: (loss or None, scored slots, skipped slots)."""
-    fill_input = encode_fill_input(pair.masked, pair.candidates, config.max_len)
+    fill_input = encode_fill_input(pair.masked)
     per_slot = slot_scores(fill_input, pair.candidates, params, vocab)
     losses: list[nc.Tensor] = []
     skipped = 0

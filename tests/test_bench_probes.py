@@ -16,7 +16,13 @@ import artdesc.pipeline as pl
 from artdesc.corpus import FeatureGrid, TopicLabel
 from artdesc.corpus.vocab import RESERVED, Vocab, build_vocab
 from artdesc.decoder import DecoderConfig, TrainConfig, init_decoder_params, train_decoder
-from artdesc.filler import FillerConfig, build_filler_vocab, train_filler
+from artdesc.filler import (
+    FillerConfig,
+    build_filler_vocab,
+    init_filler_params,
+    record_candidates,
+    train_filler,
+)
 from artdesc.retriever import KnowledgeArticle, TfIdfIndex, default_stopwords
 from artdesc.training import Checkpoint
 
@@ -54,6 +60,22 @@ def test_probes_attach_and_see_training(corpus):
     for name in ("numcore.backward", "numcore.adam_step", "decoder.sequence_loss",
                  "filler.fill_pair_loss", "filler.slot_scores"):
         assert name in rows, f"the traced run no longer sees {name}"
+
+
+def test_probes_see_slot_scores_under_fill_slots(corpus):
+    """Slot filling runs the training forward, at the attach point that the
+    traced run reads."""
+    vocab = build_filler_vocab(corpus)
+    config = FillerConfig(vocab_size=len(vocab), hidden_size=4, embed_size=4,
+                          type_embed_size=2)
+    ckpt = Checkpoint(config, vocab, init_filler_params(config, np.random.default_rng(0)), 0)
+    record = corpus[0]
+    tracer, _ = probes.install()
+    try:
+        pl.fill_slots([record.sentences[0].masked], record_candidates(record), ckpt)
+    finally:
+        tracer.restore()
+    assert len(tracer.durations("filler.slot_scores", under="filler.fill_slots")) == 1
 
 
 @pytest.mark.parametrize("trainer", ["decoder", "filler"])

@@ -326,6 +326,42 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ks", ["a", "", "0,1", "-1,5"])
+def test_eval_recall_rejects_a_k_that_is_not_a_positive_integer(cli_world, tmp_path, capsys,
+                                                                ks):
+    _, records, corpus_path, _, _, knowledge_dir = cli_world
+    index_path = tmp_path / "k.idx"
+    assert main(["index", "--knowledge-dir", str(knowledge_dir),
+                 "--out", str(index_path)]) == EXIT_OK
+    annotations_path = tmp_path / "annotations.jsonl"
+    save_annotations(annotations_path, [
+        RetrievalAnnotation(r.id, [(f"{r.id}-bio", RetrievalLabel.AUTHOR)]) for r in records
+    ])
+    capsys.readouterr()
+    assert main(["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
+                 "--annotations", str(annotations_path), f"--ks={ks}"]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (event,) = [json.loads(line) for line in captured.err.splitlines()]
+    assert event["event"] == ("data error: --ks must be comma-separated positive integers, "
+                              f"got {ks!r}")
+
+
+@pytest.mark.parametrize("special", ["<sep>", "<cls>"])
+def test_fill_rejects_a_layout_token_in_the_masked_input(world, tmp_path, capsys, special):
+    """``fill --masked`` tokens come from outside the program; one that is
+    the filler's own CLS or SEP marker would break the input layout."""
+    _, _, config, _ = world
+    masked_path = tmp_path / "masked.json"
+    masked_path.write_text(json.dumps([{"tokens": ["painted", special, "[person]", "."]}]),
+                           encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fill", "--masked", str(masked_path), "--ckpt", config["filler_checkpoint"],
+                 "--gazetteer", config["gazetteer"]]) == EXIT_DATA
+    assert _events(capsys)[-1]["event"] == \
+        "data error: fill input must contain exactly one CLS and one SEP"
+
+
 @pytest.mark.parametrize("flag", ["stoplist", "blocklist", "gazetteer", "knowledge-dir"])
 def test_non_utf8_word_list_exit_code(cli_world, tmp_path, capsys, flag):
     _, _, corpus_path, _, _, knowledge_dir = cli_world
@@ -667,26 +703,33 @@ def test_verbose_describe_logs_each_artifact_load(world, tmp_path, capsys):
 
 
 def test_overflowing_checkpoint_exit_code(world, tmp_path):
-    """Finite weights whose logits overflow load, then fail the decode
-    step's finiteness check: exit 2, and stderr holds JSON log lines only
-    (numpy's overflow warnings included), no traceback. Run as a process,
-    because a process warns the way a user sees it."""
+    """Finite weights that overflow load, then fail a finiteness check: the
+    decoder's in the decode step, the filler's in a node of the slot
+    scorer. Each exits 2, and stderr holds JSON log lines only (numpy's
+    overflow warnings included), no traceback. Run as a process, because a
+    process warns the way a user sees it."""
     _, records, config, _ = world
-    arrays, digest, meta, _ = nc.load_checkpoint(config["decoder_checkpoint"])
-    arrays["content.out.w"] = np.full_like(arrays["content.out.w"], 1e308)
-    bad = tmp_path / "decoder.ckpt"
-    nc.save_checkpoint(bad, arrays, digest, meta)
-    config_path = tmp_path / "pipeline.json"
-    config_path.write_text(json.dumps({**config, "decoder_checkpoint": str(bad)}),
-                           encoding="utf-8")
     src = str(Path(artdesc.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "artdesc.cli", "describe", "--config", str(config_path),
-         "--painting-id", records[0].id, "--topic", "content", "--mode", "greedy"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == EXIT_DATA
-    events = [json.loads(line)["event"] for line in proc.stderr.splitlines()]
-    assert "numeric error: non-finite values produced by the decode step" in events
+    for key, names, message in [
+        ("decoder_checkpoint", ["content.out.w"],
+         "numeric error: non-finite values produced by the decode step"),
+        ("filler_checkpoint", ["fill.bilinear", "fill.cand.w"],
+         "numeric error: non-finite values produced by linear"),
+    ]:
+        arrays, digest, meta, _ = nc.load_checkpoint(config[key])
+        for name in names:
+            arrays[name] = np.full_like(arrays[name], 1e308)
+        bad = tmp_path / Path(config[key]).name
+        nc.save_checkpoint(bad, arrays, digest, meta)
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "artdesc.cli", "describe", "--config", str(config_path),
+             "--painting-id", records[0].id, "--topic", "content", "--mode", "greedy"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_DATA, (key, proc.stdout)
+        events = [json.loads(line)["event"] for line in proc.stderr.splitlines()]
+        assert message in events, (key, events)
 
 
 def test_version_flag(capsys):

@@ -1,12 +1,14 @@
 """Source-level guards: runtime dependencies stay numpy-only (scipy is
 installed alongside but is not a declared dependency of the package), every
-file the package writes goes through ``atomic_write``, and the models train
-on whole-minibatch nodes, not on the per-step or per-item tape path."""
+file the package writes goes through ``atomic_write``, the models train on
+whole-minibatch nodes, not on the per-step or per-item tape path, and every
+top-level function and class of the package is named somewhere."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "artdesc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "artdesc"
 
 
 def _imported_modules(tree: ast.AST):
@@ -129,4 +131,27 @@ def test_training_hands_whole_minibatches_to_one_loss():
             offenders += [f"{rel}:{node.lineno}: candidate_vector" for node in ast.walk(tree)
                           if isinstance(node, ast.FunctionDef)
                           and node.name == "candidate_vector"]
+    assert offenders == []
+
+
+def test_every_top_level_definition_is_named_somewhere():
+    """A top-level function or class under src/artdesc that no code in
+    src/, tests/ or perfbench/ names, outside its own definition and the
+    package's ``__init__.py`` re-exports, is dead."""
+    paths = [path for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py")) if path.name != "__init__.py"]
+    named: dict[str, list[tuple[Path, int]]] = {}
+    definitions = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for lineno, name in _referenced_names(tree):
+            named.setdefault(name, []).append((path, lineno))
+        if SRC in path.parents:
+            definitions += [(path, node) for node in tree.body if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert definitions, "no sources found"
+    offenders = [f"{path.relative_to(SRC)}:{node.lineno}: {node.name}"
+                 for path, node in definitions
+                 if all(where == path and node.lineno <= lineno <= node.end_lineno
+                        for where, lineno in named.get(node.name, []))]
     assert offenders == []

@@ -14,7 +14,6 @@ from artdesc.filler import (
     FillerConfig,
     build_fill_pairs,
     build_filler_vocab,
-    decode_fill_input,
     encode_fill_input,
     extract_candidates,
     fill_pair_loss,
@@ -74,12 +73,6 @@ class TestExtractCandidates:
 
 
 class TestFillInput:
-    def _candidates(self):
-        return CandidateSet([
-            Candidate("vasari", EntityType.PERSON, "attribute"),
-            Candidate("new york", EntityType.LOCATION, "article"),
-        ])
-
     def _masked(self):
         entry = slotted_entry(
             ["painted", "by", Slot(EntityType.PERSON), "today", "."],
@@ -87,38 +80,15 @@ class TestFillInput:
         return [entry.masked]
 
     def test_layout(self):
-        fi = encode_fill_input(self._masked(), self._candidates())
-        assert fi.tokens[0] == "<cls>"
-        assert fi.tokens[fi.sep_position] == "<sep>"
-        assert fi.tokens.count("<cls>") == 1 and fi.tokens.count("<sep>") == 1
-        assert fi.segments == [0] * (fi.sep_position + 1) + [1] * 2
-        assert fi.candidate_tokens() == ["vasari", "new york"]
-
-    def test_empty_candidates(self):
-        fi = encode_fill_input(self._masked(), CandidateSet([]))
-        assert fi.tokens[-1] == "<sep>"
+        fi = encode_fill_input(self._masked())
+        assert fi.tokens == ["<cls>", *self._masked()[0].surfaces(), "<sep>"]
 
     def test_slot_positions_point_into_description(self):
-        fi = encode_fill_input(self._masked(), self._candidates())
+        fi = encode_fill_input(self._masked())
         assert len(fi.slot_positions) == 1
         pos = fi.slot_positions[0]
-        assert 0 < pos < fi.sep_position
+        assert 0 < pos < len(fi.tokens) - 1
         assert fi.tokens[pos] == "[person]"
-
-    def test_round_trip(self):
-        fi = encode_fill_input(self._masked(), self._candidates())
-        desc, cands = decode_fill_input(fi)
-        assert desc == self._masked()[0].surfaces()
-        assert cands == [c.surface for c in self._candidates()]
-
-    def test_truncation_only_drops_candidates(self, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING):
-            fi = encode_fill_input(self._masked(), self._candidates(), max_len=8)
-        assert "truncating" in caplog.text
-        assert fi.description_tokens() == self._masked()[0].surfaces()
-        assert len(fi.candidate_tokens()) == 1
 
 
 def cue_corpus(rng, n_records, n_symbols=8, per_record=4):
@@ -357,6 +327,20 @@ class TestFillerCheckpoint:
         a = fill_slots([entry.masked], cands, ckpt)
         b = fill_slots([entry.masked], cands, loaded)
         assert a.tokens == b.tokens
+
+    def test_config_with_max_len_refused(self, trained_cue_filler, tmp_path):
+        """A checkpoint whose config still holds the input-length cap that
+        fill inputs no longer have is refused; it must be retrained."""
+        from artdesc.numcore import load_checkpoint, save_checkpoint
+        from artdesc.numcore.checkpoint import digest_of
+
+        path = tmp_path / "filler.ckpt"
+        save_filler_checkpoint(path, trained_cue_filler[1])
+        arrays, _, meta, _ = load_checkpoint(path)
+        meta["config"]["max_len"] = 120
+        save_checkpoint(path, arrays, digest_of(meta["config"]), meta)
+        with pytest.raises(ConfigError, match=r"unknown keys \['max_len'\]"):
+            load_filler_checkpoint(path)
 
     def test_kind_check(self, tmp_path):
         from artdesc.numcore import save_checkpoint

@@ -26,14 +26,14 @@ from artdesc.filler import (
     FillerConfig,
     build_fill_pairs,
     build_filler_vocab,
-    encode_fill_input,
     fill_pair_loss,
+    fill_slots,
     init_filler_params,
     slot_scores,
 )
-from artdesc.filler.model import slot_score_values
 from artdesc.filler.train import FillPair
 from artdesc.numcore.tensor import _node
+from artdesc.training import Checkpoint
 
 
 def _randomize(store, seed, scale=0.5):
@@ -335,17 +335,20 @@ def _flat(t):
 
 
 def test_fill_slots_scores_equal_the_training_forward():
+    """Each decision of slot filling carries the best compatible score of
+    its slot's ``slot_scores`` row, bit for bit, and counts that row's
+    compatible candidates."""
     records = cue_corpus(np.random.default_rng(3), 3)
     vocab = build_filler_vocab(records)
     config = FillerConfig(vocab_size=len(vocab), hidden_size=5, embed_size=4, type_embed_size=3)
     store = init_filler_params(config, np.random.default_rng(1))
     _randomize(store, 2)
+    ckpt = Checkpoint(config, vocab, store, 0)
     for pair in build_fill_pairs(records):
-        fill_input = encode_fill_input(pair.masked, pair.candidates, config.max_len)
-        scores, compatible = slot_scores(fill_input, pair.candidates, store, vocab)
-        plain = slot_score_values(fill_input, pair.candidates, store, vocab)
-        assert [[(i, float(row[i])) for i in np.flatnonzero(ok)]
-                for row, ok in zip(scores.data, compatible)] == plain
+        scores, compatible = slot_scores(pair.fill_input, pair.candidates, store, vocab)
+        decisions = fill_slots(pair.masked, pair.candidates, ckpt).decisions
+        assert [(d.score, d.n_compatible) for d in decisions] == \
+            [(float(row[ok].max()), int(ok.sum())) for row, ok in zip(scores.data, compatible)]
 
 
 # ----------------------------------------------------------------------
