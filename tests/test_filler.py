@@ -83,6 +83,13 @@ class TestFillInput:
         fi = encode_fill_input(self._masked())
         assert fi.tokens == ["<cls>", *self._masked()[0].surfaces(), "<sep>"]
 
+    def test_empty_candidates(self):
+        """The input carries no candidate segment: it ends at SEP whatever
+        the candidate set, empty included."""
+        fi = encode_fill_input(self._masked())
+        assert fi.tokens[-1] == "<sep>"
+        assert fi.tokens.count("<sep>") == 1
+
     def test_slot_positions_point_into_description(self):
         fi = encode_fill_input(self._masked())
         assert len(fi.slot_positions) == 1
