@@ -28,7 +28,7 @@ from artdesc.corpus import (
     tag_entities,
     tokenize,
 )
-from artdesc.corpus.corpusio import check_metadata, read_json, read_jsonl
+from artdesc.corpus.corpusio import check_metadata, check_object, read_json, read_jsonl
 from artdesc.corpus.vocab import build_vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -111,9 +111,12 @@ class _Parser(argparse.ArgumentParser):
 def cmd_preprocess(args) -> int:
     gazetteer = Gazetteer.from_file(args.gazetteer)
     out_lines = []
-    for _, raw in read_jsonl(args.input, required=("id",)):
+    for lineno, raw in read_jsonl(args.input, required=("id",),
+                                  types={"sentences": list, "comment": str}):
         if "sentences" in raw:
-            sentence_specs = [(s["text"], s.get("topic")) for s in raw["sentences"]]
+            specs = [check_object(s, f"{args.input}:{lineno} sentence {i}", ("text",),
+                                  {"text": str}) for i, s in enumerate(raw["sentences"])]
+            sentence_specs = [(s["text"], s.get("topic")) for s in specs]
         else:
             sentence_specs = [(text, None) for text in split_sentences(raw.get("comment", ""))]
         sentences = []
@@ -257,10 +260,10 @@ def cmd_fill(args) -> int:
         )
         for item in masked_spec
     ]
-    articles = read_articles_jsonl(args.articles) if args.articles else []
+    bodies = [a.body for a in read_articles_jsonl(args.articles)] if args.articles else []
     attributes = read_json(args.attrs) if args.attrs else {}
     check_metadata({"attributes": attributes}, args.attrs)
-    candidates = extract_candidates(articles, attributes, gazetteer)
+    candidates = extract_candidates(bodies, attributes, gazetteer)
     result = fill_slots(masked, candidates, ckpt)
     print(json.dumps({
         "description": " ".join(rendered_tokens(result)),

@@ -131,7 +131,7 @@ def record_to_dict(record: PaintingRecord) -> dict:
     }
 
 
-def _check_object(obj, where: str, required: tuple[str, ...], types: dict | None = None) -> dict:
+def check_object(obj, where: str, required: tuple[str, ...], types: dict | None = None) -> dict:
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     missing = [key for key in required if key not in obj]
@@ -157,10 +157,12 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
-def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
+               types: dict | None = None) -> Iterator[tuple[int, dict]]:
     """Yields (line number, object). Undecodable text, invalid JSON, a line
-    that is not an object, or an object without a required key raises
-    DataError naming ``path:lineno``."""
+    that is not an object, an object without a required key, or a key in
+    ``types`` whose value has another type raises DataError naming
+    ``path:lineno``."""
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
@@ -169,7 +171,7 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        yield lineno, _check_object(obj, f"{path}:{lineno}", required)
+        yield lineno, check_object(obj, f"{path}:{lineno}", required, types)
 
 
 def read_json(path: str | Path, many: bool = False, required: tuple[str, ...] = (),
@@ -183,10 +185,10 @@ def read_json(path: str | Path, many: bool = False, required: tuple[str, ...] = 
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not many:
-        return _check_object(value, str(path), required, types)
+        return check_object(value, str(path), required, types)
     if not isinstance(value, list):
         raise DataError(f"{path}: expected a JSON list, got {type(value).__name__}")
-    return [_check_object(obj, f"{path} item {i}", required, types)
+    return [check_object(obj, f"{path} item {i}", required, types)
             for i, obj in enumerate(value)]
 
 

@@ -160,11 +160,13 @@ def generate(
 
 def compose_description(
     sentences: dict[TopicLabel, MaskedSentence],
+    topics: tuple[TopicLabel, ...] = TOPIC_ORDER,
 ) -> list[MaskedSentence]:
-    """Concatenate per-topic sentences in the fixed order content, form,
-    context; missing topics are omitted with a warning."""
+    """Concatenate the sentences of ``topics`` in the fixed order content,
+    form, context; a requested topic with no sentence is omitted with a
+    warning."""
     out: list[MaskedSentence] = []
-    for topic in TOPIC_ORDER:
+    for topic in (t for t in TOPIC_ORDER if t in topics):
         sentence = sentences.get(topic)
         if sentence is None:
             logger.warning("compose_description: no sentence for topic '%s'", topic.name.lower())

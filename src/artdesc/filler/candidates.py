@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from artdesc.corpus import ATTRIBUTE_KEYS, EntityType, Gazetteer, tag_entities
-from artdesc.retriever import KnowledgeArticle
 
 # attribute values carry a fixed entity type each
 ATTRIBUTE_TYPES = {
@@ -58,17 +57,17 @@ class CandidateSet:
 
 
 def extract_candidates(
-    articles: Iterable[KnowledgeArticle],
+    bodies: Iterable[str],
     attributes: dict[str, str],
     gazetteer: Gazetteer,
 ) -> CandidateSet:
-    """Entities tagged in the ranked articles plus typed attribute values."""
+    """Entities tagged in the ranked article bodies plus typed attribute values."""
     entries: list[Candidate] = []
     for key in ATTRIBUTE_KEYS:
         value = (attributes or {}).get(key, "").strip()
         if value:
             entries.append(Candidate(value, ATTRIBUTE_TYPES[key], "attribute"))
-    for article in articles:
-        for (start, end), etype in tag_entities(article.body, gazetteer):
-            entries.append(Candidate(article.body[start:end], etype, "article"))
+    for body in bodies:
+        for (start, end), etype in tag_entities(body, gazetteer):
+            entries.append(Candidate(body[start:end], etype, "article"))
     return CandidateSet(entries)

@@ -69,7 +69,6 @@ def fill_pair_loss(
     pairs: FillPair | Sequence[FillPair],
     params: nc.ParamStore,
     vocab: Vocab,
-    config: FillerConfig,
 ) -> tuple[nc.Tensor | None, int, int]:
     """Sum of per-slot cross-entropies over type-compatible candidates, for
     one pair or a minibatch of them. Returns (loss or None, scored slot
@@ -120,7 +119,7 @@ def train_filler(
     pairs = build_fill_pairs(records)
 
     def batch_loss(batch: list[FillPair], store: nc.ParamStore):
-        loss, n_slots, skipped = fill_pair_loss(batch, store, vocab, config)
+        loss, n_slots, skipped = fill_pair_loss(batch, store, vocab)
         lengths = [len(pair.fill_input.tokens) for pair in batch]
         return loss, n_slots, {"loss": 0.0 if loss is None else loss.item(),
                                "skipped": skipped, **padding(lengths)}

@@ -11,7 +11,7 @@ followed by that many UTF-8 bytes):
     n_arrays     u32
     then per array, in the writer's order:
       name       string
-      dtype      string   one of f8, i8, u8, u4
+      dtype      string   one of f8, i8, u8, u4, u1
       ndim       u8
       dims       ndim x u32
       pad        u8       0-7, then that many zero bytes, so that the data
@@ -43,7 +43,7 @@ from artdesc.errors import FormatError
 
 MAGIC = b"ARTDCKP1"
 VERSION = 3
-DTYPES = ("f8", "i8", "u8", "u4")
+DTYPES = ("f8", "i8", "u8", "u4", "u1")
 ALIGN = 8  # array data starts at a multiple of this many bytes (version 3)
 _TRAILER = 32
 # the magic of the first index format, which stored its own layout

@@ -35,17 +35,7 @@ from artdesc.filler import (
 )
 from artdesc.metrics import bleu4, rouge_l, slot_ratio
 from artdesc.numcore.checkpoint import digest_of
-from artdesc.retriever import (
-    KnowledgeArticle,
-    TfIdfIndex,
-    build_query,
-    default_blocklist,
-    default_stopwords,
-    load_blocklist,
-    load_stopwords,
-    read_articles_dir,
-    read_articles_jsonl,
-)
+from artdesc.retriever import TfIdfIndex, build_query, default_blocklist, load_blocklist
 
 logger = logging.getLogger(__name__)
 
@@ -71,9 +61,9 @@ class PipelineConfig:
     corpus: str | None = None
     features_dir: str | None = None
     gazetteer: str | None = None
+    # what `artdesc index` read; nothing here reads them, as the index holds the articles
     knowledge_dir: str | None = None
     knowledge_file: str | None = None
-    stoplist: str | None = None
     blocklist: str | None = None
     decoder_checkpoint: str | None = None
     filler_checkpoint: str | None = None
@@ -150,15 +140,11 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        for name in ("corpus", "features_dir", "gazetteer", "knowledge_dir",
-                     "knowledge_file", "stoplist", "blocklist",
+        for name in ("corpus", "features_dir", "gazetteer", "blocklist",
                      "decoder_checkpoint", "filler_checkpoint", "index"):
             if getattr(config, name) is not None:
                 config.require(name)
         self._artifacts: dict[str, object] = {}
-        self._stopwords = (
-            load_stopwords(config.stoplist) if config.stoplist else default_stopwords()
-        )
         self._blocklist = (
             load_blocklist(config.blocklist) if config.blocklist else default_blocklist()
         )
@@ -207,43 +193,24 @@ class Pipeline:
     def index(self) -> TfIdfIndex:
         return self._artifact("index", "index", TfIdfIndex.load)
 
-    @property
-    def articles(self) -> dict[str, KnowledgeArticle]:
-        if self.config.knowledge_dir:
-            field, read = "knowledge_dir", read_articles_dir
-        elif self.config.knowledge_file:
-            field, read = "knowledge_file", read_articles_jsonl
-        else:
-            raise MissingArtifactError(
-                "external-corpus mode needs 'knowledge_dir' or 'knowledge_file'"
-            )
-        return self._artifact("articles", field, lambda path: {a.id: a for a in read(path)})
-
     # ------------------------------------------------------------------
     # describe
     # ------------------------------------------------------------------
 
     def _retrieve(self, record: PaintingRecord, query: str):
-        """Returns (ranked (id, score) list, article objects)."""
+        """Returns (ranked (id, score) list, article bodies)."""
         if self.config.knowledge_mode == "reference-as-oracle":
             if not record.reference:
                 logger.warning("painting '%s' has no reference text for oracle mode", record.id)
                 return [], []
-            article = KnowledgeArticle(f"{record.id}::reference", record.id, record.reference)
-            return [(article.id, 1.0)], [article]
+            return [(f"{record.id}::reference", 1.0)], [record.reference]
         try:
             index = self.index
         except MissingArtifactError:
             logger.warning("no knowledge index available; continuing without retrieval")
             return [], []
-        ranked = index.rank(query, self.config.retrieval_k, self._stopwords)
-        articles = []
-        for article_id, _ in ranked:
-            article = self.articles.get(article_id)
-            if article is None:
-                raise DataError(f"index names article '{article_id}' missing from the corpus")
-            articles.append(article)
-        return ranked, articles
+        ranked = index.rank(query, self.config.retrieval_k)
+        return ranked, [index.body(article_id) for article_id, _ in ranked]
 
     def describe(self, record: PaintingRecord,
                  topics: tuple = TOPIC_ORDER) -> dict:
@@ -262,10 +229,10 @@ class Pipeline:
                 beam_size=self.config.beam_size,
                 max_len=self.config.max_decode_len,
             )
-        masked = compose_description(sentences)
+        masked = compose_description(sentences, topics)
         query = build_query(record.attributes, record.objects, self._blocklist)
-        ranked, articles = self._retrieve(record, query)
-        candidates = extract_candidates(articles, record.attributes, self.gazetteer)
+        ranked, bodies = self._retrieve(record, query)
+        candidates = extract_candidates(bodies, record.attributes, self.gazetteer)
         result = fill_slots(masked, candidates, self.filler)
         return {
             "painting_id": record.id,

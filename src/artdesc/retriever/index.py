@@ -5,16 +5,17 @@ negative); document vectors are L2-normalized, so the ranking score is the
 cosine similarity between the normalized query vector and each document.
 
 An index is saved as a numcore container of kind "tfidf-index": the terms
-(in term-id order) and doc ids (sorted, unique) as JSON lists in its
-metadata, and the df, indptr, indices and data tables as arrays. The
-constructor, which both build and load end in, rejects a CSR structure that
-does not hold together and derives the term-major postings; they are not
-stored.
+(in term-id order), doc ids (sorted, unique) and stop words (sorted) as JSON
+lists in its metadata; the df, indptr, indices and data tables, and the kept
+articles' UTF-8 bodies with one end offset per doc id, as arrays. The
+constructor, which both build and load end in, rejects tables that do not
+hold together and derives the term-major postings; they are not stored.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, pairwise
@@ -25,12 +26,13 @@ import numpy as np
 from artdesc.corpus.corpusio import read_jsonl, read_text
 from artdesc.errors import DataError
 from artdesc.numcore.checkpoint import load_container, save_container
-from artdesc.retriever.normalize import normalize_text
+from artdesc.retriever.normalize import default_stopwords, normalize_text
 
 logger = logging.getLogger(__name__)
 
 KIND = "tfidf-index"
-ARRAYS = {"df": "i8", "indptr": "u8", "indices": "u4", "data": "f8"}
+ARRAYS = {"df": "i8", "indptr": "u8", "indices": "u4", "data": "f8", "bodies": "u1",
+          "body_ends": "u8"}
 
 
 @dataclass
@@ -61,6 +63,9 @@ class TfIdfIndex:
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
+        stopwords: frozenset[str],
+        bodies: np.ndarray,
+        body_ends: np.ndarray,
     ):
         self.terms = list(term_ids)
         self.term_ids = term_ids
@@ -69,6 +74,9 @@ class TfIdfIndex:
         self.indptr = np.asarray(indptr, dtype=np.uint64)
         self.indices = np.asarray(indices, dtype=np.uint32)
         self.data = np.asarray(data, dtype=np.float64)
+        self.stopwords = frozenset(stopwords)
+        self.bodies = np.asarray(bodies, dtype=np.uint8)
+        self.body_ends = np.asarray(body_ends, dtype=np.uint64)
         self._check_structure()
         self._idf = np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
         rows = np.repeat(np.arange(self.n_docs), np.diff(self.indptr.astype(np.int64)))
@@ -79,8 +87,8 @@ class TfIdfIndex:
         np.cumsum(np.bincount(self.indices, minlength=len(self.terms)), out=self._colptr[1:])
 
     def _check_structure(self) -> None:
-        """Rejects tables that would silently change rankings: a CSR
-        structure that does not hold together, or doc ids out of order."""
+        """Rejects tables that would silently change rankings or bodies:
+        tables that do not hold together, or doc ids out of order."""
         nnz = len(self.indices)
         if len(self.df) != len(self.terms) or np.any(self.df < 0):
             raise DataError(f"df table must hold {len(self.terms)} non-negative counts")
@@ -92,6 +100,10 @@ class TfIdfIndex:
         if nnz and int(self.indices.max()) >= len(self.terms):
             raise DataError(f"term id {int(self.indices.max())} is out of range "
                             f"for {len(self.terms)} terms")
+        ends = np.append(np.uint64(0), self.body_ends)
+        if (len(ends) != self.n_docs + 1 or ends[-1] != len(self.bodies)
+                or np.any(ends[1:] < ends[:-1])):
+            raise DataError(f"body offsets must rise to {len(self.bodies)} in {self.n_docs} entries")
         for prev, doc_id in zip(self.doc_ids, self.doc_ids[1:]):
             if prev >= doc_id:
                 raise DataError(f"doc ids must strictly increase: '{prev}' before '{doc_id}'")
@@ -108,7 +120,8 @@ class TfIdfIndex:
     def build(cls, articles: list[KnowledgeArticle],
               stopwords: frozenset[str] | None = None) -> "TfIdfIndex":
         """Articles are processed in sorted-id order so term ids are
-        deterministic; articles empty after normalization are dropped."""
+        deterministic; articles empty after normalization are dropped, and
+        the others' bodies kept. ``stopwords`` defaults to the package list."""
         if not articles:
             raise DataError("cannot build an index from zero articles")
         seen: set[str] = set()
@@ -117,8 +130,11 @@ class TfIdfIndex:
                 raise DataError(f"duplicate article id '{a.id}'")
             seen.add(a.id)
 
+        stopwords = default_stopwords() if stopwords is None else stopwords
         term_ids: dict[str, int] = {}
         stems: dict[str, str] = {}
+        bodies = bytearray()
+        body_ends: list[int] = []
         doc_ids: list[str] = []
         rows: list[list[int]] = []  # term ids of each kept article, in text order
         for article in sorted(articles, key=lambda a: a.id):
@@ -128,6 +144,8 @@ class TfIdfIndex:
                 continue
             doc_ids.append(article.id)
             rows.append([term_ids.setdefault(t, len(term_ids)) for t in terms_of(tokens)])
+            bodies += article.body.encode("utf-8")
+            body_ends.append(len(bodies))
         if not doc_ids:
             raise DataError("no usable articles: all were empty after normalization")
 
@@ -147,52 +165,57 @@ class TfIdfIndex:
         for lo, hi in pairwise(indptr.tolist()):
             weights = data[lo:hi]
             weights /= np.sqrt((weights**2).sum())
-        return cls(term_ids, df, doc_ids, indptr, indices, data)
+        return cls(term_ids, df, doc_ids, indptr, indices, data, stopwords,
+                   np.frombuffer(bodies, np.uint8), body_ends)
 
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
 
-    def vectorize_query(self, tokens: list[str]) -> dict[int, float]:
-        """Sparse normalized query vector of normalized tokens, using the
-        index's idf; terms unknown to the index are dropped."""
-        counts = Counter(tid for tid in map(self.term_ids.get, terms_of(tokens))
-                         if tid is not None)
-        if not counts:
-            return {}
-        vec = {tid: c * float(self._idf[tid]) for tid, c in counts.items()}
-        norm = float(np.sqrt(sum(w * w for w in vec.values())))
-        return {tid: w / norm for tid, w in vec.items()}
-
-    def rank(self, query: str, k: int = 5,
-             stopwords: frozenset[str] | None = None) -> list[tuple[str, float]]:
+    def rank(self, query: str, k: int = 5) -> list[tuple[str, float]]:
         """Top-k (article id, cosine score), descending score, ties broken by
-        article id. A query with no token after normalization, or with no
-        term in the index, returns no results."""
+        article id. A query with no token after normalization (with the
+        index's stop words), or with no term in the index, returns no results."""
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-        tokens = normalize_text(query, stopwords)
+        tokens = normalize_text(query, self.stopwords)
         if not tokens:
             logger.warning("query is empty after normalization; returning no results")
             return []
-        qvec = self.vectorize_query(tokens)
-        if not qvec:
+        # the query's tf-idf vector over the index's terms, L2-normalized below
+        counts = Counter(tid for tid in map(self.term_ids.get, terms_of(tokens))
+                         if tid is not None)
+        if not counts:
             logger.warning("no query term is in the index; returning no results")
             return []
+        vec = {tid: c * float(self._idf[tid]) for tid, c in counts.items()}
+        norm = float(np.sqrt(sum(w * w for w in vec.values())))
         scores = np.zeros(self.n_docs)
-        for tid, w in qvec.items():
+        for tid, w in vec.items():
             lo, hi = self._colptr[tid], self._colptr[tid + 1]
-            scores[self._rows[lo:hi]] += w * self._weights[lo:hi]
+            scores[self._rows[lo:hi]] += (w / norm) * self._weights[lo:hi]
         # rows are in article-id order, so a stable sort breaks ties by id
         top = np.argsort(-scores, kind="stable")[:k]
         return [(self.doc_ids[r], min(float(scores[r]), 1.0)) for r in top]
+
+    def body(self, doc_id: str) -> str:
+        """The text of article ``doc_id`` as it was indexed."""
+        row = bisect_left(self.doc_ids, doc_id)
+        if row == self.n_docs or self.doc_ids[row] != doc_id:
+            raise DataError(f"no article '{doc_id}' in the index")
+        lo = int(self.body_ends[row - 1]) if row else 0
+        try:
+            return self.bodies[lo:int(self.body_ends[row])].tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"the body of article '{doc_id}' is not valid UTF-8") from None
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        save_container(path, {"kind": KIND, "terms": self.terms, "doc_ids": self.doc_ids},
+        save_container(path, {"kind": KIND, "terms": self.terms, "doc_ids": self.doc_ids,
+                              "stopwords": sorted(self.stopwords)},
                        {name: getattr(self, name) for name in ARRAYS})
 
     @classmethod
@@ -200,7 +223,10 @@ class TfIdfIndex:
         meta, arrays, _ = load_container(path, "index")
         if meta.get("kind") != KIND:
             raise DataError(f"{path} is not a {KIND} file (kind={meta.get('kind')!r})")
-        for key in ("terms", "doc_ids"):
+        if "stopwords" not in meta:
+            raise DataError(f"{path}: this index holds no stop words or article bodies; "
+                            "rebuild it with `artdesc index`")
+        for key in ("terms", "doc_ids", "stopwords"):
             if not (isinstance(meta.get(key), list) and all(isinstance(s, str) for s in meta[key])):
                 raise DataError(f"{path}: index {key} must be a list of strings")
         dtypes = {name: array.dtype.str[1:] for name, array in arrays.items()}
@@ -211,7 +237,7 @@ class TfIdfIndex:
         if len(term_ids) != len(terms):
             duplicate = next(t for t, n in Counter(terms).items() if n > 1)
             raise DataError(f"{path}: index term '{duplicate}' is stored twice")
-        return cls(term_ids, doc_ids=meta["doc_ids"], **arrays)
+        return cls(term_ids, doc_ids=meta["doc_ids"], stopwords=meta["stopwords"], **arrays)
 
 
 # ----------------------------------------------------------------------

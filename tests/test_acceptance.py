@@ -118,7 +118,7 @@ def _filler_gradcheck():
     pair = build_fill_pairs([record])[0]
 
     def loss_fn():
-        loss, n, _ = fill_pair_loss(pair, store, vocab, config)
+        loss, n, _ = fill_pair_loss(pair, store, vocab)
         return nc.scale(loss, 1.0 / n)
 
     return nc.grad_check(loss_fn, store, epsilon=1e-4)

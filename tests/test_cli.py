@@ -19,7 +19,8 @@ from test_pipeline import damage_grid
 import artdesc
 import artdesc.numcore as nc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
-from artdesc.corpus import save_corpus, save_feature_grid
+from artdesc.corpus import PaintingRecord, save_corpus, save_feature_grid
+from artdesc.numcore.checkpoint import save_container
 from artdesc.retriever import (
     KnowledgeArticle,
     RetrievalAnnotation,
@@ -226,6 +227,25 @@ def test_preprocess_round_trip(cli_world, tmp_path, capsys):
     assert len(json.loads(out_path.read_text())["sentences"]) == 1
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"id": "x1", "sentences": [{"topic": "form"}]}, "missing keys ['text']"),
+    ({"id": "x1", "sentences": "abc"}, "'sentences' must be list, got str"),
+    ({"id": "x1", "comment": 5}, "'comment' must be str, got int"),
+    ({"id": "x1", "sentences": [{"text": ["vasari"]}]}, "'text' must be str, got list"),
+], ids=["sentence-no-text", "sentences-not-list", "comment-not-string", "text-not-string"])
+def test_preprocess_malformed_raw_record_exit_code(cli_world, tmp_path, capsys, raw, key):
+    gazetteer_path = cli_world[4]
+    raw_path = tmp_path / "raw.jsonl"
+    raw_path.write_text(json.dumps({"id": "x0", "comment": "A saint."}) + "\n"
+                        + json.dumps(raw) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["preprocess", "--input", str(raw_path), "--gazetteer", str(gazetteer_path),
+                 "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+    (event,) = _events(capsys)
+    assert f"{raw_path}:2" in event["event"] and key in event["event"]
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["train-decoder"]) == EXIT_USAGE  # missing required flags
@@ -347,6 +367,35 @@ def test_eval_recall_rejects_a_k_that_is_not_a_positive_integer(cli_world, tmp_p
                               f"got {ks!r}")
 
 
+def test_retrieve_and_eval_recall_use_the_index_stoplist(tmp_path, capsys):
+    """Queries are normalized with the stop words the index was built with,
+    not the default list, which holds "the"."""
+    knowledge = tmp_path / "knowledge"
+    knowledge.mkdir()
+    (knowledge / "k1.txt").write_text("the saint on the horse", encoding="utf-8")
+    (knowledge / "k2.txt").write_text("a river in flanders", encoding="utf-8")
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("a\nof\nin\n", encoding="utf-8")
+    index_path = tmp_path / "k.idx"
+    assert main(["index", "--knowledge-dir", str(knowledge), "--out", str(index_path),
+                 "--stoplist", str(stoplist)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["retrieve", "--index", str(index_path), "--query", "the", "--k", "1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert json.loads(line)["article_id"] == "k1" and captured.err == ""
+
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus_path, [PaintingRecord(id="p1", sentences=[], attributes={"artist": "the"})])
+    annotations_path = tmp_path / "annotations.jsonl"
+    save_annotations(annotations_path, [RetrievalAnnotation("p1", [("k1", RetrievalLabel.CORRECT)])])
+    assert main(["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
+                 "--annotations", str(annotations_path), "--ks", "1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["classes"]["all"]["recall"]["1"] == 100.0
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("special", ["<sep>", "<cls>"])
 def test_fill_rejects_a_layout_token_in_the_masked_input(world, tmp_path, capsys, special):
     """``fill --masked`` tokens come from outside the program; one that is
@@ -413,14 +462,16 @@ def _container_body(meta: bytes, arrays: list[tuple[str, np.ndarray]]) -> bytes:
     return body
 
 
-def _idx_body(terms, df, doc_ids, indptr, indices, data) -> bytes:
+def _idx_body(terms, df, doc_ids, indptr, indices, data, stopwords, bodies, body_ends) -> bytes:
     """An index container body; ``terms`` are already encoded."""
     meta = (b'{"doc_ids":' + json.dumps(doc_ids, separators=(",", ":")).encode("utf-8")
-            + b',"kind":"tfidf-index","terms":[' + b",".join(b'"' + t + b'"' for t in terms)
-            + b"]}")
+            + b',"kind":"tfidf-index","stopwords":'
+            + json.dumps(sorted(stopwords), separators=(",", ":")).encode("utf-8")
+            + b',"terms":[' + b",".join(b'"' + t + b'"' for t in terms) + b"]}")
     return _container_body(meta, [
         ("df", np.asarray(df, "<i8")), ("indptr", np.asarray(indptr, "<u8")),
-        ("indices", np.asarray(indices, "<u4")), ("data", np.asarray(data, "<f8"))])
+        ("indices", np.asarray(indices, "<u4")), ("data", np.asarray(data, "<f8")),
+        ("bodies", np.asarray(bodies, "u1")), ("body_ends", np.asarray(body_ends, "<u8"))])
 
 
 def _v1_idx_bytes(terms, df, doc_ids, indptr, indices, data) -> bytes:
@@ -454,7 +505,8 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     terms = [t.encode("utf-8") for t in idx.terms]
     doc_ids, indptr, indices = list(idx.doc_ids), idx.indptr.copy(), idx.indices.copy()
     idx.save(tmp_path / "good.idx")
-    assert _seal(_idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data)) == \
+    stored = (idx.stopwords, idx.bodies, idx.body_ends)
+    assert _seal(_idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data, *stored)) == \
         (tmp_path / "good.idx").read_bytes()
     message = "data error"
     if corruption == "bad-utf8-term":
@@ -471,9 +523,9 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     elif corruption == "duplicate-term":
         terms[1] = terms[0]
         message = f"index term '{idx.terms[0]}' is stored twice"
-    body = _idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data)
+    body = _idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data, *stored)
     if corruption == "truncated":
-        body, message = body[:-3], "truncated index while reading data of 'data'"
+        body, message = body[:-3], "truncated index while reading data of 'body_ends'"
     elif corruption == "trailing-bytes":
         body, message = body + b"\0", "trailing bytes after last array"
     bad = tmp_path / "bad.idx"
@@ -489,6 +541,19 @@ def test_version_1_index_asks_for_a_rebuild(tmp_path, capsys):
     old = tmp_path / "old.idx"
     old.write_bytes(_v1_idx_bytes(idx.terms, idx.df, idx.doc_ids, idx.indptr, idx.indices,
                                   idx.data))
+    capsys.readouterr()
+    assert main(["retrieve", "--index", str(old), "--query", "saint"]) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "rebuild it with `artdesc index`" in json.loads(line)["event"]
+
+
+def test_index_without_stopwords_and_bodies_asks_for_a_rebuild(tmp_path, capsys):
+    """The container layout of an index written before it held the stop
+    words and article bodies that querying reads."""
+    idx = _small_index()
+    old = tmp_path / "old.idx"
+    save_container(old, {"kind": "tfidf-index", "terms": idx.terms, "doc_ids": idx.doc_ids},
+                   {name: getattr(idx, name) for name in ("df", "indptr", "indices", "data")})
     capsys.readouterr()
     assert main(["retrieve", "--index", str(old), "--query", "saint"]) == EXIT_DATA
     (line,) = capsys.readouterr().err.splitlines()
@@ -681,25 +746,45 @@ def test_broken_grid_of_the_described_painting_exit_code(world, tmp_path, capsys
 
 def test_verbose_describe_logs_each_artifact_load(world, tmp_path, capsys):
     """--verbose adds one DEBUG event per artifact load on stderr; the
-    report stays byte-identical."""
-    _, records, config, config_path = world
-    argv = ["describe", "--config", str(config_path), "--painting-id", records[0].id]
+    report stays byte-identical. Retrieval from the external corpus loads
+    the index and no article corpus: the index holds the bodies."""
+    _, records, oracle_config, oracle_path = world
+    external_path = tmp_path / "pipeline.json"
+    external_config = dict(oracle_config, knowledge_mode="external-corpus")
+    external_path.write_text(json.dumps(external_config), encoding="utf-8")
+    for config, config_path in [(oracle_config, oracle_path), (external_config, external_path)]:
+        argv = ["describe", "--config", str(config_path), "--painting-id", records[0].id]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        quiet = capsys.readouterr()
+        assert main(["--verbose", *argv]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == quiet.out and quiet.err == ""
+        loads = [e for e in map(json.loads, err.splitlines()) if e["event"] == "loaded artifact"]
+        grid = str(Path(config["features_dir"]) / f"{records[0].id}.fgrd")
+        want = {
+            ("corpus", config["corpus"]), ("feature grid", grid),
+            ("decoder", config["decoder_checkpoint"]), ("gazetteer", config["gazetteer"]),
+            ("filler", config["filler_checkpoint"]),
+        }
+        if config is external_config:
+            want.add(("index", config["index"]))
+        assert {(e["artifact"], e["path"]) for e in loads} == want
+        assert len(loads) == len(want)
+        assert all(e["level"] == "debug" and e["seconds"] >= 0 for e in loads)
+        assert "loaded artifact" not in out
+
+
+def test_describe_one_topic_logs_no_warning(world, capsys):
+    """Topics that were not asked for are not missing."""
+    _, records, _, config_path = world
     capsys.readouterr()
-    assert main(argv) == EXIT_OK
-    quiet = capsys.readouterr()
-    assert main(["--verbose", *argv]) == EXIT_OK
+    assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
+                 "--topic", "content"]) == EXIT_OK
     out, err = capsys.readouterr()
-    assert out == quiet.out and quiet.err == ""
-    loads = [e for e in map(json.loads, err.splitlines()) if e["event"] == "loaded artifact"]
-    grid = str(Path(config["features_dir"]) / f"{records[0].id}.fgrd")
-    assert {(e["artifact"], e["path"]) for e in loads} == {
-        ("corpus", config["corpus"]), ("feature grid", grid),
-        ("decoder", config["decoder_checkpoint"]), ("gazetteer", config["gazetteer"]),
-        ("filler", config["filler_checkpoint"]),
-    }
-    assert len(loads) == 5
-    assert all(e["level"] == "debug" and e["seconds"] >= 0 for e in loads)
-    assert "loaded artifact" not in out
+    assert set(json.loads(out)["sentences"]) == {"content"}
+    assert [json.loads(line) for line in err.splitlines()
+            if json.loads(line)["level"] == "warning"] == []
 
 
 def test_overflowing_checkpoint_exit_code(world, tmp_path):

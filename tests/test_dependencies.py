@@ -1,7 +1,8 @@
 """Source-level guards: runtime dependencies stay numpy-only (scipy is
 installed alongside but is not a declared dependency of the package), every
 file the package writes goes through ``atomic_write``, the models train on
-whole-minibatch nodes, not on the per-step or per-item tape path, and every
+whole-minibatch nodes, not on the per-step or per-item tape path, the
+pipeline reads articles and stop words only through the index, and every
 top-level function and class of the package is named somewhere."""
 
 import ast
@@ -100,6 +101,20 @@ def test_models_do_not_reference_per_step_ops():
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offenders += [f"{path.relative_to(SRC)}:{lineno}: {name}"
                           for lineno, name in _referenced_names(tree) if name in PER_STEP_OPS]
+    assert offenders == []
+
+
+# what only ``artdesc index`` reads: the article corpus and a stop word list;
+# describe reads both out of the index
+INDEX_INPUTS = frozenset({"read_articles_dir", "read_articles_jsonl", "load_stopwords",
+                          "default_stopwords"})
+
+
+def test_pipeline_reads_knowledge_only_through_the_index():
+    path = SRC / "pipeline.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offenders = [f"pipeline.py:{lineno}: {name}" for lineno, name in _referenced_names(tree)
+                 if name in INDEX_INPUTS]
     assert offenders == []
 
 

@@ -26,7 +26,6 @@ from artdesc.filler import (
     train_filler,
 )
 from artdesc.filler.train import FillPair
-from artdesc.retriever import KnowledgeArticle
 
 
 @pytest.fixture
@@ -40,21 +39,17 @@ class TestExtractCandidates:
         assert cands.entries == [Candidate("beyeren", EntityType.PERSON, "attribute")]
 
     def test_article_entities(self, gazetteer):
-        article = KnowledgeArticle("a", "a", "Vasari recorded the plague of 1502.")
-        cands = extract_candidates([article], {}, gazetteer)
+        cands = extract_candidates(["Vasari recorded the plague of 1502."], {}, gazetteer)
         got = {(c.surface, c.entity_type) for c in cands}
         assert ("Vasari", EntityType.PERSON) in got
         assert ("1502", EntityType.DATE) in got
 
     def test_duplicates_across_articles_once(self, gazetteer):
-        a1 = KnowledgeArticle("a1", "a1", "Vasari wrote.")
-        a2 = KnowledgeArticle("a2", "a2", "Vasari again.")
-        cands = extract_candidates([a1, a2], {}, gazetteer)
+        cands = extract_candidates(["Vasari wrote.", "Vasari again."], {}, gazetteer)
         assert len([c for c in cands if c.surface == "Vasari"]) == 1
 
     def test_attribute_entries_come_first(self, gazetteer):
-        article = KnowledgeArticle("a", "a", "In Florence.")
-        cands = extract_candidates([article], {"artist": "vasari"}, gazetteer)
+        cands = extract_candidates(["In Florence."], {"artist": "vasari"}, gazetteer)
         assert cands.entries[0].source == "attribute"
 
     def test_case_insensitive_dedup(self, gazetteer):
@@ -201,7 +196,7 @@ class TestTrainFiller:
         config = FillerConfig(vocab_size=len(vocab), hidden_size=6, embed_size=6)
         store = init_filler_params(config, np.random.default_rng(0))
         pair = build_fill_pairs([record])[0]
-        loss, scored, skipped = fill_pair_loss(pair, store, vocab, config)
+        loss, scored, skipped = fill_pair_loss(pair, store, vocab)
         assert scored == 1 and skipped == 0
         assert loss.item() == 0.0  # softmax over one element
 
@@ -215,7 +210,7 @@ class TestTrainFiller:
         pair = FillPair([entry.masked],
                         CandidateSet([Candidate("goya", EntityType.PERSON, "article")]),
                         ["1650"])
-        loss, scored, skipped = fill_pair_loss(pair, store, vocab, config)
+        loss, scored, skipped = fill_pair_loss(pair, store, vocab)
         assert loss is None and scored == 0 and skipped == 1
 
     def test_vocab_mismatch_rejected(self):
@@ -370,7 +365,7 @@ def test_filler_loss_gradcheck_toy():
     pair = build_fill_pairs(records)[0]
 
     def loss_fn():
-        loss, n, _ = fill_pair_loss(pair, store, vocab, config)
+        loss, n, _ = fill_pair_loss(pair, store, vocab)
         return nc.scale(loss, 1.0 / n)
 
     err = nc.grad_check(loss_fn, store, epsilon=1e-4)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from artdesc.errors import DataError
+from artdesc.numcore.checkpoint import save_container
 from artdesc.retriever import (
     KnowledgeArticle,
     TfIdfIndex,
@@ -211,14 +212,16 @@ def random_csr_index(rng):
     assert len(doc_ids) == n_docs
     return TfIdfIndex({t: i for i, t in enumerate(terms)},
                       rng.integers(1, n_docs + 1, size=len(terms)), doc_ids,
-                      np.array(indptr), np.array(indices), data)
+                      np.array(indptr), np.array(indices), data,
+                      default_stopwords(), np.zeros(0), np.zeros(n_docs))
 
 
 def empty_row_index(rng):
     """A built index with one more document whose row is empty."""
     idx = TfIdfIndex.build(random_articles(rng, 12))
     return TfIdfIndex(idx.term_ids, idx.df, idx.doc_ids + ["zzz-empty"],
-                      np.append(idx.indptr, idx.indptr[-1]), idx.indices, idx.data)
+                      np.append(idx.indptr, idx.indptr[-1]), idx.indices, idx.data,
+                      idx.stopwords, idx.bodies, np.append(idx.body_ends, idx.body_ends[-1]))
 
 
 @pytest.mark.parametrize("make_index", [tied_index, random_csr_index, empty_row_index],
@@ -258,16 +261,16 @@ def dict_build(articles, stopwords=None):
             counts[term] = counts.get(term, 0) + 1
             if term not in term_ids:
                 term_ids[term] = len(term_ids)
-        usable.append((article.id, counts))
+        usable.append((article.id, counts, article.body.encode("utf-8")))
     if not usable:
         raise DataError("no usable articles: all were empty after normalization")
     df = np.zeros(len(term_ids), dtype=np.int64)
-    for _, counts in usable:
+    for _, counts, _ in usable:
         for term in counts:
             df[term_ids[term]] += 1
     idf = np.log((1.0 + len(usable)) / (1.0 + df)) + 1.0
     doc_ids, indptr, indices, data = [], [0], [], []
-    for doc_id, counts in usable:
+    for doc_id, counts, _ in usable:
         doc_ids.append(doc_id)
         row = sorted((term_ids[t], c) for t, c in counts.items())
         weights = np.array([c * idf[tid] for tid, c in row])
@@ -275,8 +278,11 @@ def dict_build(articles, stopwords=None):
         indices.extend(tid for tid, _ in row)
         data.extend(weights.tolist())
         indptr.append(len(indices))
+    bodies = [body for _, _, body in usable]
     return TfIdfIndex(term_ids, df, doc_ids, np.array(indptr, dtype=np.uint64),
-                      np.array(indices, dtype=np.uint32), np.array(data, dtype=np.float64))
+                      np.array(indices, dtype=np.uint32), np.array(data, dtype=np.float64),
+                      stopwords, np.frombuffer(b"".join(bodies), np.uint8),
+                      np.cumsum([len(body) for body in bodies]))
 
 
 SUFFIXES = ["", "s", "ing", "ed", "ation", "ness", "ful", "ly", "ies", "ement"]
@@ -413,3 +419,64 @@ class TestSerialization:
             q = " ".join(WORDS[int(w)] for w in rng.integers(0, len(WORDS), size=5))
             assert idx.rank(q, k=20) == reloaded.rank(q, k=20)
 
+
+
+def three_article_index():
+    return TfIdfIndex.build([KnowledgeArticle("c", "c", "monk, horse — Sankt Gallen"),
+                             KnowledgeArticle("a", "a", "saint fresco"),
+                             KnowledgeArticle("b", "b", "river castle")])
+
+
+class TestStoredKnowledge:
+    """The index keeps the stop words it normalized with and the body of
+    each kept article, so querying needs nothing beside it."""
+
+    def test_stopwords_and_bodies_round_trip(self, tmp_path):
+        idx = three_article_index()
+        idx.save(tmp_path / "k.idx")
+        reloaded = TfIdfIndex.load(tmp_path / "k.idx")
+        assert reloaded.stopwords == default_stopwords()
+        assert [reloaded.body(d) for d in reloaded.doc_ids] == \
+            ["saint fresco", "river castle", "monk, horse — Sankt Gallen"]
+
+    def test_dropped_article_keeps_no_body(self):
+        idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "saint fresco"),
+                                KnowledgeArticle("e", "e", "the of and")])
+        assert idx.doc_ids == ["a"] and idx.bodies.tobytes() == b"saint fresco"
+        with pytest.raises(DataError, match="no article 'e'"):
+            idx.body("e")
+
+    def test_rank_normalizes_with_the_index_stopwords(self):
+        idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "the saint"),
+                                KnowledgeArticle("b", "b", "a river")], frozenset({"a"}))
+        assert idx.stopwords == frozenset({"a"})
+        assert idx.rank("the", k=1)[0][0] == "a"
+        assert idx.rank("a", k=1) == []
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("falling-offsets", "body offsets must rise"),
+    ("offsets-past-blob", "body offsets must rise"),
+    ("offset-count", "body offsets must rise"),
+    ("non-utf8-body", "the body of article 'b' is not valid UTF-8"),
+])
+def test_tampered_bodies_raise(tmp_path, tamper, message):
+    """Each tampered file is sealed with a valid trailer, so it reaches the
+    checks behind the checksum."""
+    idx = three_article_index()
+    bodies, ends = idx.bodies.copy(), idx.body_ends.copy()
+    if tamper == "falling-offsets":
+        ends[0], ends[1] = ends[1], ends[0]
+    elif tamper == "offsets-past-blob":
+        ends[-1] += 1
+    elif tamper == "offset-count":
+        ends = ends[:-1]
+    else:
+        bodies[int(ends[0])] = 0xFF  # the first byte of article b
+    path = tmp_path / "tampered.idx"
+    save_container(path, {"kind": "tfidf-index", "terms": idx.terms, "doc_ids": idx.doc_ids,
+                          "stopwords": sorted(idx.stopwords)},
+                   {"df": idx.df, "indptr": idx.indptr, "indices": idx.indices,
+                    "data": idx.data, "bodies": bodies, "body_ends": ends})
+    with pytest.raises(DataError, match=message):
+        TfIdfIndex.load(path).body("b")

@@ -251,7 +251,7 @@ def _filler_pair(tokens, values):
 
 def _filler_losses(pairs, store, vocab, config):
     def new():
-        return fill_pair_loss(pairs, store, vocab, config)[0]
+        return fill_pair_loss(pairs, store, vocab)[0]
 
     def oracle():
         losses = [tape.fill_pair_loss(pair, store, vocab, config)[0] for pair in pairs]
@@ -297,7 +297,7 @@ def test_filler_minibatch_matches_per_pair_oracle():
     skipping = FillPair(pairs[0].masked, pairs[0].candidates, ["goya", "1500", "vasari"])
     nothing = FillPair(pairs[1].masked, pairs[2].candidates, ["1799"])
     batch = [pairs[1], skipping, pairs[2], pairs[0], nothing]
-    loss, scored, skipped = fill_pair_loss(batch, store, vocab, config)
+    loss, scored, skipped = fill_pair_loss(batch, store, vocab)
     assert (scored, skipped) == (8, 2)
     new, oracle = _filler_losses(batch, store, vocab, config)
     _assert_matches_oracle(store, new, oracle)
