@@ -28,7 +28,7 @@ from artdesc.corpus import (
     tag_entities,
     tokenize,
 )
-from artdesc.corpus.corpusio import check_metadata, check_object, read_json, read_jsonl
+from artdesc.corpus.corpusio import check_object, read_json, read_jsonl, record_from_dict
 from artdesc.corpus.vocab import build_vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -53,7 +53,6 @@ from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report
 from artdesc.retriever import (
     TfIdfIndex,
     build_query,
-    default_blocklist,
     eval_recall,
     load_annotations,
     load_blocklist,
@@ -132,13 +131,18 @@ def cmd_preprocess(args) -> int:
                 "topic": topic,
                 "entities": [{"value": v, "type": t} for v, t in zip(values, types)],
             })
-        out_lines.append(json.dumps({
+        record = {
             "id": raw["id"],
             "sentences": sentences,
             "attributes": raw.get("attributes", {}),
             "objects": raw.get("objects", []),
             "reference": raw.get("reference", raw.get("comment", "")),
-        }, ensure_ascii=False))
+        }
+        try:  # write only what the corpus reader accepts
+            record_from_dict(record)
+        except DataError as exc:
+            raise DataError(f"{args.input}:{lineno}: {exc}") from None
+        out_lines.append(json.dumps(record, ensure_ascii=False))
     atomic_write(args.out, [("\n".join(out_lines) + "\n").encode("utf-8")])
     logger.info("preprocessed", extra={"records": len(out_lines), "out": args.out})
     return EXIT_OK
@@ -217,10 +221,9 @@ def cmd_retrieve(args) -> int:
     if args.query is not None:
         query = args.query
     else:
-        meta = check_metadata(read_json(args.meta, types={"attributes": dict, "objects": list}),
-                              args.meta)
-        blocklist = load_blocklist(args.blocklist) if args.blocklist else default_blocklist()
-        query = build_query(meta.get("attributes", {}), meta.get("objects", []), blocklist)
+        meta = read_json(args.meta, types={"attributes": dict[str, str], "objects": list[str]})
+        query = build_query(meta.get("attributes", {}), meta.get("objects", []),
+                            load_blocklist(args.blocklist))
     for article_id, score in index.rank(query, k=args.k):
         print(json.dumps({"article_id": article_id, "score": score}))
     return EXIT_OK
@@ -252,7 +255,7 @@ def cmd_fill(args) -> int:
     ckpt = load_filler_checkpoint(args.ckpt)
     gazetteer = Gazetteer.from_file(args.gazetteer)
     masked_spec = read_json(args.masked, many=True, required=("tokens",),
-                            types={"tokens": list, "topic": (str, type(None))})
+                            types={"tokens": list[str], "topic": str | None})
     masked = [
         sentence_from_surfaces(
             item["tokens"],
@@ -262,7 +265,7 @@ def cmd_fill(args) -> int:
     ]
     bodies = [a.body for a in read_articles_jsonl(args.articles)] if args.articles else []
     attributes = read_json(args.attrs) if args.attrs else {}
-    check_metadata({"attributes": attributes}, args.attrs)
+    check_object(attributes, args.attrs, types=dict.fromkeys(attributes, str))
     candidates = extract_candidates(bodies, attributes, gazetteer)
     result = fill_slots(masked, candidates, ckpt)
     print(json.dumps({
@@ -277,10 +280,22 @@ def cmd_fill(args) -> int:
     return EXIT_OK
 
 
+# what evaluate reads of a describe report
+REPORT_TYPES = {"painting_id": str, "description_tokens": list[str], "slots": list[dict],
+                "sentences": dict}
+TOPIC_NAMES = [topic.name.lower() for topic in TOPIC_ORDER]
+
+
 def cmd_evaluate(args) -> int:
     pipeline = Pipeline(PipelineConfig.from_file(args.config))
-    reports = [obj for _, obj in read_jsonl(
-        args.reports, required=("painting_id", "description_tokens", "slots", "sentences"))]
+    reports = []
+    for lineno, report in read_jsonl(args.reports, tuple(REPORT_TYPES), REPORT_TYPES):
+        where = f"{args.reports}:{lineno}"
+        check_object(report["sentences"], f"{where} sentences",
+                     types=dict.fromkeys(TOPIC_NAMES, list[str]), closed=True)
+        for i, slot in enumerate(report["slots"]):
+            check_object(slot, f"{where} slots[{i}]", ("chosen",), {"chosen": str | None})
+        reports.append(report)
     report = pipeline.evaluate(reports)
     if args.out:
         atomic_write(args.out, [(report_to_json(report) + "\n").encode("utf-8")])
@@ -298,7 +313,7 @@ def cmd_eval_recall(args) -> int:
     index = TfIdfIndex.load(args.index)
     records = load_corpus(args.corpus)
     annotations = load_annotations(args.annotations)
-    blocklist = load_blocklist(args.blocklist) if args.blocklist else default_blocklist()
+    blocklist = load_blocklist(args.blocklist)
     rankings = {}
     for record in records:
         query = build_query(record.attributes, record.objects, blocklist)
@@ -429,7 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifactError as exc:
         logger.error("missing artifact: %s", exc)
         return EXIT_MISSING
-    except (DataError, ConfigError) as exc:
+    # a path that names a directory where a file belongs, or the reverse, is a config error
+    except (DataError, ConfigError, IsADirectoryError, NotADirectoryError) as exc:
         logger.error("data error: %s", exc)
         return EXIT_DATA
     except ArtdescError as exc:

@@ -4,7 +4,8 @@ Record schema:
     {"id": str,
      "sentences": [{"text": str, "topic": "content"|"form"|"context"|null,
                     "entities": [{"value": str, "type": str}]}],
-     "attributes": {"artist": str, "type": str, "timeframe": str, "school": str},
+     "attributes": {"artist": str|null, "type": str|null, "timeframe": str|null,
+                    "school": str|null},
      "objects": [str],
      "reference": str}
 
@@ -14,9 +15,13 @@ directory; ``read_record_grid`` reads one onto its record.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import typing
 from collections.abc import Iterator
 from pathlib import Path
+from types import NoneType, UnionType
 
 from artdesc.corpus.features import load_feature_grid
 from artdesc.corpus.masking import mask_sentence
@@ -26,14 +31,13 @@ from artdesc.corpus.types import (
     SentenceEntry,
     TopicLabel,
 )
-from artdesc.errors import DataError
+from artdesc.errors import ConfigError, DataError
 from artdesc.numcore.checkpoint import atomic_write
 
-
-def _field(obj, key: str, where: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise DataError(f"{where}: missing key '{key}'")
-    return obj[key]
+RECORD_TYPES = {"id": str, "sentences": list[dict], "attributes": dict[str, str | None],
+                "objects": list[str], "reference": str}
+SENTENCE_TYPES = {"text": str, "topic": str | None, "entities": list[dict]}
+ENTITY_TYPES = {"value": str, "type": str}
 
 
 def _spans_for_values(text: str, entities: list[dict],
@@ -44,8 +48,9 @@ def _spans_for_values(text: str, entities: list[dict],
     lowered = text.lower()
     cursor = 0
     for j, ent in enumerate(entities):
-        value = _field(ent, "value", f"{where} entity {j}")
-        etype = EntityType.from_name(_field(ent, "type", f"{where} entity {j}"))
+        check_object(ent, f"{where} entity {j}", ("value", "type"), ENTITY_TYPES)
+        value = ent["value"]
+        etype = EntityType.from_name(ent["type"])
         start = lowered.find(value.lower(), cursor)
         if start < 0:
             raise DataError(f"entity value '{value}' not found in sentence: {text!r}")
@@ -54,35 +59,20 @@ def _spans_for_values(text: str, entities: list[dict],
     return spans
 
 
-def check_metadata(obj: dict, where: str, attribute_types: tuple[type, ...] = (str,)) -> dict:
-    """``obj`` once its "attributes" (if any) map each key to a string, or to
-    one of ``attribute_types``, and its "objects" (if any) list strings.
-    Anything else raises DataError naming ``where`` and the key."""
-    attributes = obj.get("attributes", {})
-    objects = obj.get("objects", [])
-    if not isinstance(attributes, dict) or not isinstance(objects, list):
-        raise DataError(f"{where}: 'attributes' must be an object and 'objects' a list")
-    for key, value in attributes.items():
-        if not isinstance(value, attribute_types):
-            raise DataError(f"{where}: attribute '{key}' must be a string, "
-                            f"got {type(value).__name__}")
-    for i, value in enumerate(objects):
-        if not isinstance(value, str):
-            raise DataError(f"{where}: objects[{i}] must be a string, got {type(value).__name__}")
-    return obj
-
-
 def record_from_dict(obj: dict) -> PaintingRecord:
+    """A record of the schema above; a key of another type, or a sentence or
+    entity without its text, value or type, raises DataError naming it."""
+    where = f"painting '{obj.get('id')}'"
     # a null attribute is a missing one (PaintingRecord stores it as "")
-    check_metadata(obj, f"painting '{obj.get('id')}'", (str, type(None)))
+    check_object(obj, where, ("id",), RECORD_TYPES)
     sentences = []
     for i, sent in enumerate(obj.get("sentences", [])):
-        where = f"painting '{obj.get('id')}' sentence {i}"
-        text = _field(sent, "text", where)
+        check_object(sent, f"{where} sentence {i}", ("text",), SENTENCE_TYPES)
+        text = sent["text"]
         topic_name = sent.get("topic")
         topic_labeled = topic_name is not None
         topic = TopicLabel.from_name(topic_name) if topic_labeled else TopicLabel.CONTEXT
-        spans = _spans_for_values(text, sent.get("entities", []), where)
+        spans = _spans_for_values(text, sent.get("entities", []), f"{where} sentence {i}")
         masked, values = mask_sentence(text, spans, topic)
         sentences.append(SentenceEntry(text, masked, values, topic_labeled))
     return PaintingRecord(
@@ -131,22 +121,75 @@ def record_to_dict(record: PaintingRecord) -> dict:
     }
 
 
-def check_object(obj, where: str, required: tuple[str, ...], types: dict | None = None) -> dict:
+def _hint_name(hint) -> str:
+    """``list[str]``, ``str or null``: a type hint as an error names it."""
+    if typing.get_origin(hint) is UnionType:
+        return " or ".join(map(_hint_name, typing.get_args(hint)))
+    return repr(hint) if typing.get_args(hint) else "null" if hint is NoneType else hint.__name__
+
+
+def _check_value(value, hint, key: str, where: str) -> None:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    classes = args if origin is UnionType else (list if origin is tuple else origin or hint,)
+    # a JSON true is not an int, although Python's bool is one
+    if not isinstance(value, classes) or isinstance(value, bool) and bool not in classes:
+        raise DataError(f"{where}: '{key}' must be {_hint_name(hint)}, "
+                        f"got {type(value).__name__}")
+    if origin is UnionType or not args:
+        return
+    # the element hint: X of list[X], tuple[X, ...] or dict[str, X]
+    element, items = (args[1], value.values()) if origin is dict else (args[0], value)
+    # one C-level pass over elements of a class; the loop names an offender
+    if isinstance(element, type) and all(map(element.__instancecheck__, items)) and (
+            element is not int or not any(map(bool.__instancecheck__, items))):
+        return
+    keys, label = (value, "{}.{}") if origin is dict else (range(len(value)), "{}[{}]")
+    for k, item in zip(keys, items):
+        _check_value(item, element, label.format(key, k), where)
+
+
+def check_object(obj, where: str, required: tuple[str, ...] = (), types: dict | None = None,
+                 closed: bool = False) -> dict:
+    """``obj`` once it is a JSON object that holds the ``required`` keys,
+    whose keys in ``types`` hold values of their type hints and, if
+    ``closed``, that holds no other key. A hint is a class, a union of
+    classes (None allowed), ``list[X]``, ``tuple[X, ...]`` (a JSON list) or
+    ``dict[str, X]``, and elements are checked to the last level. Anything
+    else raises DataError naming ``where``, the key (with the index or key
+    of a nested element), the hint and the type found."""
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     missing = [key for key in required if key not in obj]
     if missing:
         raise DataError(f"{where}: missing keys {missing}")
-    for key, expected in (types or {}).items():
-        expected = expected if isinstance(expected, tuple) else (expected,)
-        value = obj.get(key)
-        # a JSON true is not an int, although Python's bool is one
-        if key in obj and (not isinstance(value, expected)
-                           or isinstance(value, bool) and bool not in expected):
-            names = ["null" if t is type(None) else t.__name__ for t in expected]
-            raise DataError(f"{where}: '{key}' must be {' or '.join(names)}, "
-                            f"got {type(value).__name__}")
+    types = types or {}
+    unknown = sorted(obj.keys() - types.keys()) if closed else []
+    if unknown:
+        raise DataError(f"{where}: unknown keys {unknown}")
+    for key, hint in types.items():
+        if key in obj:
+            _check_value(obj[key], hint, key, where)
     return obj
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def config_from_object(cls, obj, where: str):
+    """The config dataclass ``cls`` built from a JSON object that holds each
+    field without a default, no key that is not a field, and every value of
+    its field's annotated type. Anything else, or a value that ``cls``
+    rejects, raises ConfigError naming ``where``."""
+    required = tuple(f.name for f in dataclasses.fields(cls)
+                     if f.default is f.default_factory is dataclasses.MISSING)
+    try:
+        check_object(obj, where, required, _type_hints(cls), closed=True)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        return cls(**obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def read_text(path: str | Path) -> str:
@@ -159,10 +202,9 @@ def read_text(path: str | Path) -> str:
 
 def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
                types: dict | None = None) -> Iterator[tuple[int, dict]]:
-    """Yields (line number, object). Undecodable text, invalid JSON, a line
-    that is not an object, an object without a required key, or a key in
-    ``types`` whose value has another type raises DataError naming
-    ``path:lineno``."""
+    """Yields (line number, object). Undecodable text, invalid JSON, or a
+    line that ``check_object`` refuses with ``required`` and ``types``
+    raises DataError naming ``path:lineno``."""
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
@@ -176,10 +218,9 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
 
 def read_json(path: str | Path, many: bool = False, required: tuple[str, ...] = (),
               types: dict | None = None) -> dict | list[dict]:
-    """One JSON object from a file, or with ``many`` a JSON list of objects.
-    Each object must hold the ``required`` keys, and a key in ``types`` that
-    it holds must be an instance of that type (or tuple of types). Anything
-    else raises DataError naming ``path``."""
+    """One JSON object from a file, or with ``many`` a JSON list of objects,
+    each checked by ``check_object`` with ``required`` and ``types``.
+    Anything else raises DataError naming ``path``."""
     try:
         value = json.loads(read_text(path))
     except json.JSONDecodeError as exc:

@@ -7,15 +7,11 @@ pins the seven slot surfaces at indices 4..10, then frequency-ordered words.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
-from pathlib import Path
 from typing import Iterable
 
-from artdesc.corpus.corpusio import read_json
 from artdesc.corpus.types import SLOT_SURFACES, EntityType, MaskedSentence, Slot, Token, Word
 from artdesc.errors import DataError
-from artdesc.numcore.checkpoint import atomic_write
 
 PAD, START, END, UNK = "<pad>", "<s>", "</s>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
@@ -72,14 +68,6 @@ class Vocab:
     def digest(self) -> str:
         payload = "\n".join(self.tokens).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
-
-    def save(self, path: str | Path) -> None:
-        payload = json.dumps({"tokens": self.tokens}, ensure_ascii=False)
-        atomic_write(path, [payload.encode("utf-8")])
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocab":
-        return cls(read_json(path, required=("tokens",), types={"tokens": list})["tokens"])
 
 
 def count_words(corpus: Iterable[MaskedSentence]) -> Counter:

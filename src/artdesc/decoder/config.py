@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from artdesc.errors import ConfigError
 
@@ -54,12 +54,3 @@ class DecoderConfig:
             raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
         if not self.classifier_windows or min(self.classifier_windows) < 1:
             raise ConfigError(f"bad classifier windows {self.classifier_windows}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["classifier_windows"] = list(self.classifier_windows)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoderConfig":
-        return cls(**{**d, "classifier_windows": tuple(d["classifier_windows"])})

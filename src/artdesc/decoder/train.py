@@ -205,7 +205,7 @@ def save_decoder_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_decoder_checkpoint(path: str | Path,
                             expected_vocab: Vocab | None = None) -> Checkpoint:
     ckpt = load_model(path, "decoder", DecoderConfig, init_decoder_params,
-                      frozenset({"variant", "final_nll_per_token"}))
+                      {"variant": str, "final_nll_per_token": float | None})
     if expected_vocab is not None and expected_vocab.digest() != ckpt.vocab.digest():
         raise ConfigError(f"{path}: checkpoint vocab differs from the supplied vocab")
     return ckpt

@@ -9,7 +9,7 @@ content and permuting the candidate list never changes a choice.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,13 +35,6 @@ class FillerConfig:
         for name in ("vocab_size", "hidden_size", "embed_size", "type_embed_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FillerConfig":
-        return cls(**d)
 
 
 def init_filler_params(config: FillerConfig, rng: np.random.Generator) -> nc.ParamStore:

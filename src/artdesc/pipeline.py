@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from artdesc.corpus import (
     load_corpus,
     tokenize,
 )
-from artdesc.corpus.corpusio import feature_path, read_json, read_record_grid
+from artdesc.corpus.corpusio import config_from_object, feature_path, read_json, read_record_grid
 from artdesc.decoder import compose_description, generate, load_decoder_checkpoint
 from artdesc.decoder.generate import DECODE_MODES
 from artdesc.errors import ConfigError, DataError, MissingArtifactError
@@ -35,7 +34,7 @@ from artdesc.filler import (
 )
 from artdesc.metrics import bleu4, rouge_l, slot_ratio
 from artdesc.numcore.checkpoint import digest_of
-from artdesc.retriever import TfIdfIndex, build_query, default_blocklist, load_blocklist
+from artdesc.retriever import TfIdfIndex, build_query, load_blocklist
 
 logger = logging.getLogger(__name__)
 
@@ -87,28 +86,16 @@ class PipelineConfig:
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def digest(self) -> str:
-        return digest_of(self.to_dict())
+        return digest_of(asdict(self))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        # each value must be of its field's annotated type (str | None -> (str, NoneType))
-        types = {name: typing.get_args(hint) or hint
-                 for name, hint in typing.get_type_hints(cls).items()}
         try:
-            payload = read_json(path, types=types)
+            payload = read_json(path)
         except FileNotFoundError:
             raise MissingArtifactError(f"pipeline config not found: {path}") from None
-        unknown = set(payload) - types.keys()
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        try:
-            return cls(**payload)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        return config_from_object(cls, payload, str(path))
 
     def require(self, *fields: str) -> None:
         """Validate that the named path fields are set and exist on disk."""
@@ -145,9 +132,7 @@ class Pipeline:
             if getattr(config, name) is not None:
                 config.require(name)
         self._artifacts: dict[str, object] = {}
-        self._blocklist = (
-            load_blocklist(config.blocklist) if config.blocklist else default_blocklist()
-        )
+        self._blocklist = load_blocklist(config.blocklist)
 
     # ------------------------------------------------------------------
     # Artifact loading

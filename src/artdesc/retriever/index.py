@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from artdesc.corpus.corpusio import read_jsonl, read_text
+from artdesc.corpus.corpusio import check_object, read_jsonl, read_text
 from artdesc.errors import DataError
 from artdesc.numcore.checkpoint import load_container, save_container
 from artdesc.retriever.normalize import default_stopwords, normalize_text
@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 KIND = "tfidf-index"
 ARRAYS = {"df": "i8", "indptr": "u8", "indices": "u4", "data": "f8", "bodies": "u1",
           "body_ends": "u8"}
+HEADER_TYPES = {"terms": list[str], "doc_ids": list[str], "stopwords": list[str]}
 
 
 @dataclass
@@ -226,9 +227,7 @@ class TfIdfIndex:
         if "stopwords" not in meta:
             raise DataError(f"{path}: this index holds no stop words or article bodies; "
                             "rebuild it with `artdesc index`")
-        for key in ("terms", "doc_ids", "stopwords"):
-            if not (isinstance(meta.get(key), list) and all(isinstance(s, str) for s in meta[key])):
-                raise DataError(f"{path}: index {key} must be a list of strings")
+        check_object(meta, str(path), tuple(HEADER_TYPES), HEADER_TYPES)
         dtypes = {name: array.dtype.str[1:] for name, array in arrays.items()}
         if dtypes != ARRAYS:
             raise DataError(f"{path}: index arrays must be {ARRAYS}, got {dtypes}")
@@ -259,14 +258,9 @@ def read_articles_dir(directory: str | Path) -> list[KnowledgeArticle]:
 
 def read_articles_jsonl(path: str | Path) -> list[KnowledgeArticle]:
     """Line-delimited export: {"id": ..., "title": ..., "body"/"text": ...}.
-    A title or body that is not a string raises DataError naming ``path:lineno``."""
-    articles = []
-    for lineno, obj in read_jsonl(path, required=("id",)):
-        body = obj.get("body", obj.get("text", ""))
-        title = obj.get("title", str(obj["id"]))
-        for key, value in (("body", body), ("title", title)):
-            if not isinstance(value, str):
-                raise DataError(f"{path}:{lineno}: article {key} must be a string, "
-                                f"got {type(value).__name__}")
-        articles.append(KnowledgeArticle(id=str(obj["id"]), title=title, body=body))
-    return articles
+    An id that is not a string or an int, or a title, body or text that is
+    not a string, raises DataError naming ``path:lineno``."""
+    types = {"id": str | int, "title": str, "body": str, "text": str}
+    return [KnowledgeArticle(id=str(obj["id"]), title=obj.get("title", str(obj["id"])),
+                             body=obj.get("body", obj.get("text", "")))
+            for _, obj in read_jsonl(path, ("id",), types)]

@@ -18,8 +18,9 @@ def default_blocklist() -> frozenset[str]:
     return read_word_list(resources.files("artdesc.data") / "blocklist.txt")
 
 
-def load_blocklist(path: str | Path) -> frozenset[str]:
-    return read_word_list(Path(path))
+def load_blocklist(path: str | Path | None) -> frozenset[str]:
+    """The blocklist at ``path``; the package list for None."""
+    return default_blocklist() if path is None else read_word_list(Path(path))
 
 
 def build_query(attributes: dict[str, str], objects: list[str],

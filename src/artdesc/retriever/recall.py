@@ -28,8 +28,6 @@ class RetrievalLabel(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "RetrievalLabel":
-        if not isinstance(name, str):
-            raise DataError(f"retrieval label {name!r} is not a string")
         try:
             return cls(name.lower())
         except ValueError:
@@ -49,7 +47,8 @@ def load_annotations(path: str | Path) -> list[RetrievalAnnotation]:
     """Line-delimited records {painting_id, article_id, label}, grouped by
     painting."""
     grouped: dict[str, list[tuple[str, RetrievalLabel]]] = {}
-    for _, obj in read_jsonl(path, required=("painting_id", "article_id", "label")):
+    types = {"painting_id": str, "article_id": str, "label": str}
+    for _, obj in read_jsonl(path, tuple(types), types):
         grouped.setdefault(obj["painting_id"], []).append(
             (obj["article_id"], RetrievalLabel.from_name(obj["label"])))
     return [RetrievalAnnotation(pid, articles) for pid, articles in grouped.items()]

@@ -3,8 +3,8 @@
 The topic decoders and the knowledge filler train with the same minibatch
 Adam loop and persist as numcore ``.ckpt`` containers with one metadata
 schema: ``kind``, ``config``, ``vocab_tokens``, ``vocab_digest`` and
-``seed``, plus any keys a model adds. Loading verifies the stored digests and
-rejects a missing or unknown key.
+``seed``, plus any keys a model adds. Loading checks every key's type,
+verifies the stored digests and rejects a missing or unknown key.
 """
 
 from __future__ import annotations
@@ -12,20 +12,22 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from artdesc import numcore as nc
+from artdesc.corpus.corpusio import check_object, config_from_object
 from artdesc.corpus.vocab import Vocab
-from artdesc.errors import ConfigError
+from artdesc.errors import ConfigError, DataError
 from artdesc.numcore.checkpoint import digest_of
 
 logger = logging.getLogger(__name__)
 
-META_KEYS = frozenset({"kind", "config", "vocab_tokens", "vocab_digest", "seed"})
+META_TYPES = {"kind": str, "config": dict, "vocab_tokens": list[str], "vocab_digest": str,
+              "seed": int}
 
 
 @dataclass
@@ -150,7 +152,7 @@ def fit(
 
 def save_model(path: str | Path, kind: str, ckpt: Checkpoint, **extra) -> None:
     """Write ``ckpt`` with the shared metadata plus ``extra`` keys."""
-    config = ckpt.config.to_dict()
+    config = asdict(ckpt.config)
     meta = {
         "kind": kind,
         "config": config,
@@ -160,15 +162,6 @@ def save_model(path: str | Path, kind: str, ckpt: Checkpoint, **extra) -> None:
         **extra,
     }
     nc.save_checkpoint(path, ckpt.store.state_arrays(), digest_of(config), meta)
-
-
-def _check_keys(what: str, obj, expected: set[str] | frozenset[str]) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} is not a JSON object")
-    missing = sorted(expected - obj.keys())
-    unknown = sorted(obj.keys() - expected)
-    if missing or unknown:
-        raise ConfigError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
 class _ShapesOnly:
@@ -186,22 +179,23 @@ def load_model(
     kind: str,
     config_cls: type,
     init_params: Callable[[Any, np.random.Generator], nc.ParamStore],
-    extra_keys: frozenset[str] = frozenset(),
+    extra_types: dict | None = None,
 ) -> Checkpoint:
-    """Read a checkpoint that ``save_model`` wrote with this ``kind`` and the
-    ``extra_keys``; ``init_params`` names the parameters and gives their
-    shapes, and the checkpoint's arrays become their values."""
+    """Read a checkpoint that ``save_model`` wrote with this ``kind`` and
+    extra keys of the ``extra_types`` hints; ``init_params`` names the
+    parameters and gives their shapes, and the checkpoint's arrays become
+    their values."""
     arrays, digest, meta, _ = nc.load_checkpoint(path)
     if meta.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} checkpoint (kind={meta.get('kind')!r})")
-    _check_keys(f"{path} metadata", meta, META_KEYS | extra_keys)
-    _check_keys(f"{path} config", meta["config"], {f.name for f in fields(config_cls)})
+    types = {**META_TYPES, **(extra_types or {})}
     try:
-        config = config_cls.from_dict(meta["config"])
-        vocab = Vocab(meta["vocab_tokens"])
-    except TypeError as exc:
-        raise ConfigError(f"{path}: malformed metadata ({exc})") from None
-    if digest_of(config.to_dict()) != digest:
+        check_object(meta, f"{path} metadata", tuple(types), types, closed=True)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    config = config_from_object(config_cls, meta["config"], f"{path} config")
+    vocab = Vocab(meta["vocab_tokens"])
+    if digest_of(asdict(config)) != digest:
         raise ConfigError(f"{path}: config digest mismatch; file corrupt or edited")
     if vocab.digest() != meta["vocab_digest"]:
         raise ConfigError(f"{path}: vocab digest mismatch; file corrupt or edited")

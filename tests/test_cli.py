@@ -232,7 +232,11 @@ def test_preprocess_round_trip(cli_world, tmp_path, capsys):
     ({"id": "x1", "sentences": "abc"}, "'sentences' must be list, got str"),
     ({"id": "x1", "comment": 5}, "'comment' must be str, got int"),
     ({"id": "x1", "sentences": [{"text": ["vasari"]}]}, "'text' must be str, got list"),
-], ids=["sentence-no-text", "sentences-not-list", "comment-not-string", "text-not-string"])
+    ({"id": "x1", "sentences": [{"text": "A saint.", "topic": "bogus"}]},
+     "unknown topic label 'bogus'"),
+    ({"id": "x1", "comment": "A saint.", "reference": 5}, "'reference' must be str, got int"),
+], ids=["sentence-no-text", "sentences-not-list", "comment-not-string", "text-not-string",
+        "topic-unknown", "reference-not-string"])
 def test_preprocess_malformed_raw_record_exit_code(cli_world, tmp_path, capsys, raw, key):
     gazetteer_path = cli_world[4]
     raw_path = tmp_path / "raw.jsonl"
@@ -310,14 +314,14 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
             where = f"{bad}:1:"
         elif case == "corpus-attribute-not-string":
             first["attributes"]["artist"] = 5
-            where = f"{bad}:1: painting '{first['id']}': attribute 'artist' must be a string, got int"
+            where = f"{bad}:1: painting '{first['id']}': 'attributes.artist' must be str or null, got int"
         elif case == "sentence-no-text":
             del first["sentences"][0]["text"]
-            where = f"painting '{first['id']}' sentence 0: missing key 'text'"
+            where = f"painting '{first['id']}' sentence 0: missing keys ['text']"
         else:
             entry = next(i for i, sent in enumerate(first["sentences"]) if sent["entities"])
             del first["sentences"][entry]["entities"][0]["type"]
-            where = f"painting '{first['id']}' sentence {entry} entity 0: missing key 'type'"
+            where = f"painting '{first['id']}' sentence {entry} entity 0: missing keys ['type']"
         bad.write_text(json.dumps(first) + "\n", encoding="utf-8")
         argv = ["train-filler", "--corpus", str(bad), "--out", str(tmp_path / "f.ckpt")]
     elif case.startswith("articles"):
@@ -327,7 +331,7 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
         argv = ["index", "--knowledge-file", str(bad), "--out", str(tmp_path / "k.idx")]
         where = f"{bad}:2:"
         if case == "articles-body-not-string":
-            where += " article body must be a string, got int"
+            where += " 'body' must be str, got int"
     else:
         index_path = tmp_path / "k.idx"
         assert main(["index", "--knowledge-dir", str(knowledge_dir),
@@ -335,7 +339,7 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
         row = {"painting_id": records[0].id, "article_id": "x"}
         if case == "annotation-label-not-string":
             row["label"] = 3
-            where = "retrieval label 3 is not a string"
+            where = f"{bad}:1: 'label' must be str, got int"
         else:
             where = f"{bad}:1:"
         bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
@@ -652,7 +656,7 @@ def test_version_1_checkpoint_describes_the_same(world, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, text, message", [
     ("meta", "{bad", "invalid JSON"),
-    ("meta", '{"attributes": 5}', "'attributes' must be dict, got int"),
+    ("meta", '{"attributes": 5}', "'attributes' must be dict[str, str], got int"),
     ("meta", "[1, 2]", "expected a JSON object, got list"),
     ("masked", "{bad", "invalid JSON"),
     ("masked", '{"tokens": 1}', "expected a JSON list, got dict"),
@@ -660,9 +664,9 @@ def test_version_1_checkpoint_describes_the_same(world, tmp_path, capsys):
     ("attrs", "{bad", "invalid JSON"),
     ("attrs", "[1, 2]", "expected a JSON object, got list"),
     ("config", "[1, 2]", "expected a JSON object, got list"),
-    ("meta", '{"attributes": {"artist": 5}}', "attribute 'artist' must be a string, got int"),
-    ("meta", '{"objects": ["saint", null]}', "objects[1] must be a string, got NoneType"),
-    ("attrs", '{"artist": ["goya"]}', "attribute 'artist' must be a string, got list"),
+    ("meta", '{"attributes": {"artist": 5}}', "'attributes.artist' must be str, got int"),
+    ("meta", '{"objects": ["saint", null]}', "'objects[1]' must be str, got NoneType"),
+    ("attrs", '{"artist": ["goya"]}', "'artist' must be str, got list"),
 ], ids=["meta-invalid", "meta-attributes-not-object", "meta-list", "masked-invalid",
         "masked-object", "masked-no-tokens", "attrs-invalid", "attrs-list", "config-list",
         "meta-attribute-not-string", "meta-object-not-string", "attrs-value-not-string"])

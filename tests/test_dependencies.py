@@ -2,8 +2,9 @@
 installed alongside but is not a declared dependency of the package), every
 file the package writes goes through ``atomic_write``, the models train on
 whole-minibatch nodes, not on the per-step or per-item tape path, the
-pipeline reads articles and stop words only through the index, and every
-top-level function and class of the package is named somewhere."""
+pipeline reads articles and stop words only through the index, JSON values
+are type-checked only by ``check_object``, and every top-level function and
+class of the package is named somewhere."""
 
 import ast
 from pathlib import Path
@@ -146,6 +147,28 @@ def test_training_hands_whole_minibatches_to_one_loss():
             offenders += [f"{rel}:{node.lineno}: candidate_vector" for node in ast.walk(tree)
                           if isinstance(node, ast.FunctionDef)
                           and node.name == "candidate_vector"]
+    assert offenders == []
+
+
+# modules that read JSON values and leave every type check to check_object
+JSON_READERS = ("cli.py", "pipeline.py", "training.py", "retriever/index.py",
+                "retriever/recall.py")
+
+
+def test_json_values_are_checked_only_by_check_object():
+    """No reader of JSON values checks a type by hand, and only
+    corpus/corpusio.py turns a dataclass's annotations into a check."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if rel in JSON_READERS:
+            offenders += [f"{rel}:{lineno}: isinstance" for lineno, name in _called_names(tree)
+                          if name == "isinstance"]
+        if rel != "corpus/corpusio.py":
+            offenders += [f"{rel}:{lineno}: get_type_hints"
+                          for lineno, name in _referenced_names(tree) if name == "get_type_hints"]
+    assert all((SRC / rel).is_file() for rel in JSON_READERS)
     assert offenders == []
 
 

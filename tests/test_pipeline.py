@@ -6,6 +6,7 @@ disk) lives in conftest.py and is shared with the acceptance suite."""
 
 import json
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -263,7 +264,7 @@ class TestConfig:
     def test_from_file_round_trip(self, world, tmp_path):
         _, _, config, config_path = world
         loaded = PipelineConfig.from_file(config_path)
-        assert loaded.to_dict() == PipelineConfig(**config).to_dict()
+        assert asdict(loaded) == asdict(PipelineConfig(**config))
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
