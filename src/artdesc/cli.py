@@ -71,6 +71,8 @@ EXIT_MISSING = 3
 
 # the attributes every LogRecord has; any other attribute came in through extra=
 _RECORD_ATTRS = frozenset(vars(logging.makeLogRecord({}))) | {"message", "asctime"}
+# the line breaks of str.splitlines that json.dumps leaves unescaped
+_LINE_BREAKS = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
 
 
 class _JsonLineFormatter(logging.Formatter):
@@ -83,7 +85,7 @@ class _JsonLineFormatter(logging.Formatter):
         }
         payload.update((key, value) for key, value in vars(record).items()
                        if key not in _RECORD_ATTRS)
-        return json.dumps(payload, ensure_ascii=False, default=str)
+        return json.dumps(payload, ensure_ascii=False, default=str).translate(_LINE_BREAKS)
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -282,7 +284,7 @@ def cmd_fill(args) -> int:
 
 # what evaluate reads of a describe report
 REPORT_TYPES = {"painting_id": str, "description_tokens": list[str], "slots": list[dict],
-                "sentences": dict}
+                "sentences": dict, "inputs_digest": str}
 TOPIC_NAMES = [topic.name.lower() for topic in TOPIC_ORDER]
 
 

@@ -14,6 +14,7 @@ from artdesc.corpus.corpusio import read_text
 from artdesc.corpus.text import tokenize_with_spans
 from artdesc.corpus.types import EntityType
 from artdesc.errors import DataError
+from artdesc.numcore.checkpoint import digest_of
 
 _YEAR_RE = re.compile(r"^[12]\d{3}$")
 _NUMBER_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
@@ -29,6 +30,8 @@ _WORD_ORDINALS = frozenset(
 
 class Gazetteer:
     """Phrase dictionary mapping lowercased token tuples to entity types."""
+
+    sha256: str | None = None  # the digest of the entries ``from_file`` parsed
 
     def __init__(self, entries: dict[str, EntityType] | None = None):
         self._phrases: dict[tuple[str, ...], EntityType] = {}
@@ -61,6 +64,7 @@ class Gazetteer:
                 raise DataError(f"{path}:{lineno}: expected 'surface<TAB>type'")
             surface, type_name = line.split("\t", 1)
             gaz.add(surface.strip(), EntityType.from_name(type_name.strip()))
+        gaz.sha256 = digest_of([(" ".join(key), etype.name) for key, etype in gaz._phrases.items()])
         return gaz
 
 

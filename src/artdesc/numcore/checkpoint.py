@@ -2,8 +2,8 @@
 filler checkpoints, the knowledge index), and the atomic write behind every
 file the package writes.
 
-Version 3 layout (integers little-endian; a string is a u32 byte length
-followed by that many UTF-8 bytes):
+The layout (integers little-endian; a string is a u32 byte length followed
+by that many UTF-8 bytes):
 
     magic        8 bytes  b"ARTDCKP1"
     version      u32      3
@@ -19,11 +19,9 @@ followed by that many UTF-8 bytes):
       data       prod(dims) values, little-endian, C order
     sha256       32 bytes, the digest of every byte before it
 
-The reader checks the trailer before it parses anything after the version.
-Version 2 had no pad fields, so its array data lay at any byte offset.
-Version 1 (checkpoints only) had no trailer, a config digest string before
-the metadata and no dtype strings (every array f8). Both still load. Round
-trips are bit-exact.
+The reader checks the trailer, the artifact's content address, before it
+parses anything after the version. It reads version 3 only: files of older
+versions must be retrained or rebuilt. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -44,10 +42,8 @@ from artdesc.errors import FormatError
 MAGIC = b"ARTDCKP1"
 VERSION = 3
 DTYPES = ("f8", "i8", "u8", "u4", "u1")
-ALIGN = 8  # array data starts at a multiple of this many bytes (version 3)
+ALIGN = 8  # array data starts at a multiple of this many bytes
 _TRAILER = 32
-# the magic of the first index format, which stored its own layout
-_INDEX_V1_MAGIC = b"TFIX"
 
 
 def digest_of(obj) -> str:
@@ -145,34 +141,28 @@ class ByteReader:
             raise FormatError(f"trailing bytes after {what}", self.pos)
 
 
-def load_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray], int]:
-    """Returns (meta, arrays, version); ``kind`` names the file in errors. A
-    version 1 checkpoint's config digest comes back as meta["config_digest"],
-    where later versions store it.
-
-    The file is read once into one buffer and hashed there, and each array
-    is a read-only view of its bytes in that buffer. Only an array of an
-    older version whose bytes do not start at a multiple of its item size
-    is copied, because BLAS and many numpy loops slow down badly on
-    unaligned data."""
+def load_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray], str]:
+    """Returns (meta, arrays, the trailer in hex); ``kind`` names the file in
+    errors. The file is read once into one buffer and hashed there, and each
+    array is an aligned, read-only view of its bytes in that buffer."""
     with open(path, "rb") as f:
         buffer = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
         f.readinto(buffer)
     r = ByteReader(memoryview(buffer), kind)
-    if r.raw[: len(_INDEX_V1_MAGIC)] == _INDEX_V1_MAGIC:
+    if r.raw[:4] == b"TFIX":  # the magic of the first index format, with its own layout
         raise FormatError("this index has the version 1 layout, which is no longer "
                           "read; rebuild it with `artdesc index`", 0)
     if r.take(len(MAGIC), "magic") != MAGIC:
         raise FormatError(f"bad {kind} magic", 0)
     (version,) = r.unpack("<I", "version")
-    if version not in (1, 2, VERSION):
-        raise FormatError(f"unsupported {kind} version {version}", r.pos - 4)
-    if version >= 2:
-        body = len(r.raw) - _TRAILER
-        if body < r.pos or hashlib.sha256(r.raw[:body]).digest() != r.raw[body:]:
-            raise FormatError(f"{kind} checksum mismatch: the file is corrupt", max(body, 0))
-        r.raw = r.raw[:body]
-    digest = r.string("config digest") if version == 1 else None
+    if version != VERSION:
+        raise FormatError(f"{kind} has container version {version}, which is not read "
+                          f"(only version {VERSION} is); retrain or rebuild it", r.pos - 4)
+    body = len(r.raw) - _TRAILER
+    sha256 = hashlib.sha256(r.raw[:body]).digest()
+    if body < r.pos or sha256 != r.raw[body:]:
+        raise FormatError(f"{kind} checksum mismatch: the file is corrupt", max(body, 0))
+    r.raw = r.raw[:body]
     start = r.pos + 4
     try:
         meta = json.loads(r.string("metadata"))
@@ -180,41 +170,22 @@ def load_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndar
         raise FormatError(f"metadata is not valid JSON ({exc.msg})", start) from None
     if not isinstance(meta, dict):
         raise FormatError("metadata is not a JSON object", start)
-    if version == 1:
-        meta["config_digest"] = digest
     (count,) = r.unpack("<I", "array count")
     arrays = {}
     for _ in range(count):
         name = r.string("array name")
-        code = r.string(f"dtype of '{name}'") if version >= 2 else "f8"
+        code = r.string(f"dtype of '{name}'")
         if code not in DTYPES:
             raise FormatError(f"array '{name}' has unknown dtype '{code}'", r.pos)
         (ndim,) = r.unpack("<B", f"ndim of '{name}'")
         shape = r.unpack(f"<{ndim}I", f"dims of '{name}'")
-        if version >= 3:
-            (pad,) = r.unpack("<B", f"padding of '{name}'")
-            if pad >= ALIGN or any(r.take(pad, f"padding of '{name}'")):
-                raise FormatError(f"bad padding before the data of '{name}'", r.pos - 1)
+        (pad,) = r.unpack("<B", f"padding of '{name}'")
+        if pad >= ALIGN or any(r.take(pad, f"padding of '{name}'")) or r.pos % ALIGN:
+            raise FormatError(f"bad padding before the data of '{name}'", r.pos - 1)
         dtype = np.dtype("<" + code)
         blob = r.take(dtype.itemsize * math.prod(shape), f"data of '{name}'")
         array = np.frombuffer(blob, dtype).reshape(shape)
-        if not array.flags.aligned:
-            array = array.copy()
         array.flags.writeable = False
         arrays[name] = array
     r.end("last array")
-    return meta, arrays, version
-
-
-def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], config_digest: str,
-                    meta: dict | None = None) -> None:
-    """Parameters in sorted-name order as f64, with the digest in the metadata."""
-    save_container(path, {**(meta or {}), "config_digest": config_digest},
-                   {name: np.asarray(arrays[name], np.float64) for name in sorted(arrays)})
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, dict, int]:
-    """Returns (arrays, config_digest, meta, version); a file without a
-    digest returns None for it, which no config's digest matches."""
-    meta, arrays, version = load_container(path, "checkpoint")
-    return arrays, meta.pop("config_digest", None), meta, version
+    return meta, arrays, sha256.hex()

@@ -1,8 +1,8 @@
 """End-to-end orchestration: generate masked sentences per topic, retrieve
 knowledge, extract candidates, fill slots, and evaluate.
 
-Every report embeds the pipeline seed and config digest; given identical
-inputs and seed the describe output is byte-identical. Degraded modes (no
+Every report names its inputs by content (SHA-256), never by path; given
+identical inputs the describe output is byte-identical. Degraded modes (no
 index, empty retrieval) warn and fall back to attribute-only candidates;
 unfillable slots surface as visible placeholders.
 """
@@ -39,6 +39,9 @@ from artdesc.retriever import TfIdfIndex, build_query, load_blocklist
 logger = logging.getLogger(__name__)
 
 KNOWLEDGE_MODES = ("external-corpus", "reference-as-oracle")
+# the PipelineConfig fields, other than the artifacts' paths, that change a report
+OUTPUT_SETTINGS = ("seed", "retrieval_k", "knowledge_mode", "decode_mode", "beam_size",
+                   "max_decode_len")
 
 # Reference-scale results reported for the full-scale system (complete SemArt
 # corpus + Wikipedia knowledge base with pretrained encoders). Context only:
@@ -60,7 +63,7 @@ class PipelineConfig:
     corpus: str | None = None
     features_dir: str | None = None
     gazetteer: str | None = None
-    # what `artdesc index` read; nothing here reads them, as the index holds the articles
+    # what `artdesc index` read; not read or hashed here, as the index holds the articles
     knowledge_dir: str | None = None
     knowledge_file: str | None = None
     blocklist: str | None = None
@@ -86,9 +89,6 @@ class PipelineConfig:
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
 
-    def digest(self) -> str:
-        return digest_of(asdict(self))
-
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         try:
@@ -98,7 +98,8 @@ class PipelineConfig:
         return config_from_object(cls, payload, str(path))
 
     def require(self, *fields: str) -> None:
-        """Validate that the named path fields are set and exist on disk."""
+        """Validate that the named path fields are set and name an existing
+        file, or directory for ``features_dir``."""
         for name in fields:
             value = getattr(self, name)
             if value is None:
@@ -107,6 +108,9 @@ class PipelineConfig:
                 )
             if not Path(value).exists():
                 raise MissingArtifactError(f"'{name}' points to a missing path: {value}")
+            if not value or Path(value).is_dir() != (name == "features_dir"):
+                kind = "directory" if name == "features_dir" else "file"
+                raise ConfigError(f"'{name}' must name a {kind}, got {value!r}")
 
 
 def _logged_load(artifact: str, path, load, *args):
@@ -133,6 +137,7 @@ class Pipeline:
                 config.require(name)
         self._artifacts: dict[str, object] = {}
         self._blocklist = load_blocklist(config.blocklist)
+        self._blocklist_sha256 = digest_of(sorted(self._blocklist))
 
     # ------------------------------------------------------------------
     # Artifact loading
@@ -219,10 +224,15 @@ class Pipeline:
         ranked, bodies = self._retrieve(record, query)
         candidates = extract_candidates(bodies, record.attributes, self.gazetteer)
         result = fill_slots(masked, candidates, self.filler)
+        used = ("decoder", "filler", "gazetteer", "index")
+        inputs = {name: self._artifacts[name].sha256 for name in used if name in self._artifacts}
+        inputs["blocklist"] = self._blocklist_sha256
+        settings = {name: getattr(self.config, name) for name in OUTPUT_SETTINGS}
         return {
             "painting_id": record.id,
             "seed": self.config.seed,
-            "config_digest": self.config.digest(),
+            "inputs": inputs,
+            "inputs_digest": digest_of({"inputs": inputs, **settings}),
             "knowledge_mode": self.config.knowledge_mode,
             "query": query,
             "retrieved": [{"article_id": aid, "score": score} for aid, score in ranked],
@@ -284,7 +294,7 @@ class Pipeline:
         )
         return {
             "seed": self.config.seed,
-            "config_digest": self.config.digest(),
+            "inputs_digests": sorted({report["inputs_digest"] for report in reports}),
             "num_paintings": len(reports),
             "bleu4": sum(bleu_scores) / len(bleu_scores),
             "rouge_l": sum(rouge_scores) / len(rouge_scores),

@@ -54,7 +54,7 @@ class TfIdfIndex:
     transpose (derived here, never stored): term t's postings are rows
     ``_rows[_colptr[t]:_colptr[t+1]]`` in ascending order, with weights
     ``_weights`` at the same positions. ``term_ids`` maps each term to its
-    id, in id order."""
+    id, in id order. ``sha256`` is the trailer of the file ``load`` read."""
 
     def __init__(
         self,
@@ -67,6 +67,7 @@ class TfIdfIndex:
         stopwords: frozenset[str],
         bodies: np.ndarray,
         body_ends: np.ndarray,
+        sha256: str | None = None,
     ):
         self.terms = list(term_ids)
         self.term_ids = term_ids
@@ -78,6 +79,7 @@ class TfIdfIndex:
         self.stopwords = frozenset(stopwords)
         self.bodies = np.asarray(bodies, dtype=np.uint8)
         self.body_ends = np.asarray(body_ends, dtype=np.uint64)
+        self.sha256 = sha256
         self._check_structure()
         self._idf = np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
         rows = np.repeat(np.arange(self.n_docs), np.diff(self.indptr.astype(np.int64)))
@@ -221,7 +223,7 @@ class TfIdfIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "TfIdfIndex":
-        meta, arrays, _ = load_container(path, "index")
+        meta, arrays, sha256 = load_container(path, "index")
         if meta.get("kind") != KIND:
             raise DataError(f"{path} is not a {KIND} file (kind={meta.get('kind')!r})")
         if "stopwords" not in meta:
@@ -236,7 +238,8 @@ class TfIdfIndex:
         if len(term_ids) != len(terms):
             duplicate = next(t for t, n in Counter(terms).items() if n > 1)
             raise DataError(f"{path}: index term '{duplicate}' is stored twice")
-        return cls(term_ids, doc_ids=meta["doc_ids"], stopwords=meta["stopwords"], **arrays)
+        return cls(term_ids, doc_ids=meta["doc_ids"], stopwords=meta["stopwords"], sha256=sha256,
+                   **arrays)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The topic decoders and the knowledge filler train with the same minibatch
 Adam loop and persist as numcore ``.ckpt`` containers with one metadata
-schema: ``kind``, ``config``, ``vocab_tokens``, ``vocab_digest`` and
+schema: ``kind``, ``config`` and its digest, ``vocab_tokens`` and theirs,
 ``seed``, plus any keys a model adds. Loading checks every key's type,
-verifies the stored digests and rejects a missing or unknown key.
+verifies the digests and rejects a missing or unknown key.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from artdesc import numcore as nc
 from artdesc.corpus.corpusio import check_object, config_from_object
 from artdesc.corpus.vocab import Vocab
 from artdesc.errors import ConfigError, DataError
-from artdesc.numcore.checkpoint import digest_of
+from artdesc.numcore.checkpoint import digest_of, load_container, save_container
 
 logger = logging.getLogger(__name__)
 
-META_TYPES = {"kind": str, "config": dict, "vocab_tokens": list[str], "vocab_digest": str,
-              "seed": int}
+META_TYPES = {"kind": str, "config": dict, "config_digest": str, "vocab_tokens": list[str],
+              "vocab_digest": str, "seed": int}
 
 
 @dataclass
@@ -69,13 +69,15 @@ class TrainConfig:
 @dataclass
 class Checkpoint:
     """A trained model: its config (a DecoderConfig or FillerConfig), vocab,
-    parameters, training seed and per-epoch history (empty once loaded)."""
+    parameters, training seed, per-epoch history (empty once loaded) and the
+    trailer of the file it was loaded from (None if it was not)."""
 
     config: Any
     vocab: Vocab
     store: nc.ParamStore
     seed: int
     history: list[dict] = field(default_factory=list)
+    sha256: str | None = None
 
 
 def padding(lengths: Sequence[int]) -> dict[str, int]:
@@ -156,12 +158,13 @@ def save_model(path: str | Path, kind: str, ckpt: Checkpoint, **extra) -> None:
     meta = {
         "kind": kind,
         "config": config,
+        "config_digest": digest_of(config),
         "vocab_tokens": ckpt.vocab.tokens,
         "vocab_digest": ckpt.vocab.digest(),
         "seed": ckpt.seed,
         **extra,
     }
-    nc.save_checkpoint(path, ckpt.store.state_arrays(), digest_of(config), meta)
+    save_container(path, meta, ckpt.store.state_arrays())
 
 
 class _ShapesOnly:
@@ -185,7 +188,7 @@ def load_model(
     extra keys of the ``extra_types`` hints; ``init_params`` names the
     parameters and gives their shapes, and the checkpoint's arrays become
     their values."""
-    arrays, digest, meta, _ = nc.load_checkpoint(path)
+    meta, arrays, sha256 = load_container(path, "checkpoint")
     if meta.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} checkpoint (kind={meta.get('kind')!r})")
     types = {**META_TYPES, **(extra_types or {})}
@@ -195,10 +198,10 @@ def load_model(
         raise ConfigError(str(exc)) from None
     config = config_from_object(config_cls, meta["config"], f"{path} config")
     vocab = Vocab(meta["vocab_tokens"])
-    if digest_of(asdict(config)) != digest:
+    if digest_of(asdict(config)) != meta["config_digest"]:
         raise ConfigError(f"{path}: config digest mismatch; file corrupt or edited")
     if vocab.digest() != meta["vocab_digest"]:
         raise ConfigError(f"{path}: vocab digest mismatch; file corrupt or edited")
     store = init_params(config, _ShapesOnly())
     store.load_state(arrays)
-    return Checkpoint(config, vocab, store, meta["seed"])
+    return Checkpoint(config, vocab, store, meta["seed"], sha256=sha256)

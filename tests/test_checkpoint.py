@@ -1,8 +1,7 @@
 """The artifact container: bit-exact round trips, aligned read-only views,
-the version 1 and 2 readers, and atomic writes."""
+the trailer as content address, and atomic writes."""
 
 import hashlib
-import json
 import os
 import struct
 
@@ -10,9 +9,7 @@ import numpy as np
 import pytest
 
 from artdesc.errors import FormatError
-from artdesc.numcore import load_checkpoint, save_checkpoint
 from artdesc.numcore.checkpoint import (
-    VERSION,
     ByteReader,
     atomic_write,
     digest_of,
@@ -21,48 +18,12 @@ from artdesc.numcore.checkpoint import (
 )
 
 
-def save_checkpoint_v1(path, arrays, config_digest, meta=None):
-    """The version 1 writer, as it was before version 2 replaced it: kept to
-    write the old files that the reader must still load."""
-    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    digest_bytes = config_digest.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(b"ARTDCKP1")
-        f.write(struct.pack("<I", 1))
-        f.write(struct.pack("<I", len(digest_bytes)))
-        f.write(digest_bytes)
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            data = np.asarray(arrays[name], dtype=np.float64)
-            name_bytes = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_bytes)))
-            f.write(name_bytes)
-            f.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(data.astype("<f8", copy=False).tobytes(order="C"))
-
-
-def save_container_v2(path, meta, arrays):
-    """The version 2 writer, as it was before version 3 aligned the array
-    data: kept to write the old files that the reader must still load."""
-    def string(text):
-        blob = text.encode("utf-8")
-        return struct.pack("<I", len(blob)) + blob
-
-    body = [b"ARTDCKP1", struct.pack("<I", 2),
-            string(json.dumps(meta, sort_keys=True, separators=(",", ":"))),
-            struct.pack("<I", len(arrays))]
-    for name, array in arrays.items():
-        code = array.dtype.str[1:]
-        body += [string(name) + string(code),
-                 struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
-                 np.ascontiguousarray(array, "<" + code).tobytes()]
-    blob = b"".join(body)
-    with open(path, "wb") as f:
-        f.write(blob + hashlib.sha256(blob).digest())
+def old_container_header(version: int) -> bytes:
+    """The head of a container of an older ``version``, as far as the reader
+    reads before it refuses one: version 2 files carried a trailer, so that
+    one is sealed; version 1 files had none."""
+    head = b"ARTDCKP1" + struct.pack("<II", version, 2) + b"{}"
+    return head + hashlib.sha256(head).digest() if version == 2 else head
 
 
 def _mixed_arrays(rng):
@@ -77,8 +38,8 @@ def test_load_hands_out_aligned_read_only_views(tmp_path):
     arrays = _mixed_arrays(np.random.default_rng(16))
     path = tmp_path / "x.bin"
     save_container(path, {"kind": "test"}, arrays)
-    meta, loaded, version = load_container(path, "test")
-    assert version == VERSION and meta == {"kind": "test"}
+    meta, loaded, _ = load_container(path, "test")
+    assert meta == {"kind": "test"}
     buffers = set()
     for name, array in arrays.items():
         got = loaded[name]
@@ -95,64 +56,40 @@ def _owner(array):
     return _owner(array.obj) if isinstance(array, memoryview) else array
 
 
-def test_version_2_file_loads_the_same(tmp_path):
-    arrays = _mixed_arrays(np.random.default_rng(17))
-    old, new = tmp_path / "v2.bin", tmp_path / "v3.bin"
-    save_container_v2(old, {"kind": "test"}, arrays)
-    save_container(new, {"kind": "test"}, arrays)
-    meta_old, got_old, version_old = load_container(old, "test")
-    meta_new, got_new, version_new = load_container(new, "test")
-    assert (version_old, version_new) == (2, VERSION) and meta_old == meta_new
-    for name, array in arrays.items():
-        assert np.array_equal(got_old[name], array) and got_old[name].dtype == array.dtype
-        assert got_old[name].flags.aligned and not got_old[name].flags.writeable
+def test_load_returns_the_trailer_as_content_address(tmp_path):
+    path = tmp_path / "x.bin"
+    save_container(path, {"kind": "test"}, _mixed_arrays(np.random.default_rng(18)))
+    raw = path.read_bytes()
+    sha256 = load_container(path, "test")[2]
+    assert sha256 == raw[-32:].hex() == hashlib.sha256(raw[:-32]).hexdigest()
 
 
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     arrays = {
-        "a.w": rng.normal(size=(3, 4)),
         "a.b": rng.normal(size=7),
+        "a.w": rng.normal(size=(3, 4)),
         "scalarish": rng.normal(size=(1,)),
     }
-    digest = digest_of({"hidden": 8})
-    meta = {"kind": "decoder", "variant": "baseline", "seed": 3}
+    meta = {"kind": "decoder", "variant": "baseline", "seed": 3,
+            "config_digest": digest_of({"hidden": 8})}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, arrays, digest, meta)
-    loaded, got_digest, got_meta, version = load_checkpoint(path)
-    assert version == VERSION == 3
-    assert got_digest == digest
+    save_container(path, meta, arrays)
+    got_meta, loaded, _ = load_container(path, "checkpoint")
     assert got_meta == meta
-    assert set(loaded) == set(arrays)
+    assert list(loaded) == list(arrays)
     for name in arrays:
         assert loaded[name].dtype == np.float64
         assert loaded[name].shape == arrays[name].shape
         assert np.array_equal(loaded[name], arrays[name])  # bit-exact via f64
 
 
-def test_version_1_file_loads_the_same(tmp_path):
-    rng = np.random.default_rng(15)
-    arrays = {"emb": rng.normal(size=(4, 3)), "b": rng.normal(size=5), "s": np.float64(2.5)}
-    meta = {"kind": "filler", "config": {"hidden_size": 4}, "seed": 1}
-    old, new = tmp_path / "v1.ckpt", tmp_path / "new.ckpt"
-    save_checkpoint_v1(old, arrays, "d" * 64, meta)
-    save_checkpoint(new, arrays, "d" * 64, meta)
-    got_old, got_new = load_checkpoint(old), load_checkpoint(new)
-    assert got_old[3] == 1 and got_new[3] == VERSION
-    assert got_old[1:3] == got_new[1:3] == ("d" * 64, meta)
-    for name, value in arrays.items():
-        assert got_old[0][name].shape == np.shape(value)
-        assert np.array_equal(got_old[0][name], got_new[0][name])
-        assert np.array_equal(got_old[0][name], value)
-
-
 def test_double_round_trip_identical_bytes(tmp_path):
     rng = np.random.default_rng(14)
-    arrays = {"w": rng.normal(size=(5, 2))}
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, arrays, "d" * 64, {"x": 1})
-    loaded, digest, meta, _ = load_checkpoint(p1)
-    save_checkpoint(p2, loaded, digest, meta)
+    save_container(p1, {"x": 1}, {"w": rng.normal(size=(5, 2))})
+    meta, loaded, _ = load_container(p1, "checkpoint")
+    save_container(p2, meta, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -160,17 +97,17 @@ def test_bad_magic_reports_offset_zero(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(FormatError) as exc:
-        load_checkpoint(path)
+        load_container(path, "checkpoint")
     assert exc.value.offset == 0
 
 
 def test_truncated_file_reports_offset(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"w": np.ones((2, 2))}, "ab", {})
+    save_container(path, {}, {"w": np.ones((2, 2))})
     blob = path.read_bytes()
     path.write_bytes(blob[:-9])
     with pytest.raises(FormatError) as exc:
-        load_checkpoint(path)
+        load_container(path, "checkpoint")
     assert exc.value.offset > 0
 
 
@@ -207,7 +144,7 @@ def test_strings_errors_report_offsets(raw, offset, message):
 
 def test_failed_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"w": np.ones(3)}, "ab", {})
+    save_container(path, {}, {"w": np.ones(3)})
     before = path.read_bytes()
 
     def chunks():

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
-from test_checkpoint import save_checkpoint_v1
+from test_checkpoint import old_container_header
 from test_pipeline import damage_grid
 
 import artdesc
-import artdesc.numcore as nc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from artdesc.corpus import PaintingRecord, save_corpus, save_feature_grid
-from artdesc.numcore.checkpoint import save_container
+from artdesc.corpus.vocab import RESERVED
+from artdesc.numcore.checkpoint import load_container, save_container
 from artdesc.retriever import (
     KnowledgeArticle,
     RetrievalAnnotation,
@@ -452,16 +452,17 @@ def _string(blob: bytes) -> bytes:
     return struct.pack("<I", len(blob)) + blob
 
 
-def _container_body(meta: bytes, arrays: list[tuple[str, np.ndarray]]) -> bytes:
+def _container_body(meta: bytes, arrays: list[tuple[str, np.ndarray]], skew: int = 0) -> bytes:
     """A version 3 container without its trailer, written field by field, so
     a test can store what the writer refuses to; ``meta`` is encoded JSON.
-    Each array's data starts at a multiple of 8 bytes after a pad field."""
+    Each array's data starts ``skew`` bytes past a multiple of 8, after a
+    pad field."""
     body = b"".join([b"ARTDCKP1", struct.pack("<II", 3, len(meta)), meta,
                      struct.pack("<I", len(arrays))])
     for name, a in arrays:
         body += (_string(name.encode("utf-8")) + _string(a.dtype.str[1:].encode("utf-8"))
                  + struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape))
-        pad = -(len(body) + 1) % 8
+        pad = (skew - len(body) - 1) % 8
         body += bytes([pad]) + bytes(pad) + a.tobytes()
     return body
 
@@ -579,6 +580,8 @@ def _rewrite_ckpt_header(raw: bytes, corruption: str) -> bytes:
         else:
             meta["config"]["bogus"] = 1
         meta_bytes = json.dumps(meta).encode("utf-8")
+    # trailing spaces keep the length mod 8, so the array data stays aligned
+    meta_bytes += b" " * ((size - len(meta_bytes)) % 8)
     return _seal(raw[:12] + _string(meta_bytes) + arrays)
 
 
@@ -598,10 +601,10 @@ def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruptio
     key = f"{kind}_checkpoint"
     bad = tmp_path / f"{kind}.ckpt"
     if corruption == "nan-param":
-        arrays, digest, meta, _ = nc.load_checkpoint(config[key])
+        meta, arrays, _ = load_container(config[key], "checkpoint")
         arrays[NAN_PARAM[kind]] = arrays[NAN_PARAM[kind]].copy()  # loads are read-only
         arrays[NAN_PARAM[kind]][0] = np.nan
-        nc.save_checkpoint(bad, arrays, digest, meta)
+        save_container(bad, meta, arrays)
         message = f"parameter '{NAN_PARAM[kind]}': {message}"
     else:
         bad.write_bytes(_rewrite_ckpt_header(Path(config[key]).read_bytes(), corruption))
@@ -637,21 +640,32 @@ def test_flipped_byte_exit_code(world, tmp_path, capsys, artifact, where):
     assert out == "" and "checksum mismatch" in json.loads(line)["event"]
 
 
-def test_version_1_checkpoint_describes_the_same(world, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_container_version_asks_to_retrain(world, tmp_path, capsys, version):
     _, records, config, _ = world
-    arrays, digest, meta, _ = nc.load_checkpoint(config["decoder_checkpoint"])
-    path = tmp_path / "decoder.ckpt"
+    old = tmp_path / "decoder.ckpt"
+    old.write_bytes(old_container_header(version))
     config_path = tmp_path / "pipeline.json"
-    config_path.write_text(json.dumps({**config, "decoder_checkpoint": str(path)}),
+    config_path.write_text(json.dumps({**config, "decoder_checkpoint": str(old)}),
                            encoding="utf-8")
-    reports = []
-    for save in (nc.save_checkpoint, save_checkpoint_v1):
-        save(path, arrays, digest, meta)
-        assert main(["describe", "--config", str(config_path),
-                     "--painting-id", records[0].id]) == EXIT_OK
-        reports.append(capsys.readouterr().out)
-    assert path.read_bytes().startswith(b"ARTDCKP1\x01\0\0\0")
-    assert reports[0] == reports[1]
+    capsys.readouterr()
+    assert main(["describe", "--config", str(config_path),
+                 "--painting-id", records[0].id]) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    event = json.loads(line)["event"]
+    assert f"container version {version}" in event and "retrain" in event
+
+
+def test_misaligned_array_data_is_refused(tmp_path, capsys):
+    """A pad field that leaves an array's data off an 8-byte boundary fails
+    even behind a valid trailer."""
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(_seal(_container_body(b'{"kind":"tfidf-index"}',
+                                          [("df", np.arange(3, dtype="<i8"))], skew=1)))
+    capsys.readouterr()
+    assert main(["retrieve", "--index", str(bad), "--query", "saint"]) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "bad padding before the data of 'df'" in json.loads(line)["event"]
 
 
 @pytest.mark.parametrize("flag, text, message", [
@@ -714,6 +728,21 @@ def test_mistyped_config_value_exit_code(world, tmp_path, capsys, key, value, me
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
     assert out == "" and f"{bad}: " in line and message in line
+
+
+@pytest.mark.parametrize("key", ["corpus", "blocklist", "features_dir"])
+def test_config_path_of_the_wrong_kind_exit_code(world, tmp_path, capsys, key):
+    """An empty path (the working directory) where a file belongs, or a file
+    where a directory belongs, is refused with the key's name."""
+    _, records, config, _ = world
+    bad = tmp_path / "pipeline.json"
+    bad.write_text(json.dumps({**config, key: config["corpus"] if key == "features_dir" else ""}),
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["describe", "--config", str(bad), "--painting-id", records[0].id]) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    kind = "directory" if key == "features_dir" else "file"
+    assert f"'{key}' must name a {kind}" in json.loads(line)["event"]
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -791,6 +820,54 @@ def test_describe_one_topic_logs_no_warning(world, capsys):
             if json.loads(line)["level"] == "warning"] == []
 
 
+def _describe(config_path, capsys, *flags) -> str:
+    capsys.readouterr()
+    assert main(["describe", "--config", str(config_path), *flags]) == EXIT_OK
+    return capsys.readouterr().out
+
+
+def test_reports_name_their_inputs_by_content_not_path(world, tmp_path, capsys):
+    """Every artifact copied to another directory, with its own
+    pipeline.json, gives byte-identical reports."""
+    root, _, config, _ = world
+    external = dict(config, knowledge_mode="external-corpus")
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy)
+    paths = [tmp_path / "pipeline.json", copy / "pipeline.json"]
+    paths[0].write_text(json.dumps(external), encoding="utf-8")
+    paths[1].write_text(json.dumps({key: value.replace(str(root), str(copy), 1)
+                                    if isinstance(value, str) else value
+                                    for key, value in external.items()}), encoding="utf-8")
+    reports = [_describe(path, capsys) for path in paths]
+    assert reports[0] == reports[1] and str(root) not in reports[0]
+    for line in reports[0].splitlines():
+        assert set(json.loads(line)["inputs"]) == {"decoder", "filler", "gazetteer",
+                                                   "blocklist", "index"}
+
+
+def test_one_filler_byte_moves_only_its_digests(world, tmp_path, capsys):
+    """One byte changed in a filler parameter that this painting's fill
+    never reads (the embedding of a token absent from its report), sealed
+    again: the report's filler digest and inputs digest move, nothing else."""
+    _, records, config, config_path = world
+    before = _describe(config_path, capsys, "--painting-id", records[0].id)
+    meta, arrays, _ = load_container(config["filler_checkpoint"], "checkpoint")
+    row = next(i for i, token in enumerate(meta["vocab_tokens"])
+               if i >= len(RESERVED) and token not in before.lower())
+    embed = arrays["fill.embed"].copy()
+    embed.view(np.uint8).reshape(len(embed), -1)[row, 0] ^= 1
+    bad = tmp_path / "filler.ckpt"
+    save_container(bad, meta, {**arrays, "fill.embed": embed})
+    bad_config = tmp_path / "pipeline.json"
+    bad_config.write_text(json.dumps({**config, "filler_checkpoint": str(bad)}),
+                          encoding="utf-8")
+    after = json.loads(_describe(bad_config, capsys, "--painting-id", records[0].id))
+    before = json.loads(before)
+    assert after["inputs"].pop("filler") != before["inputs"].pop("filler")
+    assert after.pop("inputs_digest") != before.pop("inputs_digest")
+    assert after == before
+
+
 def test_overflowing_checkpoint_exit_code(world, tmp_path):
     """Finite weights that overflow load, then fail a finiteness check: the
     decoder's in the decode step, the filler's in a node of the slot
@@ -805,11 +882,11 @@ def test_overflowing_checkpoint_exit_code(world, tmp_path):
         ("filler_checkpoint", ["fill.bilinear", "fill.cand.w"],
          "numeric error: non-finite values produced by linear"),
     ]:
-        arrays, digest, meta, _ = nc.load_checkpoint(config[key])
+        meta, arrays, _ = load_container(config[key], "checkpoint")
         for name in names:
             arrays[name] = np.full_like(arrays[name], 1e308)
         bad = tmp_path / Path(config[key]).name
-        nc.save_checkpoint(bad, arrays, digest, meta)
+        save_container(bad, meta, arrays)
         config_path = tmp_path / "pipeline.json"
         config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
         proc = subprocess.run(
@@ -836,6 +913,21 @@ def test_logs_are_json_lines(tmp_path, capsys):
     for line in err_lines:
         payload = json.loads(line)
         assert {"ts", "level", "event"} <= set(payload)
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+def test_log_line_breaks_are_escaped(world, tmp_path, capsys, char):
+    """A line break that str.splitlines knows, logged inside a value (here
+    an attribute key that the error echoes), stays inside its JSON line."""
+    _, _, config, _ = world
+    attrs, masked = tmp_path / "attrs.json", tmp_path / "masked.json"
+    attrs.write_text(json.dumps({char: None}), encoding="utf-8")
+    masked.write_text('[{"tokens": ["by", "[person]"]}]', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fill", "--ckpt", config["filler_checkpoint"], "--gazetteer",
+                 config["gazetteer"], "--masked", str(masked), "--attrs", str(attrs)]) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"'{char}' must be str" in json.loads(line)["event"]
 
 
 def test_training_logs_each_epoch_with_fields(cli_world, tmp_path, capsys):

@@ -15,7 +15,7 @@ from artdesc.decoder import (
     train_decoder,
 )
 from artdesc.errors import ConfigError
-from artdesc.numcore import load_checkpoint, save_checkpoint
+from artdesc.numcore.checkpoint import load_container, save_container
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +60,16 @@ def test_vocab_mismatch_fails_loudly(trained):
 
 def test_wrong_kind_rejected(tmp_path):
     path = tmp_path / "other.ckpt"
-    save_checkpoint(path, {"w": np.zeros(2)}, "d", {"kind": "filler"})
+    save_container(path, {"kind": "filler", "config_digest": "d"}, {"w": np.zeros(2)})
     with pytest.raises(ConfigError, match="decoder"):
         load_decoder_checkpoint(path)
 
 
 def test_tampered_meta_detected(trained, tmp_path):
     _, ckpt, path = trained
-    arrays, digest, meta, _ = load_checkpoint(path)
+    meta, arrays, _ = load_container(path, "checkpoint")
     meta["config"]["hidden_size"] += 1
     tampered = tmp_path / "tampered.ckpt"
-    save_checkpoint(tampered, arrays, digest, meta)
+    save_container(tampered, meta, arrays)
     with pytest.raises(ConfigError, match="digest"):
         load_decoder_checkpoint(tampered)

@@ -333,22 +333,22 @@ class TestFillerCheckpoint:
     def test_config_with_max_len_refused(self, trained_cue_filler, tmp_path):
         """A checkpoint whose config still holds the input-length cap that
         fill inputs no longer have is refused; it must be retrained."""
-        from artdesc.numcore import load_checkpoint, save_checkpoint
-        from artdesc.numcore.checkpoint import digest_of
+        from artdesc.numcore.checkpoint import digest_of, load_container, save_container
 
         path = tmp_path / "filler.ckpt"
         save_filler_checkpoint(path, trained_cue_filler[1])
-        arrays, _, meta, _ = load_checkpoint(path)
+        meta, arrays, _ = load_container(path, "checkpoint")
         meta["config"]["max_len"] = 120
-        save_checkpoint(path, arrays, digest_of(meta["config"]), meta)
+        meta["config_digest"] = digest_of(meta["config"])
+        save_container(path, meta, arrays)
         with pytest.raises(ConfigError, match=r"unknown keys \['max_len'\]"):
             load_filler_checkpoint(path)
 
     def test_kind_check(self, tmp_path):
-        from artdesc.numcore import save_checkpoint
+        from artdesc.numcore.checkpoint import save_container
 
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, {"w": np.zeros(2)}, "d", {"kind": "decoder"})
+        save_container(path, {"kind": "decoder", "config_digest": "d"}, {"w": np.zeros(2)})
         with pytest.raises(ConfigError):
             load_filler_checkpoint(path)
 

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import artdesc.numcore as nc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, main
-from artdesc.numcore.checkpoint import digest_of
+from artdesc.numcore.checkpoint import digest_of, load_container, save_container
 
 RECORD = {
     "id": "p0",
@@ -28,7 +27,8 @@ RECORD = {
 }
 REPORT = {"painting_id": "p0", "description_tokens": ["painted", "by", "vasari"],
           "slots": [{"chosen": "vasari"}, {"chosen": None}],
-          "sentences": {"content": ["painted", "by", "[person]"], "form": []}}
+          "sentences": {"content": ["painted", "by", "[person]"], "form": []},
+          "inputs_digest": "0" * 64}
 
 # file name -> its valid value; a JSONL file's value is its list of lines
 VALID = {
@@ -90,12 +90,12 @@ def inputs(world, tmp_path_factory):
 
 
 def _run(argv) -> tuple[int, list[str]]:
-    """The exit code of ``main(argv)`` and its stderr lines, split at "\\n"
-    only: a log line may hold a character that ``str.splitlines`` breaks at."""
+    """The exit code of ``main(argv)`` and its stderr lines, split as
+    ``str.splitlines`` splits them."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(arg) for arg in argv])
-    return code, err.getvalue().split("\n")[:-1]
+    return code, err.getvalue().splitlines()
 
 
 def _replaced(value, path, new):
@@ -167,10 +167,10 @@ def test_mistyped_checkpoint_header_exit_code(world, inputs, tmp_path, path, new
     """A header edited and sealed again, with a config digest that matches
     the edited config, reaches the type checks behind the checksum."""
     config, paths = world[2], inputs[0]
-    arrays, _, meta, _ = nc.load_checkpoint(config["filler_checkpoint"])
+    meta, arrays, _ = load_container(config["filler_checkpoint"], "checkpoint")
     meta = _replaced(meta, path, new)
     bad = tmp_path / "filler.ckpt"
-    nc.save_checkpoint(bad, arrays, digest_of(meta["config"]), meta)
+    save_container(bad, {**meta, "config_digest": digest_of(meta["config"])}, arrays)
     code, lines = _run(["fill", "--ckpt", bad, "--gazetteer", config["gazetteer"],
                         "--masked", paths["masked.json"]])
     assert code == EXIT_DATA

@@ -1,11 +1,9 @@
 """Checkpoint loads for every decoder variant and the filler: no random
-draw, the stored parameters bit for bit, the version 1 reader, and every
-check on a stored parameter."""
+draw, the stored parameters bit for bit, the file's trailer digest, and
+every check on a stored parameter."""
 
 import numpy as np
 import pytest
-
-from test_checkpoint import save_checkpoint_v1
 
 import artdesc.numcore as nc
 from artdesc.corpus import EntityType, FeatureGrid, MaskedSentence, Slot, TopicLabel, Word
@@ -27,6 +25,7 @@ from artdesc.filler import (
     load_filler_checkpoint,
     save_filler_checkpoint,
 )
+from artdesc.numcore.checkpoint import load_container, save_container
 from artdesc.training import Checkpoint
 
 VOCAB = Vocab(list(RESERVED) + ["saint", "river", "[person]"])
@@ -112,13 +111,9 @@ def test_loaded_model_reports_like_the_saved_one(saved):
         assert greedy_decode(loaded, grid, topic, 6) == greedy_decode(saved_ckpt, grid, topic, 6)
 
 
-def test_version_1_checkpoint_loads(saved, tmp_path):
-    store, path, load = saved
-    arrays, digest, meta, _ = nc.load_checkpoint(path)
-    old = tmp_path / "v1.ckpt"
-    save_checkpoint_v1(old, arrays, digest, meta)
-    assert nc.load_checkpoint(old)[3] == 1
-    _assert_bit_equal(load(old).store, store)
+def test_load_keeps_the_trailer_digest(saved):
+    _, path, load = saved
+    assert load(path).sha256 == path.read_bytes()[-32:].hex()
 
 
 def _break(arrays: dict, corruption: str) -> str:
@@ -143,10 +138,10 @@ def _break(arrays: dict, corruption: str) -> str:
 ])
 def test_broken_parameters_are_refused(saved, tmp_path, corruption, error, message):
     _, path, load = saved
-    arrays, digest, meta, _ = nc.load_checkpoint(path)
+    meta, arrays, _ = load_container(path, "checkpoint")
     name = _break(arrays, corruption)
     bad = tmp_path / "bad.ckpt"
-    nc.save_checkpoint(bad, arrays, digest, meta)
+    save_container(bad, meta, arrays)
     with pytest.raises(error) as caught:
         load(bad)
     assert message.format(name=name) in str(caught.value)

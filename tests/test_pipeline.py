@@ -30,7 +30,9 @@ class TestDescribeOracle:
         report = pipeline.describe(records[0])
         assert report["painting_id"] == records[0].id
         assert report["seed"] == 7
-        assert len(report["config_digest"]) == 64
+        assert set(report["inputs"]) == {"decoder", "filler", "gazetteer", "blocklist"}
+        assert all(len(digest) == 64 for digest in report["inputs"].values())
+        assert len(report["inputs_digest"]) == 64
         assert report["retrieved"][0]["article_id"].endswith("::reference")
         assert report["query"]  # attributes produce a non-empty query
         assert {c["source"] for c in report["candidates"]} <= {"attribute", "article"}
@@ -233,6 +235,7 @@ class TestEvaluateFixtureOracle:
                 "description_tokens": predictions[pid],
                 "slots": slots,
                 "sentences": {"content": predictions[pid]},
+                "inputs_digest": "0" * 64,
             })
 
         pipeline = Pipeline(PipelineConfig())
