@@ -56,9 +56,9 @@ from artdesc.retriever import (
     eval_recall,
     load_annotations,
     load_blocklist,
-    load_stopwords,
     read_articles_dir,
     read_articles_jsonl,
+    read_word_list,
 )
 
 logger = logging.getLogger("artdesc")
@@ -102,6 +102,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _path(value: str) -> str:
+    """The type of every path flag: "" (the working directory) is refused."""
+    if not value:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +217,7 @@ def cmd_index(args) -> int:
         articles = read_articles_dir(args.knowledge_dir)
     else:
         articles = read_articles_jsonl(args.knowledge_file)
-    stopwords = load_stopwords(args.stoplist) if args.stoplist else None
+    stopwords = read_word_list(args.stoplist) if args.stoplist else None
     index = TfIdfIndex.build(articles, stopwords)
     index.save(args.out)
     logger.info("indexed", extra={"articles": index.n_docs, "terms": len(index.terms),
@@ -339,16 +346,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="raw comments -> masked corpus JSONL")
-    p.add_argument("--input", required=True)
-    p.add_argument("--gazetteer", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--input", type=_path, required=True)
+    p.add_argument("--gazetteer", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.add_argument("--min-sentence-tokens", type=int, default=1)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train-decoder", help="train a masked-sentence decoder")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--features-dir", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--corpus", type=_path, required=True)
+    p.add_argument("--features-dir", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.add_argument("--variant", choices=("baseline", "parallel", "conditional"),
                    default="parallel")
     p.add_argument("--epochs", type=int, default=100)
@@ -365,8 +372,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train_decoder)
 
     p = sub.add_parser("train-filler", help="train the slot filler")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--corpus", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden-size", type=int, default=32)
@@ -381,23 +388,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("index", help="build the TF-IDF knowledge index")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--knowledge-dir")
-    group.add_argument("--knowledge-file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--stoplist")
+    group.add_argument("--knowledge-dir", type=_path)
+    group.add_argument("--knowledge-file", type=_path)
+    p.add_argument("--out", type=_path, required=True)
+    p.add_argument("--stoplist", type=_path)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("retrieve", help="rank articles for a query")
-    p.add_argument("--index", required=True)
+    p.add_argument("--index", type=_path, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--query")
-    group.add_argument("--meta", help="JSON file with attributes/objects")
+    group.add_argument("--meta", type=_path, help="JSON file with attributes/objects")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--blocklist")
+    p.add_argument("--blocklist", type=_path)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("describe", help="run the full pipeline for paintings")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_path, required=True)
     p.add_argument("--painting-id")
     p.add_argument("--topic", choices=("content", "form", "context"),
                    help="generate only this topic's sentence")
@@ -405,30 +412,30 @@ def build_parser() -> _Parser:
     p.add_argument("--beam-size", type=int)
     p.add_argument("--max-len", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("fill", help="fill slots in masked sentences")
-    p.add_argument("--masked", required=True,
+    p.add_argument("--masked", type=_path, required=True,
                    help="JSON list of {tokens, topic} masked sentences")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--gazetteer", required=True)
-    p.add_argument("--articles", help="JSONL of knowledge articles")
-    p.add_argument("--attrs", help="JSON attributes map")
+    p.add_argument("--ckpt", type=_path, required=True)
+    p.add_argument("--gazetteer", type=_path, required=True)
+    p.add_argument("--articles", type=_path, help="JSONL of knowledge articles")
+    p.add_argument("--attrs", type=_path, help="JSON attributes map")
     p.set_defaults(func=cmd_fill)
 
     p = sub.add_parser("evaluate", help="score describe reports against references")
-    p.add_argument("--config", required=True)
-    p.add_argument("--reports", required=True)
-    p.add_argument("--out")
+    p.add_argument("--config", type=_path, required=True)
+    p.add_argument("--reports", type=_path, required=True)
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("eval-recall", help="R@k of the retriever against annotations")
-    p.add_argument("--index", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--annotations", required=True)
+    p.add_argument("--index", type=_path, required=True)
+    p.add_argument("--corpus", type=_path, required=True)
+    p.add_argument("--annotations", type=_path, required=True)
     p.add_argument("--ks", default="1,5,10")
-    p.add_argument("--blocklist")
+    p.add_argument("--blocklist", type=_path)
     p.set_defaults(func=cmd_eval_recall)
 
     return parser

@@ -9,8 +9,9 @@ Record schema:
      "objects": [str],
      "reference": str}
 
-Feature grids live in separate binary files named <id>.fgrd under a features
-directory; ``read_record_grid`` reads one onto its record.
+Feature grids live in separate container files named <id>.fgrd under a
+features directory. Every text file the package reads goes through
+``read_text``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import json
 import typing
 from collections.abc import Iterator
+from importlib.resources.abc import Traversable
 from pathlib import Path
 from types import NoneType, UnionType
 
@@ -86,16 +88,6 @@ def record_from_dict(obj: dict) -> PaintingRecord:
 
 def feature_path(features_dir: str | Path, painting_id: str) -> Path:
     return Path(features_dir) / f"{painting_id}.fgrd"
-
-
-def read_record_grid(record: PaintingRecord, features_dir: str | Path) -> None:
-    """Reads the record's grid from ``features_dir`` onto ``record.features``.
-    A missing file raises DataError naming it, a corrupt one FormatError."""
-    fpath = feature_path(features_dir, record.id)
-    try:
-        record.features = load_feature_grid(fpath)
-    except FileNotFoundError:
-        raise DataError(f"missing feature file for painting '{record.id}': {fpath}") from None
 
 
 def record_to_dict(record: PaintingRecord) -> dict:
@@ -192,12 +184,22 @@ def config_from_object(cls, obj, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def read_text(path: str | Path) -> str:
-    """A UTF-8 text file; undecodable bytes raise DataError naming ``path``."""
+def read_text(path: str | Path | Traversable) -> str:
+    """A UTF-8 text file or package resource; bad bytes raise DataError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
+def read_entries(path: str | Path | Traversable,
+                 comment: str | None = "#") -> Iterator[tuple[int, str]]:
+    """Yields (line number, stripped line) for each line of a UTF-8 text file
+    that is neither blank nor, unless ``comment`` is None, a comment."""
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        line = line.strip()
+        if line and not (comment and line.startswith(comment)):
+            yield lineno, line
 
 
 def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
@@ -205,10 +207,7 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
     """Yields (line number, object). Undecodable text, invalid JSON, or a
     line that ``check_object`` refuses with ``required`` and ``types``
     raises DataError naming ``path:lineno``."""
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in read_entries(path, comment=None):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -240,7 +239,7 @@ def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> lis
         try:
             record = record_from_dict(obj)
             if features_dir is not None:
-                read_record_grid(record, features_dir)
+                record.features = load_feature_grid(feature_path(features_dir, record.id))
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if record.id in seen:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from artdesc.corpus.corpusio import read_text
+from artdesc.corpus.corpusio import read_entries
 from artdesc.corpus.text import tokenize_with_spans
 from artdesc.corpus.types import EntityType
 from artdesc.errors import DataError
@@ -54,16 +54,17 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
-        """One entry per line: surface-form<TAB>type."""
+        """One surface-form<TAB>type entry per line, as ``read_entries`` reads
+        lines; a bad entry raises DataError naming ``path:lineno``."""
         gaz = cls()
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "\t" not in line:
+        for lineno, line in read_entries(path):
+            surface, tab, type_name = line.partition("\t")
+            if not tab:
                 raise DataError(f"{path}:{lineno}: expected 'surface<TAB>type'")
-            surface, type_name = line.split("\t", 1)
-            gaz.add(surface.strip(), EntityType.from_name(type_name.strip()))
+            try:
+                gaz.add(surface.strip(), EntityType.from_name(type_name.strip()))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
         gaz.sha256 = digest_of([(" ".join(key), etype.name) for key, etype in gaz._phrases.items()])
         return gaz
 

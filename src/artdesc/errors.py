@@ -26,7 +26,7 @@ class FormatError(DataError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 class MissingArtifactError(ArtdescError, FileNotFoundError):

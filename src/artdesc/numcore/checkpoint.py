@@ -1,6 +1,6 @@
-"""The one binary container for every trained or built artifact (decoder and
-filler checkpoints, the knowledge index), and the atomic write behind every
-file the package writes.
+"""The one binary container for every binary artifact (decoder and filler
+checkpoints, the knowledge index, feature grids), and the atomic write
+behind every file the package writes.
 
 The layout (integers little-endian; a string is a u32 byte length followed
 by that many UTF-8 bytes):
@@ -11,7 +11,7 @@ by that many UTF-8 bytes):
     n_arrays     u32
     then per array, in the writer's order:
       name       string
-      dtype      string   one of f8, i8, u8, u4, u1
+      dtype      string   one of f8, f4, i8, u8, u4, u1
       ndim       u8
       dims       ndim x u32
       pad        u8       0-7, then that many zero bytes, so that the data
@@ -20,8 +20,8 @@ by that many UTF-8 bytes):
     sha256       32 bytes, the digest of every byte before it
 
 The reader checks the trailer, the artifact's content address, before it
-parses anything after the version. It reads version 3 only: files of older
-versions must be retrained or rebuilt. Round trips are bit-exact.
+parses anything after the version; its errors name the file. It reads
+version 3 only: older files must be written again. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from artdesc.errors import FormatError
 
 MAGIC = b"ARTDCKP1"
 VERSION = 3
-DTYPES = ("f8", "i8", "u8", "u4", "u1")
+DTYPES = ("f8", "f4", "i8", "u8", "u4", "u1")
 ALIGN = 8  # array data starts at a multiple of this many bytes
 _TRAILER = 32
 
@@ -142,13 +142,20 @@ class ByteReader:
 
 
 def load_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray], str]:
-    """Returns (meta, arrays, the trailer in hex); ``kind`` names the file in
-    errors. The file is read once into one buffer and hashed there, and each
-    array is an aligned, read-only view of its bytes in that buffer."""
+    """Returns (meta, arrays, the trailer in hex); ``path`` and ``kind`` name
+    the file in errors. The file is read once into one buffer and hashed
+    there, and each array is an aligned, read-only view of its bytes there."""
     with open(path, "rb") as f:
         buffer = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
         f.readinto(buffer)
-    r = ByteReader(memoryview(buffer), kind)
+    try:
+        return _parse_container(memoryview(buffer), kind)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc.message}", exc.offset) from None
+
+
+def _parse_container(raw: memoryview, kind: str) -> tuple[dict, dict[str, np.ndarray], str]:
+    r = ByteReader(raw, kind)
     if r.raw[:4] == b"TFIX":  # the magic of the first index format, with its own layout
         raise FormatError("this index has the version 1 layout, which is no longer "
                           "read; rebuild it with `artdesc index`", 0)

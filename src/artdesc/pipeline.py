@@ -20,9 +20,10 @@ from artdesc.corpus import (
     PaintingRecord,
     TOPIC_ORDER,
     load_corpus,
+    load_feature_grid,
     tokenize,
 )
-from artdesc.corpus.corpusio import config_from_object, feature_path, read_json, read_record_grid
+from artdesc.corpus.corpusio import config_from_object, feature_path, read_json
 from artdesc.decoder import compose_description, generate, load_decoder_checkpoint
 from artdesc.decoder.generate import DECODE_MODES
 from artdesc.errors import ConfigError, DataError, MissingArtifactError
@@ -113,10 +114,10 @@ class PipelineConfig:
                 raise ConfigError(f"'{name}' must name a {kind}, got {value!r}")
 
 
-def _logged_load(artifact: str, path, load, *args):
-    """``load(*args)``, logged as a DEBUG ``loaded artifact`` event."""
+def _logged_load(artifact: str, path, load):
+    """``load(path)``, logged as a DEBUG ``loaded artifact`` event."""
     started = time.perf_counter()
-    value = load(*args)
+    value = load(path)
     logger.debug("loaded artifact", extra={"artifact": artifact, "path": str(path),
                                            "seconds": time.perf_counter() - started})
     return value
@@ -148,7 +149,7 @@ class Pipeline:
         if name not in self._artifacts:
             self.config.require(field)
             path = getattr(self.config, field)
-            self._artifacts[name] = _logged_load(name, path, load, path)
+            self._artifacts[name] = _logged_load(name, path, load)
         return self._artifacts[name]
 
     @property
@@ -157,8 +158,8 @@ class Pipeline:
 
     def _with_grid(self, record: PaintingRecord) -> PaintingRecord:
         if record.features is None and self.config.features_dir is not None:
-            _logged_load("feature grid", feature_path(self.config.features_dir, record.id),
-                         read_record_grid, record, self.config.features_dir)
+            path = feature_path(self.config.features_dir, record.id)
+            record.features = _logged_load("feature grid", path, load_feature_grid)
         return record
 
     def record_by_id(self, painting_id: str) -> PaintingRecord:

@@ -8,7 +8,7 @@ from artdesc.retriever.index import (
     read_articles_jsonl,
     terms_of,
 )
-from artdesc.retriever.normalize import default_stopwords, load_stopwords, normalize_text
+from artdesc.retriever.normalize import default_stopwords, normalize_text, read_word_list
 from artdesc.retriever.porter import stem
 from artdesc.retriever.query import build_query, default_blocklist, load_blocklist
 from artdesc.retriever.recall import (
@@ -32,10 +32,10 @@ __all__ = [
     "eval_recall",
     "load_annotations",
     "load_blocklist",
-    "load_stopwords",
     "normalize_text",
     "read_articles_dir",
     "read_articles_jsonl",
+    "read_word_list",
     "stem",
     "terms_of",
 ]

@@ -8,30 +8,21 @@ from importlib import resources
 from importlib.resources.abc import Traversable
 from pathlib import Path
 
-from artdesc.errors import DataError
+from artdesc.corpus.corpusio import read_entries
 from artdesc.retriever.porter import stem
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
-def read_word_list(path: Path | Traversable) -> frozenset[str]:
+def read_word_list(path: str | Path | Traversable) -> frozenset[str]:
     """One lowercased entry per line; blank lines and '#' comments skipped.
     A file that is not UTF-8 raises DataError naming it."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-    lines = (line.strip().lower() for line in text.splitlines())
-    return frozenset(line for line in lines if line and not line.startswith("#"))
+    return frozenset(entry.lower() for _, entry in read_entries(path))
 
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     return read_word_list(resources.files("artdesc.data") / "stopwords.txt")
-
-
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    return read_word_list(Path(path))
 
 
 def normalize_text(text: str, stopwords: frozenset[str] | None = None,

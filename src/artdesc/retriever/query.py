@@ -20,7 +20,7 @@ def default_blocklist() -> frozenset[str]:
 
 def load_blocklist(path: str | Path | None) -> frozenset[str]:
     """The blocklist at ``path``; the package list for None."""
-    return default_blocklist() if path is None else read_word_list(Path(path))
+    return default_blocklist() if path is None else read_word_list(path)
 
 
 def build_query(attributes: dict[str, str], objects: list[str],

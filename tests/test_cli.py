@@ -14,7 +14,7 @@ import pytest
 
 from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
 from test_checkpoint import old_container_header
-from test_pipeline import damage_grid
+from test_pipeline import GRID_DAMAGE, damage_grid
 
 import artdesc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
@@ -616,28 +616,37 @@ def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruptio
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("artifact", ["ckpt", "idx"])
+@pytest.mark.parametrize("artifact", ["ckpt", "filler", "idx", "fgrd"])
 @pytest.mark.parametrize("where", ["header", "arrays", "trailer"])
 def test_flipped_byte_exit_code(world, tmp_path, capsys, artifact, where):
     """A flipped bit anywhere in a container fails its checksum: exit 2 with
-    one JSON log line that says so."""
+    one JSON log line that says so and names the file."""
     _, records, config, _ = world
-    key = "decoder_checkpoint" if artifact == "ckpt" else "index"
-    raw = bytearray(Path(config[key]).read_bytes())
-    raw[{"header": 20, "arrays": -33, "trailer": -1}[where]] ^= 0x01
+    key = {"ckpt": "decoder_checkpoint", "filler": "filler_checkpoint", "idx": "index",
+           "fgrd": "features_dir"}[artifact]
     bad = tmp_path / f"bad.{artifact}"
-    bad.write_bytes(bytes(raw))
-    if artifact == "ckpt":
-        config_path = tmp_path / "pipeline.json"
-        config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
-        argv = ["describe", "--config", str(config_path), "--painting-id", records[0].id]
+    if artifact == "fgrd":
+        shutil.copytree(config[key], tmp_path / "features")
+        source = bad = tmp_path / "features" / f"{records[0].id}.fgrd"
+        config = {**config, key: str(bad.parent)}
     else:
+        source = Path(config[key])
+        config = {**config, key: str(bad)}
+    raw = bytearray(source.read_bytes())
+    raw[{"header": 20, "arrays": -33, "trailer": -1}[where]] ^= 0x01
+    bad.write_bytes(bytes(raw))
+    if artifact == "idx":
         argv = ["retrieve", "--index", str(bad), "--query", "saint"]
+    else:
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["describe", "--config", str(config_path), "--painting-id", records[0].id]
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
-    assert out == "" and "checksum mismatch" in json.loads(line)["event"]
+    event = json.loads(line)["event"]
+    assert out == "" and "checksum mismatch" in event and f"{bad}: " in event
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -745,6 +754,19 @@ def test_config_path_of_the_wrong_kind_exit_code(world, tmp_path, capsys, key):
     assert f"'{key}' must name a {kind}" in json.loads(line)["event"]
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("retrieve", "--blocklist"), ("eval-recall", "--blocklist"), ("index", "--knowledge-dir"),
+    ("index", "--out"), ("index", "--stoplist"), ("fill", "--articles"), ("fill", "--attrs"),
+    ("describe", "--out"), ("describe", "--config"), ("train-decoder", "--features-dir"),
+])
+def test_empty_path_flag_is_a_usage_error(capsys, command, flag):
+    """An empty path would name the working directory: it exits 1 naming
+    the flag, before any file is read or written."""
+    capsys.readouterr()
+    assert main([command, flag, ""]) == EXIT_USAGE
+    assert f"argument {flag}: the path must not be empty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, message", [
     (["--beam-size", "0"], "beam_size must be >= 1, got 0"),
     (["--max-len", "0"], "max_decode_len must be >= 1, got 0"),
@@ -759,8 +781,11 @@ def test_out_of_range_describe_flag_exit_code(world, capsys, flag, message):
     assert out == "" and message in line
 
 
-@pytest.mark.parametrize("how", ["missing", "corrupt"])
+@pytest.mark.parametrize("how", GRID_DAMAGE)
 def test_broken_grid_of_the_described_painting_exit_code(world, tmp_path, capsys, how):
+    """A missing, corrupt or old-layout grid exits 2 naming the grid and the
+    cause. The corrupt grid has one flipped bit, which the reader before
+    grids were containers read without error."""
     _, records, config, _ = world
     features = tmp_path / "features"
     shutil.copytree(config["features_dir"], features)
@@ -774,7 +799,8 @@ def test_broken_grid_of_the_described_painting_exit_code(world, tmp_path, capsys
                  "--painting-id", records[0].id]) == EXIT_DATA
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
-    assert out == "" and str(grid) in json.loads(line)["event"]
+    event = json.loads(line)["event"]
+    assert out == "" and str(grid) in event and GRID_DAMAGE[how] in event
 
 
 def test_verbose_describe_logs_each_artifact_load(world, tmp_path, capsys):

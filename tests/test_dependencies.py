@@ -1,6 +1,7 @@
 """Source-level guards: runtime dependencies stay numpy-only (scipy is
 installed alongside but is not a declared dependency of the package), every
-file the package writes goes through ``atomic_write``, the models train on
+file the package writes goes through ``atomic_write`` and every file it
+reads through ``read_text`` or ``load_container``, the models train on
 whole-minibatch nodes, not on the per-step or per-item tape path, the
 pipeline reads articles and stop words only through the index, JSON values
 are type-checked only by ``check_object``, and every top-level function and
@@ -64,17 +65,49 @@ def _file_writes(tree: ast.AST):
                 yield node
 
 
+def _inside(tree: ast.AST, rel: str, functions) -> set[int]:
+    """The ids of every node inside the named (module, function) pairs."""
+    return {id(inner) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and (rel, node.name) in functions
+            for inner in ast.walk(node)}
+
+
 def test_src_writes_files_only_through_atomic_write():
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        exempt = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (rel, node.name) == ATOMIC_WRITER:
-                exempt |= {id(inner) for inner in ast.walk(node)}
+        exempt = _inside(tree, rel, {ATOMIC_WRITER})
         offenders += [f"{rel}:{call.lineno}" for call in _file_writes(tree)
                       if id(call) not in exempt]
+    assert offenders == []
+
+
+# the two functions under src/artdesc that open a file to read it: every text
+# file goes through read_text, every binary file through load_container
+FILE_READERS = {("corpus/corpusio.py", "read_text"), ("numcore/checkpoint.py", "load_container")}
+
+
+def test_src_reads_files_only_through_two_readers():
+    """No function but the two readers (and ``atomic_write``, whose one
+    ``open`` writes, as the test above checks) calls ``open``,
+    ``.read_text`` or ``.read_bytes``, and no module but the container's
+    packs bytes with ``struct``."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = _inside(tree, rel, FILE_READERS | {ATOMIC_WRITER})
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open" or isinstance(
+                    func, ast.Attribute) and func.attr in ("open", "read_text", "read_bytes"):
+                offenders.append(f"{rel}:{node.lineno}: {ast.unparse(func)}")
+        if rel != "numcore/checkpoint.py":
+            offenders += [f"{rel}: import {name}" for name in _imported_modules(tree)
+                          if name == "struct"]
     assert offenders == []
 
 
@@ -105,9 +138,10 @@ def test_models_do_not_reference_per_step_ops():
     assert offenders == []
 
 
-# what only ``artdesc index`` reads: the article corpus and a stop word list;
+# what only ``artdesc index`` reads: the article corpus and a stop word list
+# (the pipeline's one word list, the blocklist, loads through load_blocklist);
 # describe reads both out of the index
-INDEX_INPUTS = frozenset({"read_articles_dir", "read_articles_jsonl", "load_stopwords",
+INDEX_INPUTS = frozenset({"read_articles_dir", "read_articles_jsonl", "read_word_list",
                           "default_stopwords"})
 
 

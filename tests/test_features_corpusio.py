@@ -1,5 +1,8 @@
 """Feature grid files, mean pooling, and corpus JSONL round trips."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from artdesc.corpus import (
 )
 from artdesc.corpus.types import TopicLabel
 from artdesc.errors import DataError, FormatError
+from artdesc.numcore.checkpoint import load_container, save_container
 
 
 class TestFeatureFiles:
@@ -36,17 +40,53 @@ class TestFeatureFiles:
 
     def test_bad_magic_offset(self, tmp_path):
         path = tmp_path / "bad.fgrd"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(FormatError) as exc:
+        save_feature_grid(path, np.ones((3, 3)))
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        with pytest.raises(FormatError, match="bad feature grid magic") as exc:
             load_feature_grid(path)
-        assert exc.value.offset == 0
+        assert exc.value.offset == 0 and str(path) in str(exc.value)
 
     def test_size_mismatch_reports_offset(self, tmp_path):
         path = tmp_path / "short.fgrd"
         save_feature_grid(path, np.ones((3, 3)))
         path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="checksum mismatch") as exc:
             load_feature_grid(path)
+        assert exc.value.offset > 0 and str(path) in str(exc.value)
+
+    def test_old_layout_is_refused(self, tmp_path):
+        """The layout before grids were containers: magic, u32 L, u32 D,
+        then L*D float32 values."""
+        path = tmp_path / "old.fgrd"
+        path.write_bytes(b"FGRD" + np.array([2, 3], "<u4").tobytes()
+                         + np.ones(6, "<f4").tobytes())
+        with pytest.raises(FormatError, match="bad feature grid magic") as exc:
+            load_feature_grid(path)
+        assert exc.value.offset == 0 and str(path) in str(exc.value)
+
+    def test_stored_as_float32_container(self, tmp_path):
+        """The trailer is the grid's content address, and the one array is
+        float32."""
+        path = tmp_path / "p1.fgrd"
+        save_feature_grid(path, np.arange(6.0).reshape(2, 3))
+        meta, arrays, sha256 = load_container(path, "feature grid")
+        assert meta == {"kind": "feature-grid"} and list(arrays) == ["values"]
+        assert arrays["values"].dtype == np.dtype("<f4")
+        assert sha256 == hashlib.sha256(path.read_bytes()[:-32]).hexdigest()
+
+    @pytest.mark.parametrize("meta, arrays, message", [
+        ({"kind": "checkpoint"}, {"values": np.ones((2, 3), "<f4")}, "is not a feature-grid"),
+        ({"kind": "feature-grid"}, {"values": np.ones((2, 3))}, "is not a feature-grid"),
+        ({"kind": "feature-grid"}, {"other": np.ones((2, 3), "<f4")}, "is not a feature-grid"),
+        ({"kind": "feature-grid"}, {"values": np.ones(3, "<f4")}, "must be (L, D)"),
+        ({"kind": "feature-grid"}, {"values": np.full((2, 3), np.inf, "<f4")}, "non-finite"),
+    ], ids=["kind", "dtype", "name", "rank", "non-finite"])
+    def test_other_container_is_refused(self, tmp_path, meta, arrays, message):
+        path = tmp_path / "odd.fgrd"
+        save_container(path, meta, arrays)
+        with pytest.raises(DataError, match=re.escape(message)) as exc:
+            load_feature_grid(path)
+        assert str(path) in str(exc.value)
 
 
 class TestMeanPool:

@@ -9,9 +9,11 @@ import shutil
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from artdesc.corpus import corpusio, tokenize
+from artdesc import pipeline as pipeline_module
+from artdesc.corpus import corpusio, load_feature_grid, tokenize
 from artdesc.errors import DataError, MissingArtifactError
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 
@@ -88,13 +90,13 @@ class TestDescribeOracle:
 def grid_reads(monkeypatch):
     """The names of the .fgrd files read, in order."""
     reads = []
-    read = corpusio.load_feature_grid
 
     def counting(path):
         reads.append(Path(path).name)
-        return read(path)
+        return load_feature_grid(path)
 
-    monkeypatch.setattr(corpusio, "load_feature_grid", counting)
+    for module in (corpusio, pipeline_module):
+        monkeypatch.setattr(module, "load_feature_grid", counting)
     return reads
 
 
@@ -108,11 +110,23 @@ def own_grids(world, tmp_path):
     return records, dict(config, features_dir=str(features)), features
 
 
+# how damage_grid damages a grid -> what the error that it causes says
+GRID_DAMAGE = {"missing": "missing feature file", "corrupt": "checksum mismatch",
+               "old-layout": "bad feature grid magic"}
+
+
 def damage_grid(path: Path, how: str) -> None:
+    """Removes the grid file, flips one bit of its last value ("corrupt"),
+    or rewrites it in the layout from before grids were containers."""
     if how == "missing":
         path.unlink()
+    elif how == "corrupt":
+        raw = bytearray(path.read_bytes())
+        raw[-33] ^= 0x01
+        path.write_bytes(bytes(raw))
     else:
-        path.write_bytes(b"FGRD" + path.read_bytes()[4:-1])  # one byte short
+        values = np.asarray(load_feature_grid(path).values, "<f4")
+        path.write_bytes(b"FGRD" + np.array(values.shape, "<u4").tobytes() + values.tobytes())
 
 
 class TestLazyGrids:
@@ -121,7 +135,7 @@ class TestLazyGrids:
         Pipeline(PipelineConfig(**config)).describe_by_id(records[2].id)
         assert grid_reads == [f"{records[2].id}.fgrd"]
 
-    @pytest.mark.parametrize("how", ["missing", "corrupt"])
+    @pytest.mark.parametrize("how", GRID_DAMAGE)
     def test_broken_grid_of_another_painting_does_not_block(self, own_grids, how):
         records, config, features = own_grids
         expected = Pipeline(PipelineConfig(**config)).describe_by_id(records[0].id)

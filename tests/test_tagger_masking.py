@@ -36,6 +36,24 @@ def gazetteer():
     )
 
 
+class TestGazetteerFile:
+    def test_entries_skip_blank_lines_and_comments(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("# people\n\n  Vasari\tperson  \nNew York\tlocation\n", encoding="utf-8")
+        gaz = Gazetteer.from_file(path)
+        assert len(gaz) == 2 and gaz.lookup(("new", "york")) is EntityType.LOCATION
+
+    @pytest.mark.parametrize("line, message", [
+        ("Vasari", "expected 'surface<TAB>type'"),
+        ("Vasari\tpainter", "unknown entity type 'painter'"),
+    ], ids=["no-tab", "unknown-type"])
+    def test_bad_entry_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "gaz.tsv"
+        path.write_text(f"# people\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}:2: {message}$"):
+            Gazetteer.from_file(path)
+
+
 class TestTagger:
     def test_year_pattern(self, gazetteer):
         spans = tag_entities("who died of plague in 1502", gazetteer)
