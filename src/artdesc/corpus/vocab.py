@@ -81,19 +81,20 @@ def count_words(corpus: Iterable[MaskedSentence]) -> Counter:
     return counts
 
 
-def build_vocab(corpus: list[MaskedSentence], min_freq: int = 1) -> Vocab:
-    """Frequency-ordered vocab (freq desc, then lexicographic); words below
-    min_freq map to <unk>. All seven slot tokens are always included."""
+def vocab_from_counts(counts: Counter, min_freq: int, specials: tuple[str, ...] = ()) -> Vocab:
+    """The reserved tokens, all seven slot tokens, ``specials``, then the
+    words counted at least min_freq times, by frequency (desc) and then
+    lexicographically; the other words map to <unk>."""
     if min_freq < 1:
         raise DataError(f"min_freq must be >= 1, got {min_freq}")
+    tokens = [*RESERVED, *(et.slot_surface for et in EntityType), *specials]
+    tokens.extend(sorted((t for t, c in counts.items() if c >= min_freq),
+                         key=lambda t: (-counts[t], t)))
+    return Vocab(tokens)
+
+
+def build_vocab(corpus: list[MaskedSentence], min_freq: int = 1) -> Vocab:
+    """The decoder vocab over the corpus's words (see vocab_from_counts)."""
     if not corpus:
         raise DataError("cannot build a vocab from an empty corpus")
-    counts = count_words(corpus)
-    tokens = list(RESERVED)
-    tokens.extend(et.slot_surface for et in EntityType)
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
-        key=lambda t: (-counts[t], t),
-    )
-    tokens.extend(kept)
-    return Vocab(tokens)
+    return vocab_from_counts(count_words(corpus), min_freq)

@@ -20,21 +20,21 @@ from artdesc.corpus import TopicLabel
 from artdesc.corpus.vocab import Vocab
 from artdesc.decoder.config import DecoderConfig
 
+FILTERS = 16  # per window size
+WINDOWS = (2, 3)  # tokens per convolution window
+
 
 def init_classifier_params(store: nc.ParamStore, config: DecoderConfig,
                            rng: np.random.Generator) -> None:
-    ec = config.classifier_embed_size
-    f = config.classifier_filters
-    store.add("cls.embed", nc.uniform_init(rng, (config.vocab_size, ec)))
-    for n in config.classifier_windows:
-        store.add(f"cls.conv{n}.w", nc.uniform_init(rng, (f, n * ec)))
-        store.add(f"cls.conv{n}.b", np.zeros(f))
-    store.add("cls.out.w", nc.uniform_init(rng, (len(TopicLabel), f * len(config.classifier_windows))))
+    store.add("cls.embed", nc.uniform_init(rng, (config.vocab_size, config.embed_size)))
+    for n in WINDOWS:
+        store.add(f"cls.conv{n}.w", nc.uniform_init(rng, (FILTERS, n * config.embed_size)))
+        store.add(f"cls.conv{n}.b", np.zeros(FILTERS))
+    store.add("cls.out.w", nc.uniform_init(rng, (len(TopicLabel), FILTERS * len(WINDOWS))))
     store.add("cls.out.b", np.zeros(len(TopicLabel)))
 
 
-def _logits_from_embeddings(emb: nc.Tensor, lengths, params: nc.ParamStore,
-                            config: DecoderConfig) -> nc.Tensor:
+def _logits_from_embeddings(emb: nc.Tensor, lengths, params: nc.ParamStore) -> nc.Tensor:
     """Topic logits (B, 3) of B sequences whose embeddings stand one after
     another in the rows of emb, ``lengths[b]`` rows for sequence b.
 
@@ -43,7 +43,7 @@ def _logits_from_embeddings(emb: nc.Tensor, lengths, params: nc.ParamStore,
     has at least one position, then batch padding, which the max over time
     never reads."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    readable = np.maximum(lengths, max(config.classifier_windows))
+    readable = np.maximum(lengths, max(WINDOWS))
     pad_row = emb.shape[0]
     rows = np.full((len(lengths), readable.max()), pad_row)
     rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.arange(pad_row)
@@ -52,29 +52,26 @@ def _logits_from_embeddings(emb: nc.Tensor, lengths, params: nc.ParamStore,
     pooled = [
         nc.max_rows(nc.relu_t(nc.linear(nc.windows(seqs, n), params[f"cls.conv{n}.w"],
                                         params[f"cls.conv{n}.b"])), readable - n + 1)
-        for n in config.classifier_windows
+        for n in WINDOWS
     ]
     return nc.linear(nc.concat(pooled, axis=1), params["cls.out.w"], params["cls.out.b"])
 
 
-def classify_distributions(probs: nc.Tensor, params: nc.ParamStore, config: DecoderConfig,
+def classify_distributions(probs: nc.Tensor, params: nc.ParamStore,
                            lengths=None) -> nc.Tensor:
     """Topic logits (B, 3) from word distributions (continuous path): the
     rows of ``probs`` (N, V) are B sequences one after another, of
     ``lengths`` rows each (one sequence of all N rows by default)."""
     return _logits_from_embeddings(nc.vecmat(probs, params["cls.embed"]),
-                                   [probs.shape[0]] if lengths is None else lengths,
-                                   params, config)
+                                   [probs.shape[0]] if lengths is None else lengths, params)
 
 
-def classify_tokens(token_ids: list[int], params: nc.ParamStore,
-                    config: DecoderConfig) -> nc.Tensor:
+def classify_tokens(token_ids: list[int], params: nc.ParamStore) -> nc.Tensor:
     """Topic logits (1, 3) from a discrete token sequence."""
     return _logits_from_embeddings(nc.embedding(params["cls.embed"], list(token_ids)),
-                                   [len(token_ids)], params, config)
+                                   [len(token_ids)], params)
 
 
-def predict_topic(token_ids: list[int], params: nc.ParamStore,
-                  config: DecoderConfig) -> TopicLabel:
-    logits = classify_tokens(token_ids, params, config)
+def predict_topic(token_ids: list[int], params: nc.ParamStore) -> TopicLabel:
+    logits = classify_tokens(token_ids, params)
     return TopicLabel(int(np.argmax(logits.data)))

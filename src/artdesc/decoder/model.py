@@ -49,15 +49,14 @@ def _add_subdecoder(store: nc.ParamStore, prefix: str, config: DecoderConfig,
     d = config.feature_dim
     h = config.hidden_size
     em = config.embed_size
-    att = config.attn_hidden_size
     x_dim = d + em + (config.topic_embed_size if with_topic else 0)
     store.add(f"{prefix}.embed", nc.uniform_init(rng, (v, em)))
     store.add(f"{prefix}.lstm.w", nc.uniform_init(rng, (4 * h, x_dim + h)))
     store.add(f"{prefix}.lstm.b", np.zeros(4 * h))
-    store.add(f"{prefix}.att.w_v", nc.uniform_init(rng, (att, d)))
-    store.add(f"{prefix}.att.w_h", nc.uniform_init(rng, (att, h)))
-    store.add(f"{prefix}.att.b1", np.zeros(att))
-    store.add(f"{prefix}.att.w2", nc.uniform_init(rng, (att,)))
+    store.add(f"{prefix}.att.w_v", nc.uniform_init(rng, (h, d)))  # the attention MLP is h wide
+    store.add(f"{prefix}.att.w_h", nc.uniform_init(rng, (h, h)))
+    store.add(f"{prefix}.att.b1", np.zeros(h))
+    store.add(f"{prefix}.att.w2", nc.uniform_init(rng, (h,)))
     store.add(f"{prefix}.att.b2", np.zeros(1))
     store.add(f"{prefix}.out.w", nc.uniform_init(rng, (v, h + d)))
     store.add(f"{prefix}.out.b", np.zeros(v))

@@ -107,17 +107,16 @@ def sequence_loss(
 
 
 def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore, config: DecoderConfig,
-               classifier_weight: float = 0.0) -> tuple[nc.Tensor, int, dict[str, float]]:
+               with_classifier: bool = False) -> tuple[nc.Tensor, int, dict[str, float]]:
     """The summed loss of a minibatch, its token transitions and its stats
     (``nll``, ``ce`` with the classifier, and the padding counts of
     ``training.padding``).
 
     The items run as one recurrence per sub-decoder and grid size (the
-    parallel variant groups them by topic), longest first. With a nonzero
-    ``classifier_weight`` the conditional variant adds that weight times the
-    topic classifier's cross-entropy on each item's word steps (the final
-    step predicts </s>; a one-transition item keeps its one step)."""
-    use_classifier = classifier_weight != 0.0 and config.variant == "conditional"
+    parallel variant groups them by topic), longest first. With
+    ``with_classifier`` (conditional variant only) it adds the topic
+    classifier's cross-entropy on each item's word steps (the final step
+    predicts </s>; a one-transition item keeps its one step)."""
     parallel = config.variant == "parallel"
     ordered = sorted(items, key=lambda item: (int(item.topic) if parallel else 0,
                                               item.grid.n_locations, -len(item.token_ids)))
@@ -138,17 +137,17 @@ def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore, config: Dec
             stats[key] += value
         stats["nll"] += nll.item()
         units += n_tokens
-        if not use_classifier:
+        if not with_classifier:
             losses.append(nll)
             continue
         words = [max(n - 1, 1) for n in lengths]
         starts = np.cumsum(lengths) - lengths
         rows = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, words)])
         cls_logits = classify_distributions(nc.softmax(nc.embedding(logits, rows)), params,
-                                            config, words)
+                                            words)
         ce = nc.cross_entropy(cls_logits, topics)
         stats["ce"] = stats.get("ce", 0.0) + ce.item()
-        losses.append(nc.add(nll, nc.scale(ce, classifier_weight)))
+        losses.append(nc.add(nll, ce))
     return (losses[0] if len(losses) == 1 else nc.add_n(losses)), units, stats
 
 
@@ -164,26 +163,25 @@ def _validate(records: list[PaintingRecord], config: DecoderConfig) -> None:
 
 
 def _train(records: list[PaintingRecord], vocab: Vocab, config: DecoderConfig,
-           tcfg: TrainConfig, classifier_weight: float) -> Checkpoint:
+           tcfg: TrainConfig, with_classifier: bool) -> Checkpoint:
     _validate(records, config)
     items = build_training_items(records, vocab, config.variant)
-    use_classifier = classifier_weight != 0.0 and config.variant == "conditional"
 
     def summarize(totals: dict) -> dict:
         entry = {"nll_per_token": totals["nll"] / totals["units"]}
-        if use_classifier:
+        if with_classifier:
             entry["classifier_ce_per_item"] = totals["ce"] / len(items)
         return entry
 
     return fit(config, vocab, init_decoder_params, items, tcfg,
-               lambda batch, store: batch_loss(batch, store, config, classifier_weight),
+               lambda batch, store: batch_loss(batch, store, config, with_classifier),
                summarize)
 
 
 def train_decoder(records: list[PaintingRecord], vocab: Vocab,
                   config: DecoderConfig, tcfg: TrainConfig) -> Checkpoint:
     """Pure teacher-forced NLL training for any variant."""
-    return _train(records, vocab, config, tcfg, classifier_weight=0.0)
+    return _train(records, vocab, config, tcfg, with_classifier=False)
 
 
 def train_conditional(records: list[PaintingRecord], vocab: Vocab,
@@ -192,8 +190,7 @@ def train_conditional(records: list[PaintingRecord], vocab: Vocab,
     decoder's output distributions (continuous approximation)."""
     if config.variant != "conditional":
         raise ConfigError("train_conditional requires the conditional variant")
-    return _train(records, vocab, config, tcfg,
-                  classifier_weight=tcfg.classifier_loss_weight)
+    return _train(records, vocab, config, tcfg, with_classifier=True)
 
 
 def save_decoder_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -202,10 +199,6 @@ def save_decoder_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
                final_nll_per_token=final_nll)
 
 
-def load_decoder_checkpoint(path: str | Path,
-                            expected_vocab: Vocab | None = None) -> Checkpoint:
-    ckpt = load_model(path, "decoder", DecoderConfig, init_decoder_params,
+def load_decoder_checkpoint(path: str | Path) -> Checkpoint:
+    return load_model(path, "decoder", DecoderConfig, init_decoder_params,
                       {"variant": str, "final_nll_per_token": float | None})
-    if expected_vocab is not None and expected_vocab.digest() != ckpt.vocab.digest():
-        raise ConfigError(f"{path}: checkpoint vocab differs from the supplied vocab")
-    return ckpt

@@ -7,11 +7,11 @@ choices depend on candidate content, never on list position.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from artdesc.corpus import EntityType, MaskedSentence, PaintingRecord, Slot, Word, tokenize
-from artdesc.corpus.vocab import RESERVED, Vocab
+from artdesc.corpus import EntityType, MaskedSentence, PaintingRecord, Slot, tokenize
+from artdesc.corpus.vocab import Vocab, count_words, vocab_from_counts
 from artdesc.errors import DataError
 
 CLS, SEP = "<cls>", "<sep>"
@@ -58,20 +58,9 @@ def build_filler_vocab(records: list[PaintingRecord], min_freq: int = 1) -> Voca
     the CLS/SEP specials pinned after the slot band."""
     if not records:
         raise DataError("cannot build a filler vocab from an empty corpus")
-    counts: Counter = Counter()
+    counts = count_words(entry.masked for record in records for entry in record.sentences)
     for record in records:
-        for entry in record.sentences:
-            for token in entry.masked.tokens:
-                if isinstance(token, Word):
-                    counts[token.text] += 1
-            for value in entry.values:
-                counts.update(tokenize(value))
-        for value in record.attributes.values():
-            if value:
-                counts.update(tokenize(value))
-    tokens = list(RESERVED)
-    tokens.extend(et.slot_surface for et in EntityType)
-    tokens.extend([CLS, SEP])
-    tokens.extend(sorted((t for t, c in counts.items() if c >= min_freq),
-                         key=lambda t: (-counts[t], t)))
-    return Vocab(tokens)
+        for value in chain(*(entry.values for entry in record.sentences),
+                           record.attributes.values()):
+            counts.update(tokenize(value))
+    return vocab_from_counts(counts, min_freq, (CLS, SEP))

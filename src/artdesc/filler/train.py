@@ -109,13 +109,11 @@ def train_filler(
     lr: float = 5e-4,
     lr_decay: float = 0.8,
     lr_decay_every: int | None = 10,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     batch_size: int = 32,
     seed: int = 0,
 ) -> Checkpoint:
     tcfg = TrainConfig(epochs=epochs, lr=lr, lr_decay=lr_decay, lr_decay_every=lr_decay_every,
-                       betas=betas, eps=eps, batch_size=batch_size, seed=seed)
+                       batch_size=batch_size, seed=seed)
     pairs = build_fill_pairs(records)
 
     def batch_loss(batch: list[FillPair], store: nc.ParamStore):

@@ -238,8 +238,11 @@ class TfIdfIndex:
         if len(term_ids) != len(terms):
             duplicate = next(t for t, n in Counter(terms).items() if n > 1)
             raise DataError(f"{path}: index term '{duplicate}' is stored twice")
-        return cls(term_ids, doc_ids=meta["doc_ids"], stopwords=meta["stopwords"], sha256=sha256,
-                   **arrays)
+        try:
+            return cls(term_ids, doc_ids=meta["doc_ids"], stopwords=meta["stopwords"],
+                       sha256=sha256, **arrays)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from artdesc import numcore as nc
 from artdesc.corpus.corpusio import check_object, config_from_object
 from artdesc.corpus.vocab import Vocab
-from artdesc.errors import ConfigError, DataError
+from artdesc.errors import ArtdescError, ConfigError, DataError
 from artdesc.numcore.checkpoint import digest_of, load_container, save_container
 
 logger = logging.getLogger(__name__)
@@ -32,18 +32,16 @@ META_TYPES = {"kind": str, "config": dict, "config_digest": str, "vocab_tokens":
 
 @dataclass
 class TrainConfig:
-    """Optimization settings. The default schedule starts at 5e-4 and decays
-    by 0.8 every 10 epochs; lr_decay_every=None holds the rate constant."""
+    """Optimization settings for Adam at its default betas and eps. The
+    default schedule starts at 5e-4 and decays by 0.8 every 10 epochs;
+    lr_decay_every=None holds the rate constant."""
 
     epochs: int
     lr: float = 5e-4
     lr_decay: float = 0.8
     lr_decay_every: int | None = 10
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     batch_size: int = 32
     seed: int = 0
-    classifier_loss_weight: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -54,16 +52,8 @@ class TrainConfig:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.lr_decay_every is not None and self.lr_decay_every < 1:
             raise ConfigError(f"lr_decay_every must be >= 1 or None, got {self.lr_decay_every}")
-        self.betas = tuple(self.betas)
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.classifier_loss_weight) and self.classifier_loss_weight >= 0):
-            raise ConfigError(
-                f"classifier_loss_weight must be finite and >= 0, got {self.classifier_loss_weight}")
 
 
 @dataclass
@@ -139,7 +129,7 @@ def fit(
                 continue
             totals["units"] += units
             nc.backward(nc.scale(loss, 1.0 / units), store)
-            nc.adam_step(store, lr, tcfg.betas, tcfg.eps)
+            nc.adam_step(store, lr)
             del loss  # the graph goes before the next minibatch builds its own
         entry = {"epoch": epoch, "lr": lr, **summarize(totals)}
         history.append(entry)
@@ -203,5 +193,8 @@ def load_model(
     if vocab.digest() != meta["vocab_digest"]:
         raise ConfigError(f"{path}: vocab digest mismatch; file corrupt or edited")
     store = init_params(config, _ShapesOnly())
-    store.load_state(arrays)
+    try:
+        store.load_state(arrays)
+    except ArtdescError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return Checkpoint(config, vocab, store, meta["seed"], sha256=sha256)

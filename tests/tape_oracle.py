@@ -27,7 +27,7 @@ import numpy as np
 from artdesc import numcore as nc
 from artdesc.corpus import EntityType, FeatureGrid, mean_pool, tokenize
 from artdesc.corpus.vocab import Vocab
-from artdesc.decoder.config import DecoderConfig
+from artdesc.decoder.classifier import WINDOWS
 from artdesc.decoder.model import State
 from artdesc.errors import ShapeError
 from artdesc.filler.encoding import encode_fill_input
@@ -163,15 +163,14 @@ def sequence_loss(
     return nc.add_n(losses), len(losses), probs
 
 
-def _logits_from_embeddings(emb_seq: list[nc.Tensor], params: nc.ParamStore,
-                            config: DecoderConfig) -> nc.Tensor:
+def _logits_from_embeddings(emb_seq: list[nc.Tensor], params: nc.ParamStore) -> nc.Tensor:
     # pad with the <pad> embedding so every window size has >=1 position
-    needed = max(config.classifier_windows)
+    needed = max(WINDOWS)
     emb_seq = list(emb_seq)
     while len(emb_seq) < needed:
         emb_seq.append(nc.embedding(params["cls.embed"], Vocab.pad))
     pooled = []
-    for n in config.classifier_windows:
+    for n in WINDOWS:
         feats = []
         for j in range(len(emb_seq) - n + 1):
             window = nc.concat(emb_seq[j : j + n])
@@ -182,18 +181,16 @@ def _logits_from_embeddings(emb_seq: list[nc.Tensor], params: nc.ParamStore,
     return nc.affine(params["cls.out.w"], nc.concat(pooled), params["cls.out.b"])
 
 
-def classify_distributions(probs: list[nc.Tensor], params: nc.ParamStore,
-                           config: DecoderConfig) -> nc.Tensor:
+def classify_distributions(probs: list[nc.Tensor], params: nc.ParamStore) -> nc.Tensor:
     """Topic logits from per-step word distributions (continuous path)."""
     emb_seq = [nc.vecmat(p, params["cls.embed"]) for p in probs]
-    return _logits_from_embeddings(emb_seq, params, config)
+    return _logits_from_embeddings(emb_seq, params)
 
 
-def classify_tokens(token_ids: list[int], params: nc.ParamStore,
-                    config: DecoderConfig) -> nc.Tensor:
+def classify_tokens(token_ids: list[int], params: nc.ParamStore) -> nc.Tensor:
     """Topic logits from a discrete token sequence."""
     emb_seq = [nc.embedding(params["cls.embed"], i) for i in token_ids]
-    return _logits_from_embeddings(emb_seq, params, config)
+    return _logits_from_embeddings(emb_seq, params)
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,11 @@ LR_SCHEDULE_CASES = {
     ("train-filler", "good", ["--epochs", "0"]),
     *[(command, "good", settings) for command in ("train-filler", "train-decoder")
       for settings in LR_SCHEDULE_CASES.values()],
+    ("train-filler", "good", ["--min-freq", "0"]),
+    ("train-decoder", "good", ["--min-freq", "0"]),
 ], ids=["bad-corpus", "batch-size-0", "lr-0", "epochs-0",
-        *[f"{model}-{case}" for model in ("filler", "decoder") for case in LR_SCHEDULE_CASES]])
+        *[f"{model}-{case}" for model in ("filler", "decoder") for case in LR_SCHEDULE_CASES],
+        "filler-min-freq-0", "decoder-min-freq-0"])
 def test_data_error_exit_code(cli_world, tmp_path, capsys, command, corpus, settings):
     corpus_path = cli_world[2]
     if corpus == "bad":
@@ -519,12 +522,16 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
         message = "metadata is not valid UTF-8"
     elif corruption == "decreasing-indptr":
         indptr[1], indptr[2] = indptr[2], indptr[1]
+        message = f"indptr must rise from 0 to {len(indices)}"
     elif corruption == "term-id-out-of-range":
         indices[-1] = len(terms)
+        message = f"term id {len(terms)} is out of range"
     elif corruption == "unsorted-doc-ids":
         doc_ids[0], doc_ids[1] = doc_ids[1], doc_ids[0]
+        message = "doc ids must strictly increase"
     elif corruption == "duplicate-doc-ids":
         doc_ids[1] = doc_ids[0]
+        message = "doc ids must strictly increase"
     elif corruption == "duplicate-term":
         terms[1] = terms[0]
         message = f"index term '{idx.terms[0]}' is stored twice"
@@ -538,7 +545,7 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     capsys.readouterr()
     assert main(["retrieve", "--index", str(bad), "--query", "saint fresco"]) == EXIT_DATA
     out, err = capsys.readouterr()
-    assert out == "" and message in err
+    assert out == "" and message in err and f"{bad}: " in err
 
 
 def test_version_1_index_asks_for_a_rebuild(tmp_path, capsys):
@@ -594,18 +601,32 @@ NAN_PARAM = {"decoder": "content.out.b", "filler": "fill.cand.b"}
     ("non-utf8-digest", "metadata is not valid UTF-8"),
     ("no-config", "missing keys ['config']"),
     ("unknown-config-key", "unknown keys ['bogus']"),
-    ("nan-param", "checkpoint holds non-finite values"),
-], ids=["invalid-json", "non-utf8-digest", "no-config", "unknown-config-key", "nan-param"])
+    ("nan-param", "parameter '{name}': checkpoint holds non-finite values"),
+    ("missing-param", "checkpoint is missing parameter '{name}'"),
+    ("unknown-param", "checkpoint has unknown parameters: ['zzz.bogus']"),
+    ("wrong-shape-param", "parameter '{name}': checkpoint shape (2,)"),
+], ids=["invalid-json", "non-utf8-digest", "no-config", "unknown-config-key", "nan-param",
+        "missing-param", "unknown-param", "wrong-shape-param"])
 def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruption, message):
+    """Exit 2 with an error that names the broken file: in its metadata,
+    its config or a stored parameter."""
     _, records, config, _ = world
     key = f"{kind}_checkpoint"
     bad = tmp_path / f"{kind}.ckpt"
-    if corruption == "nan-param":
+    if corruption.endswith("-param"):
         meta, arrays, _ = load_container(config[key], "checkpoint")
-        arrays[NAN_PARAM[kind]] = arrays[NAN_PARAM[kind]].copy()  # loads are read-only
-        arrays[NAN_PARAM[kind]][0] = np.nan
+        name = NAN_PARAM[kind]
+        if corruption == "nan-param":
+            arrays[name] = arrays[name].copy()  # loads are read-only
+            arrays[name][0] = np.nan
+        elif corruption == "missing-param":
+            del arrays[name]
+        elif corruption == "unknown-param":
+            arrays["zzz.bogus"] = np.zeros(3)
+        else:
+            arrays[name] = np.zeros(2)
         save_container(bad, meta, arrays)
-        message = f"parameter '{NAN_PARAM[kind]}': {message}"
+        message = message.format(name=name)
     else:
         bad.write_bytes(_rewrite_ckpt_header(Path(config[key]).read_bytes(), corruption))
     config_path = tmp_path / "pipeline.json"
@@ -613,7 +634,8 @@ def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruptio
     capsys.readouterr()
     assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
                  "--topic", "content", "--mode", "greedy"]) == EXIT_DATA
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and f"{bad}" in err
 
 
 @pytest.mark.parametrize("artifact", ["ckpt", "filler", "idx", "fgrd"])
@@ -663,6 +685,28 @@ def test_old_container_version_asks_to_retrain(world, tmp_path, capsys, version)
     (line,) = capsys.readouterr().err.splitlines()
     event = json.loads(line)["event"]
     assert f"container version {version}" in event and "retrain" in event
+
+
+def test_decoder_checkpoint_with_removed_settings_is_refused(world, tmp_path, capsys):
+    """A decoder checkpoint written while its config still held the
+    attention width and the classifier sizes is refused by name."""
+    _, records, config, _ = world
+    meta, arrays, _ = load_container(config["decoder_checkpoint"], "checkpoint")
+    hidden, embed = meta["config"]["hidden_size"], meta["config"]["embed_size"]
+    meta["config"].update(attn_hidden_size=hidden, classifier_filters=16,
+                          classifier_embed_size=embed, classifier_windows=[2, 3])
+    old = tmp_path / "decoder.ckpt"
+    save_container(old, meta, arrays)
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({**config, "decoder_checkpoint": str(old)}),
+                           encoding="utf-8")
+    capsys.readouterr()
+    assert main(["describe", "--config", str(config_path),
+                 "--painting-id", records[0].id]) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["event"] == (
+        f"data error: {old} config: unknown keys ['attn_hidden_size', "
+        "'classifier_embed_size', 'classifier_filters', 'classifier_windows']")
 
 
 def test_misaligned_array_data_is_refused(tmp_path, capsys):

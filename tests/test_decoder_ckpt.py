@@ -48,14 +48,15 @@ def test_round_trip_parameters_bit_exact(trained):
         assert np.array_equal(loaded.store[name].data, ckpt.store[name].data)
 
 
-def test_vocab_mismatch_fails_loudly(trained):
-    records, ckpt, path = trained
-    other_vocab = None
-    from artdesc.corpus.vocab import RESERVED, Vocab
-
-    other_vocab = Vocab(list(RESERVED) + ["zzz"])
-    with pytest.raises(ConfigError, match="vocab"):
-        load_decoder_checkpoint(path, expected_vocab=other_vocab)
+def test_vocab_mismatch_fails_loudly(trained, tmp_path):
+    """A vocab edited behind a valid trailer no longer matches its digest."""
+    path = trained[2]
+    meta, arrays, _ = load_container(path, "checkpoint")
+    meta["vocab_tokens"][-1] = "zzz"
+    tampered = tmp_path / "vocab.ckpt"
+    save_container(tampered, meta, arrays)
+    with pytest.raises(ConfigError, match="vocab digest mismatch"):
+        load_decoder_checkpoint(tampered)
 
 
 def test_wrong_kind_rejected(tmp_path):

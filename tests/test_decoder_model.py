@@ -22,7 +22,6 @@ def make(variant="baseline", vocab_size=12, feature_dim=4, hidden=6, embed=5, se
     config = DecoderConfig(
         variant=variant, vocab_size=vocab_size, feature_dim=feature_dim,
         hidden_size=hidden, embed_size=embed, topic_embed_size=3, max_len=8,
-        classifier_filters=4, classifier_embed_size=5,
     )
     store = init_decoder_params(config, np.random.default_rng(seed))
     return config, store

@@ -4,8 +4,9 @@ file the package writes goes through ``atomic_write`` and every file it
 reads through ``read_text`` or ``load_container``, the models train on
 whole-minibatch nodes, not on the per-step or per-item tape path, the
 pipeline reads articles and stop words only through the index, JSON values
-are type-checked only by ``check_object``, and every top-level function and
-class of the package is named somewhere."""
+are type-checked only by ``check_object``, every top-level function and
+class of the package is named somewhere, and every training setting has a
+command-line flag."""
 
 import ast
 from pathlib import Path
@@ -227,3 +228,26 @@ def test_every_top_level_definition_is_named_somewhere():
                  if all(where == path and node.lineno <= lineno <= node.end_lineno
                         for where, lineno in named.get(node.name, []))]
     assert offenders == []
+
+
+# config fields that the training commands derive from the data
+DERIVED_FIELDS = {"vocab_size", "feature_dim"}
+
+
+def test_every_training_setting_has_a_flag():
+    """Each field of the decoder, filler and training configs is the dest
+    of a ``train-decoder`` or ``train-filler`` flag, so no setting is
+    reachable from tests alone."""
+    import dataclasses
+
+    from artdesc.cli import build_parser
+    from artdesc.decoder import DecoderConfig, TrainConfig
+    from artdesc.filler import FillerConfig
+
+    (subparsers,) = [action for action in build_parser()._actions
+                     if action.dest == "command"]
+    dests = {action.dest for command in ("train-decoder", "train-filler")
+             for action in subparsers.choices[command]._actions}
+    fields = {field.name for cls in (DecoderConfig, FillerConfig, TrainConfig)
+              for field in dataclasses.fields(cls)}
+    assert sorted(fields - DERIVED_FIELDS - dests) == []

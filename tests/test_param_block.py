@@ -80,8 +80,7 @@ def _train_all(epochs=3):
                        seed=98)
     for variant in ("baseline", "parallel", "conditional"):
         config = DecoderConfig(variant=variant, vocab_size=len(vocab), feature_dim=6,
-                               hidden_size=8, embed_size=6, topic_embed_size=3,
-                               classifier_filters=3, max_len=12)
+                               hidden_size=8, embed_size=6, topic_embed_size=3, max_len=12)
         trainer = train_conditional if variant == "conditional" else train_decoder
         out[variant] = trainer(records, vocab, config, tcfg)
     cues = cue_corpus(np.random.default_rng(97), 6)  # several candidates per slot

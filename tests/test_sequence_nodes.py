@@ -73,10 +73,9 @@ def _assert_matches_oracle(store, new_fn, oracle_fn, tol=1e-10):
 # ----------------------------------------------------------------------
 
 
-def _decoder(variant, seed=0, windows=(2, 3)):
+def _decoder(variant, seed=0):
     config = DecoderConfig(variant=variant, vocab_size=12, feature_dim=4, hidden_size=6,
-                           embed_size=5, topic_embed_size=3, classifier_filters=4,
-                           classifier_embed_size=5, classifier_windows=windows, max_len=8)
+                           embed_size=5, topic_embed_size=3, max_len=8)
     store = init_decoder_params(config, np.random.default_rng(seed))
     _randomize(store, seed + 100)
     return config, store
@@ -94,8 +93,7 @@ def _losses(config, store, grid, ids, topic):
         if topic_idx is None:
             return nll
         probs = nc.softmax(nc.embedding(logits, range(max(n - 1, 1))))
-        return nc.add(nll, nc.cross_entropy(classify_distributions(probs, store, config),
-                                            topic_idx))
+        return nc.add(nll, nc.cross_entropy(classify_distributions(probs, store), topic_idx))
 
     def oracle():
         nll, n, probs = tape.sequence_loss(grid, ids, store, prefix, topic_idx,
@@ -103,8 +101,7 @@ def _losses(config, store, grid, ids, topic):
         if topic_idx is None:
             return nll
         word = probs[:-1] if len(probs) > 1 else probs
-        return nc.add(nll, nc.cross_entropy(tape.classify_distributions(word, store, config),
-                                            topic_idx))
+        return nc.add(nll, nc.cross_entropy(tape.classify_distributions(word, store), topic_idx))
 
     return new, oracle
 
@@ -139,25 +136,23 @@ def test_decoder_edges_pass_gradcheck(variant, length):
 
 
 def test_classify_tokens_matches_oracle():
-    config, store = _decoder("conditional", windows=(1, 3))
+    _, store = _decoder("conditional")
     for tokens in ([5], [5, 6], [4, 7, 9, 5, 11]):
-        got = classify_tokens(tokens, store, config).data
-        want = tape.classify_tokens(tokens, store, config).data
+        got = classify_tokens(tokens, store).data
+        want = tape.classify_tokens(tokens, store).data
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _oracle_item_loss(config, store, item, classifier_weight):
+def _oracle_item_loss(config, store, item, with_classifier):
     """One item's loss on the per-step path, as ``batch_loss`` sums it."""
     prefix = sub_prefix(config.variant, item.topic)
     topic_idx = topic_embedding_index(config.variant, item.topic)
-    use_classifier = classifier_weight != 0.0 and config.variant == "conditional"
     nll, _, probs = tape.sequence_loss(item.grid, item.token_ids, store, prefix, topic_idx,
-                                       collect_probs=use_classifier)
-    if not use_classifier:
+                                       collect_probs=with_classifier)
+    if not with_classifier:
         return nll
     word = probs[:-1] if len(probs) > 1 else probs
-    ce = nc.cross_entropy(tape.classify_distributions(word, store, config), topic_idx)
-    return nc.add(nll, nc.scale(ce, classifier_weight))
+    return nc.add(nll, nc.cross_entropy(tape.classify_distributions(word, store), topic_idx))
 
 
 def _batch(lengths, topics, seed, n_locs=None):
@@ -188,16 +183,17 @@ def test_minibatch_loss_and_gradients_match_per_item_oracle(variant, batch):
     lengths, topics = BATCHES[batch]
     n_locs = [3, 2, 3] if batch == "grid-sizes" else None
     items = _batch(lengths, topics, seed=len(lengths), n_locs=n_locs)
-    weight = 0.7 if variant == "conditional" else 0.0
+    with_classifier = variant == "conditional"
 
     def new():
-        loss, units, stats = batch_loss(items, store, config, weight)
+        loss, units, stats = batch_loss(items, store, config, with_classifier)
         assert units == sum(lengths)
         assert stats["positions"] - stats["padded"] == units
         return loss
 
     def oracle():
-        return nc.add_n([_oracle_item_loss(config, store, item, weight) for item in items])
+        return nc.add_n([_oracle_item_loss(config, store, item, with_classifier)
+                         for item in items])
 
     _assert_matches_oracle(store, new, oracle)
     if variant == "parallel" and batch == "ragged":
@@ -217,15 +213,15 @@ def test_sequence_loss_takes_sequences_longest_first():
 def test_classify_distributions_batch_equals_one_by_one():
     """Padding stays out of the max over time: each sequence's logits equal
     its own, shorter than the widest window or not."""
-    config, store = _decoder("conditional", windows=(1, 3))
+    config, store = _decoder("conditional")
     rng = np.random.default_rng(4)
     lengths = [5, 1, 2, 4]
     probs = nc.softmax(nc.constant(rng.normal(size=(sum(lengths), config.vocab_size))))
-    got = classify_distributions(probs, store, config, lengths).data
+    got = classify_distributions(probs, store, lengths).data
     start = 0
     for row, n in enumerate(lengths):
         one = nc.constant(probs.data[start : start + n])
-        want = classify_distributions(one, store, config).data[0]
+        want = classify_distributions(one, store).data[0]
         assert np.max(np.abs(got[row] - want)) <= 1e-12 * np.max(np.abs(want))
         start += n
 
