@@ -14,11 +14,13 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 from artdesc import __version__
 from artdesc.corpus import (
     Gazetteer,
+    PaintingRecord,
+    SentenceEntry,
     TOPIC_ORDER,
     TopicLabel,
     load_corpus,
@@ -28,13 +30,20 @@ from artdesc.corpus import (
     tag_entities,
     tokenize,
 )
-from artdesc.corpus.corpusio import check_object, read_json, read_jsonl, record_from_dict
+from artdesc.corpus.corpusio import (
+    RECORD_TYPES,
+    SENTENCE_TYPES,
+    check_object,
+    read_json,
+    read_jsonl,
+    save_corpus,
+)
 from artdesc.corpus.vocab import build_vocab
 from artdesc.decoder import (
+    VARIANTS,
     DecoderConfig,
     TrainConfig,
     save_decoder_checkpoint,
-    train_conditional,
     train_decoder,
 )
 from artdesc.errors import ArtdescError, ConfigError, DataError, MissingArtifactError
@@ -111,6 +120,23 @@ def _path(value: str) -> str:
     return value
 
 
+def _add_setting_flags(parser: argparse.ArgumentParser, *classes: type) -> None:
+    """One flag per field with a default of each config dataclass, such as
+    ``--hidden-size`` for ``hidden_size``, that takes the type of the
+    default (an ``int | None`` field's flag takes an int)."""
+    for cls in classes:
+        for field in fields(cls):
+            if field.default is not MISSING:
+                parser.add_argument(f"--{field.name.replace('_', '-')}",
+                                    type=type(field.default), default=field.default)
+
+
+def _settings(cls: type, args) -> dict:
+    """The values of the flags named after the fields of ``cls``."""
+    return {field.name: getattr(args, field.name) for field in fields(cls)
+            if hasattr(args, field.name)}
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -118,74 +144,47 @@ def _path(value: str) -> str:
 
 def cmd_preprocess(args) -> int:
     gazetteer = Gazetteer.from_file(args.gazetteer)
-    out_lines = []
+    records = []
     for lineno, raw in read_jsonl(args.input, required=("id",),
-                                  types={"sentences": list, "comment": str}):
-        if "sentences" in raw:
-            specs = [check_object(s, f"{args.input}:{lineno} sentence {i}", ("text",),
-                                  {"text": str}) for i, s in enumerate(raw["sentences"])]
-            sentence_specs = [(s["text"], s.get("topic")) for s in specs]
-        else:
-            sentence_specs = [(text, None) for text in split_sentences(raw.get("comment", ""))]
-        sentences = []
-        for text, topic in sentence_specs:
-            if len(tokenize(text)) < args.min_sentence_tokens:
-                logger.info("dropped short sentence", extra={"record": raw["id"], "text": text})
-                continue
-            spans = tag_entities(text, gazetteer)
-            _, values = mask_sentence(text, spans)
-            types = [etype.name.lower() for _, etype in sorted(spans, key=lambda s: s[0][0])]
-            sentences.append({
-                "text": text,
-                "topic": topic,
-                "entities": [{"value": v, "type": t} for v, t in zip(values, types)],
-            })
-        record = {
-            "id": raw["id"],
-            "sentences": sentences,
-            "attributes": raw.get("attributes", {}),
-            "objects": raw.get("objects", []),
-            "reference": raw.get("reference", raw.get("comment", "")),
-        }
-        try:  # write only what the corpus reader accepts
-            record_from_dict(record)
+                                  types={**RECORD_TYPES, "comment": str}):
+        try:
+            if "sentences" in raw:
+                specs = [check_object(s, f"sentence {i}", ("text",), SENTENCE_TYPES)
+                         for i, s in enumerate(raw["sentences"])]
+            else:
+                specs = [{"text": text} for text in split_sentences(raw.get("comment", ""))]
+            sentences = []
+            for spec in specs:
+                text, topic = spec["text"], spec.get("topic")
+                if len(tokenize(text)) < args.min_sentence_tokens:
+                    logger.info("dropped short sentence", extra={"record": raw["id"],
+                                                                 "text": text})
+                    continue
+                label = TopicLabel.CONTEXT if topic is None else TopicLabel.from_name(topic)
+                masked, values = mask_sentence(text, tag_entities(text, gazetteer), label)
+                sentences.append(SentenceEntry(text, masked, values, topic is not None))
+            records.append(PaintingRecord(
+                id=raw["id"],
+                sentences=sentences,
+                attributes=raw.get("attributes", {}),
+                objects=raw.get("objects", []),
+                reference=raw.get("reference", raw.get("comment", "")),
+            ))
         except DataError as exc:
             raise DataError(f"{args.input}:{lineno}: {exc}") from None
-        out_lines.append(json.dumps(record, ensure_ascii=False))
-    atomic_write(args.out, [("\n".join(out_lines) + "\n").encode("utf-8")])
-    logger.info("preprocessed", extra={"records": len(out_lines), "out": args.out})
+    save_corpus(args.out, records)
+    logger.info("preprocessed", extra={"records": len(records), "out": args.out})
     return EXIT_OK
 
 
-def _sniff_feature_dim(records) -> int:
-    for record in records:
-        if record.features is not None:
-            return record.features.feature_dim
-    raise MissingArtifactError("no feature grids found; supply --features-dir")
-
-
 def cmd_train_decoder(args) -> int:
-    records = load_corpus(args.corpus, args.features_dir)
+    records = load_corpus(args.corpus, args.features_dir)  # every record with its grid
     masked = [e.masked for r in records for e in r.sentences]
-    vocab = build_vocab(masked, min_freq=args.min_freq)
-    config = DecoderConfig(
-        variant=args.variant,
-        vocab_size=len(vocab),
-        feature_dim=_sniff_feature_dim(records),
-        hidden_size=args.hidden_size,
-        embed_size=args.embed_size,
-        topic_embed_size=args.topic_embed_size,
-        max_len=args.max_len,
-    )
-    tcfg = TrainConfig(
-        epochs=args.epochs, lr=args.lr, lr_decay=args.lr_decay,
-        lr_decay_every=args.lr_decay_every, batch_size=args.batch_size, seed=args.seed,
-    )
+    vocab = build_vocab(masked, min_freq=args.min_freq)  # refuses an empty corpus
+    config = DecoderConfig(vocab_size=len(vocab), feature_dim=records[0].features.feature_dim,
+                           **_settings(DecoderConfig, args))
     start = time.perf_counter()
-    if args.variant == "conditional":
-        ckpt = train_conditional(records, vocab, config, tcfg)
-    else:
-        ckpt = train_decoder(records, vocab, config, tcfg)
+    ckpt = train_decoder(records, vocab, config, TrainConfig(**_settings(TrainConfig, args)))
     save_decoder_checkpoint(args.out, ckpt)
     logger.info("trained decoder", extra={"variant": args.variant, "out": args.out,
                                           "seconds": time.perf_counter() - start})
@@ -195,18 +194,9 @@ def cmd_train_decoder(args) -> int:
 def cmd_train_filler(args) -> int:
     records = load_corpus(args.corpus)
     vocab = build_filler_vocab(records, min_freq=args.min_freq)
-    config = FillerConfig(
-        vocab_size=len(vocab),
-        hidden_size=args.hidden_size,
-        embed_size=args.embed_size,
-        type_embed_size=args.type_embed_size,
-    )
+    config = FillerConfig(vocab_size=len(vocab), **_settings(FillerConfig, args))
     start = time.perf_counter()
-    ckpt = train_filler(
-        records, vocab, config, epochs=args.epochs, lr=args.lr,
-        lr_decay=args.lr_decay, lr_decay_every=args.lr_decay_every,
-        batch_size=args.batch_size, seed=args.seed,
-    )
+    ckpt = train_filler(records, vocab, config, **_settings(TrainConfig, args))
     save_filler_checkpoint(args.out, ckpt)
     logger.info("trained filler", extra={"out": args.out, "seconds": time.perf_counter() - start})
     return EXIT_OK
@@ -356,34 +346,18 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", type=_path, required=True)
     p.add_argument("--features-dir", type=_path, required=True)
     p.add_argument("--out", type=_path, required=True)
-    p.add_argument("--variant", choices=("baseline", "parallel", "conditional"),
-                   default="parallel")
+    p.add_argument("--variant", choices=VARIANTS, default="parallel")
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden-size", type=int, default=64)
-    p.add_argument("--embed-size", type=int, default=64)
-    p.add_argument("--topic-embed-size", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=20)
     p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--lr-decay", type=float, default=0.8)
-    p.add_argument("--lr-decay-every", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=32)
+    _add_setting_flags(p, DecoderConfig, TrainConfig)
     p.set_defaults(func=cmd_train_decoder)
 
     p = sub.add_parser("train-filler", help="train the slot filler")
     p.add_argument("--corpus", type=_path, required=True)
     p.add_argument("--out", type=_path, required=True)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden-size", type=int, default=32)
-    p.add_argument("--embed-size", type=int, default=32)
-    p.add_argument("--type-embed-size", type=int, default=8)
     p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--lr-decay", type=float, default=0.8)
-    p.add_argument("--lr-decay-every", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=32)
+    _add_setting_flags(p, FillerConfig, TrainConfig)
     p.set_defaults(func=cmd_train_filler)
 
     p = sub.add_parser("index", help="build the TF-IDF knowledge index")

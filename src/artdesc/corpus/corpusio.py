@@ -27,6 +27,7 @@ from types import NoneType, UnionType
 
 from artdesc.corpus.features import load_feature_grid
 from artdesc.corpus.masking import mask_sentence
+from artdesc.corpus.text import tokenize_with_spans
 from artdesc.corpus.types import (
     EntityType,
     PaintingRecord,
@@ -44,8 +45,12 @@ ENTITY_TYPES = {"value": str, "type": str}
 
 def _spans_for_values(text: str, entities: list[dict],
                       where: str) -> list[tuple[tuple[int, int], EntityType]]:
-    """Locate each entity value left-to-right (case-insensitive, first match
-    at or after the previous entity's end)."""
+    """Locate each entity value left-to-right as a run of whole tokens
+    (case-insensitive, the first at or after the previous entity's end), as
+    the tagger spans them."""
+    tokens = tokenize_with_spans(text)
+    starts = {start for _, start, _ in tokens}
+    ends = {end for _, _, end in tokens}
     spans = []
     lowered = text.lower()
     cursor = 0
@@ -54,8 +59,11 @@ def _spans_for_values(text: str, entities: list[dict],
         value = ent["value"]
         etype = EntityType.from_name(ent["type"])
         start = lowered.find(value.lower(), cursor)
+        while start >= 0 and not (start in starts and start + len(value) in ends):
+            start = lowered.find(value.lower(), start + 1)
         if start < 0:
-            raise DataError(f"entity value '{value}' not found in sentence: {text!r}")
+            raise DataError(f"entity value '{value}' not found as whole tokens in sentence: "
+                            f"{text!r}")
         spans.append(((start, start + len(value)), etype))
         cursor = start + len(value)
     return spans

@@ -41,25 +41,17 @@ class TrainingItem:
 def build_training_items(records: list[PaintingRecord], vocab: Vocab,
                          variant: str) -> list[TrainingItem]:
     items: list[TrainingItem] = []
+    topics = [None] if variant == "baseline" else list(TopicLabel)
     for record in records:
         if record.features is None:
             raise ConfigError(f"painting '{record.id}' has no feature grid")
-        if variant == "baseline":
-            tokens: list[int] = []
-            for entry in record.sentences:
-                tokens.extend(vocab.encode(entry.masked))
+        for topic in topics:
+            tokens = [token for entry in record.sentences
+                      if topic is None or entry.topic_labeled and entry.masked.topic == topic
+                      for token in vocab.encode(entry.masked)]
             if tokens:
-                items.append(TrainingItem(record.features, None,
-                                          [vocab.start] + tokens + [vocab.end]))
-        else:
-            for topic in TopicLabel:
-                tokens = []
-                for entry in record.sentences:
-                    if entry.topic_labeled and entry.masked.topic == topic:
-                        tokens.extend(vocab.encode(entry.masked))
-                if tokens:
-                    items.append(TrainingItem(record.features, topic,
-                                              [vocab.start] + tokens + [vocab.end]))
+                items.append(TrainingItem(record.features, topic,
+                                          [vocab.start, *tokens, vocab.end]))
     if not items:
         raise ConfigError("corpus yields no training sequences")
     return items
@@ -106,18 +98,18 @@ def sequence_loss(
     return nc.cross_entropy(logits, targets), len(targets), logits
 
 
-def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore, config: DecoderConfig,
-               with_classifier: bool = False) -> tuple[nc.Tensor, int, dict[str, float]]:
+def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore,
+               config: DecoderConfig) -> tuple[nc.Tensor, int, dict[str, float]]:
     """The summed loss of a minibatch, its token transitions and its stats
-    (``nll``, ``ce`` with the classifier, and the padding counts of
+    (``nll``, the conditional variant's ``ce``, and the padding counts of
     ``training.padding``).
 
     The items run as one recurrence per sub-decoder and grid size (the
-    parallel variant groups them by topic), longest first. With
-    ``with_classifier`` (conditional variant only) it adds the topic
-    classifier's cross-entropy on each item's word steps (the final step
-    predicts </s>; a one-transition item keeps its one step)."""
-    parallel = config.variant == "parallel"
+    parallel variant groups them by topic), longest first. The conditional
+    variant adds the topic classifier's cross-entropy on each item's word
+    steps (the final step predicts </s>; a one-transition item keeps its one
+    step)."""
+    parallel, conditional = config.variant == "parallel", config.variant == "conditional"
     ordered = sorted(items, key=lambda item: (int(item.topic) if parallel else 0,
                                               item.grid.n_locations, -len(item.token_ids)))
     losses: list[nc.Tensor] = []
@@ -126,9 +118,8 @@ def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore, config: Dec
     for (prefix, _), grouped in groupby(ordered, key=lambda item: (
             sub_prefix(config.variant, item.topic), item.grid.n_locations)):
         group = list(grouped)
-        topics = None
-        if config.variant == "conditional":
-            topics = [topic_embedding_index(config.variant, item.topic) for item in group]
+        topics = ([topic_embedding_index(config.variant, item.topic) for item in group]
+                  if conditional else None)
         nll, n_tokens, logits = sequence_loss([item.grid for item in group],
                                               [item.token_ids for item in group],
                                               params, prefix, topics)
@@ -137,7 +128,7 @@ def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore, config: Dec
             stats[key] += value
         stats["nll"] += nll.item()
         units += n_tokens
-        if not with_classifier:
+        if not conditional:
             losses.append(nll)
             continue
         words = [max(n - 1, 1) for n in lengths]
@@ -151,54 +142,40 @@ def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore, config: Dec
     return (losses[0] if len(losses) == 1 else nc.add_n(losses)), units, stats
 
 
-def _validate(records: list[PaintingRecord], config: DecoderConfig) -> None:
-    if not records:
-        raise ConfigError("empty corpus")
+def train_decoder(records: list[PaintingRecord], vocab: Vocab,
+                  config: DecoderConfig, tcfg: TrainConfig) -> Checkpoint:
+    """Teacher-forced training of any variant: NLL, plus the topic
+    classifier's cross-entropy on the decoder's output distributions
+    (continuous approximation) for the conditional variant."""
     for record in records:
         if record.features is not None and record.features.feature_dim != config.feature_dim:
             raise ConfigError(
                 f"painting '{record.id}' features have dim "
                 f"{record.features.feature_dim}, config expects {config.feature_dim}"
             )
-
-
-def _train(records: list[PaintingRecord], vocab: Vocab, config: DecoderConfig,
-           tcfg: TrainConfig, with_classifier: bool) -> Checkpoint:
-    _validate(records, config)
     items = build_training_items(records, vocab, config.variant)
 
     def summarize(totals: dict) -> dict:
         entry = {"nll_per_token": totals["nll"] / totals["units"]}
-        if with_classifier:
+        if config.variant == "conditional":
             entry["classifier_ce_per_item"] = totals["ce"] / len(items)
         return entry
 
     return fit(config, vocab, init_decoder_params, items, tcfg,
-               lambda batch, store: batch_loss(batch, store, config, with_classifier),
-               summarize)
-
-
-def train_decoder(records: list[PaintingRecord], vocab: Vocab,
-                  config: DecoderConfig, tcfg: TrainConfig) -> Checkpoint:
-    """Pure teacher-forced NLL training for any variant."""
-    return _train(records, vocab, config, tcfg, with_classifier=False)
+               lambda batch, store: batch_loss(batch, store, config), summarize)
 
 
 def train_conditional(records: list[PaintingRecord], vocab: Vocab,
                       config: DecoderConfig, tcfg: TrainConfig) -> Checkpoint:
-    """Joint objective: NLL plus topic-classifier cross-entropy on the
-    decoder's output distributions (continuous approximation)."""
+    """``train_decoder`` for a config that must be of the conditional variant."""
     if config.variant != "conditional":
         raise ConfigError("train_conditional requires the conditional variant")
-    return _train(records, vocab, config, tcfg, with_classifier=True)
+    return train_decoder(records, vocab, config, tcfg)
 
 
 def save_decoder_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    final_nll = ckpt.history[-1]["nll_per_token"] if ckpt.history else None
-    save_model(path, "decoder", ckpt, variant=ckpt.config.variant,
-               final_nll_per_token=final_nll)
+    save_model(path, "decoder", ckpt)
 
 
 def load_decoder_checkpoint(path: str | Path) -> Checkpoint:
-    return load_model(path, "decoder", DecoderConfig, init_decoder_params,
-                      {"variant": str, "final_nll_per_token": float | None})
+    return load_model(path, "decoder", DecoderConfig, init_decoder_params)

@@ -101,19 +101,10 @@ def fill_pair_loss(
     return loss, len(rows), skipped
 
 
-def train_filler(
-    records: list[PaintingRecord],
-    vocab: Vocab,
-    config: FillerConfig,
-    epochs: int,
-    lr: float = 5e-4,
-    lr_decay: float = 0.8,
-    lr_decay_every: int | None = 10,
-    batch_size: int = 32,
-    seed: int = 0,
-) -> Checkpoint:
-    tcfg = TrainConfig(epochs=epochs, lr=lr, lr_decay=lr_decay, lr_decay_every=lr_decay_every,
-                       batch_size=batch_size, seed=seed)
+def train_filler(records: list[PaintingRecord], vocab: Vocab, config: FillerConfig,
+                 **settings) -> Checkpoint:
+    """The filler trained under ``TrainConfig(**settings)``."""
+    tcfg = TrainConfig(**settings)
     pairs = build_fill_pairs(records)
 
     def batch_loss(batch: list[FillPair], store: nc.ParamStore):

@@ -202,12 +202,9 @@ def adam_step(
     params.step = t
 
 
-def scheduled_lr(base_lr: float, epoch: int, decay: float = 0.8, every: int | None = 10) -> float:
-    """Learning rate after `epoch` completed epochs: base * decay^(epoch // every).
-
-    Defaults follow the training recipe the decoders use (5e-4 decayed by 0.8
-    every 10 epochs); pass every=None for a constant rate.
-    """
+def scheduled_lr(base_lr: float, epoch: int, decay: float, every: int | None) -> float:
+    """Learning rate after `epoch` completed epochs: base * decay^(epoch // every);
+    every=None holds the rate constant."""
     if every is None or decay == 1.0:
         return base_lr
     return base_lr * decay ** (epoch // every)

@@ -111,6 +111,19 @@ class TfIdfIndex:
             if prev >= doc_id:
                 raise DataError(f"doc ids must strictly increase: '{prev}' before '{doc_id}'")
 
+    def _check_bodies(self) -> None:
+        """Rejects a body that is not UTF-8 text of its own: the blob must
+        decode, and no body may start inside a character."""
+        try:
+            self.bodies.tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = [np.searchsorted(self.body_ends, exc.start, side="right")]
+        else:  # the first body starts the blob; a later one must not start on 0b10xxxxxx
+            starts = self.body_ends[:-1].astype(np.int64)
+            bad = 1 + np.flatnonzero(self.bodies[starts[starts < len(self.bodies)]] >> 6 == 2)
+        if len(bad):
+            raise DataError(f"the body of article '{self.doc_ids[bad[0]]}' is not valid UTF-8")
+
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
@@ -207,10 +220,7 @@ class TfIdfIndex:
         if row == self.n_docs or self.doc_ids[row] != doc_id:
             raise DataError(f"no article '{doc_id}' in the index")
         lo = int(self.body_ends[row - 1]) if row else 0
-        try:
-            return self.bodies[lo:int(self.body_ends[row])].tobytes().decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"the body of article '{doc_id}' is not valid UTF-8") from None
+        return self.bodies[lo:int(self.body_ends[row])].tobytes().decode("utf-8")
 
     # ------------------------------------------------------------------
     # Serialization
@@ -239,10 +249,12 @@ class TfIdfIndex:
             duplicate = next(t for t, n in Counter(terms).items() if n > 1)
             raise DataError(f"{path}: index term '{duplicate}' is stored twice")
         try:
-            return cls(term_ids, doc_ids=meta["doc_ids"], stopwords=meta["stopwords"],
-                       sha256=sha256, **arrays)
+            index = cls(term_ids, doc_ids=meta["doc_ids"], stopwords=meta["stopwords"],
+                        sha256=sha256, **arrays)
+            index._check_bodies()
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
+        return index
 
 
 # ----------------------------------------------------------------------

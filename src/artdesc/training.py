@@ -1,10 +1,13 @@
 """Optimization and persistence shared by every ParamStore model.
 
 The topic decoders and the knowledge filler train with the same minibatch
-Adam loop and persist as numcore ``.ckpt`` containers with one metadata
-schema: ``kind``, ``config`` and its digest, ``vocab_tokens`` and theirs,
-``seed``, plus any keys a model adds. Loading checks every key's type,
-verifies the digests and rejects a missing or unknown key.
+Adam loop. Each training setting and its default is written once, on
+``TrainConfig`` and the model's config dataclass; the command line and
+``train_filler`` take them from there. Both models persist as numcore
+``.ckpt`` containers with one metadata schema and nothing else: ``kind``,
+``config`` and its digest, ``vocab_tokens`` and theirs, and ``seed``. Loading
+checks every key's type, verifies the digests and rejects a missing or
+unknown key.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ META_TYPES = {"kind": str, "config": dict, "config_digest": str, "vocab_tokens":
 
 @dataclass
 class TrainConfig:
-    """Optimization settings for Adam at its default betas and eps. The
-    default schedule starts at 5e-4 and decays by 0.8 every 10 epochs;
-    lr_decay_every=None holds the rate constant."""
+    """Optimization settings for Adam at its default betas and eps: the rate
+    starts at ``lr`` and decays by ``lr_decay`` every ``lr_decay_every``
+    epochs, or never if that is None."""
 
     epochs: int
     lr: float = 5e-4
@@ -142,8 +145,8 @@ def fit(
     return Checkpoint(config, vocab, store, tcfg.seed, history)
 
 
-def save_model(path: str | Path, kind: str, ckpt: Checkpoint, **extra) -> None:
-    """Write ``ckpt`` with the shared metadata plus ``extra`` keys."""
+def save_model(path: str | Path, kind: str, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` with the shared metadata."""
     config = asdict(ckpt.config)
     meta = {
         "kind": kind,
@@ -152,7 +155,6 @@ def save_model(path: str | Path, kind: str, ckpt: Checkpoint, **extra) -> None:
         "vocab_tokens": ckpt.vocab.tokens,
         "vocab_digest": ckpt.vocab.digest(),
         "seed": ckpt.seed,
-        **extra,
     }
     save_container(path, meta, ckpt.store.state_arrays())
 
@@ -172,18 +174,15 @@ def load_model(
     kind: str,
     config_cls: type,
     init_params: Callable[[Any, np.random.Generator], nc.ParamStore],
-    extra_types: dict | None = None,
 ) -> Checkpoint:
-    """Read a checkpoint that ``save_model`` wrote with this ``kind`` and
-    extra keys of the ``extra_types`` hints; ``init_params`` names the
-    parameters and gives their shapes, and the checkpoint's arrays become
-    their values."""
+    """Read a checkpoint that ``save_model`` wrote with this ``kind``;
+    ``init_params`` names the parameters and gives their shapes, and the
+    checkpoint's arrays become their values."""
     meta, arrays, sha256 = load_container(path, "checkpoint")
     if meta.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} checkpoint (kind={meta.get('kind')!r})")
-    types = {**META_TYPES, **(extra_types or {})}
     try:
-        check_object(meta, f"{path} metadata", tuple(types), types, closed=True)
+        check_object(meta, f"{path} metadata", tuple(META_TYPES), META_TYPES, closed=True)
     except DataError as exc:
         raise ConfigError(str(exc)) from None
     config = config_from_object(config_cls, meta["config"], f"{path} config")

@@ -18,7 +18,15 @@ from test_pipeline import GRID_DAMAGE, damage_grid
 
 import artdesc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
-from artdesc.corpus import PaintingRecord, save_corpus, save_feature_grid
+from artdesc.corpus import (
+    Gazetteer,
+    PaintingRecord,
+    load_corpus,
+    mask_sentence,
+    save_corpus,
+    save_feature_grid,
+    tag_entities,
+)
 from artdesc.corpus.vocab import RESERVED
 from artdesc.numcore.checkpoint import load_container, save_container
 from artdesc.retriever import (
@@ -227,9 +235,30 @@ def test_preprocess_round_trip(cli_world, tmp_path, capsys):
     assert len(json.loads(out_path.read_text())["sentences"]) == 1
 
 
+def test_preprocess_masks_reread_as_tagged(tmp_path):
+    """A value that also occurs inside a longer token is found, on reading
+    the corpus back, where the tagger masked it: as whole tokens."""
+    gazetteer_path = tmp_path / "gazetteer.tsv"
+    gazetteer_path.write_text("Rome\tlocation\n", encoding="utf-8")
+    raw_path = tmp_path / "raw.jsonl"
+    text = "A Rome-born painter worked in Rome."
+    raw_path.write_text(json.dumps({"id": "r1", "sentences": [{"text": text}]}) + "\n",
+                        encoding="utf-8")
+    out_path = tmp_path / "preprocessed.jsonl"
+    assert main(["preprocess", "--input", str(raw_path), "--gazetteer", str(gazetteer_path),
+                 "--out", str(out_path)]) == EXIT_OK
+    gazetteer = Gazetteer.from_file(gazetteer_path)
+    tagged, values = mask_sentence(text, tag_entities(text, gazetteer))
+    (record,) = load_corpus(out_path)
+    (entry,) = record.sentences
+    assert entry.masked.surfaces() == tagged.surfaces() == [
+        "a", "rome-born", "painter", "worked", "in", "[location]", "."]
+    assert entry.values == values == ["Rome"]
+
+
 @pytest.mark.parametrize("raw, key", [
     ({"id": "x1", "sentences": [{"topic": "form"}]}, "missing keys ['text']"),
-    ({"id": "x1", "sentences": "abc"}, "'sentences' must be list, got str"),
+    ({"id": "x1", "sentences": "abc"}, "'sentences' must be list[dict], got str"),
     ({"id": "x1", "comment": 5}, "'comment' must be str, got int"),
     ({"id": "x1", "sentences": [{"text": ["vasari"]}]}, "'text' must be str, got list"),
     ({"id": "x1", "sentences": [{"text": "A saint.", "topic": "bogus"}]},
@@ -689,24 +718,55 @@ def test_old_container_version_asks_to_retrain(world, tmp_path, capsys, version)
 
 def test_decoder_checkpoint_with_removed_settings_is_refused(world, tmp_path, capsys):
     """A decoder checkpoint written while its config still held the
-    attention width and the classifier sizes is refused by name."""
+    attention width and the classifier sizes, and its metadata repeated the
+    variant and held the last epoch's NLL, is refused by name: first for
+    the metadata's keys, then, once they are gone, for the config's."""
     _, records, config, _ = world
     meta, arrays, _ = load_container(config["decoder_checkpoint"], "checkpoint")
     hidden, embed = meta["config"]["hidden_size"], meta["config"]["embed_size"]
     meta["config"].update(attn_hidden_size=hidden, classifier_filters=16,
                           classifier_embed_size=embed, classifier_windows=[2, 3])
+    meta.update(variant=meta["config"]["variant"], final_nll_per_token=0.25)
     old = tmp_path / "decoder.ckpt"
-    save_container(old, meta, arrays)
     config_path = tmp_path / "pipeline.json"
     config_path.write_text(json.dumps({**config, "decoder_checkpoint": str(old)}),
                            encoding="utf-8")
-    capsys.readouterr()
-    assert main(["describe", "--config", str(config_path),
-                 "--painting-id", records[0].id]) == EXIT_DATA
-    (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["event"] == (
+
+    def refusal() -> str:
+        save_container(old, meta, arrays)
+        capsys.readouterr()
+        assert main(["describe", "--config", str(config_path),
+                     "--painting-id", records[0].id]) == EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        return json.loads(line)["event"]
+
+    assert refusal() == (f"data error: {old} metadata: unknown keys "
+                         "['final_nll_per_token', 'variant']")
+    del meta["variant"], meta["final_nll_per_token"]
+    assert refusal() == (
         f"data error: {old} config: unknown keys ['attn_hidden_size', "
         "'classifier_embed_size', 'classifier_filters', 'classifier_windows']")
+
+
+def test_index_body_that_is_not_utf8_is_refused_at_load(world, tmp_path, capsys):
+    """An index whose last body byte is 0xff, behind a valid trailer, fails
+    as retrieve and describe load it, naming the file."""
+    _, records, config, _ = world
+    meta, arrays, _ = load_container(config["index"], "index")
+    arrays["bodies"] = arrays["bodies"].copy()
+    arrays["bodies"][-1] = 0xFF
+    bad = tmp_path / "bad.idx"
+    save_container(bad, meta, arrays)
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({**config, "index": str(bad),
+                                       "knowledge_mode": "external-corpus"}), encoding="utf-8")
+    message = f"data error: {bad}: the body of article '{meta['doc_ids'][-1]}' is not valid UTF-8"
+    for argv in (["retrieve", "--index", str(bad), "--query", "saint"],
+                 ["describe", "--config", str(config_path), "--painting-id", records[0].id]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["event"] == message
 
 
 def test_misaligned_array_data_is_refused(tmp_path, capsys):

@@ -234,3 +234,19 @@ class TestConditionalObjective:
         a = train_conditional(records, vocab, config, tcfg)
         b = train_conditional(records, vocab, config, tcfg)
         assert a.history == b.history
+
+    def test_the_variant_picks_the_objective(self, topic_corpus):
+        """train_decoder trains a conditional config with its classifier,
+        bit for bit as train_conditional does."""
+        records, vocab = topic_corpus
+        config = small_config(vocab, variant="conditional")
+        tcfg = TrainConfig(epochs=2, batch_size=3, seed=12)
+        a = train_decoder(records, vocab, config, tcfg)
+        b = train_conditional(records, vocab, config, tcfg)
+        assert a.history == b.history
+        assert all("classifier_ce_per_item" in entry for entry in a.history)
+        want = b.store.state_arrays()
+        got = a.store.state_arrays()
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name

@@ -6,7 +6,7 @@ whole-minibatch nodes, not on the per-step or per-item tape path, the
 pipeline reads articles and stop words only through the index, JSON values
 are type-checked only by ``check_object``, every top-level function and
 class of the package is named somewhere, and every training setting has a
-command-line flag."""
+command-line flag whose default the CLI does not restate."""
 
 import ast
 from pathlib import Path
@@ -251,3 +251,33 @@ def test_every_training_setting_has_a_flag():
     fields = {field.name for cls in (DecoderConfig, FillerConfig, TrainConfig)
               for field in dataclasses.fields(cls)}
     assert sorted(fields - DERIVED_FIELDS - dests) == []
+
+
+# flags whose CLI defaults differ from their dataclass on purpose: the
+# commands train for 100 and 50 epochs, and the decoder defaults to parallel
+CLI_DEFAULTS = {"epochs", "variant"}
+
+
+def test_no_flag_restates_a_training_default():
+    """No ``add_argument`` in cli.py gives a literal ``default=`` to a flag
+    whose dest is a field of the decoder, filler or training config: those
+    flags take their defaults from the fields."""
+    import dataclasses
+
+    from artdesc.decoder import DecoderConfig, TrainConfig
+    from artdesc.filler import FillerConfig
+
+    fields = {field.name for cls in (DecoderConfig, FillerConfig, TrainConfig)
+              for field in dataclasses.fields(cls)}
+    path = SRC / "cli.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"):
+            continue
+        flags = [arg.value for arg in node.args if isinstance(arg, ast.Constant)
+                 and isinstance(arg.value, str) and arg.value.startswith("--")]
+        dest = flags[0][2:].replace("-", "_") if flags else None
+        offenders += [f"cli.py:{node.lineno}: {flags[0]}" for keyword in node.keywords
+                      if keyword.arg == "default" and isinstance(keyword.value, ast.Constant)
+                      and dest in fields - CLI_DEFAULTS]
+    assert offenders == []

@@ -84,11 +84,11 @@ def test_missing_gradient_is_state_error():
 
 def test_lr_schedule_decays_every_ten_epochs():
     base = 5e-4
-    assert nc.scheduled_lr(base, 0) == base
-    assert nc.scheduled_lr(base, 9) == base
-    assert abs(nc.scheduled_lr(base, 10) - 4e-4) < 1e-18
-    assert abs(nc.scheduled_lr(base, 20) - 3.2e-4) < 1e-18
-    assert nc.scheduled_lr(base, 35, every=None) == base
+    assert nc.scheduled_lr(base, 0, 0.8, 10) == base
+    assert nc.scheduled_lr(base, 9, 0.8, 10) == base
+    assert abs(nc.scheduled_lr(base, 10, 0.8, 10) - 4e-4) < 1e-18
+    assert abs(nc.scheduled_lr(base, 20, 0.8, 10) - 3.2e-4) < 1e-18
+    assert nc.scheduled_lr(base, 35, 0.8, None) == base
 
 
 def test_backward_then_adam_decreases_convex_loss():

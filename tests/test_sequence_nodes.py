@@ -143,13 +143,15 @@ def test_classify_tokens_matches_oracle():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _oracle_item_loss(config, store, item, with_classifier):
-    """One item's loss on the per-step path, as ``batch_loss`` sums it."""
+def _oracle_item_loss(config, store, item):
+    """One item's loss on the per-step path, as ``batch_loss`` sums it: the
+    conditional variant's adds the classifier's cross-entropy."""
     prefix = sub_prefix(config.variant, item.topic)
     topic_idx = topic_embedding_index(config.variant, item.topic)
+    conditional = config.variant == "conditional"
     nll, _, probs = tape.sequence_loss(item.grid, item.token_ids, store, prefix, topic_idx,
-                                       collect_probs=with_classifier)
-    if not with_classifier:
+                                       collect_probs=conditional)
+    if not conditional:
         return nll
     word = probs[:-1] if len(probs) > 1 else probs
     return nc.add(nll, nc.cross_entropy(tape.classify_distributions(word, store), topic_idx))
@@ -183,17 +185,15 @@ def test_minibatch_loss_and_gradients_match_per_item_oracle(variant, batch):
     lengths, topics = BATCHES[batch]
     n_locs = [3, 2, 3] if batch == "grid-sizes" else None
     items = _batch(lengths, topics, seed=len(lengths), n_locs=n_locs)
-    with_classifier = variant == "conditional"
 
     def new():
-        loss, units, stats = batch_loss(items, store, config, with_classifier)
+        loss, units, stats = batch_loss(items, store, config)
         assert units == sum(lengths)
         assert stats["positions"] - stats["padded"] == units
         return loss
 
     def oracle():
-        return nc.add_n([_oracle_item_loss(config, store, item, with_classifier)
-                         for item in items])
+        return nc.add_n([_oracle_item_loss(config, store, item) for item in items])
 
     _assert_matches_oracle(store, new, oracle)
     if variant == "parallel" and batch == "ragged":
