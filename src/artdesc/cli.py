@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: preprocess, train-decoder, train-filler, index, retrieve,
-describe, evaluate, eval-recall. Exit codes: 0 success, 1 usage error,
+describe, fill, evaluate, eval-recall. Exit codes: 0 success, 1 usage error,
 2 data/config error or a computation that overflowed to a non-finite value
 (such as a checkpoint with huge weights), 3 missing artifact. Logs are
 line-delimited JSON on stderr.

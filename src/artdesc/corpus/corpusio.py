@@ -27,7 +27,7 @@ from types import NoneType, UnionType
 
 from artdesc.corpus.features import load_feature_grid
 from artdesc.corpus.masking import mask_sentence
-from artdesc.corpus.text import tokenize_with_spans
+from artdesc.corpus.text import tokenize, tokenize_with_spans
 from artdesc.corpus.types import (
     EntityType,
     PaintingRecord,
@@ -46,26 +46,25 @@ ENTITY_TYPES = {"value": str, "type": str}
 def _spans_for_values(text: str, entities: list[dict],
                       where: str) -> list[tuple[tuple[int, int], EntityType]]:
     """Locate each entity value left-to-right as a run of whole tokens
-    (case-insensitive, the first at or after the previous entity's end), as
-    the tagger spans them."""
+    whose text equals the value case-insensitively (the first run at or
+    after the previous entity's end), as the tagger spans them."""
     tokens = tokenize_with_spans(text)
-    starts = {start for _, start, _ in tokens}
-    ends = {end for _, _, end in tokens}
+    words = [token for token, _, _ in tokens]
     spans = []
-    lowered = text.lower()
     cursor = 0
     for j, ent in enumerate(entities):
         check_object(ent, f"{where} entity {j}", ("value", "type"), ENTITY_TYPES)
         value = ent["value"]
         etype = EntityType.from_name(ent["type"])
-        start = lowered.find(value.lower(), cursor)
-        while start >= 0 and not (start in starts and start + len(value) in ends):
-            start = lowered.find(value.lower(), start + 1)
-        if start < 0:
+        run = tokenize(value)
+        n = len(run)
+        start = next((i for i in range(cursor, len(tokens) - n + 1) if n and words[i : i + n] == run
+                      and text[tokens[i][1] : tokens[i + n - 1][2]].lower() == value.lower()), None)
+        if start is None:
             raise DataError(f"entity value '{value}' not found as whole tokens in sentence: "
                             f"{text!r}")
-        spans.append(((start, start + len(value)), etype))
-        cursor = start + len(value)
+        spans.append(((tokens[start][1], tokens[start + n - 1][2]), etype))
+        cursor = start + n
     return spans
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import re
 
-# Lowercase words (with internal apostrophes/hyphens) or single punctuation marks.
-_TOKEN_RE = re.compile(r"[a-z0-9]+(?:['’-][a-z0-9]+)*|[^\sa-z0-9]")
+# Words (with internal apostrophes/hyphens) or single punctuation marks, matched
+# in the text as written, so offsets index it: lowercasing can lengthen a text.
+_TOKEN_RE = re.compile(r"[a-z0-9]+(?:['’-][a-z0-9]+)*|[^\sa-z0-9]", re.IGNORECASE)
 
 # Words before a period that do not end a sentence.
 ABBREVIATIONS = frozenset(
@@ -13,13 +14,14 @@ ABBREVIATIONS = frozenset(
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, keep punctuation as separate tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    """Split on whitespace, keep punctuation as separate tokens, and
+    lowercase each token."""
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
-    """Like tokenize() but with (token, start, end) character offsets."""
-    return [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text.lower())]
+    """Like tokenize() but with each token's (start, end) offsets into text."""
+    return [(m.group(0).lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 def _word_before(text: str, idx: int) -> str:

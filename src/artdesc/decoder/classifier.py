@@ -57,13 +57,11 @@ def _logits_from_embeddings(emb: nc.Tensor, lengths, params: nc.ParamStore) -> n
     return nc.linear(nc.concat(pooled, axis=1), params["cls.out.w"], params["cls.out.b"])
 
 
-def classify_distributions(probs: nc.Tensor, params: nc.ParamStore,
-                           lengths=None) -> nc.Tensor:
+def classify_distributions(probs: nc.Tensor, params: nc.ParamStore, lengths) -> nc.Tensor:
     """Topic logits (B, 3) from word distributions (continuous path): the
     rows of ``probs`` (N, V) are B sequences one after another, of
-    ``lengths`` rows each (one sequence of all N rows by default)."""
-    return _logits_from_embeddings(nc.vecmat(probs, params["cls.embed"]),
-                                   [probs.shape[0]] if lengths is None else lengths, params)
+    ``lengths`` rows each."""
+    return _logits_from_embeddings(nc.vecmat(probs, params["cls.embed"]), lengths, params)
 
 
 def classify_tokens(token_ids: list[int], params: nc.ParamStore) -> nc.Tensor:

@@ -58,26 +58,22 @@ def build_training_items(records: list[PaintingRecord], vocab: Vocab,
 
 
 def sequence_loss(
-    grids: FeatureGrid | Sequence[FeatureGrid],
-    token_ids: list[int] | Sequence[list[int]],
+    grids: Sequence[FeatureGrid],
+    token_ids: Sequence[list[int]],
     params: nc.ParamStore,
     prefix: str,
-    topic_idx: int | Sequence[int] | None = None,
+    topic_idx: Sequence[int] | None = None,
 ) -> tuple[nc.Tensor, int, nc.Tensor]:
     """Teacher-forced NLL of B sequences (``<s> ... </s>`` each) on the
     sub-decoder ``prefix``, summed over all their transitions; the number of
     transitions N; and the (N, V) output logits, one row per transition,
     sequence after sequence (the topic classifier reads their distributions).
-    One grid with one token list (and an int topic) is a batch of one.
-    Sequences come longest first.
+    Sequences come longest first, each with its grid (and, for the
+    conditional variant, its topic index).
 
     The minibatch is a handful of nodes: one embedding gather of the padded
     (B, T) inputs, one ``attend_lstm_seq`` recurrence, one output GEMM over
     the real rows and one row-wise cross-entropy."""
-    if isinstance(grids, FeatureGrid):
-        grids, token_ids = [grids], [token_ids]
-        topic_idx = None if topic_idx is None else [topic_idx]
-
     def p(name: str) -> nc.Tensor:
         return params[f"{prefix}.{name}"]
 

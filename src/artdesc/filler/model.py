@@ -80,8 +80,8 @@ def _compatible(fill_inputs: Sequence[FillInput],
 
 
 def slot_scores(
-    fill_inputs: FillInput | Sequence[FillInput],
-    candidate_sets: CandidateSet | Sequence[CandidateSet],
+    fill_inputs: Sequence[FillInput],
+    candidate_sets: Sequence[CandidateSet],
     params: nc.ParamStore,
     vocab: Vocab,
 ) -> tuple[nc.Tensor, np.ndarray]:
@@ -89,14 +89,11 @@ def slot_scores(
     every candidate, as one (slots, candidates) tensor, and the boolean mask
     of the type-compatible pairs: a slot matches the candidates of its own
     input's set that have its type. Rows are the slots input after input;
-    columns are the candidates set after set. One input with its candidate
-    set is a batch of one.
+    columns are the candidates set after set.
 
     One padded BiLSTM reads every description, longest first; the
     candidates' mean word embeddings are one segment-mean GEMM, and the
     bilinear term is one GEMM over all slots and candidates."""
-    if isinstance(fill_inputs, FillInput):
-        fill_inputs, candidate_sets = [fill_inputs], [candidate_sets]
     descriptions = [[vocab.id_of(t) for t in fi.tokens] for fi in fill_inputs]
     order = sorted(range(len(descriptions)), key=lambda k: -len(descriptions[k]))
     lengths = [len(descriptions[k]) for k in order]
@@ -105,8 +102,8 @@ def slot_scores(
         row[: len(descriptions[k])] = descriptions[k]
     x = nc.embedding(params["fill.embed"], ids)
     states = nc.concat([
-        nc.lstm_seq(x, params["fill.fwd.w"], params["fill.fwd.b"], lengths=lengths),
-        nc.lstm_seq(x, params["fill.bwd.w"], params["fill.bwd.b"], reverse=True, lengths=lengths),
+        nc.lstm_seq(x, params["fill.fwd.w"], params["fill.fwd.b"], lengths),
+        nc.lstm_seq(x, params["fill.bwd.w"], params["fill.bwd.b"], lengths, reverse=True),
     ], axis=1)  # the real rows, in ``order``
     first_row = dict(zip(order, np.cumsum(lengths) - lengths))
     slots = nc.embedding(states, [first_row[k] + pos for k, fi in enumerate(fill_inputs)

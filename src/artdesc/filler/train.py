@@ -66,20 +66,18 @@ def build_fill_pairs(records: list[PaintingRecord]) -> list[FillPair]:
 
 
 def fill_pair_loss(
-    pairs: FillPair | Sequence[FillPair],
+    pairs: Sequence[FillPair],
     params: nc.ParamStore,
     vocab: Vocab,
 ) -> tuple[nc.Tensor | None, int, int]:
     """Sum of per-slot cross-entropies over type-compatible candidates, for
-    one pair or a minibatch of them. Returns (loss or None, scored slot
-    count, skipped slot count).
+    a minibatch of pairs. Returns (loss or None, scored slot count, skipped
+    slot count).
 
     Every slot's scores are one row of the minibatch's score matrix
     (:func:`slot_scores`), and one masked row-wise cross-entropy over the
     scored slots' rows keeps each softmax to the slot's compatible
     candidates."""
-    if isinstance(pairs, FillPair):
-        pairs = [pairs]
     fill_inputs = [pair.fill_input for pair in pairs]
     rows: list[int] = []
     golds: list[int] = []
@@ -169,7 +167,7 @@ def fill_slots(
     pass through verbatim. Score ties break by candidate surface so the
     choice is independent of candidate order."""
     fill_input = encode_fill_input(masked)
-    scores, compatible = slot_scores(fill_input, candidates, ckpt.store, ckpt.vocab)
+    scores, compatible = slot_scores([fill_input], [candidates], ckpt.store, ckpt.vocab)
 
     decisions: list[FillDecision] = []
     for pos, etype, row, ok in zip(fill_input.slot_positions, fill_input.slot_types,

@@ -214,32 +214,26 @@ def stack_scalars(ts: Sequence[Tensor]) -> Tensor:
     return _node(np.array([float(t.data.reshape(())) for t in ts]), tuple(ts), bwd, "stack_scalars")
 
 
-def max_rows(x: Tensor, lengths=None) -> Tensor:
-    """Max over the rows (time) of x: (T, F) gives (F,), and (B, T, F) gives
-    (B, F), where sequence b reads only its first ``lengths[b]`` rows (all T
-    by default). Each output's gradient goes to the first row attaining its
-    max; rows past a sequence's length get none."""
-    if x.data.ndim not in (2, 3) or x.data.shape[-2] == 0:
-        raise ShapeError(f"max_rows: expected a non-empty (T, F) or (B, T, F) tensor, "
-                         f"got {x.shape} for '{x.name}'")
-    data = x.data.reshape((-1,) + x.data.shape[-2:])
-    steps = data.shape[1]
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.shape != data.shape[:1] or not np.all((1 <= lengths) & (lengths <= steps)):
-            raise ShapeError(f"max_rows: lengths {lengths.tolist()} do not fit '{x.name}' {x.shape}")
-        data = np.where((np.arange(steps) < lengths[:, None])[:, :, None], data, -np.inf)
+def max_rows(x: Tensor, lengths) -> Tensor:
+    """Max over the rows (time) of each sequence of x (B, T, F): the (B, F)
+    result's row b reads only the first ``lengths[b]`` rows of x[b]. Each
+    output's gradient goes to the first row attaining its max; rows past a
+    sequence's length get none."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (x.data.ndim != 3 or lengths.shape != x.data.shape[:1]
+            or not np.all((1 <= lengths) & (lengths <= x.data.shape[1]))):
+        raise ShapeError(f"max_rows: lengths {lengths.tolist()} do not fit '{x.name}' {x.shape}, "
+                         f"which must be (B, T, F)")
+    data = np.where((np.arange(x.data.shape[1]) < lengths[:, None])[:, :, None], x.data, -np.inf)
     winner = np.argmax(data, axis=1)[:, None, :]  # first occurrence wins
-    out_shape = x.data.shape[:-2] + x.data.shape[-1:]
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(x):
             g = np.zeros(data.shape)
-            np.put_along_axis(g, winner, out.grad.reshape(winner.shape), axis=1)
-            x.accumulate_grad(g.reshape(x.shape))
+            np.put_along_axis(g, winner, out.grad[:, None, :], axis=1)
+            x.accumulate_grad(g)
 
-    return _node(np.take_along_axis(data, winner, axis=1).reshape(out_shape), (x,), bwd,
-                 "max_rows")
+    return _node(np.take_along_axis(data, winner, axis=1)[:, 0], (x,), bwd, "max_rows")
 
 
 def windows(x: Tensor, n: int) -> Tensor:
@@ -523,11 +517,8 @@ def _lstm_bwd_np(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
 
 
 def _batch_lengths(what: str, lengths, batch: int, steps: int) -> np.ndarray:
-    """Each sequence's length, ``steps`` for all by default. They must run
-    longest first, so the sequences still stepping at any time are a prefix
-    of the batch."""
-    if lengths is None:
-        return np.full(batch, steps, dtype=np.intp)
+    """Each sequence's length. They must run longest first, so the
+    sequences still stepping at any time are a prefix of the batch."""
     lens = np.asarray(lengths, dtype=np.intp)
     if (lens.shape != (batch,) or lens[0] != steps or lens[-1] < 1
             or np.any(lens[1:] > lens[:-1])):
@@ -551,21 +542,32 @@ def _packing(lens: np.ndarray, steps: int) -> tuple[np.ndarray, tuple[np.ndarray
     return real.sum(axis=0), (time, seq)
 
 
-def lstm_seq_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool = False,
-                lengths=None) -> tuple[np.ndarray, list]:
-    """Plain-array forward of :func:`lstm_seq` over a padded batch x
-    (B, T, X): the hidden states (T, B, H), zero where a sequence has no
-    row, and per step the (c_prev, gates) of the sequences it steps, which
-    the backward pass reads."""
-    batch, steps, xdim = x.shape
-    hidden = b.shape[0] // 4
-    active, _ = _packing(_batch_lengths("lstm_seq", lengths, batch, steps), steps)
+def lstm_seq(x: Tensor, w: Tensor, b: Tensor, lengths, reverse: bool = False) -> Tensor:
+    """An LSTM over each sequence of a padded minibatch x (B, T, X), from a
+    zero state, as one recurrence and one node. Sequence b is its first
+    ``lengths[b]`` rows, longest first; with ``reverse`` each reads its own
+    last row first. w (4H, X+H) and b (4H,) are laid out as for
+    :func:`lstm_step`. The result holds the hidden state after reading each
+    real row, (sum(lengths), H), sequence after sequence; a step past a
+    sequence's end leaves its state alone and gets no gradient.
+
+    The input side of the gates is one GEMM over all rows; the backward
+    pass collects each step's gate gradients and forms the gradients of w
+    and x with one GEMM each.
+    """
+    if x.data.ndim != 3 or x.data.shape[1] == 0:
+        raise ShapeError(f"lstm_seq: input '{x.name}' must be a non-empty (B, T, X) tensor, "
+                         f"got {x.shape}")
+    batch, steps, xdim = x.data.shape
+    hidden = b.data.shape[0] // 4
+    _check_lstm("lstm_seq", xdim, hidden, w, b)
+    active, real = _packing(_batch_lengths("lstm_seq", lengths, batch, steps), steps)
     # the input half of every step's gates in one GEMM
-    ux = (x.reshape(-1, xdim) @ w[:, :xdim].T + b).reshape(batch, steps, 4 * hidden)
-    w_hT = w[:, xdim:].T
-    hs = np.zeros((steps, batch, hidden))
+    ux = (x.data.reshape(-1, xdim) @ w.data[:, :xdim].T + b.data).reshape(batch, steps, -1)
+    w_hT = w.data[:, xdim:].T
+    hs = np.zeros((steps, batch, hidden))  # zero where a sequence has no row
     h = c = np.zeros((0, hidden))
-    cache: list = [None] * steps
+    cache: list = [None] * steps  # per step, the (c_prev, gates) of the sequences it steps
     for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
         n = active[t]
         h, c = _rows(h, n), _rows(c, n)
@@ -573,35 +575,6 @@ def lstm_seq_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool = Fal
         cache[t] = (c, gates)
         hs[t, :n] = h
         c = c_next
-    return hs, cache
-
-
-def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False, lengths=None) -> Tensor:
-    """An LSTM over the rows of x (T, X) from a zero state, as one node;
-    with ``reverse`` it reads the last row first. Row t of the (T, H) result
-    is the hidden state after reading row t. w (4H, X+H) and b (4H,) are laid
-    out as for :func:`lstm_step`.
-
-    A padded minibatch x (B, T, X) runs as one recurrence. Sequence b is
-    its first ``lengths[b]`` rows (all T by default), longest first; the
-    reverse direction starts at each sequence's own last row. A step past a
-    sequence's end leaves its state alone and gets no gradient. The result
-    holds the real rows only, (sum(lengths), H), sequence after sequence.
-
-    The input side of the gates is one GEMM over all rows; the backward
-    pass collects each step's gate gradients and forms the gradients of w
-    and x with one GEMM each.
-    """
-    if x.data.ndim not in (2, 3) or x.data.shape[-2] == 0:
-        raise ShapeError(f"lstm_seq: input '{x.name}' must be a non-empty (T, X) or (B, T, X) "
-                         f"tensor, got {x.shape}")
-    xs = x.data.reshape((-1,) + x.data.shape[-2:])
-    batch, steps, xdim = xs.shape
-    hidden = b.data.shape[0] // 4
-    _check_lstm("lstm_seq", xdim, hidden, w, b)
-    lens = _batch_lengths("lstm_seq", lengths, batch, steps)
-    _, real = _packing(lens, steps)
-    hs, cache = lstm_seq_np(xs, w.data, b.data, reverse, lens)
 
     def bwd(out: Tensor) -> None:
         g_hs = np.zeros_like(hs)
@@ -622,13 +595,13 @@ def lstm_seq(x: Tensor, w: Tensor, b: Tensor, reverse: bool = False, lengths=Non
                 h_prev[:-1] = hs[1:]
             else:
                 h_prev[1:] = hs[:-1]
-            xh = np.concatenate([xs.transpose(1, 0, 2), h_prev], axis=2)
+            xh = np.concatenate([x.data.transpose(1, 0, 2), h_prev], axis=2)
             w.accumulate_grad(gus.T @ xh.reshape(-1, xdim + hidden))
         if _wants_grad(b):
             b.accumulate_grad(gus.sum(axis=0))
         if _wants_grad(x):
             gx = (gus @ w.data[:, :xdim]).reshape(steps, batch, xdim)
-            x.accumulate_grad(gx.transpose(1, 0, 2).reshape(x.shape))
+            x.accumulate_grad(gx.transpose(1, 0, 2))
 
     return _node(hs[real], (x, w, b), bwd, "lstm_seq")
 
@@ -654,13 +627,12 @@ def attention_np(
 
 
 def _check_attention(what: str, grid, hidden: int, w_v: Tensor, w_h: Tensor, b1: Tensor,
-                     w2: Tensor, b2: Tensor, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
-    """The grid as a float64 (L, D) array (or a (B, L, D) stack, where
-    ``ndims`` allows 3), once the MLP's shapes fit it."""
+                     w2: Tensor, b2: Tensor, ndim: int) -> np.ndarray:
+    """The grid as a float64 array of ``ndim`` dimensions, (L, D) or a
+    (B, L, D) stack, once the MLP's shapes fit it."""
     grid = _as_f64(grid)
-    if grid.ndim not in ndims:
-        raise ShapeError(f"{what}: grid must be {' or '.join(f'{n}-D' for n in ndims)}, "
-                         f"got shape {grid.shape}")
+    if grid.ndim != ndim:
+        raise ShapeError(f"{what}: grid must be {ndim}-D, got shape {grid.shape}")
     att = w_v.data.shape[0]
     if w_v.data.shape != (att, grid.shape[-1]):
         raise ShapeError(f"{what}: '{w_v.name}' {w_v.shape} vs grid feature dim {grid.shape[-1]}")
@@ -686,7 +658,7 @@ def mlp_attention(
     weights, context = weighted sum of rows. Returns (context (D,), weights (L,)).
     The grid is a constant input; gradients flow to h_prev and the MLP params.
     """
-    grid = _check_attention("mlp_attention", grid, h_prev.data.shape[0], w_v, w_h, b1, w2, b2)
+    grid = _check_attention("mlp_attention", grid, h_prev.data.shape[0], w_v, w_h, b1, w2, b2, 2)
     n_loc, feat = grid.shape
     z, alpha, act = attention_np(grid @ w_v.data.T, grid, h_prev.data, w_h.data, b1.data,
                                  w2.data, b2.data)
@@ -717,22 +689,22 @@ def mlp_attention(
     return narrow(za, 0, feat), narrow(za, feat, n_loc)
 
 
-def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
+def attend_lstm_seq(grids, x: Tensor, h0: Tensor, c0: Tensor,
                     att: tuple[Tensor, Tensor, Tensor, Tensor, Tensor],
-                    lstm: tuple[Tensor, Tensor], lengths=None) -> Tensor:
-    """A teacher-forced attention LSTM over a whole sequence, as one node.
+                    lstm: tuple[Tensor, Tensor], lengths) -> Tensor:
+    """A teacher-forced attention LSTM over a minibatch of sequences, as one
+    recurrence and one node.
 
-    Step t runs :func:`mlp_attention` over the (L, D) grid from h_{t-1},
-    then :func:`lstm_step` on [z_t; x_t; h_{t-1}], from the state (h0, c0).
-    x (T, X) holds the step inputs that follow the context; ``att`` is
-    (w_v, w_h, b1, w2, b2) and ``lstm`` is (w, b), laid out as for those two
-    ops. Returns (T, H+D): row t is [h_t; z_t], the output layer's input.
-
-    A minibatch runs as one recurrence: a (B, L, D) stack of grids, padded
-    inputs x (B, T, X), states h0 and c0 (B, H), and sequence b's length
-    ``lengths[b]`` (all T by default), longest first. A step past a
-    sequence's end leaves its state alone and gets no gradient. The result
-    holds the real rows only, (sum(lengths), H+D), sequence after sequence.
+    Sequence b attends over the grid ``grids[b]`` of a (B, L, D) stack and
+    starts from the state (h0[b], c0[b]), each (B, H). Its step t runs
+    :func:`mlp_attention` over its grid from h_{t-1}, then :func:`lstm_step`
+    on [z_t; x_t; h_{t-1}]. The padded inputs x (B, T, X) hold the step
+    inputs that follow the context, and sequence b is its first
+    ``lengths[b]`` steps, longest first. ``att`` is (w_v, w_h, b1, w2, b2)
+    and ``lstm`` is (w, b), laid out as for those two ops. The result holds
+    the real rows only, (sum(lengths), H+D), sequence after sequence: row t
+    of a sequence is [h_t; z_t], the output layer's input. A step past a
+    sequence's end leaves its state alone and gets no gradient.
 
     The forward projects every grid with one GEMM and steps the running
     sequences together. The backward pass (BPTT) collects each step's small
@@ -745,16 +717,13 @@ def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
     w_v, w_h, b1, w2, b2 = att
     w, b = lstm
     hidden = h0.data.shape[-1]
-    grids = _check_attention("attend_lstm_seq", grid, hidden, w_v, w_h, b1, w2, b2, (2, 3))
-    lead = grids.shape[:-2]  # () for one sequence, (B,) for a minibatch
-    if (x.data.ndim != len(lead) + 2 or x.data.shape[:-2] != lead or x.data.shape[-2] == 0
-            or h0.shape != lead + (hidden,) or c0.shape != lead + (hidden,)):
-        raise ShapeError(f"attend_lstm_seq: grid {grids.shape}, inputs '{x.name}' {x.shape}, "
-                         f"state {h0.shape}/{c0.shape}")
-    grids = grids.reshape((-1,) + grids.shape[-2:])
-    xs = x.data.reshape((-1,) + x.data.shape[-2:])
+    grids = _check_attention("attend_lstm_seq", grids, hidden, w_v, w_h, b1, w2, b2, 3)
     batch, n_loc, feat = grids.shape
-    steps, xdim = xs.shape[1:]
+    if (x.data.ndim != 3 or x.data.shape[0] != batch or x.data.shape[1] == 0
+            or h0.shape != (batch, hidden) or c0.shape != (batch, hidden)):
+        raise ShapeError(f"attend_lstm_seq: grids {grids.shape}, inputs '{x.name}' {x.shape}, "
+                         f"state {h0.shape}/{c0.shape}")
+    steps, xdim = x.data.shape[1:]
     _check_lstm("attend_lstm_seq", feat + xdim, hidden, w, b)
     active, real = _packing(_batch_lengths("attend_lstm_seq", lengths, batch, steps), steps)
 
@@ -766,10 +735,10 @@ def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
     # row t is [z_t; x_t; h_{t-1}], the LSTM input of step t; the last row
     # only holds the final states
     xhs = np.zeros((steps + 1, batch, feat + xdim + hidden))
-    xhs[:steps, :, feat : feat + xdim] = xs.transpose(1, 0, 2)
-    xhs[0, :, feat + xdim :] = h0.data.reshape(batch, hidden)
+    xhs[:steps, :, feat : feat + xdim] = x.data.transpose(1, 0, 2)
+    xhs[0, :, feat + xdim :] = h0.data
     cache = []
-    c = c0.data.reshape(batch, hidden)
+    c = c0.data
     for t in range(steps):
         n = active[t]
         xh = xhs[t, :n]
@@ -816,9 +785,9 @@ def attend_lstm_seq(grid, x: Tensor, h0: Tensor, c0: Tensor,
             (w, lambda: gus.T @ xhs.reshape(-1, xhs.shape[2])),
             (b, lambda: gus.sum(axis=0)),
             (x, lambda: (gus @ w.data[:, feat : feat + xdim]).reshape(steps, batch, xdim)
-             .transpose(1, 0, 2).reshape(x.shape)),
-            (h0, lambda: gh.reshape(h0.shape)),
-            (c0, lambda: gc.reshape(c0.shape)),
+             .transpose(1, 0, 2)),
+            (h0, lambda: gh),
+            (c0, lambda: gc),
         )
         for parent, grad in grads:
             if _wants_grad(parent):

@@ -65,7 +65,6 @@ class PipelineConfig:
     features_dir: str | None = None
     gazetteer: str | None = None
     # what `artdesc index` read; not read or hashed here, as the index holds the articles
-    knowledge_dir: str | None = None
     knowledge_file: str | None = None
     blocklist: str | None = None
     decoder_checkpoint: str | None = None

@@ -263,15 +263,10 @@ class TfIdfIndex:
 
 
 def read_articles_dir(directory: str | Path) -> list[KnowledgeArticle]:
-    """Directory of plain-text files; the file stem is the article id and the
-    first line is treated as the title."""
-    directory = Path(directory)
-    articles = []
-    for path in sorted(directory.glob("*.txt")):
-        text = read_text(path)
-        first = text.splitlines()[0].strip() if text.splitlines() else path.stem
-        articles.append(KnowledgeArticle(id=path.stem, title=first, body=text))
-    return articles
+    """Directory of plain-text files; the file stem is the article's id and
+    title, and the text its body."""
+    return [KnowledgeArticle(id=path.stem, title=path.stem, body=read_text(path))
+            for path in sorted(Path(directory).glob("*.txt"))]
 
 
 def read_articles_jsonl(path: str | Path) -> list[KnowledgeArticle]:

@@ -76,7 +76,7 @@ def _baseline_gradcheck():
     ids = [1] + [int(t) for t in rng.integers(4, 12, size=3)] + [2]
 
     def loss_fn():
-        loss, n, _ = sequence_loss(grid, ids, store, "dec")
+        loss, n, _ = sequence_loss([grid], [ids], store, "dec")
         return nc.scale(loss, 1.0 / n)
 
     return nc.grad_check(loss_fn, store, epsilon=1e-4)
@@ -93,9 +93,9 @@ def _conditional_gradcheck():
     topic = TopicLabel.FORM
 
     def loss_fn():
-        nll, n, logits = sequence_loss(grid, ids, store, "dec", int(topic))
+        nll, n, logits = sequence_loss([grid], [ids], store, "dec", [int(topic)])
         probs = nc.softmax(nc.embedding(logits, range(n - 1)))
-        ce = nc.cross_entropy(classify_distributions(probs, store), int(topic))
+        ce = nc.cross_entropy(classify_distributions(probs, store, [n - 1]), int(topic))
         return nc.scale(nc.add(nll, ce), 1.0 / n)
 
     return nc.grad_check(loss_fn, store, epsilon=1e-4)
@@ -117,7 +117,7 @@ def _filler_gradcheck():
     pair = build_fill_pairs([record])[0]
 
     def loss_fn():
-        loss, n, _ = fill_pair_loss(pair, store, vocab)
+        loss, n, _ = fill_pair_loss([pair], store, vocab)
         return nc.scale(loss, 1.0 / n)
 
     return nc.grad_check(loss_fn, store, epsilon=1e-4)

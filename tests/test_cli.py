@@ -119,7 +119,6 @@ def test_full_command_flow(cli_world, capsys):
         "corpus": str(corpus_path),
         "features_dir": str(features_dir),
         "gazetteer": str(gazetteer_path),
-        "knowledge_dir": str(knowledge_dir),
         "decoder_checkpoint": str(decoder_path),
         "filler_checkpoint": str(filler_path),
         "index": str(index_path),
@@ -192,7 +191,6 @@ def test_fill_and_single_topic_describe(cli_world, tmp_path, capsys):
             "decoder_checkpoint": str(decoder_path),
             "filler_checkpoint": str(filler_path),
             "index": str(index_path),
-            "knowledge_dir": str(root / "knowledge"),
             "knowledge_mode": "reference-as-oracle",
         }), encoding="utf-8")
         assert main([

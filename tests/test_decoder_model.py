@@ -178,7 +178,7 @@ class TestParallelIsolation:
         grid = FeatureGrid(rng.normal(size=(3, 4)))
         tokens = [1, 5, 6, 7, 2]
         prefix = sub_prefix("parallel", TopicLabel.FORM)
-        loss, _, _ = sequence_loss(grid, tokens, store, prefix)
+        loss, _, _ = sequence_loss([grid], [tokens], store, prefix)
         nc.backward(loss, store)
         for name in store.names():
             grad = store[name].grad

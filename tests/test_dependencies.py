@@ -4,7 +4,8 @@ file the package writes goes through ``atomic_write`` and every file it
 reads through ``read_text`` or ``load_container``, the models train on
 whole-minibatch nodes, not on the per-step or per-item tape path, the
 pipeline reads articles and stop words only through the index, JSON values
-are type-checked only by ``check_object``, every top-level function and
+are type-checked only by ``check_object``, the losses and sequence kernels
+take only minibatches with their lengths, every top-level function and
 class of the package is named somewhere, and every training setting has a
 command-line flag whose default the CLI does not restate."""
 
@@ -182,6 +183,35 @@ def test_training_hands_whole_minibatches_to_one_loss():
             offenders += [f"{rel}:{node.lineno}: candidate_vector" for node in ast.walk(tree)
                           if isinstance(node, ast.FunctionDef)
                           and node.name == "candidate_vector"]
+    assert offenders == []
+
+
+# the single items the losses and scorers once also took in place of a minibatch
+SINGLE_ITEM_TYPES = frozenset({"FeatureGrid", "FillInput", "FillPair"})
+
+
+def test_sequence_code_takes_only_minibatches():
+    """The decoder and filler losses take a minibatch and nothing else: no
+    module under decoder/ or filler/ dispatches on ``isinstance`` against a
+    single item's type. And no function under src/ defaults its
+    ``lengths``: a sequence kernel is always told each sequence's length."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if rel.parts[0] in ("decoder", "filler") and isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                offenders += [f"{rel}:{node.lineno}: isinstance {name.id}"
+                              for name in ast.walk(node.args[1])
+                              if isinstance(name, ast.Name) and name.id in SINGLE_ITEM_TYPES]
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args
+                defaulted = args[len(args) - len(node.args.defaults):] + [
+                    arg for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if default is not None]
+                offenders += [f"{rel}:{node.lineno}: {getattr(node, 'name', 'lambda')} "
+                              f"defaults lengths" for arg in defaulted if arg.arg == "lengths"]
     assert offenders == []
 
 

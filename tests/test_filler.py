@@ -196,7 +196,7 @@ class TestTrainFiller:
         config = FillerConfig(vocab_size=len(vocab), hidden_size=6, embed_size=6)
         store = init_filler_params(config, np.random.default_rng(0))
         pair = build_fill_pairs([record])[0]
-        loss, scored, skipped = fill_pair_loss(pair, store, vocab)
+        loss, scored, skipped = fill_pair_loss([pair], store, vocab)
         assert scored == 1 and skipped == 0
         assert loss.item() == 0.0  # softmax over one element
 
@@ -210,7 +210,7 @@ class TestTrainFiller:
         pair = FillPair([entry.masked],
                         CandidateSet([Candidate("goya", EntityType.PERSON, "article")]),
                         ["1650"])
-        loss, scored, skipped = fill_pair_loss(pair, store, vocab)
+        loss, scored, skipped = fill_pair_loss([pair], store, vocab)
         assert loss is None and scored == 0 and skipped == 1
 
     def test_vocab_mismatch_rejected(self):
@@ -365,7 +365,7 @@ def test_filler_loss_gradcheck_toy():
     pair = build_fill_pairs(records)[0]
 
     def loss_fn():
-        loss, n, _ = fill_pair_loss(pair, store, vocab)
+        loss, n, _ = fill_pair_loss([pair], store, vocab)
         return nc.scale(loss, 1.0 / n)
 
     err = nc.grad_check(loss_fn, store, epsilon=1e-4)

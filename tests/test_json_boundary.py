@@ -147,6 +147,8 @@ MISTYPED = {
                              ":1 sentences: unknown keys ['bogus']"),
     "report-tokens-string": ("reports.jsonl", (0, "description_tokens"), "abc",
                              ":1: 'description_tokens' must be list[str], got str"),
+    "pipeline-knowledge-dir": ("pipeline.json", ("knowledge_dir",), "knowledge",
+                               ": unknown keys ['knowledge_dir']"),
 }
 
 

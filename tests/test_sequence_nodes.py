@@ -89,11 +89,14 @@ def _losses(config, store, grid, ids, topic):
     topic_idx = int(topic) if config.variant == "conditional" else None
 
     def new():
-        nll, n, logits = sequence_loss(grid, ids, store, prefix, topic_idx)
+        topics = None if topic_idx is None else [topic_idx]
+        nll, n, logits = sequence_loss([grid], [ids], store, prefix, topics)
         if topic_idx is None:
             return nll
-        probs = nc.softmax(nc.embedding(logits, range(max(n - 1, 1))))
-        return nc.add(nll, nc.cross_entropy(classify_distributions(probs, store), topic_idx))
+        words = max(n - 1, 1)
+        probs = nc.softmax(nc.embedding(logits, range(words)))
+        return nc.add(nll, nc.cross_entropy(classify_distributions(probs, store, [words]),
+                                            topic_idx))
 
     def oracle():
         nll, n, probs = tape.sequence_loss(grid, ids, store, prefix, topic_idx,
@@ -221,7 +224,7 @@ def test_classify_distributions_batch_equals_one_by_one():
     start = 0
     for row, n in enumerate(lengths):
         one = nc.constant(probs.data[start : start + n])
-        want = classify_distributions(one, store).data[0]
+        want = classify_distributions(one, store, [n]).data[0]
         assert np.max(np.abs(got[row] - want)) <= 1e-12 * np.max(np.abs(want))
         start += n
 
@@ -311,7 +314,8 @@ def test_lstm_seq_matches_lstm_steps_and_gradcheck(reverse, steps):
     weights = rng.normal(size=(steps, 2))
 
     def loss():
-        return nc.dot(nc.constant(weights.ravel()), _flat(nc.lstm_seq(x, w, b, reverse)))
+        return nc.dot(nc.constant(weights.ravel()),
+                      _flat(nc.lstm_seq(_one(x), w, b, [steps], reverse)))
 
     def oracle():
         h = c = nc.constant(np.zeros(2))
@@ -323,6 +327,14 @@ def test_lstm_seq_matches_lstm_steps_and_gradcheck(reverse, steps):
 
     _assert_matches_oracle(store, loss, oracle)
     assert nc.grad_check(loss, store, epsilon=1e-4) < 1e-4
+
+
+def _one(t):
+    """A (T, X) tensor as a minibatch of one, (1, T, X)."""
+    def bwd(out):
+        t.accumulate_grad(out.grad[0])
+
+    return _node(t.data[None], (t,), bwd, "one")
 
 
 def _flat(t):
@@ -341,7 +353,7 @@ def test_fill_slots_scores_equal_the_training_forward():
     _randomize(store, 2)
     ckpt = Checkpoint(config, vocab, store, 0)
     for pair in build_fill_pairs(records):
-        scores, compatible = slot_scores(pair.fill_input, pair.candidates, store, vocab)
+        scores, compatible = slot_scores([pair.fill_input], [pair.candidates], store, vocab)
         decisions = fill_slots(pair.masked, pair.candidates, ckpt).decisions
         assert [(d.score, d.n_compatible) for d in decisions] == \
             [(float(row[ok].max()), int(ok.sum())) for row, ok in zip(scores.data, compatible)]
@@ -354,21 +366,21 @@ def test_fill_slots_scores_equal_the_training_forward():
 
 def _node_cases():
     rng = np.random.default_rng(5)
-    grid = rng.normal(size=(3, 2))
+    grid = rng.normal(size=(1, 3, 2))
     grids = rng.normal(size=(3, 3, 2))
 
     def attend_lstm(s):
         return nc.attend_lstm_seq(grid, s["x"], nc.tanh_t(s["h0"]), nc.tanh_t(s["c0"]),
                                   (s["w_v"], s["w_h"], s["b1"], s["w2"], s["b2"]),
-                                  (s["w"], s["b"]))
+                                  (s["w"], s["b"]), [4])
 
     return {
         "attend_lstm_seq": (
-            {"x": (4, 2), "h0": (3,), "c0": (3,), "w_v": (3, 2), "w_h": (3, 3), "b1": (3,),
-             "w2": (3,), "b2": (1,), "w": (12, 7), "b": (12,)},
+            {"x": (1, 4, 2), "h0": (1, 3), "c0": (1, 3), "w_v": (3, 2), "w_h": (3, 3),
+             "b1": (3,), "w2": (3,), "b2": (1,), "w": (12, 7), "b": (12,)},
             attend_lstm),
-        "lstm_seq": ({"x": (3, 2), "w": (8, 4), "b": (8,)},
-                     lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], reverse=True)),
+        "lstm_seq": ({"x": (1, 3, 2), "w": (8, 4), "b": (8,)},
+                     lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], [3], reverse=True)),
         "linear": ({"x": (3, 4), "w": (2, 4), "b": (2,)},
                    lambda s: nc.linear(s["x"], s["w"], s["b"])),
         "vecmat-rows": ({"p": (3, 4), "e": (4, 2)}, lambda s: nc.vecmat(s["p"], s["e"])),
@@ -376,7 +388,7 @@ def _node_cases():
         "concat-columns": ({"a": (3, 2), "b": (3, 1)},
                            lambda s: nc.concat([s["a"], s["b"]], axis=1)),
         "windows": ({"x": (4, 2)}, lambda s: nc.windows(s["x"], 3)),
-        "max_rows": ({"x": (4, 3)}, lambda s: nc.max_rows(s["x"])),
+        "max_rows": ({"x": (1, 4, 3)}, lambda s: nc.max_rows(s["x"], [4])),
         "softmax-rows": ({"x": (3, 4)}, lambda s: nc.softmax(s["x"])),
         "attend_lstm_seq-ragged": (
             {"x": (3, 4, 2), "h0": (3, 3), "c0": (3, 3), "w_v": (3, 2), "w_h": (3, 3),
@@ -385,10 +397,10 @@ def _node_cases():
                                          (s["w_v"], s["w_h"], s["b1"], s["w2"], s["b2"]),
                                          (s["w"], s["b"]), [4, 2, 1])),
         "lstm_seq-ragged": ({"x": (3, 4, 2), "w": (8, 4), "b": (8,)},
-                            lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], lengths=[4, 4, 2])),
+                            lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], [4, 4, 2])),
         "lstm_seq-ragged-reverse": ({"x": (3, 4, 2), "w": (8, 4), "b": (8,)},
-                                    lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], reverse=True,
-                                                          lengths=[4, 3, 1])),
+                                    lambda s: nc.lstm_seq(s["x"], s["w"], s["b"], [4, 3, 1],
+                                                          reverse=True)),
         "linear-3d": ({"x": (2, 3, 4), "w": (2, 4), "b": (2,)},
                       lambda s: nc.linear(s["x"], s["w"], s["b"])),
         "windows-3d": ({"x": (2, 4, 2)}, lambda s: nc.windows(s["x"], 3)),
@@ -435,10 +447,10 @@ def test_ragged_lstm_seq_rows_equal_each_sequence_alone(reverse):
     weights = rng.normal(size=(sum(lengths), 2))
 
     def batched():
-        return _weighted_sum(nc.lstm_seq(x, w, b, reverse, lengths), weights)
+        return _weighted_sum(nc.lstm_seq(x, w, b, lengths, reverse), weights)
 
     def alone():
-        rows = [nc.lstm_seq(nc.embedding(_seq(x, i), range(n)), w, b, reverse)
+        rows = [nc.lstm_seq(_one(nc.embedding(_seq(x, i), range(n))), w, b, [n], reverse)
                 for i, n in enumerate(lengths)]
         return _weighted_sum(nc.concat(rows), weights)
 
@@ -461,9 +473,9 @@ def test_ragged_attend_lstm_seq_rows_equal_each_sequence_alone():
                                                 (s["w"], s["b"]), lengths), weights)
 
     def alone():
-        rows = [nc.attend_lstm_seq(grids[i], nc.embedding(_seq(s["x"], i), range(n)),
-                                   nc.embedding(s["h0"], i), nc.embedding(s["c0"], i), att,
-                                   (s["w"], s["b"]))
+        rows = [nc.attend_lstm_seq(grids[i : i + 1], _one(nc.embedding(_seq(s["x"], i), range(n))),
+                                   nc.embedding(s["h0"], [i]), nc.embedding(s["c0"], [i]), att,
+                                   (s["w"], s["b"]), [n])
                 for i, n in enumerate(lengths)]
         return _weighted_sum(nc.concat(rows), weights)
 

@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from artdesc.corpus import (
     EntityType,
     Gazetteer,
+    PaintingRecord,
+    SentenceEntry,
     Slot,
     TopicLabel,
     Word,
+    load_corpus,
     mask_sentence,
+    record_from_dict,
+    save_corpus,
     tag_entities,
     tokenize,
     unmask,
@@ -186,6 +191,52 @@ def test_mask_unmask_round_trip_property(seed):
     sentence, spans = random_tagged_sentence(rng)
     masked, values = mask_sentence(sentence, spans)
     assert unmask(masked, values) == tokenize(sentence)
+
+
+def test_spans_index_the_text_as_written():
+    """"İ" lowercases to two characters, "i" and U+0307; the spans still
+    index the sentence itself, through the tagger and through a corpus
+    record's entity values."""
+    sentence = "İzmir painter worked in Rome."
+    want = ("i\u0307zmir painter worked in [location] .", ["Rome"])
+    gaz = Gazetteer({"Rome": EntityType.LOCATION})
+    masked, values = mask_sentence(sentence, tag_entities(sentence, gaz))
+    assert (" ".join(masked.surfaces()), values) == want
+    record = record_from_dict({"id": "p", "sentences": [{
+        "text": sentence, "topic": "context",
+        "entities": [{"value": "Rome", "type": "location"}]}]})
+    entry = record.sentences[0]
+    assert (" ".join(entry.masked.surfaces()), entry.values) == want
+
+
+# Latin, Turkish, Greek and Cyrillic letters, combining marks, digits and
+# word-internal punctuation; no "[" or "]", which no word token may hold
+MIXED_ALPHABET = "aeizAEIZ09 İıIi\u0307\u0301\u0308éÉΔδλжЖ.,'’-!"
+MIXED_NAMES = {"İzmir": EntityType.LOCATION, "Rome": EntityType.LOCATION,
+               "Δελφοί": EntityType.LOCATION, "Ilıca": EntityType.LOCATION,
+               "Jose\u0301 Ribera": EntityType.PERSON, "1642": EntityType.DATE}
+
+
+@given(st.lists(st.tuples(st.one_of(st.text(MIXED_ALPHABET, min_size=1, max_size=8),
+                                    st.sampled_from(sorted(MIXED_NAMES))),
+                          st.booleans()), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_mixed_script_spans_lie_in_the_text_and_survive_the_corpus_file(tmp_path_factory,
+                                                                       chunks):
+    """The gazetteer holds the names above and the chunks drawn with True."""
+    sentence = " ".join(chunk for chunk, _ in chunks)
+    if not tokenize(sentence):
+        return
+    gazetteer = Gazetteer({**MIXED_NAMES, **{chunk: EntityType.MISC for chunk, named in chunks
+                                             if named and tokenize(chunk)}})
+    spans = tag_entities(sentence, gazetteer)
+    assert all(0 <= start < end <= len(sentence) for (start, end), _ in spans)
+    masked, values = mask_sentence(sentence, spans, TopicLabel.FORM)
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    save_corpus(path, [PaintingRecord(id="p", sentences=[SentenceEntry(sentence, masked,
+                                                                       values)])])
+    (entry,) = load_corpus(path)[0].sentences
+    assert (entry.masked, entry.values) == (masked, values)
 
 
 def test_word_token_invariants():
