@@ -14,7 +14,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 
 from artdesc import __version__
 from artdesc.corpus import (
@@ -53,7 +53,6 @@ from artdesc.filler import (
     extract_candidates,
     fill_slots,
     load_filler_checkpoint,
-    rendered_tokens,
     save_filler_checkpoint,
     train_filler,
 )
@@ -229,13 +228,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    flags = {"beam_size": args.beam_size, "max_decode_len": args.max_len,
-             "decode_mode": args.mode, "seed": args.seed}
-    # replace() checks the overridden config as from_file checked the file's
-    config = replace(PipelineConfig.from_file(args.config),
-                     **{name: value for name, value in flags.items() if value is not None})
     topics = (TopicLabel.from_name(args.topic),) if args.topic else TOPIC_ORDER
-    pipeline = Pipeline(config)
+    pipeline = Pipeline(PipelineConfig.from_file(args.config))
     if args.painting_id:
         reports = [pipeline.describe(pipeline.record_by_id(args.painting_id), topics)]
     else:
@@ -268,7 +262,7 @@ def cmd_fill(args) -> int:
     candidates = extract_candidates(bodies, attributes, gazetteer)
     result = fill_slots(masked, candidates, ckpt)
     print(json.dumps({
-        "description": " ".join(rendered_tokens(result)),
+        "description": " ".join(result.rendered_tokens),
         "tokens": result.tokens,
         "slots": [
             {"position": d.position, "type": d.entity_type, "chosen": d.chosen,
@@ -382,10 +376,6 @@ def build_parser() -> _Parser:
     p.add_argument("--painting-id")
     p.add_argument("--topic", choices=("content", "form", "context"),
                    help="generate only this topic's sentence")
-    p.add_argument("--mode", choices=("greedy", "beam"))
-    p.add_argument("--beam-size", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_describe)
 

@@ -132,12 +132,12 @@ def generate(
     ckpt: Checkpoint,
     grid: FeatureGrid,
     topic: TopicLabel,
-    mode: str = "beam",
-    beam_size: int = 5,
-    max_len: int | None = None,
+    mode: str,
+    beam_size: int,
 ) -> MaskedSentence:
-    """Generate one masked sentence for a topic. Deterministic given
-    (checkpoint, grid, topic, mode, beam_size)."""
+    """Generate one masked sentence for a topic, of at most the
+    checkpoint's ``max_len`` tokens. Deterministic given (checkpoint, grid,
+    topic, mode, beam_size)."""
     if mode not in DECODE_MODES:
         raise ConfigError(f"unknown decode mode '{mode}'")
     if beam_size < 1:
@@ -149,11 +149,10 @@ def generate(
             f"grid feature dim {grid.feature_dim} does not match "
             f"checkpoint feature dim {ckpt.config.feature_dim}"
         )
-    limit = max_len if max_len is not None else ckpt.config.max_len
     if mode == "greedy":
-        token_ids, _ = greedy_decode(ckpt, grid, topic, limit)
+        token_ids, _ = greedy_decode(ckpt, grid, topic, ckpt.config.max_len)
     else:
-        token_ids, _ = beam_decode(ckpt, grid, topic, limit, beam_size)
+        token_ids, _ = beam_decode(ckpt, grid, topic, ckpt.config.max_len, beam_size)
     tokens = [ckpt.vocab.decode_token(i) for i in token_ids]
     return MaskedSentence(tokens, topic)
 

@@ -120,7 +120,8 @@ class DecodeStep:
         h_prev, c_prev = state
         z, _, _ = nc.attention_np(self.proj, self.grid, h_prev, *self.att)
         parts = [z, self.embed[y_prev], *self.topic, h_prev]
-        h, c, _ = nc.lstm_np(np.concatenate(parts), c_prev, *self.lstm)
+        lstm_w, lstm_b = self.lstm
+        h, c, _ = nc.lstm_cell_np(lstm_w @ np.concatenate(parts) + lstm_b, c_prev)
         out_w, out_b = self.out
         hz = np.concatenate([h, z])
         logits = out_w @ hz + out_b

@@ -20,7 +20,6 @@ from artdesc.filler.train import (
     load_filler_checkpoint,
     placeholder,
     record_candidates,
-    rendered_tokens,
     save_filler_checkpoint,
     train_filler,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "load_filler_checkpoint",
     "placeholder",
     "record_candidates",
-    "rendered_tokens",
     "save_filler_checkpoint",
     "slot_scores",
     "train_filler",

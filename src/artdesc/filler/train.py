@@ -146,6 +146,9 @@ class FillDecision:
 class FillResult:
     tokens: list[str]  # one unit per input token (multi-word fills stay one unit)
     decisions: list[FillDecision]
+    # the token stream that metrics score: generated words as they are, each
+    # chosen fill split by tokenize, and each placeholder one token
+    rendered_tokens: list[str]
 
     @property
     def text(self) -> str:
@@ -164,8 +167,8 @@ def fill_slots(
     """Replace each slot with the argmax type-compatible candidate under
     :func:`slot_scores`, the forward that training runs; slots with no
     compatible candidate render as a visible placeholder. Non-slot tokens
-    pass through verbatim. Score ties break by candidate surface so the
-    choice is independent of candidate order."""
+    pass through verbatim, and are not re-tokenized. Score ties break by
+    candidate surface so the choice is independent of candidate order."""
     fill_input = encode_fill_input(masked)
     scores, compatible = slot_scores([fill_input], [candidates], ckpt.store, ckpt.vocab)
 
@@ -182,26 +185,17 @@ def fill_slots(
                                       best_score, len(scored)))
 
     out_tokens: list[str] = []
+    rendered: list[str] = []
     fills = iter(decisions)  # one decision per slot, in slot order
     for sentence in masked:
         for token in sentence.tokens:
-            if isinstance(token, Slot):
-                decision = next(fills)
-                out_tokens.append(
-                    decision.chosen if decision.chosen is not None
-                    else placeholder(token.entity_type)
-                )
+            if not isinstance(token, Slot):
+                unit, split = token.text, [token.text]
+            elif (chosen := next(fills).chosen) is not None:
+                unit, split = chosen, tokenize(chosen)
             else:
-                out_tokens.append(token.text)
-    return FillResult(out_tokens, decisions)
-
-
-def rendered_tokens(result: FillResult) -> list[str]:
-    """Fully expanded token stream (multi-word fills split) for metric use."""
-    out: list[str] = []
-    for unit in result.tokens:
-        if unit.startswith("[unknown-"):
-            out.append(unit)
-        else:
-            out.extend(tokenize(unit))
-    return out
+                unit = placeholder(token.entity_type)
+                split = [unit]
+            out_tokens.append(unit)
+            rendered.extend(split)
+    return FillResult(out_tokens, decisions, rendered)

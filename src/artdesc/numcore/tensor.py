@@ -446,7 +446,7 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
     _check_lstm("lstm_step", xdim, hidden, w, b)
 
     xh = np.concatenate([x.data, h_prev.data])
-    h, c, gates = lstm_np(xh, c_prev.data, w.data, b.data)
+    h, c, gates = lstm_cell_np(w.data @ xh + b.data, c_prev.data)
 
     def bwd(out: Tensor) -> None:
         gu, gc_prev = _lstm_bwd_np(out.grad[:hidden], out.grad[hidden:], c_prev.data, gates)
@@ -466,20 +466,12 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
     return narrow(hc, 0, hidden), narrow(hc, hidden, hidden)
 
 
-def lstm_np(xh: np.ndarray, c_prev: np.ndarray, w: np.ndarray,
-            b: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Plain-array forward of :func:`lstm_step` with ``xh = [x; h_prev]``.
-
-    Returns (h, c, (i, f, o, g, tanh(c))); the gates feed the backward pass.
-    """
-    return lstm_cell_np(w @ xh + b, c_prev)
-
-
 def lstm_cell_np(u: np.ndarray, c_prev: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """:func:`lstm_np` given the gate pre-activations ``u = w @ xh + b``;
-    u (4H,) with c_prev (H,), or one row per sequence, (n, 4H) with (n, H).
-    The gates it returns feed :func:`_lstm_bwd_np`."""
+    """Plain-array forward of an LSTM cell given the gate pre-activations
+    ``u = w @ [x; h_prev] + b``: u (4H,) with c_prev (H,), or one row per
+    sequence, (n, 4H) with (n, H). Returns (h, c, gates); the gates feed
+    :func:`_lstm_bwd_np`."""
     hidden = c_prev.shape[-1]
     # one tanh serves all four gates: sigmoid(u) = (1 + tanh(u/2)) / 2 for
     # i, f and o, and g = tanh(u); no exp can overflow

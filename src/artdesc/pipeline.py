@@ -31,7 +31,6 @@ from artdesc.filler import (
     extract_candidates,
     fill_slots,
     load_filler_checkpoint,
-    rendered_tokens,
 )
 from artdesc.metrics import bleu4, rouge_l, slot_ratio
 from artdesc.numcore.checkpoint import digest_of
@@ -41,8 +40,7 @@ logger = logging.getLogger(__name__)
 
 KNOWLEDGE_MODES = ("external-corpus", "reference-as-oracle")
 # the PipelineConfig fields, other than the artifacts' paths, that change a report
-OUTPUT_SETTINGS = ("seed", "retrieval_k", "knowledge_mode", "decode_mode", "beam_size",
-                   "max_decode_len")
+OUTPUT_SETTINGS = ("seed", "retrieval_k", "knowledge_mode", "decode_mode", "beam_size")
 
 # Reference-scale results reported for the full-scale system (complete SemArt
 # corpus + Wikipedia knowledge base with pretrained encoders). Context only:
@@ -75,7 +73,6 @@ class PipelineConfig:
     knowledge_mode: str = "external-corpus"
     decode_mode: str = "beam"
     beam_size: int = 5
-    max_decode_len: int | None = None
 
     def __post_init__(self):
         if self.knowledge_mode not in KNOWLEDGE_MODES:
@@ -84,9 +81,9 @@ class PipelineConfig:
         if self.decode_mode not in DECODE_MODES:
             raise ConfigError(f"unknown decode_mode '{self.decode_mode}'; "
                               f"expected one of {list(DECODE_MODES)}")
-        for name in ("retrieval_k", "beam_size", "max_decode_len"):
+        for name in ("retrieval_k", "beam_size"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
 
     @classmethod
@@ -217,7 +214,6 @@ class Pipeline:
                 topic,
                 mode=self.config.decode_mode,
                 beam_size=self.config.beam_size,
-                max_len=self.config.max_decode_len,
             )
         masked = compose_description(sentences, topics)
         query = build_query(record.attributes, record.objects, self._blocklist)
@@ -245,7 +241,7 @@ class Pipeline:
             },
             "slots": [asdict(d) for d in result.decisions],
             "description": result.text,
-            "description_tokens": rendered_tokens(result),
+            "description_tokens": result.rendered_tokens,
         }
 
     def describe_by_id(self, painting_id: str) -> dict:

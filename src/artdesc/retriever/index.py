@@ -188,7 +188,7 @@ class TfIdfIndex:
     # Query
     # ------------------------------------------------------------------
 
-    def rank(self, query: str, k: int = 5) -> list[tuple[str, float]]:
+    def rank(self, query: str, k: int) -> list[tuple[str, float]]:
         """Top-k (article id, cosine score), descending score, ties broken by
         article id. A query with no token after normalization (with the
         index's stop words), or with no term in the index, returns no results."""

@@ -73,7 +73,7 @@ _CLASS_ROWS = {
 def eval_recall(
     rankings: dict[str, list[str]],
     annotations: list[RetrievalAnnotation],
-    ks: tuple[int, ...] = (1, 5, 10),
+    ks: tuple[int, ...],
 ) -> dict:
     """R@k per label class and overall.
 

@@ -179,7 +179,7 @@ def test_fill_and_single_topic_describe(cli_world, tmp_path, capsys):
     assert payload["description"] == "painted by goya ."  # forced choice
     assert payload["slots"][0]["chosen"] == "goya"
 
-    # single-topic describe via flag override
+    # single-topic describe, decoding greedily as pipeline.json sets
     decoder_path = root / "decoder.ckpt"
     index_path = root / "knowledge.idx"
     if decoder_path.exists() and index_path.exists():
@@ -192,10 +192,11 @@ def test_fill_and_single_topic_describe(cli_world, tmp_path, capsys):
             "filler_checkpoint": str(filler_path),
             "index": str(index_path),
             "knowledge_mode": "reference-as-oracle",
+            "decode_mode": "greedy",
         }), encoding="utf-8")
         assert main([
             "describe", "--config", str(config_path), "--painting-id", records[0].id,
-            "--topic", "content", "--mode", "greedy", "--max-len", "8",
+            "--topic", "content",
         ]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert set(report["sentences"]) == {"content"}
@@ -657,10 +658,11 @@ def test_malformed_checkpoint_exit_code(world, tmp_path, capsys, kind, corruptio
     else:
         bad.write_bytes(_rewrite_ckpt_header(Path(config[key]).read_bytes(), corruption))
     config_path = tmp_path / "pipeline.json"
-    config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
+    config_path.write_text(json.dumps({**config, key: str(bad), "decode_mode": "greedy"}),
+                           encoding="utf-8")
     capsys.readouterr()
     assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
-                 "--topic", "content", "--mode", "greedy"]) == EXIT_DATA
+                 "--topic", "content"]) == EXIT_DATA
     err = capsys.readouterr().err
     assert message in err and f"{bad}" in err
 
@@ -818,18 +820,15 @@ def test_malformed_json_exit_code(world, tmp_path, capsys, flag, text, message):
 @pytest.mark.parametrize("key, value, message", [
     ("retrieval_k", "5", "'retrieval_k' must be int, got str"),
     ("beam_size", "x", "'beam_size' must be int, got str"),
-    ("max_decode_len", "7", "'max_decode_len' must be int or null, got str"),
     ("corpus", 5, "'corpus' must be str or null, got int"),
     ("seed", [1], "'seed' must be int, got list"),
     ("seed", True, "'seed' must be int, got bool"),
     ("knowledge_mode", None, "'knowledge_mode' must be str, got NoneType"),
     ("decode_mode", "sample", "unknown decode_mode 'sample'"),
     ("beam_size", 0, "beam_size must be >= 1, got 0"),
-    ("max_decode_len", 0, "max_decode_len must be >= 1, got 0"),
     ("retrieval_k", -1, "retrieval_k must be >= 1, got -1"),
-], ids=["retrieval_k-str", "beam_size-str", "max_decode_len-str", "corpus-int", "seed-list",
-        "seed-bool", "knowledge_mode-null", "decode_mode-unknown", "beam_size-zero",
-        "max_decode_len-zero", "retrieval_k-negative"])
+], ids=["retrieval_k-str", "beam_size-str", "corpus-int", "seed-list", "seed-bool",
+        "knowledge_mode-null", "decode_mode-unknown", "beam_size-zero", "retrieval_k-negative"])
 def test_mistyped_config_value_exit_code(world, tmp_path, capsys, key, value, message):
     _, records, config, _ = world
     bad = tmp_path / "pipeline.json"
@@ -869,18 +868,19 @@ def test_empty_path_flag_is_a_usage_error(capsys, command, flag):
     assert f"argument {flag}: the path must not be empty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, message", [
-    (["--beam-size", "0"], "beam_size must be >= 1, got 0"),
-    (["--max-len", "0"], "max_decode_len must be >= 1, got 0"),
-], ids=["beam-size-zero", "max-len-zero"])
-def test_out_of_range_describe_flag_exit_code(world, capsys, flag, message):
+@pytest.mark.parametrize("flag", [["--mode", "greedy"], ["--beam-size", "5"],
+                                  ["--max-len", "8"], ["--seed", "1"]],
+                         ids=["mode", "beam-size", "max-len", "seed"])
+def test_describe_setting_flag_is_a_usage_error(world, capsys, flag):
+    """``describe`` takes its settings from ``pipeline.json`` alone, and
+    its decode length from the decoder checkpoint: a flag that would
+    override one exits 1."""
     _, records, _, config_path = world
     capsys.readouterr()
     assert main(["describe", "--config", str(config_path), "--painting-id", records[0].id,
-                 *flag]) == EXIT_DATA
+                 *flag]) == EXIT_USAGE
     out, err = capsys.readouterr()
-    (line,) = err.splitlines()
-    assert out == "" and message in line
+    assert out == "" and f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 @pytest.mark.parametrize("how", GRID_DAMAGE)
@@ -1016,10 +1016,11 @@ def test_overflowing_checkpoint_exit_code(world, tmp_path):
         bad = tmp_path / Path(config[key]).name
         save_container(bad, meta, arrays)
         config_path = tmp_path / "pipeline.json"
-        config_path.write_text(json.dumps({**config, key: str(bad)}), encoding="utf-8")
+        config_path.write_text(json.dumps({**config, key: str(bad), "decode_mode": "greedy"}),
+                               encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "artdesc.cli", "describe", "--config", str(config_path),
-             "--painting-id", records[0].id, "--topic", "content", "--mode", "greedy"],
+             "--painting-id", records[0].id, "--topic", "content"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == EXIT_DATA, (key, proc.stdout)
         events = [json.loads(line)["event"] for line in proc.stderr.splitlines()]

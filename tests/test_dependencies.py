@@ -6,8 +6,9 @@ whole-minibatch nodes, not on the per-step or per-item tape path, the
 pipeline reads articles and stop words only through the index, JSON values
 are type-checked only by ``check_object``, the losses and sequence kernels
 take only minibatches with their lengths, every top-level function and
-class of the package is named somewhere, and every training setting has a
-command-line flag whose default the CLI does not restate."""
+class of the package is named somewhere, every training setting has a
+command-line flag whose default the CLI does not restate, and every describe
+setting is set in ``pipeline.json`` or the decoder checkpoint alone."""
 
 import ast
 from pathlib import Path
@@ -260,6 +261,15 @@ def test_every_top_level_definition_is_named_somewhere():
     assert offenders == []
 
 
+def _subparser(command: str):
+    """The parser of one ``artdesc`` subcommand."""
+    from artdesc.cli import build_parser
+
+    (subparsers,) = [action for action in build_parser()._actions
+                     if action.dest == "command"]
+    return subparsers.choices[command]
+
+
 # config fields that the training commands derive from the data
 DERIVED_FIELDS = {"vocab_size", "feature_dim"}
 
@@ -270,14 +280,11 @@ def test_every_training_setting_has_a_flag():
     reachable from tests alone."""
     import dataclasses
 
-    from artdesc.cli import build_parser
     from artdesc.decoder import DecoderConfig, TrainConfig
     from artdesc.filler import FillerConfig
 
-    (subparsers,) = [action for action in build_parser()._actions
-                     if action.dest == "command"]
     dests = {action.dest for command in ("train-decoder", "train-filler")
-             for action in subparsers.choices[command]._actions}
+             for action in _subparser(command)._actions}
     fields = {field.name for cls in (DecoderConfig, FillerConfig, TrainConfig)
               for field in dataclasses.fields(cls)}
     assert sorted(fields - DERIVED_FIELDS - dests) == []
@@ -311,3 +318,28 @@ def test_no_flag_restates_a_training_default():
                       if keyword.arg == "default" and isinstance(keyword.value, ast.Constant)
                       and dest in fields - CLI_DEFAULTS]
     assert offenders == []
+
+
+def test_describe_flags_name_only_its_inputs_and_output():
+    """``describe`` reads its decoding and retrieval settings from
+    ``pipeline.json`` and its decode length from the decoder checkpoint: no
+    flag overrides either."""
+    options = {option for action in _subparser("describe")._actions
+               for option in action.option_strings} - {"-h", "--help"}
+    assert sorted(options) == ["--config", "--out", "--painting-id", "--topic"]
+
+
+def test_decoding_and_retrieval_restate_no_default():
+    """``generate``, ``TfIdfIndex.rank`` and ``eval_recall`` default none of
+    their parameters: their callers pass the values that ``pipeline.json``,
+    the checkpoint or a flag set."""
+    import inspect
+
+    from artdesc.decoder import generate
+    from artdesc.retriever import TfIdfIndex, eval_recall
+
+    defaulted = [f"{function.__qualname__}({name})"
+                 for function in (generate, TfIdfIndex.rank, eval_recall)
+                 for name, parameter in inspect.signature(function).parameters.items()
+                 if parameter.default is not inspect.Parameter.empty]
+    assert defaulted == []

@@ -44,9 +44,10 @@ def targets(world, tmp_path_factory):
 
     def describe(key, value):
         path = tmp / f"pipeline-{key}.json"
-        path.write_text(json.dumps({**config, key: str(value)}), encoding="utf-8")
+        path.write_text(json.dumps({**config, key: str(value), "decode_mode": "greedy"}),
+                        encoding="utf-8")
         return ["describe", "--config", path, "--painting-id", records[0].id,
-                "--topic", "content", "--mode", "greedy"]
+                "--topic", "content"]
 
     files = {
         "decoder.ckpt": (config["decoder_checkpoint"], True, tmp / "decoder.ckpt",

@@ -6,7 +6,7 @@ import pytest
 from synth import slotted_entry
 
 from artdesc import numcore as nc
-from artdesc.corpus import EntityType, Gazetteer, PaintingRecord, Slot, TopicLabel
+from artdesc.corpus import EntityType, Gazetteer, PaintingRecord, Slot, TopicLabel, tokenize
 from artdesc.errors import ConfigError
 from artdesc.filler import (
     Candidate,
@@ -21,7 +21,6 @@ from artdesc.filler import (
     init_filler_params,
     load_filler_checkpoint,
     record_candidates,
-    rendered_tokens,
     save_filler_checkpoint,
     train_filler,
 )
@@ -278,7 +277,22 @@ class TestFillSlots:
         cands = CandidateSet([Candidate("new york", EntityType.LOCATION, "article")])
         result = fill_slots([entry.masked], cands, ckpt)
         assert len(result.tokens) == 2
-        assert rendered_tokens(result) == ["in", "new", "york"]
+        assert result.rendered_tokens == ["in", "new", "york"]
+
+    def test_rendered_tokens_keep_generated_words_and_placeholders(self, trained_cue_filler):
+        """A generated word passes as it is, even where tokenize would split
+        it ("i̇zmir", the lowercase of "İzmir", holds a combining dot); a fill
+        goes through tokenize; a placeholder stays one token. So a
+        description scores as ``evaluate`` tokenizes its reference."""
+        _, ckpt = trained_cue_filler
+        entry = slotted_entry([*tokenize("İzmir painter"), "in", Slot(EntityType.LOCATION),
+                               "in", Slot(EntityType.DATE)], ["İzmir", "1502"],
+                              TopicLabel.CONTENT)
+        cands = CandidateSet([Candidate("İzmir", EntityType.LOCATION, "article")])
+        result = fill_slots([entry.masked], cands, ckpt)
+        assert result.tokens == ["i̇zmir", "painter", "in", "İzmir", "in", "[unknown-date]"]
+        assert result.rendered_tokens == [*tokenize("İzmir painter in İzmir in"),
+                                          "[unknown-date]"]
 
 
 def test_vasari_sentence_reconstruction():
@@ -293,7 +307,7 @@ def test_vasari_sentence_reconstruction():
         "Signorelli": EntityType.PERSON,
         "Christ": EntityType.PERSON,
     })
-    from artdesc.corpus import SentenceEntry, mask_sentence, tag_entities, tokenize
+    from artdesc.corpus import SentenceEntry, mask_sentence, tag_entities
 
     masked, values = mask_sentence(sentence, tag_entities(sentence, gazetteer),
                                    TopicLabel.CONTEXT)
@@ -313,7 +327,7 @@ def test_vasari_sentence_reconstruction():
         Candidate("1502", EntityType.DATE, "article"),
     ])
     result = fill_slots([masked], candidates, ckpt)
-    assert rendered_tokens(result) == tokenize(sentence)
+    assert result.rendered_tokens == tokenize(sentence)
 
 
 class TestFillerCheckpoint:

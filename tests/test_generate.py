@@ -24,6 +24,7 @@ from artdesc.decoder import (
 from artdesc.decoder.generate import _log_softmax
 from artdesc.decoder.model import sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
+from artdesc.numcore import tensor
 from artdesc.training import Checkpoint
 
 
@@ -169,15 +170,19 @@ class TestTapeOracle:
             assert got == tape_beam_decode(ckpt, grid, topic, 4, beam_size)
 
     def test_decoding_builds_no_tape_node(self, monkeypatch):
+        """Every tape op makes its node through ``numcore.tensor._node``;
+        decoding never reaches it."""
         def refuse(*args, **kwargs):
-            raise AssertionError("decoding called a tape op")
+            raise AssertionError("decoding built a tape node")
 
-        for op in ("mlp_attention", "lstm_step", "affine"):
-            monkeypatch.setattr(nc, op, refuse)
-        for variant in ("baseline", "parallel", "conditional"):
-            ckpt, grid = random_checkpoint(5, variant=variant)
+        cases = [random_checkpoint(5, variant=variant)
+                 for variant in ("baseline", "parallel", "conditional")]
+        monkeypatch.setattr(tensor, "_node", refuse)
+        with pytest.raises(AssertionError, match="tape node"):  # the patch is live
+            nc.tanh_t(nc.constant(np.zeros(1)))
+        for ckpt, grid in cases:
             for mode in ("greedy", "beam"):
-                assert generate(ckpt, grid, TopicLabel.FORM, mode=mode).tokens
+                assert generate(ckpt, grid, TopicLabel.FORM, mode, 5).tokens
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_logits_raise(self):
@@ -243,27 +248,28 @@ class TestGenerateValidation:
     def test_bad_mode(self):
         ckpt, grid = random_checkpoint(1)
         with pytest.raises(ConfigError):
-            generate(ckpt, grid, TopicLabel.CONTENT, mode="sample")
+            generate(ckpt, grid, TopicLabel.CONTENT, mode="sample", beam_size=5)
 
     def test_bad_beam_size(self):
         ckpt, grid = random_checkpoint(1)
         with pytest.raises(ConfigError):
-            generate(ckpt, grid, TopicLabel.CONTENT, beam_size=0)
+            generate(ckpt, grid, TopicLabel.CONTENT, mode="beam", beam_size=0)
 
     def test_bad_topic(self):
         ckpt, grid = random_checkpoint(1)
         with pytest.raises(ConfigError):
-            generate(ckpt, grid, "content")
+            generate(ckpt, grid, "content", mode="beam", beam_size=5)
 
     def test_grid_mismatch(self):
         ckpt, _ = random_checkpoint(1)
         with pytest.raises(ConfigError, match="feature dim"):
-            generate(ckpt, random_grid(np.random.default_rng(0), feat=9), TopicLabel.CONTENT)
+            generate(ckpt, random_grid(np.random.default_rng(0), feat=9), TopicLabel.CONTENT,
+                     mode="beam", beam_size=5)
 
     def test_output_nonempty(self):
         for seed in range(20):
             ckpt, grid = random_checkpoint(seed)
-            sentence = generate(ckpt, grid, TopicLabel.FORM, mode="greedy")
+            sentence = generate(ckpt, grid, TopicLabel.FORM, mode="greedy", beam_size=5)
             assert len(sentence.tokens) >= 1
 
 

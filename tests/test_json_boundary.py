@@ -62,7 +62,6 @@ def inputs(world, tmp_path_factory):
                                         "filler_checkpoint", "index")},
         "corpus": str(paths["corpus.jsonl"]), "seed": 7, "retrieval_k": 5,
         "knowledge_mode": "external-corpus", "decode_mode": "beam", "beam_size": 5,
-        "max_decode_len": 8,
     }}
     paths["pipeline.json"] = tmp / "pipeline.json"
     for name, value in valid.items():
@@ -149,6 +148,8 @@ MISTYPED = {
                              ":1: 'description_tokens' must be list[str], got str"),
     "pipeline-knowledge-dir": ("pipeline.json", ("knowledge_dir",), "knowledge",
                                ": unknown keys ['knowledge_dir']"),
+    "pipeline-max-decode-len": ("pipeline.json", ("max_decode_len",), 8,
+                                ": unknown keys ['max_decode_len']"),
 }
 
 

@@ -84,7 +84,7 @@ class TestEvalRecall:
 
     def test_missing_ranking_is_error(self):
         with pytest.raises(DataError, match="p3"):
-            eval_recall({"p1": ["a1"], "p2": ["a2"]}, self._annotations())
+            eval_recall({"p1": ["a1"], "p2": ["a2"]}, self._annotations(), ks=(1,))
 
     def test_class_without_paintings_reported_absent(self):
         anns = [RetrievalAnnotation("p1", [("a1", RetrievalLabel.AUTHOR)])]
