@@ -21,7 +21,6 @@ from artdesc.corpus import (
     Gazetteer,
     PaintingRecord,
     SentenceEntry,
-    TOPIC_ORDER,
     TopicLabel,
     load_corpus,
     mask_sentence,
@@ -228,7 +227,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    topics = (TopicLabel.from_name(args.topic),) if args.topic else TOPIC_ORDER
+    topics = (TopicLabel.from_name(args.topic),) if args.topic else tuple(TopicLabel)
     pipeline = Pipeline(PipelineConfig.from_file(args.config))
     if args.painting_id:
         reports = [pipeline.describe(pipeline.record_by_id(args.painting_id), topics)]
@@ -276,7 +275,7 @@ def cmd_fill(args) -> int:
 # what evaluate reads of a describe report
 REPORT_TYPES = {"painting_id": str, "description_tokens": list[str], "slots": list[dict],
                 "sentences": dict, "inputs_digest": str}
-TOPIC_NAMES = [topic.name.lower() for topic in TOPIC_ORDER]
+TOPIC_NAMES = [topic.name.lower() for topic in TopicLabel]
 
 
 def cmd_evaluate(args) -> int:

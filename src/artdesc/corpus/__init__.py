@@ -8,8 +8,6 @@ from artdesc.corpus.tagger import Gazetteer, tag_entities
 from artdesc.corpus.text import split_sentences, tokenize
 from artdesc.corpus.types import (
     ATTRIBUTE_KEYS,
-    N_TOPICS,
-    TOPIC_ORDER,
     EntityType,
     FeatureGrid,
     MaskedSentence,
@@ -29,13 +27,11 @@ __all__ = [
     "FeatureGrid",
     "Gazetteer",
     "MaskedSentence",
-    "N_TOPICS",
     "PaintingRecord",
     "SentenceEntry",
     "Slot",
     "Token",
     "TopicLabel",
-    "TOPIC_ORDER",
     "Vocab",
     "Word",
     "build_vocab",

@@ -37,7 +37,8 @@ SLOT_SURFACES = {et.slot_surface: et for et in EntityType}
 
 
 class TopicLabel(enum.IntEnum):
-    """The three-way description taxonomy; N_TOPICS is fixed at 3."""
+    """The three-way description taxonomy, in the order a description
+    composes its topics."""
 
     CONTENT = 0
     FORM = 1
@@ -49,11 +50,6 @@ class TopicLabel(enum.IntEnum):
             return cls[name.upper()]
         except KeyError:
             raise DataError(f"unknown topic label '{name}'") from None
-
-
-N_TOPICS = len(TopicLabel)
-
-TOPIC_ORDER = (TopicLabel.CONTENT, TopicLabel.FORM, TopicLabel.CONTEXT)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ conditional decoders with a TextCNN-style topic classifier."""
 
 from artdesc.decoder.classifier import classify_distributions, classify_tokens, predict_topic
 from artdesc.decoder.config import VARIANTS, DecoderConfig
-from artdesc.decoder.generate import beam_decode, compose_description, generate, greedy_decode
+from artdesc.decoder.generate import beam_decode, generate, greedy_decode
 from artdesc.decoder.model import (
     decoder_prefixes,
     init_decoder_params,
@@ -31,7 +31,6 @@ __all__ = [
     "build_training_items",
     "classify_distributions",
     "classify_tokens",
-    "compose_description",
     "decoder_prefixes",
     "generate",
     "greedy_decode",

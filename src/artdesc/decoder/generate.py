@@ -1,4 +1,4 @@
-"""Greedy and beam decoding, and multi-topic description composition.
+"""Greedy and beam decoding.
 
 Beam details: hypotheses are compared by (total log-prob desc, length asc,
 token ids lexicographic), both when pruning and when picking the final
@@ -17,17 +17,14 @@ token prefix once per decode.
 
 from __future__ import annotations
 
-import logging
 from typing import Callable
 
 import numpy as np
 
-from artdesc.corpus import FeatureGrid, MaskedSentence, TOPIC_ORDER, TopicLabel
+from artdesc.corpus import FeatureGrid, MaskedSentence, TopicLabel
 from artdesc.decoder.model import DecodeStep, sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
 from artdesc.training import Checkpoint
-
-logger = logging.getLogger(__name__)
 
 NextLogp = Callable[[tuple[int, ...]], np.ndarray]
 DECODE_MODES = ("greedy", "beam")
@@ -156,19 +153,3 @@ def generate(
     tokens = [ckpt.vocab.decode_token(i) for i in token_ids]
     return MaskedSentence(tokens, topic)
 
-
-def compose_description(
-    sentences: dict[TopicLabel, MaskedSentence],
-    topics: tuple[TopicLabel, ...] = TOPIC_ORDER,
-) -> list[MaskedSentence]:
-    """Concatenate the sentences of ``topics`` in the fixed order content,
-    form, context; a requested topic with no sentence is omitted with a
-    warning."""
-    out: list[MaskedSentence] = []
-    for topic in (t for t in TOPIC_ORDER if t in topics):
-        sentence = sentences.get(topic)
-        if sentence is None:
-            logger.warning("compose_description: no sentence for topic '%s'", topic.name.lower())
-            continue
-        out.append(sentence)
-    return out

@@ -26,13 +26,12 @@ class ParamStore:
     deterministic regardless of registration order.
 
     The first ``clear_grads``, ``backward`` or ``adam_step`` moves every
-    parameter into one float64 block of four rows: data, gradient and the
-    Adam moments m and v, each parameter at the same offset in every row.
-    From then on each parameter's ``.data`` and ``.grad`` are reshaped views
-    of its slice, and no parameter may be added. A ``.grad`` that a caller
-    assigns is copied into the block before the next Adam step; a ``.data``
-    rebound away from its view raises StateError, because Adam would
-    otherwise train a copy the model no longer reads.
+    parameter, and any ``.grad`` a caller assigned, into one float64 block of
+    four rows: data, gradient and the Adam moments m and v, each parameter at
+    the same offset in every row. From then on each parameter's ``.data`` and
+    ``.grad`` are reshaped views of its slice, and no parameter may be added;
+    rebinding either raises StateError, because Adam would otherwise train a
+    copy the model no longer reads.
     """
 
     def __init__(self):
@@ -68,10 +67,15 @@ class ParamStore:
         return sorted(self._params)
 
     def _packed(self) -> np.ndarray:
-        """The (4, n) block, built on first use; checks that no ``.data``
-        was rebound since."""
+        """The (4, n) block, built on first use; checks that no ``.data`` or
+        ``.grad`` was rebound since."""
         if self._block is None:
             names = self.names()
+            for name in names:
+                t = self._params[name]
+                if t.grad is not None and np.shape(t.grad) != t.shape:
+                    raise ShapeError(f"parameter '{name}': gradient shape {np.shape(t.grad)} "
+                                     f"vs expected {t.shape}")
             n = sum(self._params[name].data.size for name in names)
             # np.zeros maps fresh zero pages: the gradient and moment rows
             # cost no memory until they are written
@@ -81,57 +85,31 @@ class ParamStore:
                 t = self._params[name]
                 end = offset + t.data.size
                 data = block[0, offset:end].reshape(t.shape)
+                grad = block[1, offset:end].reshape(t.shape)
                 data[...] = t.data
-                t.data = data  # the old array is freed as it is moved in
-                self._views.append((name, t, data, block[1, offset:end].reshape(t.shape)))
+                if t.grad is not None:
+                    grad[...] = t.grad
+                t.data, t.grad = data, grad  # the old arrays are freed as they move in
+                self._views.append((name, t, data, grad))
                 offset = end
             self._block = block
             self._scratch = np.empty((2, min(n, ADAM_CHUNK)))
-        for name, t, data, _ in self._views:
-            if t.data is not data:
-                raise StateError(
-                    f"parameter '{name}': .data was rebound away from the parameter block"
-                )
+        for name, t, data, grad in self._views:
+            if t.data is not data or t.grad is not grad:
+                which = ".data" if t.data is not data else ".grad"
+                raise StateError(f"parameter '{name}': {which} was rebound away from its block view")
         return self._block
 
     def clear_grads(self) -> None:
-        """Zero the gradient row and point every ``.grad`` at its view."""
         self._packed()[1].fill(0.0)
-        for _, t, _, grad in self._views:
-            t.grad = grad
-
-    def bind_grads(self) -> None:
-        """Point each missing ``.grad`` at its view, zeroed; gradients that
-        are already there keep accumulating."""
-        self._packed()
-        for _, t, _, grad in self._views:
-            if t.grad is None:
-                grad.fill(0.0)
-                t.grad = grad
 
     def check_grads(self) -> None:
         """Raise FloatingPointError naming the first parameter, by name,
         whose gradient holds a non-finite value."""
-        if np.isfinite(self._packed()[1]).all() and all(
-                t.grad is grad for _, t, _, grad in self._views):
+        if np.isfinite(self._packed()[1]).all():
             return
-        for name, t, _, _ in self._views:
-            _check_finite(t.grad, f"gradient of '{name}'")
-
-    def _gradient_row(self) -> np.ndarray:
-        """The gradient row, after copying in every ``.grad`` a caller assigned."""
-        block = self._packed()
-        for name, t, _, grad in self._views:
-            if t.grad is grad:
-                continue
-            if t.grad is None:
-                raise StateError(f"adam_step: no gradient for parameter '{name}'; run backward first")
-            if np.shape(t.grad) != grad.shape:
-                raise ShapeError(f"parameter '{name}': gradient shape {np.shape(t.grad)} "
-                                 f"vs expected {grad.shape}")
-            grad[...] = t.grad
-            t.grad = grad
-        return block[1]
+        for name, _, _, grad in self._views:
+            _check_finite(grad, f"gradient of '{name}'")
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: self._params[name].data for name in self.names()}
@@ -176,9 +154,10 @@ def adam_step(
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
     beta1, beta2 = betas
+    if params._block is None and any(params[name].grad is None for name in params.names()):
+        raise StateError("adam_step: a parameter has no gradient; run backward first")
     t = params.step + 1
-    grad = params._gradient_row()
-    data, _, m, v = params._block
+    data, grad, m, v = params._packed()
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     for start in range(0, data.size, ADAM_CHUNK):

@@ -808,7 +808,7 @@ def backward(loss: Tensor, params: "object | None" = None) -> None:
         raise StateError("backward already ran for this loss; rebuild the graph first")
     loss._done = True
     if params is not None:
-        params.bind_grads()
+        params._packed()
 
     topo: list[Tensor] = []
     seen: set[int] = set()

@@ -18,13 +18,13 @@ from pathlib import Path
 from artdesc.corpus import (
     Gazetteer,
     PaintingRecord,
-    TOPIC_ORDER,
+    TopicLabel,
     load_corpus,
     load_feature_grid,
     tokenize,
 )
 from artdesc.corpus.corpusio import config_from_object, feature_path, read_json
-from artdesc.decoder import compose_description, generate, load_decoder_checkpoint
+from artdesc.decoder import generate, load_decoder_checkpoint
 from artdesc.decoder.generate import DECODE_MODES
 from artdesc.errors import ConfigError, DataError, MissingArtifactError
 from artdesc.filler import (
@@ -188,7 +188,7 @@ class Pipeline:
         """Returns (ranked (id, score) list, article bodies)."""
         if self.config.knowledge_mode == "reference-as-oracle":
             if not record.reference:
-                logger.warning("painting '%s' has no reference text for oracle mode", record.id)
+                logger.warning("no reference text for oracle mode", extra={"painting": record.id})
                 return [], []
             return [(f"{record.id}::reference", 1.0)], [record.reference]
         try:
@@ -200,22 +200,25 @@ class Pipeline:
         return ranked, [index.body(article_id) for article_id, _ in ranked]
 
     def describe(self, record: PaintingRecord,
-                 topics: tuple = TOPIC_ORDER) -> dict:
-        """Full pipeline for one painting; returns the provenance report."""
+                 topics: tuple = tuple(TopicLabel)) -> dict:
+        """Full pipeline for one painting; returns the provenance report.
+        The description composes the requested topics in the enum's order:
+        content, form, context."""
         if self._with_grid(record).features is None:
             raise MissingArtifactError(
                 f"painting '{record.id}' has no feature grid; supply features first"
             )
-        sentences = {}
-        for topic in topics:
-            sentences[topic] = generate(
+        sentences = {
+            topic: generate(
                 self.decoder,
                 record.features,
                 topic,
                 mode=self.config.decode_mode,
                 beam_size=self.config.beam_size,
             )
-        masked = compose_description(sentences, topics)
+            for topic in TopicLabel if topic in topics
+        }
+        masked = list(sentences.values())
         query = build_query(record.attributes, record.objects, self._blocklist)
         ranked, bodies = self._retrieve(record, query)
         candidates = extract_candidates(bodies, record.attributes, self.gazetteer)
@@ -237,7 +240,7 @@ class Pipeline:
                 for c in candidates
             ],
             "sentences": {
-                topic.name.lower(): sentences[topic].surfaces() for topic in topics
+                topic.name.lower(): sentence.surfaces() for topic, sentence in sentences.items()
             },
             "slots": [asdict(d) for d in result.decisions],
             "description": result.text,
@@ -267,7 +270,7 @@ class Pipeline:
         rouge_scores = []
         placeholder_slots = 0
         total_slots = 0
-        sentence_counts = {t.name.lower(): 0 for t in TOPIC_ORDER}
+        sentence_counts = {t.name.lower(): 0 for t in TopicLabel}
         per_painting = []
         for report in reports:
             record = by_id[report["painting_id"]]

@@ -156,7 +156,8 @@ class TfIdfIndex:
         for article in sorted(articles, key=lambda a: a.id):
             tokens = normalize_text(article.body, stopwords, stems)
             if not tokens:
-                logger.warning("dropping article '%s': empty after normalization", article.id)
+                logger.warning("dropping article: empty after normalization",
+                               extra={"article": article.id})
                 continue
             doc_ids.append(article.id)
             rows.append([term_ids.setdefault(t, len(term_ids)) for t in terms_of(tokens)])

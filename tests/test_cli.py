@@ -156,9 +156,9 @@ def test_full_command_flow(cli_world, capsys):
 
 
 def test_fill_and_single_topic_describe(cli_world, tmp_path, capsys):
-    root, records, corpus_path, features_dir, gazetteer_path, _ = cli_world
+    _, records, corpus_path, features_dir, gazetteer_path, knowledge_dir = cli_world
 
-    filler_path = root / "filler2.ckpt"
+    filler_path = tmp_path / "filler.ckpt"
     assert main([
         "train-filler", "--corpus", str(corpus_path), "--out", str(filler_path),
         "--epochs", "3", "--hidden-size", "8", "--embed-size", "8", "--seed", "2",
@@ -180,26 +180,34 @@ def test_fill_and_single_topic_describe(cli_world, tmp_path, capsys):
     assert payload["slots"][0]["chosen"] == "goya"
 
     # single-topic describe, decoding greedily as pipeline.json sets
-    decoder_path = root / "decoder.ckpt"
-    index_path = root / "knowledge.idx"
-    if decoder_path.exists() and index_path.exists():
-        config_path = tmp_path / "pipeline.json"
-        config_path.write_text(json.dumps({
-            "corpus": str(corpus_path),
-            "features_dir": str(features_dir),
-            "gazetteer": str(gazetteer_path),
-            "decoder_checkpoint": str(decoder_path),
-            "filler_checkpoint": str(filler_path),
-            "index": str(index_path),
-            "knowledge_mode": "reference-as-oracle",
-            "decode_mode": "greedy",
-        }), encoding="utf-8")
-        assert main([
-            "describe", "--config", str(config_path), "--painting-id", records[0].id,
-            "--topic", "content",
-        ]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert set(report["sentences"]) == {"content"}
+    decoder_path = tmp_path / "decoder.ckpt"
+    assert main([
+        "train-decoder", "--corpus", str(corpus_path), "--features-dir", str(features_dir),
+        "--out", str(decoder_path), "--variant", "parallel", "--epochs", "1",
+        "--hidden-size", "12", "--embed-size", "8", "--seed", "2",
+    ]) == EXIT_OK
+    index_path = tmp_path / "knowledge.idx"
+    assert main(["index", "--knowledge-dir", str(knowledge_dir),
+                 "--out", str(index_path)]) == EXIT_OK
+    capsys.readouterr()
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({
+        "corpus": str(corpus_path),
+        "features_dir": str(features_dir),
+        "gazetteer": str(gazetteer_path),
+        "decoder_checkpoint": str(decoder_path),
+        "filler_checkpoint": str(filler_path),
+        "index": str(index_path),
+        "knowledge_mode": "reference-as-oracle",
+        "decode_mode": "greedy",
+    }), encoding="utf-8")
+    assert main([
+        "describe", "--config", str(config_path), "--painting-id", records[0].id,
+        "--topic", "content",
+    ]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["painting_id"] == records[0].id
+    assert set(report["sentences"]) == {"content"}
 
 
 def test_preprocess_round_trip(cli_world, tmp_path, capsys):

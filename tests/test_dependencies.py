@@ -7,8 +7,10 @@ pipeline reads articles and stop words only through the index, JSON values
 are type-checked only by ``check_object``, the losses and sequence kernels
 take only minibatches with their lengths, every top-level function and
 class of the package is named somewhere, every training setting has a
-command-line flag whose default the CLI does not restate, and every describe
-setting is set in ``pipeline.json`` or the decoder checkpoint alone."""
+command-line flag whose default the CLI does not restate, every describe
+setting is set in ``pipeline.json`` or the decoder checkpoint alone, log
+events carry their values as fields, and only the parameter block binds a
+parameter's gradient."""
 
 import ast
 from pathlib import Path
@@ -343,3 +345,61 @@ def test_decoding_and_retrieval_restate_no_default():
                  for name, parameter in inspect.signature(function).parameters.items()
                  if parameter.default is not inspect.Parameter.empty]
     assert defaulted == []
+
+
+# the levels whose events pass their values through ``extra=``; cli.main's
+# error events keep their text, on which the CLI tests match
+FIELD_LEVELS = frozenset({"debug", "info", "warning"})
+
+
+def test_log_events_carry_values_as_fields():
+    """No ``logger.debug``, ``.info`` or ``.warning`` call under src/ passes
+    a positional argument to interpolate into its message."""
+    calls, offenders = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in FIELD_LEVELS \
+                    and getattr(node.func.value, "id", None) == "logger":
+                calls += 1
+                if len(node.args) > 1:
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}: "
+                                     f"logger.{node.func.attr}")
+    assert calls, "no logger calls found"
+    assert offenders == []
+
+
+def _grad_stores(tree: ast.AST):
+    """Statements that bind a ``.grad`` attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "grad" \
+                and isinstance(node.ctx, ast.Store):
+            yield node
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr" \
+                and len(node.args) > 1 and getattr(node.args[1], "value", None) == "grad":
+            yield node
+
+
+# the one function that binds a parameter's .grad: to its view of the block
+GRAD_BINDER = ("numcore/params.py", "_packed")
+
+
+def test_only_the_parameter_block_binds_a_gradient():
+    """In numcore/params.py only ``ParamStore._packed`` binds a ``.grad``,
+    and no module under src/ outside numcore binds one: a parameter's
+    gradient lives in the block alone."""
+    bound, offenders = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("numcore/") and rel != GRAD_BINDER[0]:
+            continue  # the tape binds the gradients of its intermediate nodes
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = _inside(tree, rel, {GRAD_BINDER})
+        for node in _grad_stores(tree):
+            if id(node) in exempt:
+                bound += 1
+            else:
+                offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
+    assert bound, "ParamStore._packed binds no .grad"

@@ -1,6 +1,4 @@
-"""Greedy/beam decoding and description composition."""
-
-import logging
+"""Greedy and beam decoding."""
 
 import numpy as np
 import pytest
@@ -9,13 +7,12 @@ from synth import memorization_corpus, random_grid
 from tape_oracle import attend, decode_logits, init_state
 
 import artdesc.numcore as nc
-from artdesc.corpus import MaskedSentence, TopicLabel, Word
+from artdesc.corpus import TopicLabel
 from artdesc.corpus.vocab import RESERVED, Vocab
 from artdesc.decoder import (
     DecoderConfig,
     TrainConfig,
     beam_decode,
-    compose_description,
     generate,
     greedy_decode,
     init_decoder_params,
@@ -271,31 +268,3 @@ class TestGenerateValidation:
             ckpt, grid = random_checkpoint(seed)
             sentence = generate(ckpt, grid, TopicLabel.FORM, mode="greedy", beam_size=5)
             assert len(sentence.tokens) >= 1
-
-
-class TestCompose:
-    def _sent(self, word, topic):
-        return MaskedSentence([Word(word)], topic)
-
-    def test_canonical_order(self):
-        m = {
-            TopicLabel.CONTEXT: self._sent("c", TopicLabel.CONTEXT),
-            TopicLabel.CONTENT: self._sent("a", TopicLabel.CONTENT),
-            TopicLabel.FORM: self._sent("b", TopicLabel.FORM),
-        }
-        out = compose_description(m)
-        assert [s.topic for s in out] == [TopicLabel.CONTENT, TopicLabel.FORM, TopicLabel.CONTEXT]
-
-    def test_insertion_order_irrelevant(self):
-        a = {t: self._sent(t.name.lower(), t) for t in TopicLabel}
-        b = dict(reversed(list(a.items())))
-        assert [s.surfaces() for s in compose_description(a)] == [
-            s.surfaces() for s in compose_description(b)
-        ]
-
-    def test_missing_topic_warns_and_omits(self, caplog):
-        m = {TopicLabel.CONTENT: self._sent("a", TopicLabel.CONTENT)}
-        with caplog.at_level(logging.WARNING):
-            out = compose_description(m)
-        assert len(out) == 1
-        assert "form" in caplog.text and "context" in caplog.text

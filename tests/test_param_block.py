@@ -3,7 +3,7 @@
 The block step must be bit-equal to the per-parameter oracle in
 ``adam_oracle.py``, one step at a time on random stores and end to end
 through every trainer, and the store must refuse to train a parameter whose
-``.data`` left the block.
+``.data`` or ``.grad`` left the block.
 """
 
 import numpy as np
@@ -60,9 +60,9 @@ def test_block_step_is_bit_equal_to_the_per_parameter_oracle(seed):
             if rng.random() < 0.3:
                 continue  # unreached this step: its gradient stays zero
             g = _random_grad(rng, new[name].shape)
-            if rng.random() < 0.3:  # assigned, not accumulated
-                new[name].grad = g.copy()
-                old[name].grad = g.copy()
+            if rng.random() < 0.3:  # written, not accumulated
+                new[name].grad[...] = g
+                old[name].grad[...] = g
             else:
                 new[name].grad += g
                 old[name].grad += g
@@ -111,15 +111,28 @@ def test_training_is_bit_equal_with_the_oracle_step(monkeypatch):
             _assert_bit_equal(data, reference[name], f"{model} '{name}'")
 
 
-def test_rebound_data_is_refused():
+REBINDINGS = {
+    "data": lambda w: setattr(w, "data", np.array([3.0, 4.0])),
+    "grad": lambda w: setattr(w, "grad", np.array([3.0, 4.0])),
+    "grad-none": lambda w: setattr(w, "grad", None),
+}
+STORE_CALLS = {
+    "clear_grads": lambda store, w: store.clear_grads(),
+    "backward": lambda store, w: nc.backward(nc.dot(w, w), store),
+    "adam_step": lambda store, w: nc.adam_step(store, lr=0.1),
+}
+
+
+@pytest.mark.parametrize("call", STORE_CALLS)
+@pytest.mark.parametrize("rebind", REBINDINGS)
+def test_rebinding_after_the_pack_is_refused(rebind, call):
     store = nc.ParamStore()
     w = store.add("w", np.array([1.0, 2.0]))
     store.clear_grads()
-    w.data = np.array([3.0, 4.0])
-    with pytest.raises(StateError, match="'w'.*rebound"):
-        nc.adam_step(store, lr=0.1)
-    with pytest.raises(StateError, match="'w'.*rebound"):
-        store.clear_grads()
+    REBINDINGS[rebind](w)
+    attr = "data" if rebind == "data" else "grad"
+    with pytest.raises(StateError, match=rf"'w': \.{attr} was rebound"):
+        STORE_CALLS[call](store, w)
 
 
 def test_assigned_gradient_of_another_shape_is_refused():
@@ -160,10 +173,10 @@ def test_non_finite_gradient_names_its_parameter():
         nc.backward(nc.add(nc.dot(a, a), huge), store)
 
 
-def test_gradient_reset_to_none_starts_from_zero():
+def test_cleared_gradients_start_from_zero():
     store = nc.ParamStore()
     w = store.add("w", np.array([3.0]))
     nc.backward(nc.dot(w, w), store)
-    w.grad = None  # its view still holds 6
+    store.clear_grads()  # the view held 6
     nc.backward(nc.dot(w, w), store)
     assert w.grad.tolist() == [6.0]

@@ -42,8 +42,9 @@ def test_two_steps_match_hand_recursion():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
+    store.clear_grads()
     for g in grads:
-        w.grad = np.array([g])
+        w.grad[...] = g
         nc.adam_step(store, lr=lr, betas=(b1, b2), eps=eps)
     assert abs(w.data[0] - theta) < 1e-14
     assert store.step == 2
@@ -69,8 +70,9 @@ def test_random_trajectories_match_scalar_oracle():
 
         store = nc.ParamStore()
         w = store.add("w", np.array([theta0]))
+        store.clear_grads()
         for g in grads:
-            w.grad = np.array([g])
+            w.grad[...] = g
             nc.adam_step(store, lr=lr, betas=(b1, b2), eps=eps)
         assert abs(w.data[0] - theta) < 1e-12
 

@@ -4,7 +4,9 @@ reconstruction, degraded modes, and evaluation reports.
 The session-scoped `world` fixture (trained corpus + checkpoints + index on
 disk) lives in conftest.py and is shared with the acceptance suite."""
 
+import copy
 import json
+import logging
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from artdesc import pipeline as pipeline_module
-from artdesc.corpus import corpusio, load_feature_grid, tokenize
+from artdesc.corpus import TopicLabel, corpusio, load_feature_grid, tokenize
 from artdesc.errors import DataError, MissingArtifactError
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 
@@ -48,6 +50,28 @@ class TestDescribeOracle:
         b = Pipeline(PipelineConfig(**config)).describe(records[0])
         assert report_to_json(a) == report_to_json(b)
 
+    def test_topics_compose_in_the_enum_order(self, world):
+        _, records, config, _ = world
+        record = records[0]
+        report = Pipeline(PipelineConfig(**config)).describe(
+            record, topics=(TopicLabel.CONTEXT, TopicLabel.CONTENT))
+        assert list(report["sentences"]) == ["content", "context"]
+        assert report["description_tokens"] == [
+            token for entry in record.sentences
+            if entry.masked.topic in (TopicLabel.CONTENT, TopicLabel.CONTEXT)
+            for token in tokenize(entry.raw)]
+
+    def test_oracle_mode_without_reference_warns_and_retrieves_nothing(self, world, caplog):
+        _, records, config, _ = world
+        record = copy.copy(records[0])
+        record.reference = ""
+        with caplog.at_level(logging.WARNING):
+            report = Pipeline(PipelineConfig(**config)).describe(record)
+        (event,) = [r for r in caplog.records if r.msg == "no reference text for oracle mode"]
+        assert event.painting == record.id
+        assert report["retrieved"] == []
+        assert {c["source"] for c in report["candidates"]} == {"attribute"}
+
     def test_external_corpus_mode_runs(self, world):
         _, records, config, _ = world
         external = dict(config, knowledge_mode="external-corpus")
@@ -59,8 +83,6 @@ class TestDescribeOracle:
         assert any(c["source"] == "article" for c in report["candidates"])
 
     def test_empty_knowledge_degrades_with_placeholders(self, world, caplog):
-        import logging
-
         _, records, config, _ = world
         degraded = dict(config, knowledge_mode="external-corpus", index=None)
         pipeline = Pipeline(PipelineConfig(**degraded))

@@ -91,6 +91,11 @@ class TestTagger:
         got = {sent[s:e]: t for (s, e), t in tag_entities(sent, gazetteer)}
         assert got == {"2nd": EntityType.ORDINAL, "12": EntityType.NUMBER}
 
+    def test_month_names_and_word_ordinals(self, gazetteer):
+        sent = "Finished in March, the first of three panels"
+        got = {sent[s:e]: t for (s, e), t in tag_entities(sent, gazetteer)}
+        assert got == {"March": EntityType.DATE, "first": EntityType.ORDINAL}
+
     def test_multiword_gazetteer_longest_match(self):
         gaz = Gazetteer({"New York": EntityType.LOCATION, "York": EntityType.LOCATION})
         sent = "shown in New York today"

@@ -38,6 +38,15 @@ def test_split_question_exclamation():
     assert split_sentences("Really? Yes! Fine.") == ["Really?", "Yes!", "Fine."]
 
 
+def test_split_terminator_runs_stay_whole():
+    assert split_sentences("Wait... Really?! Yes.") == ["Wait...", "Really?!", "Yes."]
+
+
+def test_split_attaches_closing_quotes_and_brackets():
+    assert split_sentences('He wrote "done." (It was late.) Then he left.') == [
+        'He wrote "done."', "(It was late.)", "Then he left."]
+
+
 def test_split_covers_input():
     text = "First bit. Second bit! Third?"
     parts = split_sentences(text)
