@@ -1,4 +1,4 @@
-"""Greedy and beam decoding."""
+"""Greedy and beam decoding, and the topic order of a composed description."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from synth import memorization_corpus, random_grid
 from tape_oracle import attend, decode_logits, init_state
 
 import artdesc.numcore as nc
-from artdesc.corpus import TopicLabel
+from artdesc.corpus import TopicLabel, tokenize
 from artdesc.corpus.vocab import RESERVED, Vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -22,6 +22,7 @@ from artdesc.decoder.generate import _log_softmax
 from artdesc.decoder.model import sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
 from artdesc.numcore import tensor
+from artdesc.pipeline import Pipeline, PipelineConfig, report_to_json
 from artdesc.training import Checkpoint
 
 
@@ -268,3 +269,26 @@ class TestGenerateValidation:
             ckpt, grid = random_checkpoint(seed)
             sentence = generate(ckpt, grid, TopicLabel.FORM, mode="greedy", beam_size=5)
             assert len(sentence.tokens) >= 1
+
+
+class TestCompose:
+    """Pipeline.describe composes the requested topics in the enum's order."""
+
+    def test_canonical_order(self, world):
+        _, records, config, _ = world
+        record = records[0]
+        report = Pipeline(PipelineConfig(**config)).describe(
+            record, topics=(TopicLabel.CONTEXT, TopicLabel.CONTENT))
+        assert list(report["sentences"]) == ["content", "context"]
+        assert report["description_tokens"] == [
+            token for entry in record.sentences
+            if entry.masked.topic in (TopicLabel.CONTENT, TopicLabel.CONTEXT)
+            for token in tokenize(entry.raw)]
+
+    def test_insertion_order_irrelevant(self, world):
+        _, records, config, _ = world
+        pipeline = Pipeline(PipelineConfig(**config))
+        forward = pipeline.describe(records[0], topics=tuple(TopicLabel))
+        backward = pipeline.describe(records[0], topics=tuple(reversed(TopicLabel)))
+        assert list(forward["sentences"]) == ["content", "form", "context"]
+        assert report_to_json(forward) == report_to_json(backward)

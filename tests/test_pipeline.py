@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from artdesc import pipeline as pipeline_module
-from artdesc.corpus import TopicLabel, corpusio, load_feature_grid, tokenize
+from artdesc.corpus import corpusio, load_feature_grid, tokenize
 from artdesc.errors import DataError, MissingArtifactError
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 
@@ -49,17 +49,6 @@ class TestDescribeOracle:
         a = Pipeline(PipelineConfig(**config)).describe(records[0])
         b = Pipeline(PipelineConfig(**config)).describe(records[0])
         assert report_to_json(a) == report_to_json(b)
-
-    def test_topics_compose_in_the_enum_order(self, world):
-        _, records, config, _ = world
-        record = records[0]
-        report = Pipeline(PipelineConfig(**config)).describe(
-            record, topics=(TopicLabel.CONTEXT, TopicLabel.CONTENT))
-        assert list(report["sentences"]) == ["content", "context"]
-        assert report["description_tokens"] == [
-            token for entry in record.sentences
-            if entry.masked.topic in (TopicLabel.CONTENT, TopicLabel.CONTEXT)
-            for token in tokenize(entry.raw)]
 
     def test_oracle_mode_without_reference_warns_and_retrieves_nothing(self, world, caplog):
         _, records, config, _ = world
