@@ -6,13 +6,17 @@ hypothesis, so outputs are reproducible across implementations. A finished
 hypothesis ends with </s> (its log-prob included) or at max_len, and keeps
 competing for beam slots, which makes beam_size=1 coincide with greedy. The
 first step never emits </s>, so a generated sentence has at least one token.
-The final answer is the better of best-of-beam and the greedy rollout, so
-beam search is never worse than greedy.
+The beam stops early once its best finished hypothesis scores strictly more
+than every live one: log-probs are at most 0, so no descendant of a live
+hypothesis can outrank it any more, and the answer is the one the full
+search would give. The final answer is the better of best-of-beam and the
+greedy rollout, so beam search is never worse than greedy.
 
 Decoding builds no autodiff graph: it steps the tape-free
 :class:`~artdesc.decoder.model.DecodeStep`, whose log-probs are bit-identical
-to the per-step tape path kept as the oracle in the tests, and steps each
-token prefix once per decode.
+to the per-step tape path kept as the oracle in the tests. Each beam step
+steps all of its live hypotheses in one call, one row each, and each token
+prefix is stepped once per decode.
 """
 
 from __future__ import annotations
@@ -26,37 +30,39 @@ from artdesc.decoder.model import DecodeStep, sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
 from artdesc.training import Checkpoint
 
-NextLogp = Callable[[tuple[int, ...]], np.ndarray]
+NextLogps = Callable[[list[tuple[int, ...]]], np.ndarray]
 DECODE_MODES = ("greedy", "beam")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax over the last axis: of a vector, or of each row."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> NextLogp:
-    """Next-token log-probs after a token prefix. Each prefix is stepped
-    once, from its parent prefix's state, so the beam and its greedy
-    fallback share every prefix both of them reach."""
+def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> NextLogps:
+    """Next-token log-probs after each of a list of token prefixes, one row
+    per prefix. The prefixes not stepped yet are stepped in one call, each
+    from its parent prefix's state, so the beam and its greedy fallback share
+    every prefix both of them reach."""
     variant = ckpt.config.variant
     step = DecodeStep(grid, ckpt.store, sub_prefix(variant, topic),
                       topic_embedding_index(variant, topic))
     start = ckpt.vocab.start
-    stepped: dict[tuple[int, ...], tuple[tuple[np.ndarray, np.ndarray], np.ndarray]] = {}
+    # prefix -> its row's (h, c, next-token log-probs)
+    stepped: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def next_logp(tokens: tuple[int, ...]) -> np.ndarray:
-        hit = stepped.get(tokens)
-        if hit is None:
-            if tokens:
-                state, logits = step(stepped[tokens[:-1]][0], tokens[-1])
-            else:
-                state, logits = step(step.state0, start)
-            hit = stepped[tokens] = (state, _log_softmax(logits))
-        return hit[1]
+    def next_logps(prefixes: list[tuple[int, ...]]) -> np.ndarray:
+        new = [tokens for tokens in prefixes if tokens not in stepped]
+        if new:
+            parents = [stepped[tokens[:-1]] if tokens else step.state0 for tokens in new]
+            h, c, logits = step(np.stack([parent[0] for parent in parents]),
+                                np.stack([parent[1] for parent in parents]),
+                                [tokens[-1] if tokens else start for tokens in new])
+            stepped.update(zip(new, zip(h, c, _log_softmax(logits))))
+        return np.stack([stepped[tokens][2] for tokens in prefixes])
 
-    return next_logp
+    return next_logps
 
 
 def _rank_key(hyp) -> tuple:
@@ -65,17 +71,17 @@ def _rank_key(hyp) -> tuple:
 
 
 def greedy_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
-                  max_len: int, *, next_logp: NextLogp | None = None) -> tuple[list[int], float]:
+                  max_len: int, *, next_logps: NextLogps | None = None) -> tuple[list[int], float]:
     """Argmax decoding (lowest index wins ties). Returns (token ids, log-prob).
-    ``next_logp`` shares the prefixes another decode of the same checkpoint,
+    ``next_logps`` shares the prefixes another decode of the same checkpoint,
     grid and topic already stepped."""
-    if next_logp is None:
-        next_logp = _prefix_stepper(ckpt, grid, topic)
+    if next_logps is None:
+        next_logps = _prefix_stepper(ckpt, grid, topic)
     end = ckpt.vocab.end
     tokens: tuple[int, ...] = ()
     score = 0.0
     for step in range(max_len):
-        logp = next_logp(tokens)
+        logp = next_logps([tokens])[0]
         if step == 0:
             masked = logp.copy()
             masked[end] = -np.inf
@@ -91,17 +97,19 @@ def greedy_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
 
 def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
                 max_len: int, beam_size: int) -> tuple[list[int], float]:
-    next_logp = _prefix_stepper(ckpt, grid, topic)
+    next_logps = _prefix_stepper(ckpt, grid, topic)
     end = ckpt.vocab.end
-    # hypothesis: (score, tokens, done); finished hypotheses keep competing
-    # for beam slots, which makes beam_size=1 exactly greedy
+    # hypothesis: (score, tokens, done), best first; finished hypotheses keep
+    # competing for beam slots, which makes beam_size=1 exactly greedy
     beam: list[tuple[float, tuple[int, ...], bool]] = [(0.0, (), False)]
     for step in range(max_len):
         live = [(score, tokens) for score, tokens, done in beam if not done]
-        if not live:
+        # stop once the best hypothesis is finished and outscores every live one
+        if not live or (beam[0][2] and beam[0][0] > live[0][0]):
             break
         finished = [hyp for hyp in beam if hyp[2]]
-        scores = np.stack([score + next_logp(tokens) for score, tokens in live])
+        scores = (np.array([score for score, _ in live])[:, None]
+                  + next_logps([tokens for _, tokens in live]))
         if step == 0:
             scores[:, end] = -np.inf  # minimum generated length is one token
         # a survivor scores at least the beam_size-th best score; every
@@ -120,7 +128,7 @@ def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
         candidates.sort(key=_rank_key)
         beam = candidates[:beam_size]
     # greedy fallback: best-of-beam is then never worse than greedy
-    g_tokens, g_score = greedy_decode(ckpt, grid, topic, max_len, next_logp=next_logp)
+    g_tokens, g_score = greedy_decode(ckpt, grid, topic, max_len, next_logps=next_logps)
     best = min([*beam, (g_score, tuple(g_tokens))], key=_rank_key)
     return list(best[1]), best[0]
 

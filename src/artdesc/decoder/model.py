@@ -86,16 +86,42 @@ def init_state(grids: np.ndarray, params: nc.ParamStore, prefix: str = "dec") ->
     return h0, c0
 
 
+# Columns per block of the grid copy that the context reads. A 196 x 512
+# float64 block is 800 KB, so it stays in a 2 MB L2 cache while every row of
+# a step reads it; the whole 196 x 2048 grid (3.2 MB) does not.
+CONTEXT_BLOCK = 512
+
+
+def matvec_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ row`` for each row of x (B, N), as one stacked ``np.matmul``
+    that runs one GEMV per row, so each row has the bits of ``w @ row``."""
+    return np.matmul(w, x[:, :, None])[:, :, 0]
+
+
 class DecodeStep:
-    """One tape-free decoder step for one grid and sub-decoder.
+    """The tape-free decoder step for one grid and sub-decoder, over a stack
+    of hypotheses: one row per hypothesis, and one hypothesis is one row.
 
     Built once per decoded sentence: the grid's attention projection
-    ``grid @ w_v.T`` and the initial state are computed here, once. Each call
-    then runs the numcore forward helpers that the training node
-    ``attend_lstm_seq`` runs, and the output layer as one GEMV. Its logits
-    are bit-identical to the per-step tape path that the tests keep as the
-    oracle. A step whose context, state or logits hold a non-finite value
-    raises FloatingPointError, as a tape node would.
+    ``grid @ w_v.T``, the initial state and a column-blocked copy of the grid
+    are made here, once. Each call runs the forward of the training node
+    ``attend_lstm_seq`` row-wise: every matrix-vector product is one stacked
+    ``np.matmul`` with one GEMV per row, and the elementwise stages and the
+    softmax work on whole rows. So each row's logits are bit-identical to the
+    per-step tape path that the tests keep as the oracle. A step whose
+    context, state or logits hold a non-finite value raises
+    FloatingPointError, as a tape node would.
+
+    The context ``alpha @ grid`` reads the grid block by block, each block
+    for every row before the next, so a block comes from memory once per
+    step and from cache for the other rows. The blocks are a contiguous copy:
+    strided column views of the grid do not stay cached, because their long
+    row stride maps their rows onto a few cache sets. The columns after the
+    last whole block are read in place, not padded into a block of their own:
+    the GEMV kernel sums the last few columns of a product in another order
+    than the others, so padding would change their bits. They number at least
+    two, because numpy computes a one-column product as a dot, which also
+    sums in another order.
     """
 
     def __init__(self, grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec",
@@ -103,28 +129,46 @@ class DecodeStep:
         def p(name: str) -> np.ndarray:
             return params[f"{prefix}.{name}"].data
 
-        self.grid = grid.values
-        self.proj = self.grid @ p("att.w_v").T
+        values = grid.values
+        n_loc, feat = values.shape
+        n_blocks = max(feat // CONTEXT_BLOCK - (feat % CONTEXT_BLOCK == 1), 0)
+        split = n_blocks * CONTEXT_BLOCK
+        self.blocks = np.ascontiguousarray(
+            values[:, :split].reshape(n_loc, n_blocks, CONTEXT_BLOCK).swapaxes(0, 1))
+        self.rest = values[:, split:]
+        self.proj = values @ p("att.w_v").T
         self.att = (p("att.w_h"), p("att.b1"), p("att.w2"), p("att.b2"))
-        self.embed = p("embed")
-        self.topic = () if topic_idx is None else (p("topic.embed")[topic_idx],)
+        # each token's step input after the context: its embedding, then the topic's
+        embed = p("embed")
+        if topic_idx is not None:
+            topic = p("topic.embed")[topic_idx]
+            embed = np.concatenate([embed, np.broadcast_to(topic, (len(embed), len(topic)))],
+                                   axis=1)
+        self.embed = embed
         self.lstm = (p("lstm.w"), p("lstm.b"))
         self.out = (p("out.w"), p("out.b"))
         vbar = mean_pool(grid)
         self.state0 = (np.tanh(p("init.w_h") @ vbar + p("init.b_h")),
                        np.tanh(p("init.w_c") @ vbar + p("init.b_c")))
 
-    def __call__(self, state: tuple[np.ndarray, np.ndarray],
-                 y_prev: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """The state after reading ``y_prev`` and the next token's logits."""
-        h_prev, c_prev = state
-        z, _, _ = nc.attention_np(self.proj, self.grid, h_prev, *self.att)
-        parts = [z, self.embed[y_prev], *self.topic, h_prev]
+    def context(self, alpha: np.ndarray) -> np.ndarray:
+        """``alpha @ grid`` for each row of the attention weights (B, L)."""
+        blocks = np.matmul(alpha[None, :, None, :], self.blocks[:, None])[:, :, 0]
+        return np.concatenate([*blocks, np.matmul(alpha[:, None, :], self.rest)[:, 0]], axis=1)
+
+    def __call__(self, h_prev: np.ndarray, c_prev: np.ndarray,
+                 y_prev: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The states (h, c) after reading ``y_prev`` from (h_prev, c_prev),
+        each (B, H), and the next token's logits (B, V)."""
+        w_h, b1, w2, b2 = self.att
+        act = np.tanh(self.proj + (matvec_rows(w_h, h_prev) + b1)[:, None, :])
+        z = self.context(nc.softmax_np(act @ w2 + b2[0]))
         lstm_w, lstm_b = self.lstm
-        h, c, _ = nc.lstm_cell_np(lstm_w @ np.concatenate(parts) + lstm_b, c_prev)
+        xh = np.concatenate([z, self.embed[y_prev], h_prev], axis=1)
+        h, c, _ = nc.lstm_cell_np(matvec_rows(lstm_w, xh) + lstm_b, c_prev)
         out_w, out_b = self.out
-        hz = np.concatenate([h, z])
-        logits = out_w @ hz + out_b
+        hz = np.concatenate([h, z], axis=1)
+        logits = matvec_rows(out_w, hz) + out_b
         if not (np.isfinite(hz).all() and np.isfinite(c).all() and np.isfinite(logits).all()):
             raise FloatingPointError("non-finite values produced by the decode step")
-        return (h, c), logits
+        return h, c, logits

@@ -357,10 +357,10 @@ def embedding(e: Tensor, idx) -> Tensor:
 
 
 def softmax_np(logits: np.ndarray) -> np.ndarray:
-    """Plain-array stable softmax (max subtraction)."""
-    m = logits.max()
-    e = np.exp(logits - m)
-    return e / e.sum()
+    """Plain-array stable softmax (max subtraction) over the last axis: of a
+    vector, or of each row."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(logits: Tensor) -> Tensor:

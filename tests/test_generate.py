@@ -1,5 +1,7 @@
 """Greedy and beam decoding, and the topic order of a composed description."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from synth import memorization_corpus, random_grid
 from tape_oracle import attend, decode_logits, init_state
 
 import artdesc.numcore as nc
-from artdesc.corpus import TopicLabel, tokenize
+from artdesc.corpus import FeatureGrid, TopicLabel, tokenize
 from artdesc.corpus.vocab import RESERVED, Vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -19,15 +21,18 @@ from artdesc.decoder import (
     train_decoder,
 )
 from artdesc.decoder.generate import _log_softmax
-from artdesc.decoder.model import sub_prefix, topic_embedding_index
+from artdesc.decoder.model import DecodeStep, matvec_rows, sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
 from artdesc.numcore import tensor
 from artdesc.pipeline import Pipeline, PipelineConfig, report_to_json
 from artdesc.training import Checkpoint
 
+# the module: the package exports its `generate` function under the same name
+generate_mod = importlib.import_module("artdesc.decoder.generate")
+
 
 def random_checkpoint(seed, vocab_size=5, feature_dim=3, hidden=4, embed=3, max_len=3,
-                      scale=1.0, variant="baseline"):
+                      scale=1.0, variant="baseline", n_loc=2):
     """Untrained decoder with random weights over a tiny vocab."""
     extra = [f"t{i}" for i in range(vocab_size - len(RESERVED))]
     vocab = Vocab(list(RESERVED) + extra)
@@ -38,7 +43,7 @@ def random_checkpoint(seed, vocab_size=5, feature_dim=3, hidden=4, embed=3, max_
     store = init_decoder_params(config, rng)
     for name in store.names():  # spread the logits so rankings are non-trivial
         store[name].data *= scale / 0.08
-    grid = random_grid(rng, n_loc=2, feat=feature_dim)
+    grid = random_grid(rng, n_loc=n_loc, feat=feature_dim)
     return Checkpoint(config, vocab, store, seed, []), grid
 
 
@@ -167,6 +172,21 @@ class TestTapeOracle:
             got = beam_decode(ckpt, grid, topic, 4, beam_size)
             assert got == tape_beam_decode(ckpt, grid, topic, 4, beam_size)
 
+    @pytest.mark.parametrize("feature_dim", [513, 1027])
+    def test_decoding_matches_tape_across_context_blocks(self, feature_dim):
+        """Grids wider than one context block, with a ragged rest: a 513-wide
+        grid is read in place whole, a 1027-wide one as two blocks and a
+        three-column rest."""
+        for seed in range(2):
+            ckpt, grid = random_checkpoint(seed, vocab_size=8, feature_dim=feature_dim,
+                                           max_len=4, scale=0.1, n_loc=49)
+            for topic in (TopicLabel.CONTENT, TopicLabel.CONTEXT):
+                want = tape_greedy_decode(ckpt, grid, topic, 4)
+                assert greedy_decode(ckpt, grid, topic, 4) == want
+                for beam_size in (1, 3, 5):
+                    want = tape_beam_decode(ckpt, grid, topic, 4, beam_size)
+                    assert beam_decode(ckpt, grid, topic, 4, beam_size) == want
+
     def test_decoding_builds_no_tape_node(self, monkeypatch):
         """Every tape op makes its node through ``numcore.tensor._node``;
         decoding never reaches it."""
@@ -240,6 +260,80 @@ class TestBeam:
             sentence = generate(ckpt, record.features, TopicLabel.CONTENT,
                                 mode="beam", beam_size=5)
             assert sentence.surfaces() == record.sentences[0].masked.surfaces()
+
+
+def _blas_build() -> str:
+    return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+
+
+@pytest.mark.parametrize("feature_dim", [2048, 1027])
+def test_stacked_products_equal_per_row_gemvs(feature_dim):
+    """The stacked products of a decode step have, row by row, the bits of
+    the per-row GEMVs ``w @ x`` and ``alpha @ grid`` of the tape path, at the
+    reference grid (196 x 2048) and a ragged width. A BLAS that breaks this
+    breaks decoding's bit-equality with the tape oracle; the fix is a per-row
+    loop, not a tolerance."""
+    rng = np.random.default_rng(feature_dim)
+    config = DecoderConfig(variant="baseline", vocab_size=40, feature_dim=feature_dim,
+                           hidden_size=16, embed_size=16, max_len=10)
+    grid = FeatureGrid(rng.normal(size=(196, feature_dim)))
+    step = DecodeStep(grid, init_decoder_params(config, rng))
+    for rows in range(1, 16):
+        alpha = rng.random((rows, 196))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        want = np.stack([a @ grid.values for a in alpha])
+        assert np.array_equal(step.context(alpha), want), (
+            f"context at {rows} rows differs from alpha @ grid; BLAS: {_blas_build()}")
+        for w in (step.att[0], step.lstm[0], step.out[0]):
+            x = rng.normal(size=(rows, w.shape[1]))
+            want = np.stack([w @ row for row in x])
+            assert np.array_equal(matvec_rows(w, x), want), (
+                f"{w.shape} product at {rows} rows differs from w @ x; BLAS: {_blas_build()}")
+
+
+class TestEarlyStop:
+    """The beam stops once its best finished hypothesis scores strictly
+    more than every live one."""
+
+    @staticmethod
+    def _beam_steps(monkeypatch, ckpt, grid, beam_size):
+        """beam_decode's result and the DecodeStep calls it made before its
+        greedy fallback."""
+        calls, steps = [], []
+        step_call, greedy = DecodeStep.__call__, generate_mod.greedy_decode
+
+        def counted(self, *args):
+            calls.append(args)
+            return step_call(self, *args)
+
+        def fallback(*args, **kwargs):
+            steps.append(len(calls))
+            return greedy(*args, **kwargs)
+
+        monkeypatch.setattr(DecodeStep, "__call__", counted)
+        monkeypatch.setattr(generate_mod, "greedy_decode", fallback)
+        got = beam_decode(ckpt, grid, TopicLabel.CONTENT, ckpt.config.max_len, beam_size)
+        return got, steps[0]
+
+    def test_stops_once_a_finished_hypothesis_outranks_every_live_one(self, monkeypatch):
+        # </s> all but certain after the first token: after two steps the beam
+        # holds every one-token sentence, finished, and live ones far below
+        ckpt, grid = random_checkpoint(4, vocab_size=8, max_len=6)
+        ckpt.store["dec.out.b"].data[ckpt.vocab.end] = 30.0
+        got, steps = self._beam_steps(monkeypatch, ckpt, grid, beam_size=12)
+        assert steps == 2 < ckpt.config.max_len
+        assert got == tape_beam_decode(ckpt, grid, TopicLabel.CONTENT, 6, 12)
+
+    def test_a_tie_does_not_stop_the_beam(self, monkeypatch):
+        # all weights zero: every token has log-prob -log 8, so after two
+        # steps the seven finished one-token sentences tie the five live
+        # two-token ones; the beam steps those, and then holds no live one
+        ckpt, grid = random_checkpoint(5, vocab_size=8, max_len=4)
+        for name in ckpt.store.names():
+            ckpt.store[name].data[...] = 0.0
+        got, steps = self._beam_steps(monkeypatch, ckpt, grid, beam_size=12)
+        assert steps == 3
+        assert got == tape_beam_decode(ckpt, grid, TopicLabel.CONTENT, 4, 12)
 
 
 class TestGenerateValidation:
