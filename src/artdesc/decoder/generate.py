@@ -1,16 +1,17 @@
-"""Greedy and beam decoding.
+"""Beam decoding, and greedy decoding as the beam of one.
 
-Beam details: hypotheses are compared by (total log-prob desc, length asc,
-token ids lexicographic), both when pruning and when picking the final
-hypothesis, so outputs are reproducible across implementations. A finished
+Hypotheses are compared by (total log-prob desc, length asc, token ids
+lexicographic), both when pruning and when picking the final hypothesis, so
+an exact tie goes to the shorter hypothesis, then to the lower token ids;
+greedy decoding ends the sentence when </s> ties the best token. A finished
 hypothesis ends with </s> (its log-prob included) or at max_len, and keeps
-competing for beam slots, which makes beam_size=1 coincide with greedy. The
-first step never emits </s>, so a generated sentence has at least one token.
-The beam stops early once its best finished hypothesis scores strictly more
-than every live one: log-probs are at most 0, so no descendant of a live
-hypothesis can outrank it any more, and the answer is the one the full
-search would give. The final answer is the better of best-of-beam and the
-greedy rollout, so beam search is never worse than greedy.
+competing for beam slots. The first step never emits </s>, so a generated
+sentence has at least one token. The beam stops early once its best finished
+hypothesis scores strictly more than every live one: log-probs are at most
+0, so no descendant of a live hypothesis can outrank it any more, and the
+answer is the one the full search would give. The final answer is the better
+of best-of-beam and the greedy rollout, so beam search is never worse than
+greedy.
 
 Decoding builds no autodiff graph: it steps the tape-free
 :class:`~artdesc.decoder.model.DecodeStep`, whose log-probs are bit-identical
@@ -28,16 +29,11 @@ import numpy as np
 from artdesc.corpus import FeatureGrid, MaskedSentence, TopicLabel
 from artdesc.decoder.model import DecodeStep, sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
+from artdesc.numcore import log_softmax_np
 from artdesc.training import Checkpoint
 
 NextLogps = Callable[[list[tuple[int, ...]]], np.ndarray]
 DECODE_MODES = ("greedy", "beam")
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis: of a vector, or of each row."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> NextLogps:
@@ -59,7 +55,7 @@ def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> N
             h, c, logits = step(np.stack([parent[0] for parent in parents]),
                                 np.stack([parent[1] for parent in parents]),
                                 [tokens[-1] if tokens else start for tokens in new])
-            stepped.update(zip(new, zip(h, c, _log_softmax(logits))))
+            stepped.update(zip(new, zip(h, c, log_softmax_np(logits))))
         return np.stack([stepped[tokens][2] for tokens in prefixes])
 
     return next_logps
@@ -70,37 +66,9 @@ def _rank_key(hyp) -> tuple:
     return (-hyp[0], len(hyp[1]), hyp[1])
 
 
-def greedy_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
-                  max_len: int, *, next_logps: NextLogps | None = None) -> tuple[list[int], float]:
-    """Argmax decoding (lowest index wins ties). Returns (token ids, log-prob).
-    ``next_logps`` shares the prefixes another decode of the same checkpoint,
-    grid and topic already stepped."""
-    if next_logps is None:
-        next_logps = _prefix_stepper(ckpt, grid, topic)
-    end = ckpt.vocab.end
-    tokens: tuple[int, ...] = ()
-    score = 0.0
-    for step in range(max_len):
-        logp = next_logps([tokens])[0]
-        if step == 0:
-            masked = logp.copy()
-            masked[end] = -np.inf
-            nxt = int(np.argmax(masked))
-        else:
-            nxt = int(np.argmax(logp))
-        score += float(logp[nxt])
-        if nxt == end:
-            break
-        tokens += (nxt,)
-    return list(tokens), score
-
-
-def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
-                max_len: int, beam_size: int) -> tuple[list[int], float]:
-    next_logps = _prefix_stepper(ckpt, grid, topic)
-    end = ckpt.vocab.end
-    # hypothesis: (score, tokens, done), best first; finished hypotheses keep
-    # competing for beam slots, which makes beam_size=1 exactly greedy
+def _search(next_logps: NextLogps, end: int, max_len: int,
+            beam_size: int) -> list[tuple[float, tuple[int, ...], bool]]:
+    """The final beam of (score, tokens, done) hypotheses, best first."""
     beam: list[tuple[float, tuple[int, ...], bool]] = [(0.0, (), False)]
     for step in range(max_len):
         live = [(score, tokens) for score, tokens, done in beam if not done]
@@ -127,6 +95,24 @@ def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
                 candidates.append((float(scores[i, w]), tokens, True))
         candidates.sort(key=_rank_key)
         beam = candidates[:beam_size]
+    return beam
+
+
+def greedy_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
+                  max_len: int, *, next_logps: NextLogps | None = None) -> tuple[list[int], float]:
+    """The beam of one. Returns (token ids, log-prob). ``next_logps`` shares
+    the prefixes another decode of the same checkpoint, grid and topic
+    already stepped."""
+    if next_logps is None:
+        next_logps = _prefix_stepper(ckpt, grid, topic)
+    score, tokens, _ = _search(next_logps, ckpt.vocab.end, max_len, 1)[0]
+    return list(tokens), score
+
+
+def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
+                max_len: int, beam_size: int) -> tuple[list[int], float]:
+    next_logps = _prefix_stepper(ckpt, grid, topic)
+    beam = _search(next_logps, ckpt.vocab.end, max_len, beam_size)
     # greedy fallback: best-of-beam is then never worse than greedy
     g_tokens, g_score = greedy_decode(ckpt, grid, topic, max_len, next_logps=next_logps)
     best = min([*beam, (g_score, tuple(g_tokens))], key=_rank_key)
@@ -154,10 +140,8 @@ def generate(
             f"grid feature dim {grid.feature_dim} does not match "
             f"checkpoint feature dim {ckpt.config.feature_dim}"
         )
-    if mode == "greedy":
-        token_ids, _ = greedy_decode(ckpt, grid, topic, ckpt.config.max_len)
-    else:
-        token_ids, _ = beam_decode(ckpt, grid, topic, ckpt.config.max_len, beam_size)
+    token_ids, _ = beam_decode(ckpt, grid, topic, ckpt.config.max_len,
+                               1 if mode == "greedy" else beam_size)
     tokens = [ckpt.vocab.decode_token(i) for i in token_ids]
     return MaskedSentence(tokens, topic)
 

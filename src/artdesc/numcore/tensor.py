@@ -363,6 +363,12 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax_np(logits: np.ndarray) -> np.ndarray:
+    """Plain-array stable log-softmax over the last axis, as :func:`softmax_np`."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def softmax(logits: Tensor) -> Tensor:
     """Numerically stabilized softmax over the last axis of a 1-D tensor or
     of each row of a 2-D one."""
@@ -371,8 +377,7 @@ def softmax(logits: Tensor) -> Tensor:
                          f"for '{logits.name}'")
     if logits.data.shape[-1] == 0:
         raise ValueError("softmax: empty input")
-    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax_np(logits.data)
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(logits):
@@ -402,10 +407,9 @@ def cross_entropy(logits: Tensor, target, mask=None) -> Tensor:
         if mask.shape != rows.shape or not mask[picked].all():
             raise ValueError("cross_entropy: the mask must fit the logits and keep every target")
         rows = np.where(mask, rows, -np.inf)
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    loss = (logz - shifted[picked]).sum()
-    p = np.exp(shifted - logz[:, None])
+    logp = log_softmax_np(rows)
+    loss = -logp[picked].sum()
+    p = np.exp(logp)
 
     def bwd(out: Tensor) -> None:
         if _wants_grad(logits):
@@ -598,26 +602,6 @@ def lstm_seq(x: Tensor, w: Tensor, b: Tensor, lengths, reverse: bool = False) ->
     return _node(hs[real], (x, w, b), bwd, "lstm_seq")
 
 
-def attention_np(
-    proj: np.ndarray,
-    grid: np.ndarray,
-    h_prev: np.ndarray,
-    w_h: np.ndarray,
-    b1: np.ndarray,
-    w2: np.ndarray,
-    b2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain-array forward of :func:`mlp_attention` given the grid's
-    projection ``proj = grid @ w_v.T`` (L, A), which depends on the grid
-    alone and so can be computed once per grid.
-
-    Returns (context (D,), weights (L,), tanh activations (L, A)).
-    """
-    act = np.tanh(proj + (w_h @ h_prev + b1))  # (L, A)
-    alpha = softmax_np(act @ w2 + b2[0])  # (L,)
-    return alpha @ grid, alpha, act
-
-
 def _check_attention(what: str, grid, hidden: int, w_v: Tensor, w_h: Tensor, b1: Tensor,
                      w2: Tensor, b2: Tensor, ndim: int) -> np.ndarray:
     """The grid as a float64 array of ``ndim`` dimensions, (L, D) or a
@@ -652,8 +636,9 @@ def mlp_attention(
     """
     grid = _check_attention("mlp_attention", grid, h_prev.data.shape[0], w_v, w_h, b1, w2, b2, 2)
     n_loc, feat = grid.shape
-    z, alpha, act = attention_np(grid @ w_v.data.T, grid, h_prev.data, w_h.data, b1.data,
-                                 w2.data, b2.data)
+    act = np.tanh(grid @ w_v.data.T + (w_h.data @ h_prev.data + b1.data))  # (L, A)
+    alpha = softmax_np(act @ w2.data + b2.data[0])  # (L,)
+    z = alpha @ grid
 
     def bwd(out: Tensor) -> None:
         gz = out.grad[:feat]
@@ -736,8 +721,7 @@ def attend_lstm_seq(grids, x: Tensor, h0: Tensor, c0: Tensor,
         xh = xhs[t, :n]
         act = np.tanh(proj[:n] + (xh[:, feat + xdim :] @ w_hT)[:, None, :], out=acts[t, :n])
         scores = act @ w2.data  # b2 shifts every score alike, so the softmax drops it
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        alpha = np.divide(e, e.sum(axis=1, keepdims=True), out=alphas[t, :n])
+        alphas[t, :n] = alpha = softmax_np(scores)
         np.matmul(alpha[:, None, :], grids[:n], out=xh[:, None, :feat])
         h, c_next, gates = lstm_cell_np(xh @ wT + b.data, c[:n])
         cache.append((c[:n], gates))

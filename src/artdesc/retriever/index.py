@@ -80,21 +80,20 @@ class TfIdfIndex:
         self.bodies = np.asarray(bodies, dtype=np.uint8)
         self.body_ends = np.asarray(body_ends, dtype=np.uint64)
         self.sha256 = sha256
-        self._check_structure()
+        postings = self._check_structure()
         self._idf = np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
         rows = np.repeat(np.arange(self.n_docs), np.diff(self.indptr.astype(np.int64)))
         order = np.argsort(self.indices, kind="stable")
         self._rows = rows[order]
         self._weights = self.data[order]
         self._colptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=len(self.terms)), out=self._colptr[1:])
+        np.cumsum(postings, out=self._colptr[1:])
 
-    def _check_structure(self) -> None:
+    def _check_structure(self) -> np.ndarray:
         """Rejects tables that would silently change rankings or bodies:
-        tables that do not hold together, or doc ids out of order."""
+        tables that do not hold together, df included, or doc ids out of
+        order. Returns each term's number of postings."""
         nnz = len(self.indices)
-        if len(self.df) != len(self.terms) or np.any(self.df < 0):
-            raise DataError(f"df table must hold {len(self.terms)} non-negative counts")
         if len(self.data) != nnz or not np.all(np.isfinite(self.data)):
             raise DataError(f"weights must be {nnz} finite values, one per term id")
         if (len(self.indptr) != self.n_docs + 1 or self.indptr[0] != 0
@@ -103,6 +102,13 @@ class TfIdfIndex:
         if nnz and int(self.indices.max()) >= len(self.terms):
             raise DataError(f"term id {int(self.indices.max())} is out of range "
                             f"for {len(self.terms)} terms")
+        postings = np.bincount(self.indices, minlength=len(self.terms))
+        if len(self.df) != len(postings):
+            raise DataError(f"df table must hold {len(self.terms)} counts")
+        wrong = np.flatnonzero(self.df != postings)
+        if len(wrong):
+            raise DataError(f"df of term '{self.terms[wrong[0]]}' is {self.df[wrong[0]]}, "
+                            f"but it has {postings[wrong[0]]} postings")
         ends = np.append(np.uint64(0), self.body_ends)
         if (len(ends) != self.n_docs + 1 or ends[-1] != len(self.bodies)
                 or np.any(ends[1:] < ends[:-1])):
@@ -110,6 +116,7 @@ class TfIdfIndex:
         for prev, doc_id in zip(self.doc_ids, self.doc_ids[1:]):
             if prev >= doc_id:
                 raise DataError(f"doc ids must strictly increase: '{prev}' before '{doc_id}'")
+        return postings
 
     def _check_bodies(self) -> None:
         """Rejects a body that is not UTF-8 text of its own: the blob must

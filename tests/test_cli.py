@@ -540,7 +540,8 @@ def _small_index() -> TfIdfIndex:
 
 @pytest.mark.parametrize("corruption", [
     "bad-utf8-term", "truncated", "trailing-bytes", "decreasing-indptr",
-    "term-id-out-of-range", "unsorted-doc-ids", "duplicate-doc-ids", "duplicate-term",
+    "term-id-out-of-range", "df-disagrees", "unsorted-doc-ids", "duplicate-doc-ids",
+    "duplicate-term",
 ])
 def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     """Each corruption is sealed with a valid trailer, so it reaches the
@@ -548,6 +549,7 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     idx = _small_index()
     terms = [t.encode("utf-8") for t in idx.terms]
     doc_ids, indptr, indices = list(idx.doc_ids), idx.indptr.copy(), idx.indices.copy()
+    df = idx.df.copy()
     idx.save(tmp_path / "good.idx")
     stored = (idx.stopwords, idx.bodies, idx.body_ends)
     assert _seal(_idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data, *stored)) == \
@@ -562,6 +564,9 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     elif corruption == "term-id-out-of-range":
         indices[-1] = len(terms)
         message = f"term id {len(terms)} is out of range"
+    elif corruption == "df-disagrees":
+        df[idx.term_ids["saint"]] = 1
+        message = "df of term 'saint' is 1, but it has 3 postings"
     elif corruption == "unsorted-doc-ids":
         doc_ids[0], doc_ids[1] = doc_ids[1], doc_ids[0]
         message = "doc ids must strictly increase"
@@ -571,7 +576,7 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     elif corruption == "duplicate-term":
         terms[1] = terms[0]
         message = f"index term '{idx.terms[0]}' is stored twice"
-    body = _idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data, *stored)
+    body = _idx_body(terms, df, doc_ids, indptr, indices, idx.data, *stored)
     if corruption == "truncated":
         body, message = body[:-3], "truncated index while reading data of 'body_ends'"
     elif corruption == "trailing-bytes":

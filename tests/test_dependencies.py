@@ -9,8 +9,8 @@ take only minibatches with their lengths, every top-level function and
 class of the package is named somewhere, every training setting has a
 command-line flag whose default the CLI does not restate, every describe
 setting is set in ``pipeline.json`` or the decoder checkpoint alone, log
-events carry their values as fields, and only the parameter block binds a
-parameter's gradient."""
+events carry their values as fields, only the parameter block binds a
+parameter's gradient, and only numcore's softmax recipes call ``np.exp``."""
 
 import ast
 from pathlib import Path
@@ -403,3 +403,30 @@ def test_only_the_parameter_block_binds_a_gradient():
                 offenders.append(f"{rel}:{node.lineno}")
     assert offenders == []
     assert bound, "ParamStore._packed binds no .grad"
+
+
+# the functions of numcore/tensor.py that may call np.exp: every other
+# softmax or log-softmax in the package calls one of them
+EXP_CALLERS = frozenset({("numcore/tensor.py", name)
+                         for name in ("softmax_np", "log_softmax_np", "cross_entropy")})
+
+
+def test_only_the_softmax_recipes_call_exp():
+    """No module under src/ outside numcore calls ``np.exp``, and in
+    numcore/tensor.py only ``softmax_np``, ``log_softmax_np`` and
+    ``cross_entropy`` do."""
+    allowed, offenders = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("numcore/") and rel != "numcore/tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = _inside(tree, rel, EXP_CALLERS)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.exp", "numpy.exp"):
+                if id(node) in exempt:
+                    allowed += 1
+                else:
+                    offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
+    assert allowed, "the softmax recipes call no np.exp"

@@ -20,10 +20,9 @@ from artdesc.decoder import (
     init_decoder_params,
     train_decoder,
 )
-from artdesc.decoder.generate import _log_softmax
 from artdesc.decoder.model import DecodeStep, matvec_rows, sub_prefix, topic_embedding_index
 from artdesc.errors import ConfigError
-from artdesc.numcore import tensor
+from artdesc.numcore import log_softmax_np, tensor
 from artdesc.pipeline import Pipeline, PipelineConfig, report_to_json
 from artdesc.training import Checkpoint
 
@@ -62,7 +61,7 @@ def exhaustive_argmax(ckpt, grid, topic, max_len):
         new_state, logp = None, None
         z, _ = attend(grid, state[0], ckpt.store, "dec")
         new_state, logits = decode_logits(z, state, prev, ckpt.store, "dec")
-        logp = _log_softmax(logits.data)
+        logp = log_softmax_np(logits.data)
         for w in range(len(vocab)):
             s = score + float(logp[w])
             if w == end:
@@ -78,7 +77,7 @@ def exhaustive_argmax(ckpt, grid, topic, max_len):
 def _tape_step(params, prefix, topic_idx, grid, state, prev):
     z, _ = attend(grid, state[0], params, prefix)
     state, logits = decode_logits(z, state, prev, params, prefix, topic_idx)
-    return state, _log_softmax(logits.data)
+    return state, log_softmax_np(logits.data)
 
 
 def tape_greedy_decode(ckpt, grid, topic, max_len):
@@ -97,6 +96,8 @@ def tape_greedy_decode(ckpt, grid, topic, max_len):
             masked = logp.copy()
             masked[end] = -np.inf
             nxt = int(np.argmax(masked))
+        elif logp[end] == logp.max():
+            nxt = end  # on a tie the shorter sentence wins
         else:
             nxt = int(np.argmax(logp))
         score += float(logp[nxt])
@@ -219,8 +220,12 @@ class TestTapeOracle:
 
 class TestBeam:
     def test_beam_one_equals_greedy(self):
-        for seed in range(30):
-            ckpt, grid = random_checkpoint(seed)
+        """Random checkpoints, and one with all weights zero, where </s>
+        ties every other token after the first step."""
+        cases = [random_checkpoint(seed) for seed in range(31)]
+        for name in cases[-1][0].store.names():
+            cases[-1][0].store[name].data[...] = 0.0
+        for ckpt, grid in cases:
             g_tokens, g_score = greedy_decode(ckpt, grid, TopicLabel.CONTENT, 3)
             b_tokens, b_score = beam_decode(ckpt, grid, TopicLabel.CONTENT, 3, beam_size=1)
             assert b_tokens == g_tokens
@@ -289,6 +294,36 @@ def test_stacked_products_equal_per_row_gemvs(feature_dim):
             want = np.stack([w @ row for row in x])
             assert np.array_equal(matvec_rows(w, x), want), (
                 f"{w.shape} product at {rows} rows differs from w @ x; BLAS: {_blas_build()}")
+
+
+@pytest.mark.parametrize("feature_dim", [513, 1027, 2048])
+@pytest.mark.parametrize("variant", ["baseline", "conditional"])
+def test_decode_step_matches_tape_row_by_row(variant, feature_dim):
+    """Each row of a decode step has the bits of the tape's ``attend`` and
+    ``decode_logits`` from the same state and token: its context, its
+    states and its logits. The widths cover a grid read in place whole
+    (513), blocks with a ragged rest (1027) and the reference grid (2048)."""
+    ckpt, grid = random_checkpoint(feature_dim, vocab_size=8, feature_dim=feature_dim,
+                                   scale=0.1, variant=variant, n_loc=196)
+    topic = TopicLabel.CONTEXT
+    prefix, topic_idx = sub_prefix(variant, topic), topic_embedding_index(variant, topic)
+    step = DecodeStep(grid, ckpt.store, prefix, topic_idx)
+    rng = np.random.default_rng(feature_dim)
+    for rows in (1, 2, 5):
+        h_prev, c_prev = rng.uniform(-1.0, 1.0, size=(2, rows, ckpt.config.hidden_size))
+        y_prev = rng.integers(0, len(ckpt.vocab), size=rows).tolist()
+        got = step(h_prev, c_prev, y_prev)
+        alphas, contexts = [], []
+        for row in range(rows):
+            h_row = nc.constant(h_prev[row])
+            z, alpha = attend(grid, h_row, ckpt.store, prefix)
+            (h, c), logits = decode_logits(z, (h_row, nc.constant(c_prev[row])), y_prev[row],
+                                           ckpt.store, prefix, topic_idx)
+            for name, have, want in zip(("h", "c", "logits"), got, (h, c, logits)):
+                assert np.array_equal(have[row], want.data), (name, rows, row)
+            alphas.append(alpha.data)
+            contexts.append(z.data)
+        assert np.array_equal(step.context(np.stack(alphas)), np.stack(contexts)), rows
 
 
 class TestEarlyStop:
