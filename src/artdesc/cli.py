@@ -373,7 +373,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("describe", help="run the full pipeline for paintings")
     p.add_argument("--config", type=_path, required=True)
     p.add_argument("--painting-id")
-    p.add_argument("--topic", choices=("content", "form", "context"),
+    p.add_argument("--topic", choices=TOPIC_NAMES,
                    help="generate only this topic's sentence")
     p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_describe)

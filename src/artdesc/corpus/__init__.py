@@ -7,7 +7,7 @@ from artdesc.corpus.masking import mask_sentence, sentence_from_surfaces, unmask
 from artdesc.corpus.tagger import Gazetteer, tag_entities
 from artdesc.corpus.text import split_sentences, tokenize
 from artdesc.corpus.types import (
-    ATTRIBUTE_KEYS,
+    ATTRIBUTE_TYPES,
     EntityType,
     FeatureGrid,
     MaskedSentence,
@@ -22,7 +22,7 @@ from artdesc.corpus.types import (
 from artdesc.corpus.vocab import Vocab, build_vocab, count_words
 
 __all__ = [
-    "ATTRIBUTE_KEYS",
+    "ATTRIBUTE_TYPES",
     "EntityType",
     "FeatureGrid",
     "Gazetteer",

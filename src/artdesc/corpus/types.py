@@ -120,7 +120,13 @@ class SentenceEntry:
             )
 
 
-ATTRIBUTE_KEYS = ("artist", "type", "timeframe", "school")
+# the painting attributes, in query order, each with the entity type of its values
+ATTRIBUTE_TYPES = {
+    "artist": EntityType.PERSON,
+    "type": EntityType.MISC,
+    "timeframe": EntityType.DATE,
+    "school": EntityType.LOCATION,
+}
 
 
 @dataclass
@@ -155,9 +161,9 @@ class PaintingRecord:
     features: FeatureGrid | None = None
 
     def __post_init__(self):
-        normalized = {k: "" for k in ATTRIBUTE_KEYS}
+        normalized = dict.fromkeys(ATTRIBUTE_TYPES, "")
         for key, value in self.attributes.items():
-            if key not in ATTRIBUTE_KEYS:
+            if key not in ATTRIBUTE_TYPES:
                 raise DataError(f"record '{self.id}': unknown attribute key '{key}'")
             normalized[key] = value or ""
         self.attributes = normalized

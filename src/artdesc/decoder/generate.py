@@ -9,9 +9,9 @@ competing for beam slots. The first step never emits </s>, so a generated
 sentence has at least one token. The beam stops early once its best finished
 hypothesis scores strictly more than every live one: log-probs are at most
 0, so no descendant of a live hypothesis can outrank it any more, and the
-answer is the one the full search would give. The final answer is the better
-of best-of-beam and the greedy rollout, so beam search is never worse than
-greedy.
+answer is the one the full search would give. A beam wider than one answers
+the better of best-of-beam and the greedy rollout, so beam search is never
+worse than greedy.
 
 Decoding builds no autodiff graph: it steps the tape-free
 :class:`~artdesc.decoder.model.DecodeStep`, whose log-probs are bit-identical
@@ -33,7 +33,6 @@ from artdesc.numcore import log_softmax_np
 from artdesc.training import Checkpoint
 
 NextLogps = Callable[[list[tuple[int, ...]]], np.ndarray]
-DECODE_MODES = ("greedy", "beam")
 
 
 def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> NextLogps:
@@ -113,9 +112,10 @@ def beam_decode(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel,
                 max_len: int, beam_size: int) -> tuple[list[int], float]:
     next_logps = _prefix_stepper(ckpt, grid, topic)
     beam = _search(next_logps, ckpt.vocab.end, max_len, beam_size)
-    # greedy fallback: best-of-beam is then never worse than greedy
-    g_tokens, g_score = greedy_decode(ckpt, grid, topic, max_len, next_logps=next_logps)
-    best = min([*beam, (g_score, tuple(g_tokens))], key=_rank_key)
+    if beam_size > 1:  # greedy fallback: best-of-beam is then never worse than greedy
+        g_tokens, g_score = greedy_decode(ckpt, grid, topic, max_len, next_logps=next_logps)
+        beam.append((g_score, tuple(g_tokens)))
+    best = min(beam, key=_rank_key)
     return list(best[1]), best[0]
 
 
@@ -123,14 +123,11 @@ def generate(
     ckpt: Checkpoint,
     grid: FeatureGrid,
     topic: TopicLabel,
-    mode: str,
     beam_size: int,
 ) -> MaskedSentence:
     """Generate one masked sentence for a topic, of at most the
-    checkpoint's ``max_len`` tokens. Deterministic given (checkpoint, grid,
-    topic, mode, beam_size)."""
-    if mode not in DECODE_MODES:
-        raise ConfigError(f"unknown decode mode '{mode}'")
+    checkpoint's ``max_len`` tokens; a beam of one is greedy decoding.
+    Deterministic given (checkpoint, grid, topic, beam_size)."""
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
     if not isinstance(topic, TopicLabel):
@@ -140,8 +137,7 @@ def generate(
             f"grid feature dim {grid.feature_dim} does not match "
             f"checkpoint feature dim {ckpt.config.feature_dim}"
         )
-    token_ids, _ = beam_decode(ckpt, grid, topic, ckpt.config.max_len,
-                               1 if mode == "greedy" else beam_size)
+    token_ids, _ = beam_decode(ckpt, grid, topic, ckpt.config.max_len, beam_size)
     tokens = [ckpt.vocab.decode_token(i) for i in token_ids]
     return MaskedSentence(tokens, topic)
 

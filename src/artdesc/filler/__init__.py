@@ -1,7 +1,7 @@
 """Knowledge filling: candidate extraction from retrieved articles and
 attributes, fill-input encoding, and the trained slot scorer."""
 
-from artdesc.filler.candidates import ATTRIBUTE_TYPES, Candidate, CandidateSet, extract_candidates
+from artdesc.filler.candidates import Candidate, CandidateSet, extract_candidates
 from artdesc.filler.encoding import (
     CLS,
     SEP,
@@ -25,7 +25,6 @@ from artdesc.filler.train import (
 )
 
 __all__ = [
-    "ATTRIBUTE_TYPES",
     "CLS",
     "Candidate",
     "CandidateSet",

@@ -5,15 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from artdesc.corpus import ATTRIBUTE_KEYS, EntityType, Gazetteer, tag_entities
-
-# attribute values carry a fixed entity type each
-ATTRIBUTE_TYPES = {
-    "artist": EntityType.PERSON,
-    "school": EntityType.LOCATION,
-    "timeframe": EntityType.DATE,
-    "type": EntityType.MISC,
-}
+from artdesc.corpus import ATTRIBUTE_TYPES, EntityType, Gazetteer, tag_entities
 
 
 class Candidate(NamedTuple):
@@ -30,12 +22,13 @@ class CandidateSet:
     entries: list[Candidate]
 
     def __post_init__(self):
+        # (lowercased surface, type) -> position of its first entry
+        self._positions: dict[tuple[str, EntityType], int] = {}
         deduped: list[Candidate] = []
-        seen: set[tuple[str, EntityType]] = set()
         for cand in self.entries:
             key = (cand.surface.lower(), cand.entity_type)
-            if key not in seen:
-                seen.add(key)
+            if key not in self._positions:
+                self._positions[key] = len(deduped)
                 deduped.append(cand)
         self.entries = deduped
 
@@ -49,11 +42,13 @@ class CandidateSet:
         return [(i, c) for i, c in enumerate(self.entries) if c.entity_type == etype]
 
     def find(self, surface: str, etype: EntityType) -> int | None:
-        key = surface.lower()
-        for i, cand in enumerate(self.entries):
-            if cand.entity_type == etype and cand.surface.lower() == key:
-                return i
-        return None
+        return self._positions.get((surface.lower(), etype))
+
+
+def attribute_candidates(attributes: dict[str, str]) -> list[Candidate]:
+    """The non-blank attribute values, typed and in ``ATTRIBUTE_TYPES`` order."""
+    return [Candidate(value, etype, "attribute") for key, etype in ATTRIBUTE_TYPES.items()
+            if (value := attributes.get(key, "").strip())]
 
 
 def extract_candidates(
@@ -62,11 +57,7 @@ def extract_candidates(
     gazetteer: Gazetteer,
 ) -> CandidateSet:
     """Entities tagged in the ranked article bodies plus typed attribute values."""
-    entries: list[Candidate] = []
-    for key in ATTRIBUTE_KEYS:
-        value = (attributes or {}).get(key, "").strip()
-        if value:
-            entries.append(Candidate(value, ATTRIBUTE_TYPES[key], "attribute"))
+    entries = attribute_candidates(attributes)
     for body in bodies:
         for (start, end), etype in tag_entities(body, gazetteer):
             entries.append(Candidate(body[start:end], etype, "article"))

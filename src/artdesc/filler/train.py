@@ -21,7 +21,7 @@ from artdesc import numcore as nc
 from artdesc.corpus import MaskedSentence, PaintingRecord, Slot, tokenize
 from artdesc.corpus.vocab import Vocab
 from artdesc.errors import ConfigError
-from artdesc.filler.candidates import ATTRIBUTE_TYPES, Candidate, CandidateSet
+from artdesc.filler.candidates import Candidate, CandidateSet, attribute_candidates
 from artdesc.filler.encoding import FillInput, encode_fill_input
 from artdesc.filler.model import FillerConfig, init_filler_params, slot_scores
 from artdesc.training import Checkpoint, TrainConfig, fit, load_model, padding, save_model
@@ -41,11 +41,7 @@ class FillPair:
 def record_candidates(record: PaintingRecord) -> CandidateSet:
     """Whole-paragraph candidates: typed attribute values plus every masked
     entity value of the record."""
-    entries: list[Candidate] = []
-    for key, etype in ATTRIBUTE_TYPES.items():
-        value = record.attributes.get(key, "").strip()
-        if value:
-            entries.append(Candidate(value, etype, "attribute"))
+    entries = attribute_candidates(record.attributes)
     for entry in record.sentences:
         for value, etype in zip(entry.values, entry.masked.slot_types()):
             entries.append(Candidate(value, etype, "article"))

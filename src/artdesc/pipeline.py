@@ -25,7 +25,6 @@ from artdesc.corpus import (
 )
 from artdesc.corpus.corpusio import config_from_object, feature_path, read_json
 from artdesc.decoder import generate, load_decoder_checkpoint
-from artdesc.decoder.generate import DECODE_MODES
 from artdesc.errors import ConfigError, DataError, MissingArtifactError
 from artdesc.filler import (
     extract_candidates,
@@ -39,6 +38,7 @@ from artdesc.retriever import TfIdfIndex, build_query, load_blocklist
 logger = logging.getLogger(__name__)
 
 KNOWLEDGE_MODES = ("external-corpus", "reference-as-oracle")
+DECODE_MODES = ("greedy", "beam")
 # the PipelineConfig fields, other than the artifacts' paths, that change a report
 OUTPUT_SETTINGS = ("seed", "retrieval_k", "knowledge_mode", "decode_mode", "beam_size")
 
@@ -208,16 +208,9 @@ class Pipeline:
             raise MissingArtifactError(
                 f"painting '{record.id}' has no feature grid; supply features first"
             )
-        sentences = {
-            topic: generate(
-                self.decoder,
-                record.features,
-                topic,
-                mode=self.config.decode_mode,
-                beam_size=self.config.beam_size,
-            )
-            for topic in TopicLabel if topic in topics
-        }
+        beam_size = 1 if self.config.decode_mode == "greedy" else self.config.beam_size
+        sentences = {topic: generate(self.decoder, record.features, topic, beam_size)
+                     for topic in TopicLabel if topic in topics}
         masked = list(sentences.values())
         query = build_query(record.attributes, record.objects, self._blocklist)
         ranked, bodies = self._retrieve(record, query)

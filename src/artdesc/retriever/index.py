@@ -6,10 +6,11 @@ cosine similarity between the normalized query vector and each document.
 
 An index is saved as a numcore container of kind "tfidf-index": the terms
 (in term-id order), doc ids (sorted, unique) and stop words (sorted) as JSON
-lists in its metadata; the df, indptr, indices and data tables, and the kept
+lists in its metadata; the indptr, indices and data tables, and the kept
 articles' UTF-8 bodies with one end offset per doc id, as arrays. The
 constructor, which both build and load end in, rejects tables that do not
-hold together and derives the term-major postings; they are not stored.
+hold together and derives the term-major postings and each term's df (its
+number of postings); they are not stored.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from artdesc.retriever.normalize import default_stopwords, normalize_text
 logger = logging.getLogger(__name__)
 
 KIND = "tfidf-index"
-ARRAYS = {"df": "i8", "indptr": "u8", "indices": "u4", "data": "f8", "bodies": "u1",
-          "body_ends": "u8"}
+ARRAYS = {"indptr": "u8", "indices": "u4", "data": "f8", "bodies": "u1", "body_ends": "u8"}
 HEADER_TYPES = {"terms": list[str], "doc_ids": list[str], "stopwords": list[str]}
 
 
@@ -53,13 +53,13 @@ class TfIdfIndex:
     """Document-major CSR rows (what is saved) plus their term-major
     transpose (derived here, never stored): term t's postings are rows
     ``_rows[_colptr[t]:_colptr[t+1]]`` in ascending order, with weights
-    ``_weights`` at the same positions. ``term_ids`` maps each term to its
-    id, in id order. ``sha256`` is the trailer of the file ``load`` read."""
+    ``_weights`` at the same positions, and ``df`` counts them. ``term_ids``
+    maps each term to its id, in id order. ``sha256`` is the trailer of the
+    file ``load`` read."""
 
     def __init__(
         self,
         term_ids: dict[str, int],
-        df: np.ndarray,
         doc_ids: list[str],
         indptr: np.ndarray,
         indices: np.ndarray,
@@ -71,7 +71,6 @@ class TfIdfIndex:
     ):
         self.terms = list(term_ids)
         self.term_ids = term_ids
-        self.df = np.asarray(df, dtype=np.int64)
         self.doc_ids = doc_ids
         self.indptr = np.asarray(indptr, dtype=np.uint64)
         self.indices = np.asarray(indices, dtype=np.uint32)
@@ -80,19 +79,19 @@ class TfIdfIndex:
         self.bodies = np.asarray(bodies, dtype=np.uint8)
         self.body_ends = np.asarray(body_ends, dtype=np.uint64)
         self.sha256 = sha256
-        postings = self._check_structure()
+        self.df = self._check_structure()
         self._idf = np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
         rows = np.repeat(np.arange(self.n_docs), np.diff(self.indptr.astype(np.int64)))
         order = np.argsort(self.indices, kind="stable")
         self._rows = rows[order]
         self._weights = self.data[order]
         self._colptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
-        np.cumsum(postings, out=self._colptr[1:])
+        np.cumsum(self.df, out=self._colptr[1:])
 
     def _check_structure(self) -> np.ndarray:
         """Rejects tables that would silently change rankings or bodies:
-        tables that do not hold together, df included, or doc ids out of
-        order. Returns each term's number of postings."""
+        tables that do not hold together, or doc ids out of order. Returns
+        each term's number of postings."""
         nnz = len(self.indices)
         if len(self.data) != nnz or not np.all(np.isfinite(self.data)):
             raise DataError(f"weights must be {nnz} finite values, one per term id")
@@ -102,13 +101,6 @@ class TfIdfIndex:
         if nnz and int(self.indices.max()) >= len(self.terms):
             raise DataError(f"term id {int(self.indices.max())} is out of range "
                             f"for {len(self.terms)} terms")
-        postings = np.bincount(self.indices, minlength=len(self.terms))
-        if len(self.df) != len(postings):
-            raise DataError(f"df table must hold {len(self.terms)} counts")
-        wrong = np.flatnonzero(self.df != postings)
-        if len(wrong):
-            raise DataError(f"df of term '{self.terms[wrong[0]]}' is {self.df[wrong[0]]}, "
-                            f"but it has {postings[wrong[0]]} postings")
         ends = np.append(np.uint64(0), self.body_ends)
         if (len(ends) != self.n_docs + 1 or ends[-1] != len(self.bodies)
                 or np.any(ends[1:] < ends[:-1])):
@@ -116,7 +108,7 @@ class TfIdfIndex:
         for prev, doc_id in zip(self.doc_ids, self.doc_ids[1:]):
             if prev >= doc_id:
                 raise DataError(f"doc ids must strictly increase: '{prev}' before '{doc_id}'")
-        return postings
+        return np.bincount(self.indices, minlength=len(self.terms))
 
     def _check_bodies(self) -> None:
         """Rejects a body that is not UTF-8 text of its own: the blob must
@@ -189,7 +181,7 @@ class TfIdfIndex:
         for lo, hi in pairwise(indptr.tolist()):
             weights = data[lo:hi]
             weights /= np.sqrt((weights**2).sum())
-        return cls(term_ids, df, doc_ids, indptr, indices, data, stopwords,
+        return cls(term_ids, doc_ids, indptr, indices, data, stopwords,
                    np.frombuffer(bodies, np.uint8), body_ends)
 
     # ------------------------------------------------------------------
@@ -250,7 +242,8 @@ class TfIdfIndex:
         check_object(meta, str(path), tuple(HEADER_TYPES), HEADER_TYPES)
         dtypes = {name: array.dtype.str[1:] for name, array in arrays.items()}
         if dtypes != ARRAYS:
-            raise DataError(f"{path}: index arrays must be {ARRAYS}, got {dtypes}")
+            raise DataError(f"{path}: index arrays must be {ARRAYS}, got {dtypes}; "
+                            "rebuild it with `artdesc index`")
         terms = meta["terms"]
         term_ids = dict(zip(terms, range(len(terms))))
         if len(term_ids) != len(terms):

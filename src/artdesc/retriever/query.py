@@ -7,7 +7,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from artdesc.corpus.types import ATTRIBUTE_KEYS
+from artdesc.corpus.types import ATTRIBUTE_TYPES
 from artdesc.retriever.normalize import read_word_list
 
 logger = logging.getLogger(__name__)
@@ -29,7 +29,7 @@ def build_query(attributes: dict[str, str], objects: list[str],
     followed by detected object concepts not on the blocklist."""
     if blocklist is None:
         blocklist = default_blocklist()
-    parts = [attributes.get(key, "").strip() for key in ATTRIBUTE_KEYS]
+    parts = [attributes.get(key, "").strip() for key in ATTRIBUTE_TYPES]
     parts = [p for p in parts if p]
     for concept in objects:
         concept = concept.strip()

@@ -100,7 +100,7 @@ def test_probes_see_beam_decode_and_its_greedy_fallback():
     grid = FeatureGrid(np.random.default_rng(1).normal(size=(2, 3)))
     tracer, counts = probes.install()
     try:
-        pl.generate(ckpt, grid, TopicLabel.CONTENT, mode="beam", beam_size=3)
+        pl.generate(ckpt, grid, TopicLabel.CONTENT, beam_size=3)
     finally:
         tracer.restore()
     # decoder.greedy_fallback.share is the greedy time under beam_decode

@@ -506,16 +506,19 @@ def _container_body(meta: bytes, arrays: list[tuple[str, np.ndarray]], skew: int
     return body
 
 
-def _idx_body(terms, df, doc_ids, indptr, indices, data, stopwords, bodies, body_ends) -> bytes:
-    """An index container body; ``terms`` are already encoded."""
+def _idx_body(terms, doc_ids, indptr, indices, data, stopwords, bodies, body_ends,
+              df=None) -> bytes:
+    """An index container body; ``terms`` are already encoded. With ``df``,
+    it is the layout that stored each term's df next to the postings."""
     meta = (b'{"doc_ids":' + json.dumps(doc_ids, separators=(",", ":")).encode("utf-8")
             + b',"kind":"tfidf-index","stopwords":'
             + json.dumps(sorted(stopwords), separators=(",", ":")).encode("utf-8")
             + b',"terms":[' + b",".join(b'"' + t + b'"' for t in terms) + b"]}")
-    return _container_body(meta, [
-        ("df", np.asarray(df, "<i8")), ("indptr", np.asarray(indptr, "<u8")),
-        ("indices", np.asarray(indices, "<u4")), ("data", np.asarray(data, "<f8")),
-        ("bodies", np.asarray(bodies, "u1")), ("body_ends", np.asarray(body_ends, "<u8"))])
+    stored_df = [] if df is None else [("df", np.asarray(df, "<i8"))]
+    return _container_body(meta, stored_df + [
+        ("indptr", np.asarray(indptr, "<u8")), ("indices", np.asarray(indices, "<u4")),
+        ("data", np.asarray(data, "<f8")), ("bodies", np.asarray(bodies, "u1")),
+        ("body_ends", np.asarray(body_ends, "<u8"))])
 
 
 def _v1_idx_bytes(terms, df, doc_ids, indptr, indices, data) -> bytes:
@@ -540,7 +543,7 @@ def _small_index() -> TfIdfIndex:
 
 @pytest.mark.parametrize("corruption", [
     "bad-utf8-term", "truncated", "trailing-bytes", "decreasing-indptr",
-    "term-id-out-of-range", "df-disagrees", "unsorted-doc-ids", "duplicate-doc-ids",
+    "term-id-out-of-range", "stored-df", "unsorted-doc-ids", "duplicate-doc-ids",
     "duplicate-term",
 ])
 def test_malformed_index_exit_code(tmp_path, capsys, corruption):
@@ -549,10 +552,10 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     idx = _small_index()
     terms = [t.encode("utf-8") for t in idx.terms]
     doc_ids, indptr, indices = list(idx.doc_ids), idx.indptr.copy(), idx.indices.copy()
-    df = idx.df.copy()
+    df = None
     idx.save(tmp_path / "good.idx")
     stored = (idx.stopwords, idx.bodies, idx.body_ends)
-    assert _seal(_idx_body(terms, idx.df, doc_ids, indptr, indices, idx.data, *stored)) == \
+    assert _seal(_idx_body(terms, doc_ids, indptr, indices, idx.data, *stored)) == \
         (tmp_path / "good.idx").read_bytes()
     message = "data error"
     if corruption == "bad-utf8-term":
@@ -564,9 +567,9 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     elif corruption == "term-id-out-of-range":
         indices[-1] = len(terms)
         message = f"term id {len(terms)} is out of range"
-    elif corruption == "df-disagrees":
-        df[idx.term_ids["saint"]] = 1
-        message = "df of term 'saint' is 1, but it has 3 postings"
+    elif corruption == "stored-df":
+        df = idx.df
+        message = "rebuild it with `artdesc index`"
     elif corruption == "unsorted-doc-ids":
         doc_ids[0], doc_ids[1] = doc_ids[1], doc_ids[0]
         message = "doc ids must strictly increase"
@@ -576,7 +579,7 @@ def test_malformed_index_exit_code(tmp_path, capsys, corruption):
     elif corruption == "duplicate-term":
         terms[1] = terms[0]
         message = f"index term '{idx.terms[0]}' is stored twice"
-    body = _idx_body(terms, df, doc_ids, indptr, indices, idx.data, *stored)
+    body = _idx_body(terms, doc_ids, indptr, indices, idx.data, *stored, df=df)
     if corruption == "truncated":
         body, message = body[:-3], "truncated index while reading data of 'body_ends'"
     elif corruption == "trailing-bytes":

@@ -10,7 +10,9 @@ class of the package is named somewhere, every training setting has a
 command-line flag whose default the CLI does not restate, every describe
 setting is set in ``pipeline.json`` or the decoder checkpoint alone, log
 events carry their values as fields, only the parameter block binds a
-parameter's gradient, and only numcore's softmax recipes call ``np.exp``."""
+parameter's gradient, only numcore's softmax recipes call ``np.exp``, only
+the pipeline knows the decode mode, and one table declares the painting
+attributes."""
 
 import ast
 from pathlib import Path
@@ -430,3 +432,35 @@ def test_only_the_softmax_recipes_call_exp():
                     offenders.append(f"{rel}:{node.lineno}")
     assert offenders == []
     assert allowed, "the softmax recipes call no np.exp"
+
+
+# what only the pipeline knows: the decoder takes a beam size, and "greedy"
+# is the pipeline's name for a beam of one
+DECODE_MODE_NAMES = frozenset({"decode_mode", "DECODE_MODES"})
+
+
+def test_only_the_pipeline_knows_the_decode_mode():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "pipeline.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{rel}:{lineno}: {name}" for lineno, name in _referenced_names(tree)
+                      if name in DECODE_MODE_NAMES]
+        offenders += [f"{rel}:{node.lineno}: '{node.value}'" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and node.value in DECODE_MODE_NAMES]
+    assert offenders == []
+
+
+def test_one_table_declares_the_painting_attributes():
+    """Only corpus/types.py assigns ``ATTRIBUTE_TYPES``; every other module
+    imports it."""
+    binders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        binders += [f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id == "ATTRIBUTE_TYPES"]
+    assert [where.split(":")[0] for where in binders] == ["corpus/types.py"], binders

@@ -51,6 +51,16 @@ class TestExtractCandidates:
         cands = extract_candidates(["In Florence."], {"artist": "vasari"}, gazetteer)
         assert cands.entries[0].source == "attribute"
 
+    def test_training_and_describe_harvest_attributes_alike(self, gazetteer):
+        """Filler training (``record_candidates``) and describe
+        (``extract_candidates``) list a record's attribute values in one order."""
+        record = PaintingRecord("p1", [], attributes={
+            "school": "Florentine", "timeframe": "1501-1550", "type": "religious",
+            "artist": "Vasari"})
+        want = [c for c in record_candidates(record) if c.source == "attribute"]
+        assert len(want) == 4
+        assert extract_candidates([], record.attributes, gazetteer).entries == want
+
     def test_case_insensitive_dedup(self, gazetteer):
         cands = CandidateSet([
             Candidate("Vasari", EntityType.PERSON, "article"),

@@ -200,8 +200,8 @@ class TestTapeOracle:
         with pytest.raises(AssertionError, match="tape node"):  # the patch is live
             nc.tanh_t(nc.constant(np.zeros(1)))
         for ckpt, grid in cases:
-            for mode in ("greedy", "beam"):
-                assert generate(ckpt, grid, TopicLabel.FORM, mode, 5).tokens
+            for beam_size in (1, 5):
+                assert generate(ckpt, grid, TopicLabel.FORM, beam_size).tokens
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_logits_raise(self):
@@ -231,6 +231,22 @@ class TestBeam:
             assert b_tokens == g_tokens
             assert b_score == g_score
 
+    def test_a_beam_of_one_searches_once(self, monkeypatch):
+        """A beam of one is one search; a wider beam adds one search of
+        width one, its greedy fallback."""
+        widths, search = [], generate_mod._search
+
+        def counted(next_logps, end, max_len, beam_size):
+            widths.append(beam_size)
+            return search(next_logps, end, max_len, beam_size)
+
+        monkeypatch.setattr(generate_mod, "_search", counted)
+        ckpt, grid = random_checkpoint(3)
+        for beam_size, want in ((1, [1]), (5, [5, 1])):
+            widths.clear()
+            generate(ckpt, grid, TopicLabel.CONTENT, beam_size)
+            assert widths == want, beam_size
+
     def test_beam_never_worse_than_greedy(self):
         for seed in range(30):
             ckpt, grid = random_checkpoint(seed)
@@ -249,8 +265,8 @@ class TestBeam:
 
     def test_generation_deterministic(self):
         ckpt, grid = random_checkpoint(99)
-        a = generate(ckpt, grid, TopicLabel.CONTENT, mode="beam", beam_size=5)
-        b = generate(ckpt, grid, TopicLabel.CONTENT, mode="beam", beam_size=5)
+        a = generate(ckpt, grid, TopicLabel.CONTENT, beam_size=5)
+        b = generate(ckpt, grid, TopicLabel.CONTENT, beam_size=5)
         assert a.surfaces() == b.surfaces()
 
     def test_trained_model_beam_reproduces_sentence(self):
@@ -262,8 +278,7 @@ class TestBeam:
                              TrainConfig(epochs=220, lr=5e-3, lr_decay_every=None,
                                          batch_size=1, seed=12))
         for record in records:
-            sentence = generate(ckpt, record.features, TopicLabel.CONTENT,
-                                mode="beam", beam_size=5)
+            sentence = generate(ckpt, record.features, TopicLabel.CONTENT, beam_size=5)
             assert sentence.surfaces() == record.sentences[0].masked.surfaces()
 
 
@@ -372,31 +387,26 @@ class TestEarlyStop:
 
 
 class TestGenerateValidation:
-    def test_bad_mode(self):
-        ckpt, grid = random_checkpoint(1)
-        with pytest.raises(ConfigError):
-            generate(ckpt, grid, TopicLabel.CONTENT, mode="sample", beam_size=5)
-
     def test_bad_beam_size(self):
         ckpt, grid = random_checkpoint(1)
         with pytest.raises(ConfigError):
-            generate(ckpt, grid, TopicLabel.CONTENT, mode="beam", beam_size=0)
+            generate(ckpt, grid, TopicLabel.CONTENT, beam_size=0)
 
     def test_bad_topic(self):
         ckpt, grid = random_checkpoint(1)
         with pytest.raises(ConfigError):
-            generate(ckpt, grid, "content", mode="beam", beam_size=5)
+            generate(ckpt, grid, "content", beam_size=5)
 
     def test_grid_mismatch(self):
         ckpt, _ = random_checkpoint(1)
         with pytest.raises(ConfigError, match="feature dim"):
             generate(ckpt, random_grid(np.random.default_rng(0), feat=9), TopicLabel.CONTENT,
-                     mode="beam", beam_size=5)
+                     beam_size=5)
 
     def test_output_nonempty(self):
         for seed in range(20):
             ckpt, grid = random_checkpoint(seed)
-            sentence = generate(ckpt, grid, TopicLabel.FORM, mode="greedy", beam_size=5)
+            sentence = generate(ckpt, grid, TopicLabel.FORM, beam_size=1)
             assert len(sentence.tokens) >= 1
 
 

@@ -200,7 +200,7 @@ def tied_index(rng):
 
 def random_csr_index(rng):
     """Rows of random distinct term ids with weights from a few values (so
-    scores tie), the df the rows give and sorted random doc ids."""
+    scores tie) and sorted random doc ids."""
     terms = terms_of(normalize_text(" ".join(WORDS)))
     n_docs = 30
     indptr, indices = [0], []
@@ -211,16 +211,14 @@ def random_csr_index(rng):
     data = rng.choice([0.25, 0.5, 0.75], size=len(indices))
     doc_ids = sorted({f"r{int(x):05d}" for x in rng.integers(0, 10**5, size=n_docs)})
     assert len(doc_ids) == n_docs
-    return TfIdfIndex({t: i for i, t in enumerate(terms)},
-                      np.bincount(indices, minlength=len(terms)), doc_ids,
-                      np.array(indptr), np.array(indices), data,
+    return TfIdfIndex({t: i for i, t in enumerate(terms)}, doc_ids, np.array(indptr), np.array(indices), data,
                       default_stopwords(), np.zeros(0), np.zeros(n_docs))
 
 
 def empty_row_index(rng):
     """A built index with one more document whose row is empty."""
     idx = TfIdfIndex.build(random_articles(rng, 12))
-    return TfIdfIndex(idx.term_ids, idx.df, idx.doc_ids + ["zzz-empty"],
+    return TfIdfIndex(idx.term_ids, idx.doc_ids + ["zzz-empty"],
                       np.append(idx.indptr, idx.indptr[-1]), idx.indices, idx.data,
                       idx.stopwords, idx.bodies, np.append(idx.body_ends, idx.body_ends[-1]))
 
@@ -280,7 +278,7 @@ def dict_build(articles, stopwords=None):
         data.extend(weights.tolist())
         indptr.append(len(indices))
     bodies = [body for _, _, body in usable]
-    return TfIdfIndex(term_ids, df, doc_ids, np.array(indptr, dtype=np.uint64),
+    return TfIdfIndex(term_ids, doc_ids, np.array(indptr, dtype=np.uint64),
                       np.array(indices, dtype=np.uint32), np.array(data, dtype=np.float64),
                       stopwords, np.frombuffer(b"".join(bodies), np.uint8),
                       np.cumsum([len(body) for body in bodies]))
@@ -477,26 +475,8 @@ def test_tampered_bodies_raise(tmp_path, tamper, message):
     path = tmp_path / "tampered.idx"
     save_container(path, {"kind": "tfidf-index", "terms": idx.terms, "doc_ids": idx.doc_ids,
                           "stopwords": sorted(idx.stopwords)},
-                   {"df": idx.df, "indptr": idx.indptr, "indices": idx.indices,
-                    "data": idx.data, "bodies": bodies, "body_ends": ends})
+                   {"indptr": idx.indptr, "indices": idx.indices, "data": idx.data,
+                    "bodies": bodies, "body_ends": ends})
     with pytest.raises(DataError, match=message):
         TfIdfIndex.load(path).body("b")
 
-
-def test_df_that_disagrees_with_the_postings_raises(tmp_path):
-    """A df table that does not count each term's postings would change
-    every idf and so the rankings; it is refused even when the file is
-    sealed with a valid trailer."""
-    idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "water lilies monet garden"),
-                            KnowledgeArticle("b", "b", "water garden renoir"),
-                            KnowledgeArticle("c", "c", "water boats")])
-    path = tmp_path / "df.idx"
-    save_container(path, {"kind": "tfidf-index", "terms": idx.terms, "doc_ids": idx.doc_ids,
-                          "stopwords": sorted(idx.stopwords)},
-                   {name: np.ones_like(idx.df) if name == "df" else getattr(idx, name)
-                    for name in ("df", "indptr", "indices", "data", "bodies", "body_ends")})
-    water = idx.term_ids["water"]
-    assert idx.df[water] == 3 and water == int(np.flatnonzero(idx.df != 1)[0])
-    with pytest.raises(DataError, match=re.escape(
-            f"{path}: df of term 'water' is 1, but it has 3 postings")):
-        TfIdfIndex.load(path)

@@ -50,6 +50,13 @@ class TestDescribeOracle:
         b = Pipeline(PipelineConfig(**config)).describe(records[0])
         assert report_to_json(a) == report_to_json(b)
 
+    def test_greedy_decodes_as_a_beam_of_one(self, world):
+        _, records, config, _ = world
+        greedy = Pipeline(PipelineConfig(**dict(config, decode_mode="greedy")))
+        beam_one = Pipeline(PipelineConfig(**dict(config, decode_mode="beam", beam_size=1)))
+        for record in records:
+            assert greedy.describe(record)["sentences"] == beam_one.describe(record)["sentences"]
+
     def test_oracle_mode_without_reference_warns_and_retrieves_nothing(self, world, caplog):
         _, records, config, _ = world
         record = copy.copy(records[0])
