@@ -248,13 +248,13 @@ def cmd_fill(args) -> int:
     gazetteer = Gazetteer.from_file(args.gazetteer)
     masked_spec = read_json(args.masked, many=True, required=("tokens",),
                             types={"tokens": list[str], "topic": str | None})
-    masked = [
-        sentence_from_surfaces(
-            item["tokens"],
-            TopicLabel.from_name(item["topic"]) if item.get("topic") else TopicLabel.CONTEXT,
-        )
-        for item in masked_spec
-    ]
+    masked = []
+    for i, item in enumerate(masked_spec):
+        try:
+            topic = TopicLabel.from_name(item["topic"]) if item.get("topic") else TopicLabel.CONTEXT
+            masked.append(sentence_from_surfaces(item["tokens"], topic))
+        except DataError as exc:
+            raise DataError(f"{args.masked} item {i}: {exc}") from None
     bodies = [a.body for a in read_articles_jsonl(args.articles)] if args.articles else []
     attributes = read_json(args.attrs) if args.attrs else {}
     check_object(attributes, args.attrs, types=dict.fromkeys(attributes, str))

@@ -134,7 +134,7 @@ def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore,
                                             words)
         ce = nc.cross_entropy(cls_logits, topics)
         stats["ce"] = stats.get("ce", 0.0) + ce.item()
-        losses.append(nc.add(nll, ce))
+        losses.append(nc.add_n([nll, ce]))
     return (losses[0] if len(losses) == 1 else nc.add_n(losses)), units, stats
 
 

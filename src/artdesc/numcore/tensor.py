@@ -4,6 +4,11 @@ Every op records a node with parents and a backward closure. Heavy layers
 (LSTM cell, attention MLP, softmax cross-entropy) are single fused nodes with
 hand-derived backward passes; everything is validated against central finite
 differences by :mod:`artdesc.numcore.gradcheck`.
+
+A backward closure hands each parent its gradient through
+:meth:`Tensor.accumulate_grad`, which alone decides whether that parent takes
+one (a parameter or a node does, a constant does not) and adds it up, into
+the whole array or scattered into rows or a slice.
 """
 
 from __future__ import annotations
@@ -56,10 +61,18 @@ class Tensor:
             raise ShapeError(f"item() on tensor '{self.name}' of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, at: np.ndarray | slice | None = None) -> None:
+        """Add g to this tensor's gradient, or with ``at`` (rows or a slice)
+        scatter it there, adding up where a row repeats. A tensor outside
+        the graph, neither a parameter nor a node, takes no gradient."""
+        if not (self.requires_grad or self._parents):
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if at is None:
+            self.grad += g
+        else:
+            np.add.at(self.grad, at, g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, name={self.name!r})"
@@ -71,12 +84,7 @@ def constant(data, name: str | None = None) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, context: str) -> Tensor:
-    t = Tensor(data, parents=parents, backward_fn=backward_fn, name=context)
-    return t
-
-
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
+    return Tensor(data, parents=parents, backward_fn=backward_fn, name=context)
 
 
 def _require_1d(t: Tensor, what: str) -> None:
@@ -87,19 +95,6 @@ def _require_1d(t: Tensor, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Elementwise / reduction ops
 # ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape} ('{a.name}' vs '{b.name}')")
-
-    def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            a.accumulate_grad(out.grad)
-        if _wants_grad(b):
-            b.accumulate_grad(out.grad)
-
-    return _node(a.data + b.data, (a, b), bwd, "add")
 
 
 def add_n(ts: Sequence[Tensor]) -> Tensor:
@@ -113,8 +108,7 @@ def add_n(ts: Sequence[Tensor]) -> Tensor:
 
     def bwd(out: Tensor) -> None:
         for t in ts:
-            if _wants_grad(t):
-                t.accumulate_grad(out.grad)
+            t.accumulate_grad(out.grad)
 
     total = ts[0].data.copy()
     for t in ts[1:]:
@@ -124,8 +118,7 @@ def add_n(ts: Sequence[Tensor]) -> Tensor:
 
 def scale(a: Tensor, s: float) -> Tensor:
     def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            a.accumulate_grad(out.grad * s)
+        a.accumulate_grad(out.grad * s)
 
     return _node(a.data * s, (a,), bwd, "scale")
 
@@ -134,8 +127,7 @@ def tanh_t(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            a.accumulate_grad(out.grad * (1.0 - y * y))
+        a.accumulate_grad(out.grad * (1.0 - y * y))
 
     return _node(y, (a,), bwd, "tanh")
 
@@ -144,8 +136,7 @@ def relu_t(a: Tensor) -> Tensor:
     y = np.maximum(a.data, 0.0)
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            a.accumulate_grad(out.grad * (a.data > 0.0))
+        a.accumulate_grad(out.grad * (a.data > 0.0))
 
     return _node(y, (a,), bwd, "relu")
 
@@ -158,10 +149,8 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(out: Tensor) -> None:
         g = float(out.grad)
-        if _wants_grad(a):
-            a.accumulate_grad(g * b.data)
-        if _wants_grad(b):
-            b.accumulate_grad(g * a.data)
+        a.accumulate_grad(g * b.data)
+        b.accumulate_grad(g * a.data)
 
     return _node(np.array(a.data @ b.data), (a, b), bwd, "dot")
 
@@ -181,8 +170,7 @@ def concat(ts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bwd(out: Tensor) -> None:
         for t, g in zip(ts, np.split(out.grad, np.cumsum(sizes[:-1]), axis=axis)):
-            if _wants_grad(t):
-                t.accumulate_grad(g)
+            t.accumulate_grad(g)
 
     return _node(data, tuple(ts), bwd, "concat")
 
@@ -193,10 +181,7 @@ def narrow(a: Tensor, start: int, length: int) -> Tensor:
         raise ShapeError(f"narrow: window [{start}, {start + length}) out of range for '{a.name}'")
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(a):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start : start + length] += out.grad
+        a.accumulate_grad(out.grad, at=slice(start, start + length))
 
     return _node(a.data[start : start + length].copy(), (a,), bwd, "narrow")
 
@@ -208,8 +193,7 @@ def stack_scalars(ts: Sequence[Tensor]) -> Tensor:
 
     def bwd(out: Tensor) -> None:
         for i, t in enumerate(ts):
-            if _wants_grad(t):
-                t.accumulate_grad(np.array(out.grad[i]).reshape(t.shape))
+            t.accumulate_grad(np.array(out.grad[i]).reshape(t.shape))
 
     return _node(np.array([float(t.data.reshape(())) for t in ts]), tuple(ts), bwd, "stack_scalars")
 
@@ -228,10 +212,9 @@ def max_rows(x: Tensor, lengths) -> Tensor:
     winner = np.argmax(data, axis=1)[:, None, :]  # first occurrence wins
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(x):
-            g = np.zeros(data.shape)
-            np.put_along_axis(g, winner, out.grad[:, None, :], axis=1)
-            x.accumulate_grad(g)
+        g = np.zeros(data.shape)
+        np.put_along_axis(g, winner, out.grad[:, None, :], axis=1)
+        x.accumulate_grad(g)
 
     return _node(np.take_along_axis(data, winner, axis=1)[:, 0], (x,), bwd, "max_rows")
 
@@ -246,11 +229,10 @@ def windows(x: Tensor, n: int) -> Tensor:
     span = steps - n + 1
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(x):
-            g = np.zeros_like(x.data)
-            for i in range(n):
-                g[..., i : i + span, :] += out.grad[..., i * k : (i + 1) * k]
-            x.accumulate_grad(g)
+        g = np.zeros_like(x.data)
+        for i in range(n):
+            g[..., i : i + span, :] += out.grad[..., i * k : (i + 1) * k]
+        x.accumulate_grad(g)
 
     data = np.concatenate([x.data[..., i : i + span, :] for i in range(n)], axis=-1)
     return _node(data, (x,), bwd, "windows")
@@ -278,11 +260,9 @@ def affine(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bwd(out: Tensor) -> None:
         g = out.grad
-        if _wants_grad(w):
-            w.accumulate_grad(np.outer(g, x.data))
-        if _wants_grad(x):
-            x.accumulate_grad(w.data.T @ g)
-        if b is not None and _wants_grad(b):
+        w.accumulate_grad(np.outer(g, x.data))
+        x.accumulate_grad(w.data.T @ g)
+        if b is not None:
             b.accumulate_grad(g)
 
     parents = (w, x) if b is None else (w, x, b)
@@ -304,11 +284,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bwd(out: Tensor) -> None:
         g = out.grad.reshape(y.shape)
-        if _wants_grad(w):
-            w.accumulate_grad(g.T @ rows)
-        if _wants_grad(x):
-            x.accumulate_grad((g @ w.data).reshape(x.shape))
-        if b is not None and _wants_grad(b):
+        w.accumulate_grad(g.T @ rows)
+        x.accumulate_grad((g @ w.data).reshape(x.shape))
+        if b is not None:
             b.accumulate_grad(g.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
@@ -324,10 +302,8 @@ def vecmat(p: Tensor, e: Tensor) -> Tensor:
 
     def bwd(out: Tensor) -> None:
         g = out.grad
-        if _wants_grad(p):
-            p.accumulate_grad(g @ e.data.T)
-        if _wants_grad(e):
-            e.accumulate_grad(np.atleast_2d(p.data).T @ np.atleast_2d(g))
+        p.accumulate_grad(g @ e.data.T)
+        e.accumulate_grad(np.atleast_2d(p.data).T @ np.atleast_2d(g))
 
     return _node(p.data @ e.data, (p, e), bwd, "vecmat")
 
@@ -343,10 +319,7 @@ def embedding(e: Tensor, idx) -> Tensor:
         raise ValueError(f"embedding: index {idx} out of range for table '{e.name}' {e.shape}")
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(e):
-            if e.grad is None:
-                e.grad = np.zeros_like(e.data)
-            np.add.at(e.grad, ids, out.grad)
+        e.accumulate_grad(out.grad, at=ids)
 
     return _node(np.take(e.data, ids, axis=0), (e,), bwd, "embedding")
 
@@ -380,9 +353,8 @@ def softmax(logits: Tensor) -> Tensor:
     y = softmax_np(logits.data)
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(logits):
-            g = out.grad
-            logits.accumulate_grad(y * (g - (y * g).sum(axis=-1, keepdims=True)))
+        g = out.grad
+        logits.accumulate_grad(y * (g - (y * g).sum(axis=-1, keepdims=True)))
 
     return _node(y, (logits,), bwd, "softmax")
 
@@ -412,10 +384,9 @@ def cross_entropy(logits: Tensor, target, mask=None) -> Tensor:
     p = np.exp(logp)
 
     def bwd(out: Tensor) -> None:
-        if _wants_grad(logits):
-            g = p.copy()
-            g[picked] -= 1.0
-            logits.accumulate_grad(float(out.grad) * g.reshape(logits.shape))
+        g = p.copy()
+        g[picked] -= 1.0
+        logits.accumulate_grad(float(out.grad) * g.reshape(logits.shape))
 
     return _node(np.array(loss), (logits,), bwd, "cross_entropy")
 
@@ -454,17 +425,12 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
 
     def bwd(out: Tensor) -> None:
         gu, gc_prev = _lstm_bwd_np(out.grad[:hidden], out.grad[hidden:], c_prev.data, gates)
-        if _wants_grad(w):
-            w.accumulate_grad(np.outer(gu, xh))
-        if _wants_grad(b):
-            b.accumulate_grad(gu)
+        w.accumulate_grad(np.outer(gu, xh))
+        b.accumulate_grad(gu)
         gxh = w.data.T @ gu
-        if _wants_grad(x):
-            x.accumulate_grad(gxh[:xdim])
-        if _wants_grad(h_prev):
-            h_prev.accumulate_grad(gxh[xdim:])
-        if _wants_grad(c_prev):
-            c_prev.accumulate_grad(gc_prev)
+        x.accumulate_grad(gxh[:xdim])
+        h_prev.accumulate_grad(gxh[xdim:])
+        c_prev.accumulate_grad(gc_prev)
 
     hc = _node(np.concatenate([h, c]), (x, h_prev, c_prev, w, b), bwd, "lstm_step")
     return narrow(hc, 0, hidden), narrow(hc, hidden, hidden)
@@ -585,19 +551,15 @@ def lstm_seq(x: Tensor, w: Tensor, b: Tensor, lengths, reverse: bool = False) ->
             gus[t, :n] = gu
             gh = gu @ w_h
         gus = gus.reshape(-1, 4 * hidden)
-        if _wants_grad(w):
-            h_prev = np.zeros_like(hs)  # zero before each sequence's first step
-            if reverse:
-                h_prev[:-1] = hs[1:]
-            else:
-                h_prev[1:] = hs[:-1]
-            xh = np.concatenate([x.data.transpose(1, 0, 2), h_prev], axis=2)
-            w.accumulate_grad(gus.T @ xh.reshape(-1, xdim + hidden))
-        if _wants_grad(b):
-            b.accumulate_grad(gus.sum(axis=0))
-        if _wants_grad(x):
-            gx = (gus @ w.data[:, :xdim]).reshape(steps, batch, xdim)
-            x.accumulate_grad(gx.transpose(1, 0, 2))
+        h_prev = np.zeros_like(hs)  # zero before each sequence's first step
+        if reverse:
+            h_prev[:-1] = hs[1:]
+        else:
+            h_prev[1:] = hs[:-1]
+        xh = np.concatenate([x.data.transpose(1, 0, 2), h_prev], axis=2)
+        w.accumulate_grad(gus.T @ xh.reshape(-1, xdim + hidden))
+        b.accumulate_grad(gus.sum(axis=0))
+        x.accumulate_grad((gus @ w.data[:, :xdim]).reshape(steps, batch, xdim).transpose(1, 0, 2))
 
     return _node(hs[real], (x, w, b), bwd, "lstm_seq")
 
@@ -647,18 +609,12 @@ def mlp_attention(
         gs = alpha * (ga - float(alpha @ ga))
         gpre = np.outer(gs, w2.data) * (1.0 - act * act)  # (L, A)
         gpre_sum = gpre.sum(axis=0)
-        if _wants_grad(w2):
-            w2.accumulate_grad(act.T @ gs)
-        if _wants_grad(b2):
-            b2.accumulate_grad(np.array([gs.sum()]))
-        if _wants_grad(w_v):
-            w_v.accumulate_grad(gpre.T @ grid)
-        if _wants_grad(w_h):
-            w_h.accumulate_grad(np.outer(gpre_sum, h_prev.data))
-        if _wants_grad(b1):
-            b1.accumulate_grad(gpre_sum)
-        if _wants_grad(h_prev):
-            h_prev.accumulate_grad(w_h.data.T @ gpre_sum)
+        w2.accumulate_grad(act.T @ gs)
+        b2.accumulate_grad(np.array([gs.sum()]))
+        w_v.accumulate_grad(gpre.T @ grid)
+        w_h.accumulate_grad(np.outer(gpre_sum, h_prev.data))
+        b1.accumulate_grad(gpre_sum)
+        h_prev.accumulate_grad(w_h.data.T @ gpre_sum)
 
     za = _node(
         np.concatenate([z, alpha]), (h_prev, w_v, w_h, b1, w2, b2), bwd, "mlp_attention"
@@ -752,22 +708,17 @@ def attend_lstm_seq(grids, x: Tensor, h0: Tensor, c0: Tensor,
             gp = np.multiply(w2.data, (gs[:, None, :] @ dact[t, :n])[:, 0], out=gps[t, :n])
             gh = gxh[:, feat + xdim :] + gp @ w_h.data
         gus, gps = gus.reshape(-1, 4 * hidden), gps.reshape(-1, n_att)
-        grads = (
-            (w_v, lambda: (w2.data * np.einsum("tbl,tbla->bla", gss, dact)).reshape(-1, n_att).T
-             @ grids.reshape(-1, feat)),
-            (w_h, lambda: gps.T @ xhs[:, :, feat + xdim :].reshape(-1, hidden)),
-            (b1, lambda: gps.sum(axis=0)),
-            (w2, lambda: gss.reshape(-1) @ acts.reshape(-1, n_att)),
-            (w, lambda: gus.T @ xhs.reshape(-1, xhs.shape[2])),
-            (b, lambda: gus.sum(axis=0)),
-            (x, lambda: (gus @ w.data[:, feat : feat + xdim]).reshape(steps, batch, xdim)
-             .transpose(1, 0, 2)),
-            (h0, lambda: gh),
-            (c0, lambda: gc),
-        )
-        for parent, grad in grads:
-            if _wants_grad(parent):
-                parent.accumulate_grad(grad())
+        w_v.accumulate_grad((w2.data * np.einsum("tbl,tbla->bla", gss, dact)).reshape(-1, n_att).T
+                            @ grids.reshape(-1, feat))
+        w_h.accumulate_grad(gps.T @ xhs[:, :, feat + xdim :].reshape(-1, hidden))
+        b1.accumulate_grad(gps.sum(axis=0))
+        w2.accumulate_grad(gss.reshape(-1) @ acts.reshape(-1, n_att))
+        w.accumulate_grad(gus.T @ xhs.reshape(-1, xhs.shape[2]))
+        b.accumulate_grad(gus.sum(axis=0))
+        x.accumulate_grad((gus @ w.data[:, feat : feat + xdim]).reshape(steps, batch, xdim)
+                          .transpose(1, 0, 2))
+        h0.accumulate_grad(gh)
+        c0.accumulate_grad(gc)
 
     return _node(out[real], (x, h0, c0, w_v, w_h, b1, w2, b2, w, b), bwd, "attend_lstm_seq")
 

@@ -269,6 +269,11 @@ class Pipeline:
             record = by_id[report["painting_id"]]
             reference = tokenize(record.reference)
             prediction = report["description_tokens"]
+            if not reference:
+                raise DataError(f"painting '{record.id}': no reference text to score against "
+                                "(it has no sentences and no reference)")
+            if not prediction:
+                raise DataError(f"painting '{record.id}': its report has no description_tokens")
             b = bleu4(prediction, [reference])
             r = rouge_l(prediction, reference)
             bleu_scores.append(b)

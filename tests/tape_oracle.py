@@ -31,7 +31,7 @@ from artdesc.decoder.classifier import WINDOWS
 from artdesc.decoder.model import State
 from artdesc.errors import ShapeError
 from artdesc.filler.encoding import encode_fill_input
-from artdesc.numcore.tensor import _node, _require_1d, _wants_grad
+from artdesc.numcore.tensor import _node, _require_1d
 
 # ---------------------------------------------------------------------------
 # Ops only the per-step path used
@@ -48,10 +48,7 @@ def neg_log_pick(probs: nc.Tensor, idx: int) -> nc.Tensor:
         raise FloatingPointError("neg_log_pick: zero probability at target index")
 
     def bwd(out: nc.Tensor) -> None:
-        if _wants_grad(probs):
-            if probs.grad is None:
-                probs.grad = np.zeros_like(probs.data)
-            probs.grad[idx] -= float(out.grad) / p
+        probs.accumulate_grad(-float(out.grad) / p, at=idx)
 
     return _node(np.array(-np.log(p)), (probs,), bwd, "neg_log_pick")
 
@@ -70,8 +67,7 @@ def maximum_list(ts: Sequence[nc.Tensor]) -> nc.Tensor:
 
     def bwd(out: nc.Tensor) -> None:
         for i, t in enumerate(ts):
-            if _wants_grad(t):
-                t.accumulate_grad(out.grad * (winner == i))
+            t.accumulate_grad(out.grad * (winner == i))
 
     return _node(stacked.max(axis=0), tuple(ts), bwd, "maximum_list")
 

@@ -96,7 +96,7 @@ def _conditional_gradcheck():
         nll, n, logits = sequence_loss([grid], [ids], store, "dec", [int(topic)])
         probs = nc.softmax(nc.embedding(logits, range(n - 1)))
         ce = nc.cross_entropy(classify_distributions(probs, store, [n - 1]), int(topic))
-        return nc.scale(nc.add(nll, ce), 1.0 / n)
+        return nc.scale(nc.add_n([nll, ce]), 1.0 / n)
 
     return nc.grad_check(loss_fn, store, epsilon=1e-4)
 

@@ -810,9 +810,14 @@ def test_misaligned_array_data_is_refused(tmp_path, capsys):
     ("meta", '{"attributes": {"artist": 5}}', "'attributes.artist' must be str, got int"),
     ("meta", '{"objects": ["saint", null]}', "'objects[1]' must be str, got NoneType"),
     ("attrs", '{"artist": ["goya"]}', "'artist' must be str, got list"),
+    ("masked", '[{"tokens": []}]', "item 0: masked sentence must contain at least one token"),
+    ("masked", '[{"tokens": ["a"]}, {"tokens": ["A"]}]',
+     "item 1: word token 'A' must be lowercase"),
+    ("masked", '[{"tokens": ["a"], "topic": "nope"}]', "item 0: unknown topic label 'nope'"),
 ], ids=["meta-invalid", "meta-attributes-not-object", "meta-list", "masked-invalid",
         "masked-object", "masked-no-tokens", "attrs-invalid", "attrs-list", "config-list",
-        "meta-attribute-not-string", "meta-object-not-string", "attrs-value-not-string"])
+        "meta-attribute-not-string", "meta-object-not-string", "attrs-value-not-string",
+        "masked-empty-tokens", "masked-uppercase-word", "masked-unknown-topic"])
 def test_malformed_json_exit_code(world, tmp_path, capsys, flag, text, message):
     _, _, config, _ = world
     bad = tmp_path / "bad.json"

@@ -373,38 +373,48 @@ def test_log_events_carry_values_as_fields():
 
 
 def _grad_stores(tree: ast.AST):
-    """Statements that bind a ``.grad`` attribute."""
+    """Statements that bind a ``.grad`` attribute or assign into one."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "grad" \
                 and isinstance(node.ctx, ast.Store):
+            yield node
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+                and getattr(node.value, "attr", None) == "grad":
             yield node
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr" \
                 and len(node.args) > 1 and getattr(node.args[1], "value", None) == "grad":
             yield node
 
 
-# the one function that binds a parameter's .grad: to its view of the block
-GRAD_BINDER = ("numcore/params.py", "_packed")
+# the functions that bind a .grad: a parameter's to its view of the block,
+# a new tensor's to None, every other tensor's when it takes its first
+# gradient, and the loss seed
+GRAD_BINDERS = frozenset({("numcore/params.py", "_packed"),
+                          ("numcore/tensor.py", "__init__"),
+                          ("numcore/tensor.py", "accumulate_grad"),
+                          ("numcore/tensor.py", "backward")})
 
 
 def test_only_the_parameter_block_binds_a_gradient():
-    """In numcore/params.py only ``ParamStore._packed`` binds a ``.grad``,
-    and no module under src/ outside numcore binds one: a parameter's
-    gradient lives in the block alone."""
-    bound, offenders = 0, []
+    """Only ``ParamStore._packed``, ``Tensor.__init__``,
+    ``Tensor.accumulate_grad`` and ``backward`` (the loss seed) bind a
+    ``.grad`` or assign into one, and each does: a parameter's gradient lives
+    in the block alone, and no backward closure allocates or scatters a
+    gradient itself."""
+    bound, offenders = set(), []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if rel.startswith("numcore/") and rel != GRAD_BINDER[0]:
-            continue  # the tape binds the gradients of its intermediate nodes
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        exempt = _inside(tree, rel, {GRAD_BINDER})
+        owner = {id(inner): (rel, node.name) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and (rel, node.name) in GRAD_BINDERS
+                 for inner in ast.walk(node)}
         for node in _grad_stores(tree):
-            if id(node) in exempt:
-                bound += 1
+            if id(node) in owner:
+                bound.add(owner[id(node)])
             else:
                 offenders.append(f"{rel}:{node.lineno}")
     assert offenders == []
-    assert bound, "ParamStore._packed binds no .grad"
+    assert bound == GRAD_BINDERS
 
 
 # the functions of numcore/tensor.py that may call np.exp: every other

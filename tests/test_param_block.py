@@ -170,7 +170,7 @@ def test_non_finite_gradient_names_its_parameter():
     # the forward stays finite (1 + 1e300) but b's gradient is 1e300 * 1e300
     huge = nc.scale(nc.dot(b, nc.constant([1e300])), 1e300)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="gradient of 'b'"):
-        nc.backward(nc.add(nc.dot(a, a), huge), store)
+        nc.backward(nc.add_n([nc.dot(a, a), huge]), store)
 
 
 def test_cleared_gradients_start_from_zero():

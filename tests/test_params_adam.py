@@ -101,7 +101,7 @@ def test_backward_then_adam_decreases_convex_loss():
         w = store.add("w", rng.normal(size=4))
 
         def loss_fn():
-            diff = nc.add(w, nc.constant(-target))
+            diff = nc.add_n([w, nc.constant(-target)])
             return nc.dot(diff, diff)
 
         prev = loss_fn().item()

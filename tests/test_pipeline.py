@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from artdesc import pipeline as pipeline_module
-from artdesc.corpus import corpusio, load_feature_grid, tokenize
+from artdesc.corpus import PaintingRecord, corpusio, load_feature_grid, tokenize
 from artdesc.errors import DataError, MissingArtifactError
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 
@@ -217,6 +217,22 @@ class TestEvaluate:
         result = pipeline.evaluate([pipeline.describe(records[0])])
         # every record: content 1 slot, form 0 slots, context 2 slots
         assert result["corpus_slot_ratio"] == {"content": 1.0, "form": 0.0, "context": 2.0}
+
+
+class TestEvaluateNamesWhatItCannotScore:
+    def _evaluate(self, reference: str, prediction: list[str]):
+        record = PaintingRecord(id="p7", sentences=[], reference=reference)
+        report = {"painting_id": "p7", "description_tokens": prediction, "slots": [],
+                  "sentences": {"content": prediction}, "inputs_digest": "0" * 64}
+        return Pipeline(PipelineConfig()).evaluate([report], records=[record])
+
+    def test_a_painting_without_sentences_or_reference(self):
+        with pytest.raises(DataError, match=r"painting 'p7': no reference text"):
+            self._evaluate("", ["a", "river"])
+
+    def test_a_report_with_no_description_tokens(self):
+        with pytest.raises(DataError, match=r"painting 'p7': its report has no description_tokens"):
+            self._evaluate("a quiet river", [])
 
 
 class TestEvaluateFixtureOracle:

@@ -95,8 +95,8 @@ def _losses(config, store, grid, ids, topic):
             return nll
         words = max(n - 1, 1)
         probs = nc.softmax(nc.embedding(logits, range(words)))
-        return nc.add(nll, nc.cross_entropy(classify_distributions(probs, store, [words]),
-                                            topic_idx))
+        return nc.add_n([nll, nc.cross_entropy(classify_distributions(probs, store, [words]),
+                                               topic_idx)])
 
     def oracle():
         nll, n, probs = tape.sequence_loss(grid, ids, store, prefix, topic_idx,
@@ -104,7 +104,8 @@ def _losses(config, store, grid, ids, topic):
         if topic_idx is None:
             return nll
         word = probs[:-1] if len(probs) > 1 else probs
-        return nc.add(nll, nc.cross_entropy(tape.classify_distributions(word, store), topic_idx))
+        return nc.add_n([nll, nc.cross_entropy(tape.classify_distributions(word, store),
+                                               topic_idx)])
 
     return new, oracle
 
@@ -157,7 +158,7 @@ def _oracle_item_loss(config, store, item):
     if not conditional:
         return nll
     word = probs[:-1] if len(probs) > 1 else probs
-    return nc.add(nll, nc.cross_entropy(tape.classify_distributions(word, store), topic_idx))
+    return nc.add_n([nll, nc.cross_entropy(tape.classify_distributions(word, store), topic_idx)])
 
 
 def _batch(lengths, topics, seed, n_locs=None):

@@ -215,6 +215,34 @@ class TestBackward:
         assert np.allclose(w.grad, 4.0 * w.data)
 
 
+class TestAccumulateGrad:
+    def test_a_constant_takes_no_gradient(self):
+        c = nc.constant([[1.0, 2.0], [3.0, 4.0]])
+        c.accumulate_grad(np.ones((2, 2)))
+        c.accumulate_grad(np.ones(2), at=np.array([1]))
+        c.accumulate_grad(np.ones((1, 2)), at=slice(0, 1))
+        assert c.grad is None
+
+    def test_repeated_rows_add_up_as_np_add_at(self):
+        rng = np.random.default_rng(11)
+        t = nc.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        rows = np.array([4, 1, 4, 0, 4])
+        want = np.zeros((5, 3))
+        for _ in range(2):  # onto a fresh gradient, then onto the one it left
+            g = rng.normal(size=(5, 3))
+            t.accumulate_grad(g, at=rows)
+            np.add.at(want, rows, g)
+            np.testing.assert_array_equal(t.grad, want)
+
+    def test_a_slice_adds_in_place(self):
+        t = nc.Tensor(np.zeros(6), requires_grad=True)
+        t.accumulate_grad(np.ones(6))
+        grad = t.grad
+        t.accumulate_grad(np.array([1.0, 2.0]), at=slice(2, 4))
+        assert t.grad is grad
+        np.testing.assert_array_equal(grad, [1.0, 1.0, 2.0, 3.0, 1.0, 1.0])
+
+
 class TestAttention:
     def _setup(self, rng, n_loc, feat, hidden, att):
         store = nc.ParamStore()
