@@ -230,15 +230,16 @@ def cmd_describe(args) -> int:
     topics = (TopicLabel.from_name(args.topic),) if args.topic else tuple(TopicLabel)
     pipeline = Pipeline(PipelineConfig.from_file(args.config))
     if args.painting_id:
-        reports = [pipeline.describe(pipeline.record_by_id(args.painting_id), topics)]
+        records = [pipeline.record_by_id(args.painting_id)]
     else:
-        reports = [pipeline.describe(record, topics) for record in pipeline.records]
-    payload = "\n".join(report_to_json(r) for r in reports) + "\n"
+        records = pipeline.records
+    # one report line at a time, so one painting's grid is resident at a time
+    lines = (report_to_json(pipeline.describe(record, topics)) + "\n" for record in records)
     if args.out:
-        atomic_write(args.out, [payload.encode("utf-8")])
-        logger.info("wrote reports", extra={"reports": len(reports), "out": args.out})
+        atomic_write(args.out, (line.encode("utf-8") for line in lines))
+        logger.info("wrote reports", extra={"reports": len(records), "out": args.out})
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

@@ -14,10 +14,8 @@ from artdesc.corpus.types import (
     PaintingRecord,
     SentenceEntry,
     Slot,
-    Token,
     TopicLabel,
     Word,
-    token_surface,
 )
 from artdesc.corpus.vocab import Vocab, build_vocab, count_words
 
@@ -30,7 +28,6 @@ __all__ = [
     "PaintingRecord",
     "SentenceEntry",
     "Slot",
-    "Token",
     "TopicLabel",
     "Vocab",
     "Word",
@@ -47,7 +44,6 @@ __all__ = [
     "sentence_from_surfaces",
     "split_sentences",
     "tag_entities",
-    "token_surface",
     "tokenize",
     "unmask",
 ]

@@ -20,8 +20,14 @@ KIND = "feature-grid"
 
 
 def save_feature_grid(path: str | Path, values: np.ndarray) -> None:
+    """Writes ``values`` as float32; a value that float32 cannot hold raises
+    DataError before anything is written."""
     grid = FeatureGrid(values)  # validates shape/finiteness
-    save_container(path, {"kind": KIND}, {"values": grid.values.astype("<f4")})
+    with np.errstate(over="ignore"):
+        stored = grid.values.astype("<f4")
+    if not np.isfinite(stored).all():
+        raise DataError(f"{path}: feature grid value beyond the float32 range")
+    save_container(path, {"kind": KIND}, {"values": stored})
 
 
 def load_feature_grid(path: str | Path) -> FeatureGrid:

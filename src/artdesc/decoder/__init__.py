@@ -5,7 +5,6 @@ from artdesc.decoder.classifier import classify_distributions, classify_tokens, 
 from artdesc.decoder.config import VARIANTS, DecoderConfig
 from artdesc.decoder.generate import beam_decode, generate, greedy_decode
 from artdesc.decoder.model import (
-    decoder_prefixes,
     init_decoder_params,
     init_state,
     sub_prefix,
@@ -31,7 +30,6 @@ __all__ = [
     "build_training_items",
     "classify_distributions",
     "classify_tokens",
-    "decoder_prefixes",
     "generate",
     "greedy_decode",
     "init_decoder_params",

@@ -2,38 +2,24 @@
 attributes, fill-input encoding, and the trained slot scorer."""
 
 from artdesc.filler.candidates import Candidate, CandidateSet, extract_candidates
-from artdesc.filler.encoding import (
-    CLS,
-    SEP,
-    FillInput,
-    build_filler_vocab,
-    encode_fill_input,
-)
+from artdesc.filler.encoding import build_filler_vocab, encode_fill_input
 from artdesc.filler.model import FillerConfig, init_filler_params, slot_scores
 from artdesc.filler.train import (
-    FillDecision,
     FillPair,
-    FillResult,
     build_fill_pairs,
     fill_pair_loss,
     fill_slots,
     load_filler_checkpoint,
-    placeholder,
     record_candidates,
     save_filler_checkpoint,
     train_filler,
 )
 
 __all__ = [
-    "CLS",
     "Candidate",
     "CandidateSet",
-    "FillDecision",
-    "FillInput",
     "FillPair",
-    "FillResult",
     "FillerConfig",
-    "SEP",
     "build_fill_pairs",
     "build_filler_vocab",
     "encode_fill_input",
@@ -42,7 +28,6 @@ __all__ = [
     "fill_slots",
     "init_filler_params",
     "load_filler_checkpoint",
-    "placeholder",
     "record_candidates",
     "save_filler_checkpoint",
     "slot_scores",

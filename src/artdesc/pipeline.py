@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from artdesc.corpus import (
+    FeatureGrid,
     Gazetteer,
     PaintingRecord,
     TopicLabel,
@@ -122,9 +123,10 @@ def _logged_load(artifact: str, path, load):
 class Pipeline:
     """Lazily loads artifacts; any missing stage raises MissingArtifactError
     naming what to produce first. Paths that the config does set are
-    validated up front. The corpus loads without its feature grids: a
-    painting's grid is read when ``record_by_id`` or ``describe`` first
-    needs it, and then stays on its record."""
+    validated up front. The corpus loads without its feature grids, and its
+    records are never changed: ``describe`` reads the grid of a record that
+    carries none for that one describe, and ``record_by_id`` returns a copy
+    of the record that carries its grid."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -152,16 +154,17 @@ class Pipeline:
     def records(self) -> list[PaintingRecord]:
         return self._artifact("corpus", "corpus", load_corpus)
 
-    def _with_grid(self, record: PaintingRecord) -> PaintingRecord:
+    def _grid(self, record: PaintingRecord) -> FeatureGrid | None:
+        """The record's own grid, else the one read from ``features_dir``."""
         if record.features is None and self.config.features_dir is not None:
             path = feature_path(self.config.features_dir, record.id)
-            record.features = _logged_load("feature grid", path, load_feature_grid)
-        return record
+            return _logged_load("feature grid", path, load_feature_grid)
+        return record.features
 
     def record_by_id(self, painting_id: str) -> PaintingRecord:
         for record in self.records:
             if record.id == painting_id:
-                return self._with_grid(record)
+                return replace(record, features=self._grid(record))
         raise DataError(f"painting '{painting_id}' not found in the corpus")
 
     @property
@@ -204,12 +207,13 @@ class Pipeline:
         """Full pipeline for one painting; returns the provenance report.
         The description composes the requested topics in the enum's order:
         content, form, context."""
-        if self._with_grid(record).features is None:
+        features = self._grid(record)
+        if features is None:
             raise MissingArtifactError(
                 f"painting '{record.id}' has no feature grid; supply features first"
             )
         beam_size = 1 if self.config.decode_mode == "greedy" else self.config.beam_size
-        sentences = {topic: generate(self.decoder, record.features, topic, beam_size)
+        sentences = {topic: generate(self.decoder, features, topic, beam_size)
                      for topic in TopicLabel if topic in topics}
         masked = list(sentences.values())
         query = build_query(record.attributes, record.objects, self._blocklist)

@@ -12,7 +12,6 @@ from artdesc.retriever.normalize import default_stopwords, normalize_text, read_
 from artdesc.retriever.porter import stem
 from artdesc.retriever.query import build_query, default_blocklist, load_blocklist
 from artdesc.retriever.recall import (
-    POSITIVE_LABELS,
     RetrievalAnnotation,
     RetrievalLabel,
     eval_recall,
@@ -22,7 +21,6 @@ from artdesc.retriever.recall import (
 
 __all__ = [
     "KnowledgeArticle",
-    "POSITIVE_LABELS",
     "RetrievalAnnotation",
     "RetrievalLabel",
     "TfIdfIndex",

@@ -926,6 +926,33 @@ def test_broken_grid_of_the_described_painting_exit_code(world, tmp_path, capsys
     assert out == "" and str(grid) in event and GRID_DAMAGE[how] in event
 
 
+@pytest.mark.parametrize("how", GRID_DAMAGE)
+def test_broken_grid_of_a_later_painting_keeps_the_last_reports(world, tmp_path, capsys, how):
+    """``describe`` streams the split's reports. A broken grid of a later
+    painting exits 2 naming the grid; ``--out`` keeps its previous file byte
+    for byte, and stdout holds the reports of the paintings before it."""
+    _, records, config, _ = world
+    features = tmp_path / "features"
+    shutil.copytree(config["features_dir"], features)
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({**config, "features_dir": str(features)}),
+                           encoding="utf-8")
+    out = tmp_path / "reports.jsonl"
+    argv = ["describe", "--config", str(config_path), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    previous = out.read_bytes()
+    grid = features / f"{records[-2].id}.fgrd"
+    damage_grid(grid, how)
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert str(grid) in json.loads(line)["event"]
+    assert out.read_bytes() == previous
+    assert sorted(tmp_path.iterdir()) == sorted([features, config_path, out])
+    assert main(argv[:-2]) == EXIT_DATA
+    assert capsys.readouterr().out.encode() == b"".join(previous.splitlines(True)[:-2])
+
+
 def test_verbose_describe_logs_each_artifact_load(world, tmp_path, capsys):
     """--verbose adds one DEBUG event per artifact load on stderr; the
     report stays byte-identical. Retrieval from the external corpus loads

@@ -6,7 +6,8 @@ whole-minibatch nodes, not on the per-step or per-item tape path, the
 pipeline reads articles and stop words only through the index, JSON values
 are type-checked only by ``check_object``, the losses and sequence kernels
 take only minibatches with their lengths, every top-level function and
-class of the package is named somewhere, every training setting has a
+class of the package is named somewhere, every name a subpackage re-exports
+is used outside it, every training setting has a
 command-line flag whose default the CLI does not restate, every describe
 setting is set in ``pipeline.json`` or the decoder checkpoint alone, log
 events carry their values as fields, only the parameter block binds a
@@ -239,6 +240,34 @@ def test_json_values_are_checked_only_by_check_object():
             offenders += [f"{rel}:{lineno}: get_type_hints"
                           for lineno, name in _referenced_names(tree) if name == "get_type_hints"]
     assert all((SRC / rel).is_file() for rel in JSON_READERS)
+    assert offenders == []
+
+
+def _all_of(init: Path) -> list[str]:
+    """The names in the ``__all__`` of a package's ``__init__.py``."""
+    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def test_every_re_export_is_used_outside_its_package():
+    """A name in a subpackage's ``__all__`` that no module outside that
+    package, in src/, tests/ or perfbench/, imports or reads as an attribute
+    is re-exported for nothing."""
+    users: dict[str, set[Path]] = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.alias):
+                    users.setdefault(node.name.rsplit(".", 1)[-1], set()).add(path)
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add(path)
+    inits = sorted(SRC.glob("*/__init__.py"))
+    assert inits, "no subpackages found"
+    offenders = [f"{init.parent.name}: {name}" for init in inits for name in _all_of(init)
+                 if all(init.parent in path.parents for path in users.get(name, ()))]
     assert offenders == []
 
 

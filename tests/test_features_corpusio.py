@@ -74,8 +74,24 @@ class TestFeatureFiles:
         assert arrays["values"].dtype == np.dtype("<f4")
         assert sha256 == hashlib.sha256(path.read_bytes()[:-32]).hexdigest()
 
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_value_beyond_float32_is_refused_before_writing(self, tmp_path, value):
+        """A finite value that float32 cannot hold would be stored as inf,
+        which load_feature_grid refuses, so nothing is written."""
+        path = tmp_path / "p1.fgrd"
+        with pytest.raises(DataError, match="beyond the float32 range") as exc:
+            save_feature_grid(path, np.array([[0.5, value]]))
+        assert str(path) in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_float32_value_round_trips(self, tmp_path):
+        path = tmp_path / "p1.fgrd"
+        big = float(np.finfo(np.float32).max)
+        save_feature_grid(path, np.array([[big, -big]]))
+        assert load_feature_grid(path).values.tolist() == [[big, -big]]
+
     @pytest.mark.parametrize("meta, arrays, message", [
-        ({"kind": "checkpoint"}, {"values": np.ones((2, 3), "<f4")}, "is not a feature-grid"),
+        ({"kind": "checkpoint"},{"values": np.ones((2, 3), "<f4")}, "is not a feature-grid"),
         ({"kind": "feature-grid"}, {"values": np.ones((2, 3))}, "is not a feature-grid"),
         ({"kind": "feature-grid"}, {"other": np.ones((2, 3), "<f4")}, "is not a feature-grid"),
         ({"kind": "feature-grid"}, {"values": np.ones(3, "<f4")}, "must be (L, D)"),

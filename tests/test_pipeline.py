@@ -8,14 +8,24 @@ import copy
 import json
 import logging
 import shutil
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from synth import entity_corpus
 
 from artdesc import pipeline as pipeline_module
-from artdesc.corpus import PaintingRecord, corpusio, load_feature_grid, tokenize
+from artdesc.corpus import (
+    PaintingRecord,
+    corpusio,
+    load_feature_grid,
+    save_corpus,
+    save_feature_grid,
+    tokenize,
+)
+from artdesc.decoder import DecoderConfig, TrainConfig, save_decoder_checkpoint, train_decoder
 from artdesc.errors import DataError, MissingArtifactError
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 
@@ -161,14 +171,31 @@ class TestLazyGrids:
         report = Pipeline(PipelineConfig(**config)).describe_by_id(records[0].id)
         assert report_to_json(report) == report_to_json(expected)
 
-    def test_every_grid_is_read_once(self, own_grids, grid_reads):
+    def test_describing_every_record_reads_each_grid_once(self, own_grids, grid_reads):
         records, config, _ = own_grids
         pipeline = Pipeline(PipelineConfig(**config))
         for record in pipeline.records:
             pipeline.describe(record)
-        for record in records:
-            pipeline.describe_by_id(record.id)
         assert sorted(grid_reads) == sorted(f"{r.id}.fgrd" for r in records)
+
+    def test_a_record_from_record_by_id_carries_its_grid(self, own_grids, grid_reads):
+        """Describing the copy again reads no grid, as a caller that holds
+        its records expects."""
+        records, config, _ = own_grids
+        pipeline = Pipeline(PipelineConfig(**config))
+        record = pipeline.record_by_id(records[2].id)
+        first = pipeline.describe(record)
+        assert report_to_json(pipeline.describe(record)) == report_to_json(first)
+        assert grid_reads == [f"{records[2].id}.fgrd"]
+
+    def test_corpus_records_stay_as_loaded(self, world):
+        """Neither describe nor record_by_id puts a grid on a corpus record."""
+        _, records, config, _ = world
+        pipeline = Pipeline(PipelineConfig(**config))
+        pipeline.describe(pipeline.records[0])
+        found = pipeline.record_by_id(records[1].id)
+        assert [record.id for record in pipeline.records if record.features is not None] == []
+        assert found.features is not None
 
     def test_evaluate_reads_no_grid(self, own_grids, grid_reads):
         records, config, _ = own_grids
@@ -176,6 +203,58 @@ class TestLazyGrids:
         grid_reads.clear()
         result = Pipeline(PipelineConfig(**config)).evaluate(reports)
         assert result["num_paintings"] == 1 and grid_reads == []
+
+
+# a grid of the wide split: 512 KiB as float64, far above what one report allocates
+WIDE_GRID = (64, 1024)
+
+
+@pytest.fixture
+def wide_splits(world, tmp_path):
+    """({n: config}, bytes of one grid): configs whose corpora are the
+    first 4 and all 32 paintings of one split at WIDE_GRID, with a decoder
+    for that grid and the world's filler and gazetteer."""
+    _, _, world_config, _ = world
+    records, vocab = entity_corpus(np.random.default_rng(32), n_records=32,
+                                   n_loc=WIDE_GRID[0], feat=WIDE_GRID[1])
+    (tmp_path / "features").mkdir()
+    for record in records:
+        save_feature_grid(tmp_path / "features" / f"{record.id}.fgrd", record.features.values)
+    decoder = train_decoder(records, vocab,
+                            DecoderConfig(variant="parallel", vocab_size=len(vocab),
+                                          feature_dim=WIDE_GRID[1], hidden_size=8,
+                                          embed_size=8, max_len=8),
+                            TrainConfig(epochs=1, batch_size=32, seed=3))
+    save_decoder_checkpoint(tmp_path / "decoder.ckpt", decoder)
+    configs = {}
+    for n in (4, 32):
+        save_corpus(tmp_path / f"corpus{n}.jsonl", records[:n])
+        configs[n] = dict(world_config, corpus=str(tmp_path / f"corpus{n}.jsonl"),
+                          features_dir=str(tmp_path / "features"),
+                          decoder_checkpoint=str(tmp_path / "decoder.ckpt"))
+    return configs, records[0].features.values.nbytes
+
+
+def describe_peak(config: dict) -> int:
+    """The tracemalloc peak of describing every painting of the config's
+    corpus, once the corpus and the artifacts are loaded."""
+    pipeline = Pipeline(PipelineConfig(**config))
+    pipeline.describe(pipeline.records[0])
+    tracemalloc.start()
+    try:
+        for record in pipeline.records:
+            pipeline.describe(record)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_describing_a_split_holds_one_grid_at_a_time(wide_splits):
+    """Memory does not grow with the split: describing 32 paintings peaks
+    less than one grid above describing 4."""
+    configs, grid_bytes = wide_splits
+    describe_peak(configs[4])  # first-use allocations, outside both measurements
+    assert describe_peak(configs[32]) - describe_peak(configs[4]) < grid_bytes
 
 
 class TestEvaluate:
