@@ -34,6 +34,7 @@ logger = logging.getLogger(__name__)
 KIND = "tfidf-index"
 ARRAYS = {"indptr": "u8", "indices": "u4", "data": "f8", "bodies": "u1", "body_ends": "u8"}
 HEADER_TYPES = {"terms": list[str], "doc_ids": list[str], "stopwords": list[str]}
+STEM_MEMO_CAP = 1 << 16  # query words an index's stem memo holds before rank starts a new one
 
 
 @dataclass
@@ -55,7 +56,7 @@ class TfIdfIndex:
     ``_rows[_colptr[t]:_colptr[t+1]]`` in ascending order, with weights
     ``_weights`` at the same positions, and ``df`` counts them. ``term_ids``
     maps each term to its id, in id order. ``sha256`` is the trailer of the
-    file ``load`` read."""
+    file ``load`` read. ``_stems`` memoizes the stems of query words."""
 
     def __init__(
         self,
@@ -79,6 +80,7 @@ class TfIdfIndex:
         self.bodies = np.asarray(bodies, dtype=np.uint8)
         self.body_ends = np.asarray(body_ends, dtype=np.uint64)
         self.sha256 = sha256
+        self._stems: dict[str, str] = {}
         self.df = self._check_structure()
         self._idf = np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
         rows = np.repeat(np.arange(self.n_docs), np.diff(self.indptr.astype(np.int64)))
@@ -194,15 +196,19 @@ class TfIdfIndex:
         index's stop words), or with no term in the index, returns no results."""
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-        tokens = normalize_text(query, self.stopwords)
+        tokens = normalize_text(query, self.stopwords, self._stems)
+        if len(self._stems) >= STEM_MEMO_CAP:
+            self._stems = {}  # rebound, not cleared: a rank in another thread keeps its dict
         if not tokens:
-            logger.warning("query is empty after normalization; returning no results")
+            logger.warning("query is empty after normalization; returning no results",
+                           extra={"query": query})
             return []
         # the query's tf-idf vector over the index's terms, L2-normalized below
         counts = Counter(tid for tid in map(self.term_ids.get, terms_of(tokens))
                          if tid is not None)
         if not counts:
-            logger.warning("no query term is in the index; returning no results")
+            logger.warning("no query term is in the index; returning no results",
+                           extra={"query": query})
             return []
         vec = {tid: c * float(self._idf[tid]) for tid, c in counts.items()}
         norm = float(np.sqrt(sum(w * w for w in vec.values())))
@@ -210,8 +216,14 @@ class TfIdfIndex:
         for tid, w in vec.items():
             lo, hi = self._colptr[tid], self._colptr[tid + 1]
             scores[self._rows[lo:hi]] += (w / norm) * self._weights[lo:hi]
-        # rows are in article-id order, so a stable sort breaks ties by id
-        top = np.argsort(-scores, kind="stable")[:k]
+        # rows are in article-id order, so a stable sort breaks ties by id; below
+        # n_docs, only the rows scoring at least the k-th largest score can place
+        n = self.n_docs
+        if k < n:
+            rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+            top = rows[np.argsort(-scores[rows], kind="stable")[:k]]
+        else:
+            top = np.argsort(-scores, kind="stable")
         return [(self.doc_ids[r], min(float(scores[r]), 1.0)) for r in top]
 
     def body(self, doc_id: str) -> str:

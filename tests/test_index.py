@@ -2,9 +2,13 @@
 
 import logging
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artdesc.errors import DataError
 from artdesc.numcore.checkpoint import save_container
@@ -16,6 +20,7 @@ from artdesc.retriever import (
     stem,
     terms_of,
 )
+from artdesc.retriever import index as index_module
 
 WORDS = ["oil", "panel", "canvas", "fresco", "portrait", "saint", "river",
          "castle", "horse", "crown", "altar", "monk"]
@@ -242,6 +247,36 @@ def test_tied_index_ties_span_more_than_k():
     top = idx.rank(idx.terms[0], k=idx.n_docs)
     assert top[0][1] > 0.0 and top[7][1] == top[0][1]
 
+
+@st.composite
+def tied_csr_cases(draw):
+    """An index like ``random_csr_index`` (weights from three values, so
+    scores tie, and rows that may be empty), a query of one to three words
+    that often matches fewer rows than k, and a k from 1 to n_docs + 3."""
+    terms = terms_of(normalize_text(" ".join(WORDS)))
+    n_docs = draw(st.integers(1, 40))
+    rows = [sorted(draw(st.sets(st.integers(0, len(terms) - 1), max_size=5)))
+            for _ in range(n_docs)]
+    indices = [t for row in rows for t in row]
+    data = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]),
+                         min_size=len(indices), max_size=len(indices)))
+    idx = TfIdfIndex({t: i for i, t in enumerate(terms)}, [f"r{i:03d}" for i in range(n_docs)],
+                     np.cumsum([0] + [len(row) for row in rows]), np.array(indices, dtype=np.int64),
+                     np.array(data), default_stopwords(), np.zeros(0), np.zeros(n_docs))
+    query = " ".join(draw(st.lists(st.sampled_from(WORDS + ["zebra"]), min_size=1, max_size=3)))
+    return idx, query, draw(st.integers(1, n_docs + 3))
+
+
+@given(tied_csr_cases())
+@settings(max_examples=300, deadline=None)
+def test_top_k_boundary_matches_full_sort(case):
+    """Partial top-k against the full-sort oracle at every k, n_docs - 1
+    included: ties at the k-th score and zero-score padding keep id order."""
+    idx, query, k = case
+    for k in {k, idx.n_docs - 1} - {0}:
+        assert idx.rank(query, k) == postings_rank(idx, query, k), (query, k)
+
+
 def dict_build(articles, stopwords=None):
     """The build as first written, kept as the oracle for the array build:
     every token stemmed on its own, a Python dict of term counts per article,
@@ -347,6 +382,7 @@ class TestRank:
             assert idx.rank("zebra quux", k=5) == []
         assert "no query term is in the index" in caplog.text
         assert "empty after normalization" not in caplog.text
+        assert [r.query for r in caplog.records] == ["zebra quux"]
 
     def test_stopword_query_empty_result(self, caplog):
         import logging
@@ -356,6 +392,7 @@ class TestRank:
             assert idx.rank("the of and", k=5) == []
         assert "query is empty after normalization" in caplog.text
         assert "no query term" not in caplog.text
+        assert [r.query for r in caplog.records] == ["the of and"]
 
     def test_pure_function(self):
         rng = np.random.default_rng(66)
@@ -418,6 +455,72 @@ class TestSerialization:
             q = " ".join(WORDS[int(w)] for w in rng.integers(0, len(WORDS), size=5))
             assert idx.rank(q, k=20) == reloaded.rank(q, k=20)
 
+
+
+class TestStemMemo:
+    """Each index memoizes the stems of the query words it ranks; the memo
+    changes no result and holds no more than STEM_MEMO_CAP words."""
+
+    QUERIES = ["saints painting rivers", "the horses of the castle", "zebra quux",
+               "the of and", "saint fresco 1502", "rivers castles monks altars"]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        TfIdfIndex.build(random_articles(np.random.default_rng(81), 20)).save(tmp_path / "k.idx")
+        return tmp_path / "k.idx"
+
+    def test_memo_holds_only_query_words(self, path):
+        assert TfIdfIndex.build(random_articles(np.random.default_rng(81), 20))._stems == {}
+        loaded = TfIdfIndex.load(path)
+        assert loaded._stems == {}
+        for q in self.QUERIES:
+            loaded.rank(q, 5)
+        words = {w for q in self.QUERIES for w in re.findall("[a-z0-9]+", q)} - default_stopwords()
+        assert set(loaded._stems) == words
+
+    def test_warm_index_ranks_as_a_fresh_one(self, path):
+        warm = TfIdfIndex.load(path)
+        for _ in range(2):
+            assert [warm.rank(q, 5) for q in self.QUERIES] == \
+                [TfIdfIndex.load(path).rank(q, 5) for q in self.QUERIES]
+
+    def test_cap_bounds_the_memo(self, path, monkeypatch):
+        expected = [postings_rank(TfIdfIndex.load(path), q, 5) for q in self.QUERIES]
+        monkeypatch.setattr(index_module, "STEM_MEMO_CAP", 3)
+        idx = TfIdfIndex.load(path)
+        for q, want in zip(self.QUERIES * 3, expected * 3):
+            assert idx.rank(q, 5) == want
+            assert len(idx._stems) <= 3
+
+    def test_two_threads_share_one_index(self, path, monkeypatch):
+        """Queries of eight inflected words fill a memo capped at 3 within
+        one normalize_text, so one thread rebinds the memo while the other
+        is still reading the old one."""
+        rng = np.random.default_rng(82)
+        stream = [" ".join(w + s for w, s in zip(rng.choice(WORDS, 8),
+                                                 rng.choice(["", "s", "ing", "ed"], 8)))
+                  for _ in range(500)]
+        fresh = TfIdfIndex.load(path)
+        expected = [fresh.rank(q, 5) for q in stream]
+        monkeypatch.setattr(index_module, "STEM_MEMO_CAP", 3)
+        idx = TfIdfIndex.load(path)
+        results = [[], []]
+
+        def rank_stream(out):
+            out.extend(idx.rank(q, 5) for q in stream)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rank_stream, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected, expected]
 
 
 def three_article_index():
