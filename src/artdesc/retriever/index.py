@@ -216,14 +216,12 @@ class TfIdfIndex:
         for tid, w in vec.items():
             lo, hi = self._colptr[tid], self._colptr[tid + 1]
             scores[self._rows[lo:hi]] += (w / norm) * self._weights[lo:hi]
-        # rows are in article-id order, so a stable sort breaks ties by id; below
-        # n_docs, only the rows scoring at least the k-th largest score can place
-        n = self.n_docs
-        if k < n:
-            rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-            top = rows[np.argsort(-scores[rows], kind="stable")[:k]]
-        else:
-            top = np.argsort(-scores, kind="stable")
+        # only the rows scoring at least the k-th largest score can place (all
+        # rows once k >= n_docs); they are in article-id order, so a stable sort
+        # breaks ties by id
+        m = max(self.n_docs - k, 0)
+        rows = np.flatnonzero(scores >= np.partition(scores, m)[m])
+        top = rows[np.argsort(-scores[rows], kind="stable")[:k]]
         return [(self.doc_ids[r], min(float(scores[r]), 1.0)) for r in top]
 
     def body(self, doc_id: str) -> str:
