@@ -131,14 +131,25 @@ ATTRIBUTE_TYPES = {
 
 @dataclass
 class FeatureGrid:
-    """L x D grid of visual feature vectors standing in for an encoded image."""
+    """L x D grid of visual feature vectors standing in for an encoded image.
+
+    ``values`` is an (L, D) float64 view of a buffer whose rows are an odd
+    number of 64-byte cache lines apart: ceil(D/8) lines, plus one if that
+    count is even (2056 floats at D = 2048). A row pitch that is a multiple
+    of 4 KB maps every row of a column block onto the same few cache sets,
+    so the decoder's blocked reads of the grid in place would not stay
+    cached (see ``DecodeStep``). The pitch changes only speed, never bits.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise DataError(f"feature grid must be (L, D) with L,D >= 1, got {self.values.shape}")
+        values = np.asarray(self.values)
+        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+            raise DataError(f"feature grid must be (L, D) with L,D >= 1, got {values.shape}")
+        lines = -(-values.shape[1] // 8) | 1  # an odd number of cache lines per row
+        self.values = np.empty((values.shape[0], 8 * lines))[:, :values.shape[1]]
+        self.values[...] = values
         if not np.all(np.isfinite(self.values)):
             raise DataError("feature grid contains non-finite values")
 

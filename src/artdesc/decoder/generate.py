@@ -34,6 +34,11 @@ from artdesc.training import Checkpoint
 
 NextLogps = Callable[[list[tuple[int, ...]]], np.ndarray]
 
+# The most bytes a decode's working set may take. ``generate`` estimates it
+# from the beam, the grid and the checkpoint's sizes, and refuses a beam over
+# the cap before it allocates anything.
+DECODE_BYTES_CAP = 1 << 30
+
 
 def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> NextLogps:
     """Next-token log-probs after each of a list of token prefixes, one row
@@ -127,7 +132,8 @@ def generate(
 ) -> MaskedSentence:
     """Generate one masked sentence for a topic, of at most the
     checkpoint's ``max_len`` tokens; a beam of one is greedy decoding.
-    Deterministic given (checkpoint, grid, topic, beam_size)."""
+    Deterministic given (checkpoint, grid, topic, beam_size). A beam whose
+    estimated working set exceeds ``DECODE_BYTES_CAP`` raises ConfigError."""
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
     if not isinstance(topic, TopicLabel):
@@ -137,7 +143,14 @@ def generate(
             f"grid feature dim {grid.feature_dim} does not match "
             f"checkpoint feature dim {ckpt.config.feature_dim}"
         )
-    token_ids, _ = beam_decode(ckpt, grid, topic, ckpt.config.max_len, beam_size)
+    config = ckpt.config
+    # a step's (beam, L, H) attention stack, then each prefix's state and logits
+    need = 8 * beam_size * (grid.n_locations * config.hidden_size
+                            + config.max_len * (2 * config.hidden_size + config.vocab_size))
+    if need > DECODE_BYTES_CAP:
+        raise ConfigError(f"beam_size {beam_size} needs about {need} bytes to decode, "
+                          f"over the cap of {DECODE_BYTES_CAP} bytes")
+    token_ids, _ = beam_decode(ckpt, grid, topic, config.max_len, beam_size)
     tokens = [ckpt.vocab.decode_token(i) for i in token_ids]
     return MaskedSentence(tokens, topic)
 

@@ -86,7 +86,7 @@ def init_state(grids: np.ndarray, params: nc.ParamStore, prefix: str = "dec") ->
     return h0, c0
 
 
-# Columns per block of the grid copy that the context reads. A 196 x 512
+# Columns per block of the grid that the context reads. A 196 x 512
 # float64 block is 800 KB, so it stays in a 2 MB L2 cache while every row of
 # a step reads it; the whole 196 x 2048 grid (3.2 MB) does not.
 CONTEXT_BLOCK = 512
@@ -103,25 +103,25 @@ class DecodeStep:
     of hypotheses: one row per hypothesis, and one hypothesis is one row.
 
     Built once per decoded sentence: the grid's attention projection
-    ``grid @ w_v.T``, the initial state and a column-blocked copy of the grid
-    are made here, once. Each call runs the forward of the training node
-    ``attend_lstm_seq`` row-wise: every matrix-vector product is one stacked
-    ``np.matmul`` with one GEMV per row, and the elementwise stages and the
-    softmax work on whole rows. So each row's logits are bit-identical to the
-    per-step tape path that the tests keep as the oracle. A step whose
-    context, state or logits hold a non-finite value raises
-    FloatingPointError, as a tape node would.
+    ``grid @ w_v.T`` and the initial state are made here, once; the grid
+    itself is read in place and never copied. Each call runs the forward of
+    the training node ``attend_lstm_seq`` row-wise: every matrix-vector
+    product is one stacked ``np.matmul`` with one GEMV per row, and the
+    elementwise stages and the softmax work on whole rows. So each row's
+    logits are bit-identical to the per-step tape path that the tests keep
+    as the oracle. A step whose context, state or logits hold a non-finite
+    value raises FloatingPointError, as a tape node would.
 
     The context ``alpha @ grid`` reads the grid block by block, each block
     for every row before the next, so a block comes from memory once per
-    step and from cache for the other rows. The blocks are a contiguous copy:
-    strided column views of the grid do not stay cached, because their long
-    row stride maps their rows onto a few cache sets. The columns after the
-    last whole block are read in place, not padded into a block of their own:
-    the GEMV kernel sums the last few columns of a product in another order
-    than the others, so padding would change their bits. They number at least
-    two, because numpy computes a one-column product as a dot, which also
-    sums in another order.
+    step and from cache for the other rows. The blocks are strided column
+    views of the grid, which stay cached because ``FeatureGrid`` pads its
+    row pitch (see its docstring). The columns after the last whole block
+    are read in place, not padded into a block of their own: the GEMV kernel
+    sums the last few columns of a product in another order than the
+    others, so padding would change their bits. They number at least two,
+    because numpy computes a one-column product as a dot, which also sums in
+    another order.
     """
 
     def __init__(self, grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec",
@@ -133,8 +133,7 @@ class DecodeStep:
         n_loc, feat = values.shape
         n_blocks = max(feat // CONTEXT_BLOCK - (feat % CONTEXT_BLOCK == 1), 0)
         split = n_blocks * CONTEXT_BLOCK
-        self.blocks = np.ascontiguousarray(
-            values[:, :split].reshape(n_loc, n_blocks, CONTEXT_BLOCK).swapaxes(0, 1))
+        self.blocks = values[:, :split].reshape(n_loc, n_blocks, CONTEXT_BLOCK).swapaxes(0, 1)
         self.rest = values[:, split:]
         self.proj = values @ p("att.w_v").T
         self.att = (p("att.w_h"), p("att.b1"), p("att.w2"), p("att.b2"))

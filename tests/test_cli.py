@@ -28,6 +28,7 @@ from artdesc.corpus import (
     tag_entities,
 )
 from artdesc.corpus.vocab import RESERVED
+from artdesc.decoder.model import DecodeStep
 from artdesc.numcore.checkpoint import load_container, save_container
 from artdesc.retriever import (
     KnowledgeArticle,
@@ -859,6 +860,23 @@ def test_mistyped_config_value_exit_code(world, tmp_path, capsys, key, value, me
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
     assert out == "" and f"{bad}: " in line and message in line
+
+
+def test_beam_over_the_decode_cap_exit_code(world, tmp_path, capsys, monkeypatch):
+    """A beam too wide to decode exits 2 naming ``beam_size``, with one log
+    line and no traceback, before any decode step is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DecodeStep was built")
+
+    _, records, config, _ = world
+    bad = tmp_path / "pipeline.json"
+    bad.write_text(json.dumps({**config, "beam_size": 1_000_000}), encoding="utf-8")
+    monkeypatch.setattr(DecodeStep, "__init__", refuse)
+    capsys.readouterr()
+    assert main(["describe", "--config", str(bad), "--painting-id", records[0].id]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and "beam_size 1000000 " in json.loads(line)["event"]
 
 
 @pytest.mark.parametrize("key", ["corpus", "blocklist", "features_dir"])

@@ -105,6 +105,44 @@ class TestFeatureFiles:
         assert str(path) in str(exc.value)
 
 
+class TestGridLayout:
+    """A grid's rows are an odd number of 64-byte cache lines apart, so no
+    row pitch is a multiple of 4 KB; the pitch never shows in its values or
+    in its file."""
+
+    @pytest.mark.parametrize("width, pitch_lines", [
+        (1, 1), (8, 1), (9, 3), (16, 3), (17, 3), (24, 3), (25, 5), (2048, 257), (2049, 257),
+    ])
+    def test_row_pitch(self, width, pitch_lines):
+        values = np.arange(3.0 * width).reshape(3, width)
+        grid = FeatureGrid(values)
+        assert grid.values.shape == (3, width) and grid.values.dtype == np.float64
+        assert grid.values.strides == (64 * pitch_lines, 8)
+        assert np.array_equal(grid.values, values)
+
+    def test_reference_grid_row_stride_is_not_a_multiple_of_a_page(self, tmp_path):
+        path = tmp_path / "p.fgrd"
+        save_feature_grid(path, np.ones((196, 2048)))
+        for grid in (FeatureGrid(np.ones((196, 2048))), FeatureGrid(np.ones((196, 2048), "f4")),
+                     load_feature_grid(path)):
+            assert grid.values.strides[0] % 4096 != 0
+
+    def test_round_trip_keeps_bits_and_file_bytes(self, tmp_path):
+        """A saved and loaded grid holds the float32 values bit for bit, and
+        saving it again writes the same bytes: the bytes that the contiguous
+        layout before padded rows wrote for these values."""
+        values = ((np.arange(196 * 2048) % 997) / 7.0 - 71.0).reshape(196, 2048)
+        first, second = tmp_path / "a.fgrd", tmp_path / "b.fgrd"
+        save_feature_grid(first, values)
+        grid = load_feature_grid(first)
+        want = values.astype(np.float32).astype(np.float64)
+        assert np.ascontiguousarray(grid.values).tobytes() == want.tobytes()
+        save_feature_grid(second, grid.values)
+        assert second.read_bytes() == first.read_bytes()
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+            "7d30234b0fe3b2e37e603bf15f2d5a4ccbcad0f2d0b4684a942bc18927e6c9e1")
+
+
 class TestMeanPool:
     def test_all_ones(self):
         assert np.array_equal(mean_pool(FeatureGrid(np.ones((5, 3)))), np.ones(3))

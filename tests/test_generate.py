@@ -1,6 +1,8 @@
 """Greedy and beam decoding, and the topic order of a composed description."""
 
+import copy
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ from synth import memorization_corpus, random_grid
 from tape_oracle import attend, decode_logits, init_state
 
 import artdesc.numcore as nc
-from artdesc.corpus import FeatureGrid, TopicLabel, tokenize
+from artdesc.corpus import (
+    FeatureGrid,
+    TopicLabel,
+    load_feature_grid,
+    save_feature_grid,
+    tokenize,
+)
 from artdesc.corpus.vocab import RESERVED, Vocab
 from artdesc.decoder import (
     DecoderConfig,
@@ -286,22 +294,28 @@ def _blas_build() -> str:
     return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
 
 
-@pytest.mark.parametrize("feature_dim", [2048, 1027])
+@pytest.mark.parametrize("feature_dim", [2048, 1027, 513])
 def test_stacked_products_equal_per_row_gemvs(feature_dim):
     """The stacked products of a decode step have, row by row, the bits of
     the per-row GEMVs ``w @ x`` and ``alpha @ grid`` of the tape path, at the
-    reference grid (196 x 2048) and a ragged width. A BLAS that breaks this
+    reference grid (196 x 2048) and ragged widths. The grid side of each
+    product is a contiguous copy of the grid, so the step's reads of the
+    padded grid in place are held to the unpadded layout's bits; the
+    attention projection ``grid @ w_v.T`` is too. A BLAS that breaks this
     breaks decoding's bit-equality with the tape oracle; the fix is a per-row
     loop, not a tolerance."""
     rng = np.random.default_rng(feature_dim)
     config = DecoderConfig(variant="baseline", vocab_size=40, feature_dim=feature_dim,
                            hidden_size=16, embed_size=16, max_len=10)
     grid = FeatureGrid(rng.normal(size=(196, feature_dim)))
-    step = DecodeStep(grid, init_decoder_params(config, rng))
+    params = init_decoder_params(config, rng)
+    step = DecodeStep(grid, params)
+    flat = np.ascontiguousarray(grid.values)
+    assert np.array_equal(step.proj, flat @ params["dec.att.w_v"].data.T)
     for rows in range(1, 16):
         alpha = rng.random((rows, 196))
         alpha /= alpha.sum(axis=1, keepdims=True)
-        want = np.stack([a @ grid.values for a in alpha])
+        want = np.stack([a @ flat for a in alpha])
         assert np.array_equal(step.context(alpha), want), (
             f"context at {rows} rows differs from alpha @ grid; BLAS: {_blas_build()}")
         for w in (step.att[0], step.lstm[0], step.out[0]):
@@ -317,9 +331,13 @@ def test_decode_step_matches_tape_row_by_row(variant, feature_dim):
     """Each row of a decode step has the bits of the tape's ``attend`` and
     ``decode_logits`` from the same state and token: its context, its
     states and its logits. The widths cover a grid read in place whole
-    (513), blocks with a ragged rest (1027) and the reference grid (2048)."""
+    (513), blocks with a ragged rest (1027) and the reference grid (2048).
+    The tape reads a contiguous copy of the grid, the step the padded grid
+    in place."""
     ckpt, grid = random_checkpoint(feature_dim, vocab_size=8, feature_dim=feature_dim,
                                    scale=0.1, variant=variant, n_loc=196)
+    flat = copy.copy(grid)
+    flat.values = np.ascontiguousarray(grid.values)
     topic = TopicLabel.CONTEXT
     prefix, topic_idx = sub_prefix(variant, topic), topic_embedding_index(variant, topic)
     step = DecodeStep(grid, ckpt.store, prefix, topic_idx)
@@ -331,7 +349,7 @@ def test_decode_step_matches_tape_row_by_row(variant, feature_dim):
         alphas, contexts = [], []
         for row in range(rows):
             h_row = nc.constant(h_prev[row])
-            z, alpha = attend(grid, h_row, ckpt.store, prefix)
+            z, alpha = attend(flat, h_row, ckpt.store, prefix)
             (h, c), logits = decode_logits(z, (h_row, nc.constant(c_prev[row])), y_prev[row],
                                            ckpt.store, prefix, topic_idx)
             for name, have, want in zip(("h", "c", "logits"), got, (h, c, logits)):
@@ -384,6 +402,67 @@ class TestEarlyStop:
         got, steps = self._beam_steps(monkeypatch, ckpt, grid, beam_size=12)
         assert steps == 3
         assert got == tape_beam_decode(ckpt, grid, TopicLabel.CONTENT, 4, 12)
+
+
+class TestGridInPlace:
+    """A decode reads its grid where the grid is; it makes no copy."""
+
+    def test_decode_step_blocks_are_views_of_the_grid(self):
+        ckpt, _ = random_checkpoint(6, feature_dim=2048, scale=0.1)
+        grid = random_grid(np.random.default_rng(6), n_loc=196, feat=2048)
+        step = DecodeStep(grid, ckpt.store)
+        assert step.blocks.shape == (4, 196, 512)
+        assert np.shares_memory(step.blocks, grid.values)
+
+    def test_three_topics_decode_one_grid_without_a_copy(self, tmp_path):
+        """Describing a painting under its three topics peaks less than half
+        a grid above the loaded 196 x 2048 grid."""
+        ckpt, _ = random_checkpoint(7, vocab_size=8, feature_dim=2048, hidden=8, max_len=4,
+                                    scale=0.1, variant="parallel")
+        path = tmp_path / "p.fgrd"
+        save_feature_grid(path, np.random.default_rng(7).normal(size=(196, 2048)))
+        grid = load_feature_grid(path)
+        generate(ckpt, grid, TopicLabel.CONTENT, 5)  # first-use allocations, unmeasured
+        tracemalloc.start()
+        try:
+            for topic in TopicLabel:
+                generate(ckpt, grid, topic, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.values.nbytes / 2
+
+
+class TestDecodeCap:
+    """A beam whose decode working set would exceed ``DECODE_BYTES_CAP`` is
+    refused before anything is built."""
+
+    @staticmethod
+    def _need(ckpt, grid, beam_size):
+        config = ckpt.config
+        return 8 * beam_size * (grid.n_locations * config.hidden_size
+                                + config.max_len * (2 * config.hidden_size + config.vocab_size))
+
+    def test_a_beam_over_the_cap_is_refused_before_a_decode_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DecodeStep was built")
+
+        ckpt, _ = random_checkpoint(1)
+        grid = random_grid(np.random.default_rng(1), n_loc=196, feat=3)
+        monkeypatch.setattr(DecodeStep, "__init__", refuse)
+        with pytest.raises(ConfigError) as exc:
+            generate(ckpt, grid, TopicLabel.CONTENT, beam_size=10**6)
+        message = str(exc.value)
+        assert "beam_size 1000000 " in message
+        assert str(self._need(ckpt, grid, 10**6)) in message
+        assert str(generate_mod.DECODE_BYTES_CAP) in message
+
+    def test_a_beam_at_the_cap_decodes(self, monkeypatch):
+        ckpt, grid = random_checkpoint(2)
+        monkeypatch.setattr(generate_mod, "DECODE_BYTES_CAP", self._need(ckpt, grid, 3))
+        assert generate(ckpt, grid, TopicLabel.CONTENT, 3).tokens
+        with pytest.raises(ConfigError, match="beam_size 4 "):
+            generate(ckpt, grid, TopicLabel.CONTENT, 4)
 
 
 class TestGenerateValidation:
