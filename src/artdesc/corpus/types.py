@@ -180,9 +180,3 @@ class PaintingRecord:
         self.attributes = normalized
         if not self.reference:
             self.reference = " ".join(s.raw for s in self.sentences)
-
-    def total_slots(self) -> int:
-        return sum(s.masked.slot_count() for s in self.sentences)
-
-    def total_values(self) -> int:
-        return sum(len(s.values) for s in self.sentences)

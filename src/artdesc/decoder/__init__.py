@@ -4,12 +4,7 @@ conditional decoders with a TextCNN-style topic classifier."""
 from artdesc.decoder.classifier import classify_distributions, classify_tokens, predict_topic
 from artdesc.decoder.config import VARIANTS, DecoderConfig
 from artdesc.decoder.generate import beam_decode, generate, greedy_decode
-from artdesc.decoder.model import (
-    init_decoder_params,
-    init_state,
-    sub_prefix,
-    topic_embedding_index,
-)
+from artdesc.decoder.model import decoder_input, init_decoder_params, init_state
 from artdesc.decoder.train import (
     TrainingItem,
     build_training_items,
@@ -30,6 +25,7 @@ __all__ = [
     "build_training_items",
     "classify_distributions",
     "classify_tokens",
+    "decoder_input",
     "generate",
     "greedy_decode",
     "init_decoder_params",
@@ -38,8 +34,6 @@ __all__ = [
     "predict_topic",
     "save_decoder_checkpoint",
     "sequence_loss",
-    "sub_prefix",
-    "topic_embedding_index",
     "train_conditional",
     "train_decoder",
 ]

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from artdesc.corpus import FeatureGrid, MaskedSentence, TopicLabel
-from artdesc.decoder.model import DecodeStep, sub_prefix, topic_embedding_index
+from artdesc.decoder.model import DecodeStep, decoder_input
 from artdesc.errors import ConfigError
 from artdesc.numcore import log_softmax_np
 from artdesc.training import Checkpoint
@@ -45,9 +45,7 @@ def _prefix_stepper(ckpt: Checkpoint, grid: FeatureGrid, topic: TopicLabel) -> N
     per prefix. The prefixes not stepped yet are stepped in one call, each
     from its parent prefix's state, so the beam and its greedy fallback share
     every prefix both of them reach."""
-    variant = ckpt.config.variant
-    step = DecodeStep(grid, ckpt.store, sub_prefix(variant, topic),
-                      topic_embedding_index(variant, topic))
+    step = DecodeStep(grid, ckpt.store, *decoder_input(ckpt.config.variant, topic))
     start = ckpt.vocab.start
     # prefix -> its row's (h, c, next-token log-probs)
     stepped: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

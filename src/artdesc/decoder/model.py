@@ -20,27 +20,16 @@ from artdesc.errors import ConfigError
 State = tuple[nc.Tensor, nc.Tensor]
 
 
-def decoder_prefixes(variant: str) -> list[str]:
-    if variant == "parallel":
-        return [t.name.lower() for t in TopicLabel]
-    return ["dec"]
-
-
-def sub_prefix(variant: str, topic: TopicLabel | None) -> str:
-    """Which parameter namespace a generation/training step reads."""
-    if variant == "parallel":
-        if not isinstance(topic, TopicLabel):
-            raise ConfigError("parallel decoder requires a topic to select its sub-decoder")
-        return topic.name.lower()
-    return "dec"
-
-
-def topic_embedding_index(variant: str, topic: TopicLabel | None) -> int | None:
-    if variant != "conditional":
-        return None
+def decoder_input(variant: str, topic: TopicLabel | None) -> tuple[str, int | None]:
+    """What a topic's decode or training step reads: its parameter prefix
+    and its row of the topic embedding, if any. The baseline reads
+    ``("dec", None)`` whatever the topic; the parallel and conditional
+    decoders need a topic, to pick a sub-decoder or an embedding row."""
+    if variant == "baseline":
+        return "dec", None
     if not isinstance(topic, TopicLabel):
-        raise ConfigError(f"conditional decoder requires a valid topic, got {topic!r}")
-    return int(topic)
+        raise ConfigError(f"{variant} decoder requires a valid topic, got {topic!r}")
+    return (topic.name.lower(), None) if variant == "parallel" else ("dec", int(topic))
 
 
 def _add_subdecoder(store: nc.ParamStore, prefix: str, config: DecoderConfig,
@@ -69,7 +58,7 @@ def _add_subdecoder(store: nc.ParamStore, prefix: str, config: DecoderConfig,
 def init_decoder_params(config: DecoderConfig, rng: np.random.Generator) -> nc.ParamStore:
     store = nc.ParamStore()
     with_topic = config.variant == "conditional"
-    for prefix in decoder_prefixes(config.variant):
+    for prefix in dict.fromkeys(decoder_input(config.variant, t)[0] for t in TopicLabel):
         _add_subdecoder(store, prefix, config, rng, with_topic)
     if with_topic:
         store.add("dec.topic.embed", nc.uniform_init(rng, (len(TopicLabel), config.topic_embed_size)))

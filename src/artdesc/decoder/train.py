@@ -21,12 +21,7 @@ from artdesc.corpus import FeatureGrid, PaintingRecord, TopicLabel
 from artdesc.corpus.vocab import Vocab
 from artdesc.decoder.classifier import classify_distributions
 from artdesc.decoder.config import DecoderConfig
-from artdesc.decoder.model import (
-    init_decoder_params,
-    init_state,
-    sub_prefix,
-    topic_embedding_index,
-)
+from artdesc.decoder.model import decoder_input, init_decoder_params, init_state
 from artdesc.errors import ConfigError
 from artdesc.training import Checkpoint, TrainConfig, fit, load_model, padding, save_model
 
@@ -112,9 +107,9 @@ def batch_loss(items: Sequence[TrainingItem], params: nc.ParamStore,
     stats = {"nll": 0.0, "positions": 0, "padded": 0}
     units = 0
     for (prefix, _), grouped in groupby(ordered, key=lambda item: (
-            sub_prefix(config.variant, item.topic), item.grid.n_locations)):
+            decoder_input(config.variant, item.topic)[0], item.grid.n_locations)):
         group = list(grouped)
-        topics = ([topic_embedding_index(config.variant, item.topic) for item in group]
+        topics = ([decoder_input(config.variant, item.topic)[1] for item in group]
                   if conditional else None)
         nll, n_tokens, logits = sequence_loss([item.grid for item in group],
                                               [item.token_ids for item in group],

@@ -25,7 +25,7 @@ from artdesc.corpus import (
     tokenize,
 )
 from artdesc.corpus.corpusio import config_from_object, feature_path, read_json
-from artdesc.decoder import generate, load_decoder_checkpoint
+from artdesc.decoder import decoder_input, generate, load_decoder_checkpoint
 from artdesc.errors import ConfigError, DataError, MissingArtifactError
 from artdesc.filler import (
     extract_candidates,
@@ -206,15 +206,21 @@ class Pipeline:
                  topics: tuple = tuple(TopicLabel)) -> dict:
         """Full pipeline for one painting; returns the provenance report.
         The description composes the requested topics in the enum's order:
-        content, form, context."""
+        content, form, context. Each distinct decoder input among them is
+        decoded once: a baseline decoder reads the same input for every
+        topic, so its one sentence stands under each requested topic."""
         features = self._grid(record)
         if features is None:
             raise MissingArtifactError(
                 f"painting '{record.id}' has no feature grid; supply features first"
             )
         beam_size = 1 if self.config.decode_mode == "greedy" else self.config.beam_size
-        sentences = {topic: generate(self.decoder, features, topic, beam_size)
-                     for topic in TopicLabel if topic in topics}
+        decoded, sentences = {}, {}  # decoder input -> its sentence; topic -> its sentence
+        for topic in (topic for topic in TopicLabel if topic in topics):
+            key = decoder_input(self.decoder.config.variant, topic)
+            if key not in decoded:
+                decoded[key] = generate(self.decoder, features, topic, beam_size)
+            sentences[topic] = replace(decoded[key], topic=topic)
         masked = list(sentences.values())
         query = build_query(record.attributes, record.objects, self._blocklist)
         ranked, bodies = self._retrieve(record, query)

@@ -1,5 +1,7 @@
 """Decoder checkpoint round trips and digest verification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from artdesc.decoder import (
     DecoderConfig,
     TrainConfig,
     greedy_decode,
+    init_decoder_params,
     load_decoder_checkpoint,
     save_decoder_checkpoint,
     train_decoder,
@@ -28,6 +31,29 @@ def trained(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "dec.ckpt"
     save_decoder_checkpoint(path, ckpt)
     return records, ckpt, path
+
+
+# SHA-256 of each variant's initial parameters, names and bytes in store
+# order, for the DecoderConfig of ``test_initial_parameters_keep_their_bits``
+INIT_DIGESTS = {
+    "baseline": "94d79434a6e328df0e79d4da1e79b89469f6b390492fce1d56257000a67c6ad7",
+    "parallel": "a01039b80077ccf132111555113c32ee9b72eb1bf96646144df2fa79d6f7cd58",
+    "conditional": "7d4f19dbf4bc5ff6b71dcf19e39109474ed5fa9b29fee3b36a3a41726481a499",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(INIT_DIGESTS))
+def test_initial_parameters_keep_their_bits(variant):
+    """The parameters, their order and the rng draws that fill them
+    stay as they are, so a seed trains the same checkpoint."""
+    config = DecoderConfig(variant=variant, vocab_size=12, feature_dim=4, hidden_size=6,
+                           embed_size=5, topic_embed_size=3, max_len=8)
+    digest = hashlib.sha256()
+    for name, array in init_decoder_params(config,
+                                           np.random.default_rng(0)).state_arrays().items():
+        digest.update(name.encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[variant]
 
 
 def test_round_trip_preserves_generation(trained):

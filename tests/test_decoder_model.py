@@ -9,11 +9,10 @@ from artdesc import numcore as nc
 from artdesc.corpus import FeatureGrid, TopicLabel
 from artdesc.decoder import (
     DecoderConfig,
+    decoder_input,
     init_decoder_params,
     init_state,
     sequence_loss,
-    sub_prefix,
-    topic_embedding_index,
 )
 from artdesc.errors import ConfigError
 
@@ -25,6 +24,15 @@ def make(variant="baseline", vocab_size=12, feature_dim=4, hidden=6, embed=5, se
     )
     store = init_decoder_params(config, np.random.default_rng(seed))
     return config, store
+
+
+class TestDecoderInput:
+    def test_each_topic_reads_its_input(self):
+        for topic in TopicLabel:
+            assert decoder_input("baseline", topic) == ("dec", None)
+            assert decoder_input("parallel", topic) == (topic.name.lower(), None)
+            assert decoder_input("conditional", topic) == ("dec", int(topic))
+        assert decoder_input("baseline", None) == ("dec", None)
 
 
 class TestAttend:
@@ -165,10 +173,12 @@ class TestDecodeStep:
         assert np.allclose(d0.data, d1.data)
 
     def test_conditional_requires_topic(self):
-        with pytest.raises(ConfigError):
-            topic_embedding_index("conditional", None)
-        with pytest.raises(ConfigError):
-            topic_embedding_index("conditional", "content")
+        """So does the parallel decoder, to pick its sub-decoder."""
+        for variant in ("conditional", "parallel"):
+            with pytest.raises(ConfigError, match=variant):
+                decoder_input(variant, None)
+            with pytest.raises(ConfigError, match=variant):
+                decoder_input(variant, "content")
 
 
 class TestParallelIsolation:
@@ -177,7 +187,7 @@ class TestParallelIsolation:
         config, store = make(variant="parallel")
         grid = FeatureGrid(rng.normal(size=(3, 4)))
         tokens = [1, 5, 6, 7, 2]
-        prefix = sub_prefix("parallel", TopicLabel.FORM)
+        prefix, _ = decoder_input("parallel", TopicLabel.FORM)
         loss, _, _ = sequence_loss([grid], [tokens], store, prefix)
         nc.backward(loss, store)
         for name in store.names():

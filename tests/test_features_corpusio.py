@@ -182,7 +182,8 @@ class TestCorpusIO:
     def test_record_parsing(self):
         rec = record_from_dict(RECORD)
         assert rec.id == "p1"
-        assert rec.total_slots() == 2 and rec.total_values() == 2
+        assert sum(s.masked.slot_count() for s in rec.sentences) == 2
+        assert sum(len(s.values) for s in rec.sentences) == 2
         assert rec.sentences[0].values == ["Vermeer", "1665"]
         assert rec.sentences[0].masked.topic == TopicLabel.CONTEXT
         assert rec.sentences[1].masked.topic == TopicLabel.CONTENT
@@ -235,4 +236,4 @@ class TestCorpusIO:
 
     def test_slot_value_bookkeeping(self):
         rec = record_from_dict(RECORD)
-        assert rec.total_slots() == rec.total_values()
+        assert all(s.masked.slot_count() == len(s.values) for s in rec.sentences)

@@ -28,7 +28,7 @@ from artdesc.decoder import (
     init_decoder_params,
     train_decoder,
 )
-from artdesc.decoder.model import DecodeStep, matvec_rows, sub_prefix, topic_embedding_index
+from artdesc.decoder.model import DecodeStep, decoder_input, matvec_rows
 from artdesc.errors import ConfigError
 from artdesc.numcore import log_softmax_np, tensor
 from artdesc.pipeline import Pipeline, PipelineConfig, report_to_json
@@ -91,8 +91,7 @@ def _tape_step(params, prefix, topic_idx, grid, state, prev):
 def tape_greedy_decode(ckpt, grid, topic, max_len):
     """Oracle: greedy decoding through the autodiff tape, one step per token."""
     params = ckpt.store
-    prefix = sub_prefix(ckpt.config.variant, topic)
-    topic_idx = topic_embedding_index(ckpt.config.variant, topic)
+    prefix, topic_idx = decoder_input(ckpt.config.variant, topic)
     end = ckpt.vocab.end
     state = init_state(grid, params, prefix)
     prev = ckpt.vocab.start
@@ -121,8 +120,7 @@ def tape_beam_decode(ckpt, grid, topic, max_len, beam_size):
     hypothesis, sorts all beam x V candidates and runs a separate greedy
     rollout as its fallback."""
     params = ckpt.store
-    prefix = sub_prefix(ckpt.config.variant, topic)
-    topic_idx = topic_embedding_index(ckpt.config.variant, topic)
+    prefix, topic_idx = decoder_input(ckpt.config.variant, topic)
     vocab = ckpt.vocab
     end = vocab.end
 
@@ -339,7 +337,7 @@ def test_decode_step_matches_tape_row_by_row(variant, feature_dim):
     flat = copy.copy(grid)
     flat.values = np.ascontiguousarray(grid.values)
     topic = TopicLabel.CONTEXT
-    prefix, topic_idx = sub_prefix(variant, topic), topic_embedding_index(variant, topic)
+    prefix, topic_idx = decoder_input(variant, topic)
     step = DecodeStep(grid, ckpt.store, prefix, topic_idx)
     rng = np.random.default_rng(feature_dim)
     for rows in (1, 2, 5):

@@ -19,6 +19,7 @@ from synth import entity_corpus
 from artdesc import pipeline as pipeline_module
 from artdesc.corpus import (
     PaintingRecord,
+    TopicLabel,
     corpusio,
     load_feature_grid,
     save_corpus,
@@ -255,6 +256,60 @@ def test_describing_a_split_holds_one_grid_at_a_time(wide_splits):
     configs, grid_bytes = wide_splits
     describe_peak(configs[4])  # first-use allocations, outside both measurements
     assert describe_peak(configs[32]) - describe_peak(configs[4]) < grid_bytes
+
+
+@pytest.fixture(scope="module")
+def variant_worlds(world, tmp_path_factory):
+    """{variant: config}: the world's config over four new paintings and a
+    one-epoch decoder of that variant, with the world's filler and
+    gazetteer."""
+    _, _, world_config, _ = world
+    root = tmp_path_factory.mktemp("variants")
+    records, vocab = entity_corpus(np.random.default_rng(36), n_records=4)
+    (root / "features").mkdir()
+    for record in records:
+        save_feature_grid(root / "features" / f"{record.id}.fgrd", record.features.values)
+    save_corpus(root / "corpus.jsonl", records)
+    configs = {}
+    for variant in ("baseline", "parallel", "conditional"):
+        decoder = train_decoder(records, vocab,
+                                DecoderConfig(variant=variant, vocab_size=len(vocab),
+                                              feature_dim=6, hidden_size=8, embed_size=8,
+                                              topic_embed_size=4, max_len=8),
+                                TrainConfig(epochs=1, batch_size=4, seed=3))
+        save_decoder_checkpoint(root / f"{variant}.ckpt", decoder)
+        configs[variant] = dict(world_config, corpus=str(root / "corpus.jsonl"),
+                                features_dir=str(root / "features"),
+                                decoder_checkpoint=str(root / f"{variant}.ckpt"))
+    return configs
+
+
+@pytest.mark.parametrize("topics", [tuple(TopicLabel), (TopicLabel.FORM, TopicLabel.CONTEXT)],
+                         ids=["all", "form-context"])
+@pytest.mark.parametrize("variant", ["baseline", "parallel", "conditional"])
+def test_describe_decodes_each_decoder_input_once(variant_worlds, monkeypatch, variant, topics):
+    """A baseline decoder reads one input for every topic, so its describe
+    decodes once; the other variants decode each topic. Each report's
+    sentences are those of one ``generate`` call per topic."""
+    generate = pipeline_module.generate
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return generate(*args)
+
+    monkeypatch.setattr(pipeline_module, "generate", counting)
+    pipeline = Pipeline(PipelineConfig(**variant_worlds[variant]))
+    for painting in pipeline.records:
+        record = pipeline.record_by_id(painting.id)
+        calls.clear()
+        report = pipeline.describe(record, topics)
+        assert len(calls) == (1 if variant == "baseline" else len(topics))
+        assert report["sentences"] == {
+            topic.name.lower(): generate(pipeline.decoder, record.features, topic,
+                                         pipeline.config.beam_size).surfaces()
+            for topic in TopicLabel if topic in topics
+        }
 
 
 class TestEvaluate:

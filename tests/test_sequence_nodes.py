@@ -19,7 +19,7 @@ from artdesc import numcore as nc
 from artdesc.corpus import EntityType, FeatureGrid, PaintingRecord, Slot, TopicLabel
 from artdesc.decoder import DecoderConfig, TrainingItem, init_decoder_params, sequence_loss
 from artdesc.decoder.classifier import classify_distributions, classify_tokens
-from artdesc.decoder.model import sub_prefix, topic_embedding_index
+from artdesc.decoder.model import decoder_input
 from artdesc.decoder.train import batch_loss
 from artdesc.errors import ShapeError
 from artdesc.filler import (
@@ -150,8 +150,7 @@ def test_classify_tokens_matches_oracle():
 def _oracle_item_loss(config, store, item):
     """One item's loss on the per-step path, as ``batch_loss`` sums it: the
     conditional variant's adds the classifier's cross-entropy."""
-    prefix = sub_prefix(config.variant, item.topic)
-    topic_idx = topic_embedding_index(config.variant, item.topic)
+    prefix, topic_idx = decoder_input(config.variant, item.topic)
     conditional = config.variant == "conditional"
     nll, _, probs = tape.sequence_loss(item.grid, item.token_ids, store, prefix, topic_idx,
                                        collect_probs=conditional)
