@@ -18,6 +18,7 @@ from dataclasses import MISSING, fields
 
 from artdesc import __version__
 from artdesc.corpus import (
+    ATTRIBUTE_TYPES,
     Gazetteer,
     PaintingRecord,
     SentenceEntry,
@@ -58,6 +59,7 @@ from artdesc.filler import (
 from artdesc.numcore.checkpoint import atomic_write
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
 from artdesc.retriever import (
+    EMPTY_QUERY,
     TfIdfIndex,
     build_query,
     eval_recall,
@@ -219,8 +221,10 @@ def cmd_retrieve(args) -> int:
         query = args.query
     else:
         meta = read_json(args.meta, types={"attributes": dict[str, str], "objects": list[str]})
-        query = build_query(meta.get("attributes", {}), meta.get("objects", []),
-                            load_blocklist(args.blocklist))
+        # a key the corpus would refuse is refused here too, not dropped from the query
+        attributes = check_object(meta.get("attributes", {}), f"{args.meta} attributes",
+                                  types=dict.fromkeys(ATTRIBUTE_TYPES, str), closed=True)
+        query = build_query(attributes, meta.get("objects", []), load_blocklist(args.blocklist))
     for article_id, score in index.rank(query, k=args.k):
         print(json.dumps({"article_id": article_id, "score": score}))
     return EXIT_OK
@@ -259,6 +263,7 @@ def cmd_fill(args) -> int:
     bodies = [a.body for a in read_articles_jsonl(args.articles)] if args.articles else []
     attributes = read_json(args.attrs) if args.attrs else {}
     check_object(attributes, args.attrs, types=dict.fromkeys(attributes, str))
+    check_object(attributes, args.attrs, types=dict.fromkeys(ATTRIBUTE_TYPES, str), closed=True)
     candidates = extract_candidates(bodies, attributes, gazetteer)
     result = fill_slots(masked, candidates, ckpt)
     print(json.dumps({
@@ -310,6 +315,8 @@ def cmd_eval_recall(args) -> int:
     rankings = {}
     for record in records:
         query = build_query(record.attributes, record.objects, blocklist)
+        if not query:
+            logger.warning(EMPTY_QUERY, extra={"painting": record.id})
         ranked = index.rank(query, k=max(ks))
         rankings[record.id] = [article_id for article_id, _ in ranked]
     report = eval_recall(rankings, annotations, ks)

@@ -2,7 +2,7 @@
 feature grids, and sidecar metadata."""
 
 from artdesc.corpus.corpusio import load_corpus, record_from_dict, record_to_dict, save_corpus
-from artdesc.corpus.features import load_feature_grid, mean_pool, save_feature_grid
+from artdesc.corpus.features import load_feature_grid, save_feature_grid
 from artdesc.corpus.masking import mask_sentence, sentence_from_surfaces, unmask
 from artdesc.corpus.tagger import Gazetteer, tag_entities
 from artdesc.corpus.text import split_sentences, tokenize
@@ -36,7 +36,6 @@ __all__ = [
     "load_corpus",
     "load_feature_grid",
     "mask_sentence",
-    "mean_pool",
     "record_from_dict",
     "record_to_dict",
     "save_corpus",

@@ -1,4 +1,4 @@
-"""Feature grid files and pooling.
+"""Feature grid files.
 
 A grid file is a container (``artdesc/numcore/checkpoint.py``) of kind
 "feature-grid" that holds one (L, D) float32 array, ``values``, converted to
@@ -42,8 +42,3 @@ def load_feature_grid(path: str | Path) -> FeatureGrid:
         return FeatureGrid(arrays["values"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def mean_pool(grid: FeatureGrid) -> np.ndarray:
-    """Arithmetic mean over the L locations; length-D vector."""
-    return grid.values.mean(axis=0)

@@ -49,9 +49,6 @@ class Gazetteer:
     def lookup(self, phrase: tuple[str, ...]) -> EntityType | None:
         return self._phrases.get(phrase)
 
-    def __len__(self) -> int:
-        return len(self._phrases)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
         """One surface-form<TAB>type entry per line, as ``read_entries`` reads

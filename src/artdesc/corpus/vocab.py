@@ -35,9 +35,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
     def id_of(self, token: str) -> int:
         return self.index.get(token, self.unk)
 
@@ -61,9 +58,6 @@ class Vocab:
         if etype is not None:
             return Slot(etype)
         return Word(surface) if surface not in RESERVED else Word(surface.strip("<>/") or "pad")
-
-    def surface(self, idx: int) -> str:
-        return self.tokens[idx]
 
     def digest(self) -> str:
         payload = "\n".join(self.tokens).encode("utf-8")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from artdesc import numcore as nc
-from artdesc.corpus import FeatureGrid, TopicLabel, mean_pool
+from artdesc.corpus import FeatureGrid, TopicLabel
 from artdesc.decoder.classifier import init_classifier_params
 from artdesc.decoder.config import DecoderConfig
 from artdesc.errors import ConfigError
@@ -135,7 +135,7 @@ class DecodeStep:
         self.embed = embed
         self.lstm = (p("lstm.w"), p("lstm.b"))
         self.out = (p("out.w"), p("out.b"))
-        vbar = mean_pool(grid)
+        vbar = values.mean(axis=0)
         self.state0 = (np.tanh(p("init.w_h") @ vbar + p("init.b_h")),
                        np.tanh(p("init.w_c") @ vbar + p("init.b_c")))
 

@@ -38,9 +38,6 @@ class CandidateSet:
     def __iter__(self):
         return iter(self.entries)
 
-    def of_type(self, etype: EntityType) -> list[tuple[int, Candidate]]:
-        return [(i, c) for i, c in enumerate(self.entries) if c.entity_type == etype]
-
     def find(self, surface: str, etype: EntityType) -> int | None:
         return self._positions.get((surface.lower(), etype))
 

@@ -9,21 +9,19 @@ from artdesc.numcore.params import ParamStore
 from artdesc.numcore.tensor import Tensor, backward
 
 
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: ParamStore,
-    epsilon: float = 1e-4,
-) -> float:
-    """Max relative error between analytic gradients and central differences.
+# the central-difference step of the gradient gate
+EPSILON = 1e-4
+
+
+def grad_check(loss_fn: Callable[[], Tensor], params: ParamStore) -> float:
+    """Max relative error between analytic gradients and central differences
+    at step ``EPSILON``.
 
     loss_fn must rebuild the forward graph from the current parameter values
     and be deterministic; two baseline evaluations that disagree raise
     DataError. Relative error per element is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    if epsilon <= 0:
-        raise ValueError(f"grad_check: epsilon must be positive, got {epsilon}")
-
     base_a = loss_fn().item()
     base_b = loss_fn().item()
     if base_a != base_b:
@@ -42,12 +40,12 @@ def grad_check(
         grad_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + epsilon
+            flat[i] = orig + EPSILON
             f_plus = loss_fn().item()
-            flat[i] = orig - epsilon
+            flat[i] = orig - EPSILON
             f_minus = loss_fn().item()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            numeric = (f_plus - f_minus) / (2.0 * EPSILON)
             a = grad_flat[i]
             denom = max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, abs(a - numeric) / denom)

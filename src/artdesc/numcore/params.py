@@ -9,14 +9,16 @@ from artdesc.numcore.tensor import Tensor, _check_finite
 
 # Recurrent/embedding weights start uniform in [-0.08, 0.08]; biases at zero.
 INIT_SCALE = 0.08
+# Adam's standard moment decays and denominator term (Kingma & Ba, 2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 # Elements per Adam pass: the chunk's slices of the four rows and the two
 # scratch vectors (6 x 256 KiB) stay in L2 across its 14 ufunc passes.
 ADAM_CHUNK = 1 << 15
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float = INIT_SCALE) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
+def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
 
 class ParamStore:
@@ -56,12 +58,6 @@ class ParamStore:
             return self._params[name]
         except KeyError:
             raise KeyError(f"no parameter named '{name}'") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)
@@ -137,13 +133,9 @@ class ParamStore:
             raise StateError(f"checkpoint has unknown parameters: {sorted(extra)}")
 
 
-def adam_step(
-    params: ParamStore,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
-    """Standard Adam update with bias correction; increments the step counter.
+def adam_step(params: ParamStore, lr: float) -> None:
+    """Standard Adam update with bias correction at ``BETA1``, ``BETA2`` and
+    ``EPS``; increments the step counter.
 
     One in-place pass over the parameter block, a chunk at a time (Kingma &
     Ba, 2015). Each element sees the operations of the textbook update in
@@ -153,7 +145,7 @@ def adam_step(
     """
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
-    beta1, beta2 = betas
+    beta1, beta2, eps = BETA1, BETA2, EPS
     if params._block is None and any(params[name].grad is None for name in params.names()):
         raise StateError("adam_step: a parameter has no gradient; run backward first")
     t = params.step + 1

@@ -34,7 +34,7 @@ from artdesc.filler import (
 )
 from artdesc.metrics import bleu4, rouge_l, slot_ratio
 from artdesc.numcore.checkpoint import digest_of
-from artdesc.retriever import TfIdfIndex, build_query, load_blocklist
+from artdesc.retriever import EMPTY_QUERY, TfIdfIndex, build_query, load_blocklist
 
 logger = logging.getLogger(__name__)
 
@@ -223,6 +223,8 @@ class Pipeline:
             sentences[topic] = replace(decoded[key], topic=topic)
         masked = list(sentences.values())
         query = build_query(record.attributes, record.objects, self._blocklist)
+        if not query:
+            logger.warning(EMPTY_QUERY, extra={"painting": record.id})
         ranked, bodies = self._retrieve(record, query)
         candidates = extract_candidates(bodies, record.attributes, self.gazetteer)
         result = fill_slots(masked, candidates, self.filler)

@@ -10,16 +10,16 @@ from artdesc.retriever.index import (
 )
 from artdesc.retriever.normalize import default_stopwords, normalize_text, read_word_list
 from artdesc.retriever.porter import stem
-from artdesc.retriever.query import build_query, default_blocklist, load_blocklist
+from artdesc.retriever.query import EMPTY_QUERY, build_query, default_blocklist, load_blocklist
 from artdesc.retriever.recall import (
     RetrievalAnnotation,
     RetrievalLabel,
     eval_recall,
     load_annotations,
-    save_annotations,
 )
 
 __all__ = [
+    "EMPTY_QUERY",
     "KnowledgeArticle",
     "RetrievalAnnotation",
     "RetrievalLabel",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -10,7 +9,8 @@ from pathlib import Path
 from artdesc.corpus.types import ATTRIBUTE_TYPES
 from artdesc.retriever.normalize import read_word_list
 
-logger = logging.getLogger(__name__)
+# the warning of a caller whose painting's query came out empty
+EMPTY_QUERY = "built an empty retrieval query (no attributes or usable objects)"
 
 
 @lru_cache(maxsize=1)
@@ -26,7 +26,8 @@ def load_blocklist(path: str | Path | None) -> frozenset[str]:
 def build_query(attributes: dict[str, str], objects: list[str],
                 blocklist: frozenset[str] | None = None) -> str:
     """Attribute values in the fixed order artist, type, timeframe, school,
-    followed by detected object concepts not on the blocklist."""
+    followed by detected object concepts not on the blocklist; "" if
+    none is left, which the caller warns of, naming its painting."""
     if blocklist is None:
         blocklist = default_blocklist()
     parts = [attributes.get(key, "").strip() for key in ATTRIBUTE_TYPES]
@@ -35,7 +36,4 @@ def build_query(attributes: dict[str, str], objects: list[str],
         concept = concept.strip()
         if concept and concept.lower() not in blocklist:
             parts.append(concept)
-    query = " ".join(parts)
-    if not query:
-        logger.warning("built an empty retrieval query (no attributes or usable objects)")
-    return query
+    return " ".join(parts)

@@ -10,13 +10,11 @@ top k.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from artdesc.corpus.corpusio import read_jsonl
 from artdesc.errors import DataError
-from artdesc.numcore.checkpoint import atomic_write
 
 
 class RetrievalLabel(enum.Enum):
@@ -25,13 +23,6 @@ class RetrievalLabel(enum.Enum):
     AUTHOR = "author"
     AMBIGUATION = "ambiguation"
     INCORRECT = "incorrect"
-
-    @classmethod
-    def from_name(cls, name: str) -> "RetrievalLabel":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise DataError(f"unknown retrieval label '{name}'") from None
 
 
 POSITIVE_LABELS = (RetrievalLabel.CORRECT, RetrievalLabel.THEME, RetrievalLabel.AUTHOR)
@@ -45,21 +36,17 @@ class RetrievalAnnotation:
 
 def load_annotations(path: str | Path) -> list[RetrievalAnnotation]:
     """Line-delimited records {painting_id, article_id, label}, grouped by
-    painting."""
+    painting; a label is matched case-insensitively, and a bad record raises
+    DataError naming ``path:lineno``."""
     grouped: dict[str, list[tuple[str, RetrievalLabel]]] = {}
     types = {"painting_id": str, "article_id": str, "label": str}
-    for _, obj in read_jsonl(path, tuple(types), types):
-        grouped.setdefault(obj["painting_id"], []).append(
-            (obj["article_id"], RetrievalLabel.from_name(obj["label"])))
+    for lineno, obj in read_jsonl(path, tuple(types), types):
+        try:
+            label = RetrievalLabel(obj["label"].lower())
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unknown retrieval label '{obj['label']}'") from None
+        grouped.setdefault(obj["painting_id"], []).append((obj["article_id"], label))
     return [RetrievalAnnotation(pid, articles) for pid, articles in grouped.items()]
-
-
-def save_annotations(path: str | Path, annotations: list[RetrievalAnnotation]) -> None:
-    atomic_write(path, (json.dumps({
-        "painting_id": ann.painting_id,
-        "article_id": article_id,
-        "label": label.value,
-    }).encode("utf-8") + b"\n" for ann in annotations for article_id, label in ann.articles))
 
 
 _CLASS_ROWS = {

@@ -35,7 +35,7 @@ META_TYPES = {"kind": str, "config": dict, "config_digest": str, "vocab_tokens":
 
 @dataclass
 class TrainConfig:
-    """Optimization settings for Adam at its default betas and eps: the rate
+    """Optimization settings for Adam at its fixed betas and eps: the rate
     starts at ``lr`` and decays by ``lr_decay`` every ``lr_decay_every``
     epochs, or never if that is None."""
 

@@ -20,11 +20,10 @@ class OracleAdam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def __call__(self, params, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8) -> None:
+    def __call__(self, params, lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"adam_step: lr must be positive, got {lr}")
-        beta1, beta2 = betas
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         t = params.step + 1
         for name in params.names():
             p = params[name]

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from artdesc import numcore as nc
-from artdesc.corpus import EntityType, FeatureGrid, mean_pool, tokenize
+from artdesc.corpus import EntityType, FeatureGrid, tokenize
 from artdesc.corpus.vocab import Vocab
 from artdesc.decoder.classifier import WINDOWS
 from artdesc.decoder.model import State
@@ -79,7 +79,7 @@ def maximum_list(ts: Sequence[nc.Tensor]) -> nc.Tensor:
 
 def init_state(grid: FeatureGrid, params: nc.ParamStore, prefix: str = "dec") -> State:
     """Initial (h0, c0), each (H,), from the mean-pooled grid through affine + tanh."""
-    vbar = nc.constant(mean_pool(grid), name="vbar")
+    vbar = nc.constant(grid.values.mean(axis=0), name="vbar")
     h0 = nc.tanh_t(nc.affine(params[f"{prefix}.init.w_h"], vbar, params[f"{prefix}.init.b_h"]))
     c0 = nc.tanh_t(nc.affine(params[f"{prefix}.init.w_c"], vbar, params[f"{prefix}.init.b_c"]))
     return h0, c0
@@ -236,7 +236,9 @@ def slot_scores(fill_input, candidates, params: nc.ParamStore,
     for pos, etype in zip(fill_input.slot_positions, fill_input.slot_types):
         h_slot = states[pos]
         scored: list[tuple[int, nc.Tensor]] = []
-        for idx, cand in candidates.of_type(etype):
+        for idx, cand in enumerate(candidates.entries):
+            if cand.entity_type != etype:
+                continue
             if idx not in cand_vecs:
                 cand_vecs[idx] = candidate_vector(cand.surface, cand.entity_type,
                                                   params, vocab)

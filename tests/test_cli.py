@@ -14,7 +14,8 @@ import pytest
 
 from synth import ENTITY_PEOPLE, ENTITY_PLACES, entity_corpus
 from test_checkpoint import old_container_header
-from test_pipeline import GRID_DAMAGE, damage_grid
+from test_pipeline import EMPTY_QUERY_EVENT, GRID_DAMAGE, damage_grid
+from test_query_recall import write_annotations
 
 import artdesc
 from artdesc.cli import EXIT_DATA, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
@@ -30,13 +31,7 @@ from artdesc.corpus import (
 from artdesc.corpus.vocab import RESERVED
 from artdesc.decoder.model import DecodeStep
 from artdesc.numcore.checkpoint import load_container, save_container
-from artdesc.retriever import (
-    KnowledgeArticle,
-    RetrievalAnnotation,
-    RetrievalLabel,
-    TfIdfIndex,
-    save_annotations,
-)
+from artdesc.retriever import KnowledgeArticle, TfIdfIndex
 
 
 @pytest.fixture(scope="module")
@@ -147,9 +142,7 @@ def test_full_command_flow(cli_world, capsys):
     assert payload["num_paintings"] == len(records)
 
     annotations_path = root / "annotations.jsonl"
-    save_annotations(annotations_path, [
-        RetrievalAnnotation(r.id, [(f"{r.id}-bio", RetrievalLabel.AUTHOR)]) for r in records
-    ])
+    write_annotations(annotations_path, [(r.id, f"{r.id}-bio", "author") for r in records])
     assert main(["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
                  "--annotations", str(annotations_path), "--ks", "1,2"]) == EXIT_OK
     recall_report = json.loads(capsys.readouterr().out)
@@ -342,7 +335,7 @@ def test_data_error_exit_code(cli_world, tmp_path, capsys, command, corpus, sett
     "corpus-no-id", "corpus-attribute-not-string", "sentence-no-text", "entity-no-type",
     "articles-no-id",
     "articles-not-object", "articles-body-not-string", "annotation-no-label",
-    "annotation-label-not-string",
+    "annotation-label-not-string", "annotation-unknown-label",
 ])
 def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
     root, records, corpus_path, _, _, knowledge_dir = cli_world
@@ -380,6 +373,9 @@ def test_malformed_jsonl_exit_code(cli_world, tmp_path, capsys, case):
         if case == "annotation-label-not-string":
             row["label"] = 3
             where = f"{bad}:1: 'label' must be str, got int"
+        elif case == "annotation-unknown-label":
+            row["label"] = "bogus"
+            where = f"{bad}:1: unknown retrieval label 'bogus'"
         else:
             where = f"{bad}:1:"
         bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
@@ -398,9 +394,7 @@ def test_eval_recall_rejects_a_k_that_is_not_a_positive_integer(cli_world, tmp_p
     assert main(["index", "--knowledge-dir", str(knowledge_dir),
                  "--out", str(index_path)]) == EXIT_OK
     annotations_path = tmp_path / "annotations.jsonl"
-    save_annotations(annotations_path, [
-        RetrievalAnnotation(r.id, [(f"{r.id}-bio", RetrievalLabel.AUTHOR)]) for r in records
-    ])
+    write_annotations(annotations_path, [(r.id, f"{r.id}-bio", "author") for r in records])
     capsys.readouterr()
     assert main(["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
                  "--annotations", str(annotations_path), f"--ks={ks}"]) == EXIT_DATA
@@ -432,12 +426,30 @@ def test_retrieve_and_eval_recall_use_the_index_stoplist(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus(corpus_path, [PaintingRecord(id="p1", sentences=[], attributes={"artist": "the"})])
     annotations_path = tmp_path / "annotations.jsonl"
-    save_annotations(annotations_path, [RetrievalAnnotation("p1", [("k1", RetrievalLabel.CORRECT)])])
+    write_annotations(annotations_path, [("p1", "k1", "correct")])
     assert main(["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
                  "--annotations", str(annotations_path), "--ks", "1"]) == EXIT_OK
     captured = capsys.readouterr()
     assert json.loads(captured.out)["classes"]["all"]["recall"]["1"] == 100.0
     assert captured.err == ""
+
+
+def test_eval_recall_warns_of_an_empty_query_naming_the_painting(tmp_path, capsys):
+    knowledge = tmp_path / "knowledge"
+    knowledge.mkdir()
+    (knowledge / "k1.txt").write_text("the saint on the horse", encoding="utf-8")
+    index_path, corpus_path = tmp_path / "k.idx", tmp_path / "corpus.jsonl"
+    assert main(["index", "--knowledge-dir", str(knowledge), "--out", str(index_path)]) == EXIT_OK
+    save_corpus(corpus_path, [PaintingRecord(id="p1", sentences=[], attributes={"artist": "saint"}),
+                              PaintingRecord(id="p2", sentences=[], objects=["cell phone"])])
+    annotations_path = tmp_path / "annotations.jsonl"
+    write_annotations(annotations_path, [("p1", "k1", "correct"), ("p2", "k1", "correct")])
+    capsys.readouterr()
+    assert main(["eval-recall", "--index", str(index_path), "--corpus", str(corpus_path),
+                 "--annotations", str(annotations_path), "--ks", "1"]) == EXIT_OK
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    empty = [e for e in events if e["event"] == EMPTY_QUERY_EVENT]
+    assert [e["painting"] for e in empty] == ["p2"]
 
 
 @pytest.mark.parametrize("special", ["<sep>", "<cls>"])
@@ -811,6 +823,8 @@ def test_misaligned_array_data_is_refused(tmp_path, capsys):
     ("meta", '{"attributes": {"artist": 5}}', "'attributes.artist' must be str, got int"),
     ("meta", '{"objects": ["saint", null]}', "'objects[1]' must be str, got NoneType"),
     ("attrs", '{"artist": ["goya"]}', "'artist' must be str, got list"),
+    ("meta", '{"attributes": {"artsit": "Goya"}}', "attributes: unknown keys ['artsit']"),
+    ("attrs", '{"artsit": "Goya"}', "unknown keys ['artsit']"),
     ("masked", '[{"tokens": []}]', "item 0: masked sentence must contain at least one token"),
     ("masked", '[{"tokens": ["a"]}, {"tokens": ["A"]}]',
      "item 1: word token 'A' must be lowercase"),
@@ -818,6 +832,7 @@ def test_misaligned_array_data_is_refused(tmp_path, capsys):
 ], ids=["meta-invalid", "meta-attributes-not-object", "meta-list", "masked-invalid",
         "masked-object", "masked-no-tokens", "attrs-invalid", "attrs-list", "config-list",
         "meta-attribute-not-string", "meta-object-not-string", "attrs-value-not-string",
+        "meta-misspelled-attribute", "attrs-misspelled-attribute",
         "masked-empty-tokens", "masked-uppercase-word", "masked-unknown-topic"])
 def test_malformed_json_exit_code(world, tmp_path, capsys, flag, text, message):
     _, _, config, _ = world

@@ -1,4 +1,4 @@
-"""Feature grid files, mean pooling, and corpus JSONL round trips."""
+"""Feature grid files and corpus JSONL round trips."""
 
 import hashlib
 import re
@@ -10,7 +10,6 @@ from artdesc.corpus import (
     FeatureGrid,
     load_corpus,
     load_feature_grid,
-    mean_pool,
     record_from_dict,
     record_to_dict,
     save_corpus,
@@ -141,21 +140,6 @@ class TestGridLayout:
         assert second.read_bytes() == first.read_bytes()
         assert hashlib.sha256(first.read_bytes()).hexdigest() == (
             "7d30234b0fe3b2e37e603bf15f2d5a4ccbcad0f2d0b4684a942bc18927e6c9e1")
-
-
-class TestMeanPool:
-    def test_all_ones(self):
-        assert np.array_equal(mean_pool(FeatureGrid(np.ones((5, 3)))), np.ones(3))
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(25)
-        grid = FeatureGrid(rng.normal(size=(4, 8)))
-        pooled = mean_pool(grid)
-        for j in range(8):
-            acc = 0.0
-            for i in range(4):
-                acc += grid.values[i, j]
-            assert abs(pooled[j] - acc / 4) < 1e-12
 
 
 RECORD = {

@@ -22,11 +22,11 @@ def test_zero_grad_leaves_params_unchanged():
 def test_single_scalar_first_step_closed_form():
     # Hand-coded first-step Adam: m_hat = g, v_hat = g^2,
     # update = lr * g / (|g| + eps).
-    lr, (b1, b2), eps, g = 0.1, (0.9, 0.999), 1e-8, 1.0
+    lr, eps, g = 0.1, 1e-8, 1.0
     store = nc.ParamStore()
     w = store.add("w", np.array([0.5]))
     w.grad = np.array([g])
-    nc.adam_step(store, lr=lr, betas=(b1, b2), eps=eps)
+    nc.adam_step(store, lr=lr)
     expected = 0.5 - lr * g / (abs(g) + eps)
     assert abs(w.data[0] - expected) < 1e-15
 
@@ -45,7 +45,7 @@ def test_two_steps_match_hand_recursion():
     store.clear_grads()
     for g in grads:
         w.grad[...] = g
-        nc.adam_step(store, lr=lr, betas=(b1, b2), eps=eps)
+        nc.adam_step(store, lr=lr)
     assert abs(w.data[0] - theta) < 1e-14
     assert store.step == 2
 
@@ -53,11 +53,9 @@ def test_two_steps_match_hand_recursion():
 def test_random_trajectories_match_scalar_oracle():
     # 100 seeded scalar trajectories against an independent recursion.
     rng = np.random.default_rng(93)
+    b1, b2, eps = 0.9, 0.999, 1e-8
     for _ in range(100):
         lr = float(rng.uniform(1e-4, 1e-1))
-        b1 = float(rng.uniform(0.5, 0.99))
-        b2 = float(rng.uniform(0.9, 0.9999))
-        eps = 1e-8
         steps = int(rng.integers(1, 6))
         grads = rng.normal(size=steps)
         theta0 = float(rng.normal())
@@ -73,7 +71,7 @@ def test_random_trajectories_match_scalar_oracle():
         store.clear_grads()
         for g in grads:
             w.grad[...] = g
-            nc.adam_step(store, lr=lr, betas=(b1, b2), eps=eps)
+            nc.adam_step(store, lr=lr)
         assert abs(w.data[0] - theta) < 1e-12
 
 

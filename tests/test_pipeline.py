@@ -9,7 +9,7 @@ import json
 import logging
 import shutil
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,8 @@ from artdesc.corpus import (
 from artdesc.decoder import DecoderConfig, TrainConfig, save_decoder_checkpoint, train_decoder
 from artdesc.errors import DataError, MissingArtifactError
 from artdesc.pipeline import Pipeline, PipelineConfig, render_evaluation, report_to_json
+
+EMPTY_QUERY_EVENT = "built an empty retrieval query (no attributes or usable objects)"
 
 
 class TestDescribeOracle:
@@ -78,6 +80,16 @@ class TestDescribeOracle:
         assert event.painting == record.id
         assert report["retrieved"] == []
         assert {c["source"] for c in report["candidates"]} == {"attribute"}
+
+    def test_empty_query_warning_names_the_painting(self, world, caplog):
+        _, records, config, _ = world
+        bare = replace(records[0], attributes={}, objects=[])
+        pipeline = Pipeline(PipelineConfig(**dict(config, knowledge_mode="external-corpus")))
+        with caplog.at_level(logging.WARNING):
+            report = pipeline.describe(bare)
+        (event,) = [r for r in caplog.records if r.msg == EMPTY_QUERY_EVENT]
+        assert event.painting == bare.id
+        assert report["query"] == "" and report["retrieved"] == []
 
     def test_external_corpus_mode_runs(self, world):
         _, records, config, _ = world

@@ -136,7 +136,7 @@ def test_decoder_edges_pass_gradcheck(variant, length):
     grid = FeatureGrid(rng.normal(size=(3, 4)))
     ids = [1] + [int(t) for t in rng.integers(4, 12, size=length - 1)] + [2]
     new, _ = _losses(config, store, grid, ids, TopicLabel.CONTEXT)
-    assert nc.grad_check(new, store, epsilon=1e-4) < 1e-4
+    assert nc.grad_check(new, store) < 1e-4
 
 
 def test_classify_tokens_matches_oracle():
@@ -270,7 +270,7 @@ def test_filler_loss_and_gradients_match_oracle(tokens, values):
     pair, store, vocab, config = _filler_pair(tokens, values)
     new, oracle = _filler_losses([pair], store, vocab, config)
     _assert_matches_oracle(store, new, oracle)
-    assert nc.grad_check(new, store, epsilon=1e-4) < 1e-4
+    assert nc.grad_check(new, store) < 1e-4
 
 
 def test_filler_minibatch_matches_per_pair_oracle():
@@ -300,7 +300,7 @@ def test_filler_minibatch_matches_per_pair_oracle():
     assert (scored, skipped) == (8, 2)
     new, oracle = _filler_losses(batch, store, vocab, config)
     _assert_matches_oracle(store, new, oracle)
-    assert nc.grad_check(new, store, epsilon=1e-4) < 1e-4
+    assert nc.grad_check(new, store) < 1e-4
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
@@ -309,8 +309,8 @@ def test_lstm_seq_matches_lstm_steps_and_gradcheck(reverse, steps):
     rng = np.random.default_rng(steps)
     store = nc.ParamStore()
     x = store.add("x", rng.normal(size=(steps, 3)))
-    w = store.add("w", nc.uniform_init(rng, (8, 5), 0.5))
-    b = store.add("b", nc.uniform_init(rng, (8,), 0.5))
+    w = store.add("w", rng.uniform(-0.5, 0.5, (8, 5)))
+    b = store.add("b", rng.uniform(-0.5, 0.5, (8,)))
     weights = rng.normal(size=(steps, 2))
 
     def loss():
@@ -326,7 +326,7 @@ def test_lstm_seq_matches_lstm_steps_and_gradcheck(reverse, steps):
         return nc.dot(nc.constant(weights.ravel()), nc.concat(outs))
 
     _assert_matches_oracle(store, loss, oracle)
-    assert nc.grad_check(loss, store, epsilon=1e-4) < 1e-4
+    assert nc.grad_check(loss, store) < 1e-4
 
 
 def _one(t):
@@ -423,7 +423,7 @@ def test_node_passes_gradcheck(name):
     def loss():
         return _weighted_sum(build(store), weights.data)
 
-    assert nc.grad_check(loss, store, epsilon=1e-4) < 1e-4
+    assert nc.grad_check(loss, store) < 1e-4
 
 
 def _weighted_sum(y, weights):
@@ -441,8 +441,8 @@ def test_ragged_lstm_seq_rows_equal_each_sequence_alone(reverse):
     rng = np.random.default_rng(12)
     store = nc.ParamStore()
     x = store.add("x", rng.normal(size=(3, 5, 2)))
-    w = store.add("w", nc.uniform_init(rng, (8, 4), 0.5))
-    b = store.add("b", nc.uniform_init(rng, (8,), 0.5))
+    w = store.add("w", rng.uniform(-0.5, 0.5, (8, 4)))
+    b = store.add("b", rng.uniform(-0.5, 0.5, (8,)))
     lengths = [5, 3, 1]
     weights = rng.normal(size=(sum(lengths), 2))
 
@@ -500,6 +500,6 @@ def test_cross_entropy_rows_is_the_sum_of_row_losses():
     want = sum(nc.cross_entropy(nc.embedding(logits, i), t).item()
                for i, t in enumerate(targets))
     assert abs(nc.cross_entropy(logits, targets).item() - want) < 1e-12
-    assert nc.grad_check(lambda: nc.cross_entropy(logits, targets), store, epsilon=1e-4) < 1e-4
+    assert nc.grad_check(lambda: nc.cross_entropy(logits, targets), store) < 1e-4
     with pytest.raises(ShapeError):
         nc.cross_entropy(logits, [1, 2])

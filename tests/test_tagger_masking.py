@@ -22,6 +22,7 @@ from artdesc.corpus import (
     unmask,
 )
 from artdesc.errors import DataError
+from artdesc.numcore.checkpoint import digest_of
 
 VASARI_SENTENCE = (
     "An account of Vasari says that Signorelli wanted to represent in the "
@@ -46,7 +47,9 @@ class TestGazetteerFile:
         path = tmp_path / "gaz.tsv"
         path.write_text("# people\n\n  Vasari\tperson  \nNew York\tlocation\n", encoding="utf-8")
         gaz = Gazetteer.from_file(path)
-        assert len(gaz) == 2 and gaz.lookup(("new", "york")) is EntityType.LOCATION
+        # the digest covers every parsed entry: these two and nothing else
+        assert gaz.sha256 == digest_of([("vasari", "PERSON"), ("new york", "LOCATION")])
+        assert gaz.lookup(("new", "york")) is EntityType.LOCATION
 
     @pytest.mark.parametrize("line, message", [
         ("Vasari", "expected 'surface<TAB>type'"),

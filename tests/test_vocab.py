@@ -23,15 +23,15 @@ def sent(*words, topic=TopicLabel.CONTENT):
 
 def test_min_freq_filters_to_unk():
     vocab = build_vocab([sent("a", "a", "b")], min_freq=2)
-    assert "a" in vocab
-    assert "b" not in vocab
+    assert "a" in vocab.index
+    assert "b" not in vocab.index
     assert vocab.id_of("b") == vocab.unk
 
 
 def test_all_slot_tokens_present():
     vocab = build_vocab([sent("x")])
     for et in EntityType:
-        assert et.slot_surface in vocab
+        assert et.slot_surface in vocab.index
     # slots occupy the fixed band right after the reserved tokens
     assert vocab.slot_id(EntityType.PERSON) == len(RESERVED)
 
