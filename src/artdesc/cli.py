@@ -220,11 +220,14 @@ def cmd_retrieve(args) -> int:
     if args.query is not None:
         query = args.query
     else:
-        meta = read_json(args.meta, types={"attributes": dict[str, str], "objects": list[str]})
+        meta = check_object(read_json(args.meta), args.meta, closed=True,
+                            types={"attributes": dict[str, str], "objects": list[str]})
         # a key the corpus would refuse is refused here too, not dropped from the query
         attributes = check_object(meta.get("attributes", {}), f"{args.meta} attributes",
                                   types=dict.fromkeys(ATTRIBUTE_TYPES, str), closed=True)
         query = build_query(attributes, meta.get("objects", []), load_blocklist(args.blocklist))
+    if not query.strip():
+        logger.warning(EMPTY_QUERY, extra={"meta": args.meta} if args.meta else {})
     for article_id, score in index.rank(query, k=args.k):
         print(json.dumps({"article_id": article_id, "score": score}))
     return EXIT_OK
@@ -251,15 +254,16 @@ def cmd_fill(args) -> int:
     """Fill slots in masked sentences using articles and attributes."""
     ckpt = load_filler_checkpoint(args.ckpt)
     gazetteer = Gazetteer.from_file(args.gazetteer)
-    masked_spec = read_json(args.masked, many=True, required=("tokens",),
-                            types={"tokens": list[str], "topic": str | None})
     masked = []
-    for i, item in enumerate(masked_spec):
+    for i, item in enumerate(read_json(args.masked, many=True)):
+        where = f"{args.masked} item {i}"
+        check_object(item, where, ("tokens",), {"tokens": list[str], "topic": str | None},
+                     closed=True)
         try:
             topic = TopicLabel.from_name(item["topic"]) if item.get("topic") else TopicLabel.CONTEXT
             masked.append(sentence_from_surfaces(item["tokens"], topic))
         except DataError as exc:
-            raise DataError(f"{args.masked} item {i}: {exc}") from None
+            raise DataError(f"{where}: {exc}") from None
     bodies = [a.body for a in read_articles_jsonl(args.articles)] if args.articles else []
     attributes = read_json(args.attrs) if args.attrs else {}
     check_object(attributes, args.attrs, types=dict.fromkeys(attributes, str))

@@ -222,21 +222,19 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
         yield lineno, check_object(obj, f"{path}:{lineno}", required, types)
 
 
-def read_json(path: str | Path, many: bool = False, required: tuple[str, ...] = (),
-              types: dict | None = None) -> dict | list[dict]:
-    """One JSON object from a file, or with ``many`` a JSON list of objects,
-    each checked by ``check_object`` with ``required`` and ``types``.
-    Anything else raises DataError naming ``path``."""
+def read_json(path: str | Path, many: bool = False) -> dict | list[dict]:
+    """One JSON object from a file, or with ``many`` a JSON list of objects;
+    the caller checks their keys and values with ``check_object``. Anything
+    else raises DataError naming ``path``."""
     try:
         value = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not many:
-        return check_object(value, str(path), required, types)
+        return check_object(value, str(path))
     if not isinstance(value, list):
         raise DataError(f"{path}: expected a JSON list, got {type(value).__name__}")
-    return [check_object(obj, f"{path} item {i}", required, types)
-            for i, obj in enumerate(value)]
+    return [check_object(obj, f"{path} item {i}") for i, obj in enumerate(value)]
 
 
 def load_corpus(path: str | Path, features_dir: str | Path | None = None) -> list[PaintingRecord]:

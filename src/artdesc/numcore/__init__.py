@@ -1,6 +1,5 @@
 """Minimal differentiable numerics: float64 tensors on a reverse-mode tape,
-the recurrent/attention/output layers the generation models need, Adam, and
-a finite-difference gradient oracle."""
+the recurrent/attention/output layers the generation models need, and Adam."""
 
 from artdesc.numcore.tensor import (
     Tensor,
@@ -11,7 +10,6 @@ from artdesc.numcore.tensor import (
     concat,
     constant,
     cross_entropy,
-    dot,
     embedding,
     linear,
     log_softmax_np,
@@ -24,41 +22,36 @@ from artdesc.numcore.tensor import (
     scale,
     softmax,
     softmax_np,
-    stack_scalars,
     tanh_t,
     vecmat,
     windows,
 )
 from artdesc.numcore.params import ParamStore, adam_step, scheduled_lr, uniform_init
-from artdesc.numcore.gradcheck import grad_check
 
 __all__ = [
     "ParamStore",
     "Tensor",
     "adam_step",
     "add_n",
-    "affine",
+    "affine",  # exported for perfbench's probes alone (ROADMAP item 5)
     "attend_lstm_seq",
     "backward",
     "concat",
     "constant",
     "cross_entropy",
-    "dot",
     "embedding",
-    "grad_check",
     "linear",
     "log_softmax_np",
     "lstm_cell_np",
     "lstm_seq",
-    "lstm_step",
+    "lstm_step",  # exported for perfbench's probes alone (ROADMAP item 5)
     "max_rows",
-    "mlp_attention",
+    "mlp_attention",  # exported for perfbench's probes alone (ROADMAP item 5)
     "relu_t",
     "scale",
     "scheduled_lr",
     "softmax",
     "softmax_np",
-    "stack_scalars",
     "tanh_t",
     "uniform_init",
     "vecmat",

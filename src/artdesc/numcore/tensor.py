@@ -2,8 +2,8 @@
 
 Every op records a node with parents and a backward closure. Heavy layers
 (LSTM cell, attention MLP, softmax cross-entropy) are single fused nodes with
-hand-derived backward passes; everything is validated against central finite
-differences by :mod:`artdesc.numcore.gradcheck`.
+hand-derived backward passes, each validated against central finite
+differences by ``grad_check`` in tests/gradcheck.py.
 
 A backward closure hands each parent its gradient through
 :meth:`Tensor.accumulate_grad`, which alone decides whether that parent takes
@@ -14,11 +14,14 @@ the whole array or scattered into rows or a slice.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from artdesc.errors import ShapeError, StateError
+
+if TYPE_CHECKING:
+    from artdesc.numcore.params import ParamStore
 
 
 def _as_f64(data) -> np.ndarray:
@@ -141,20 +144,6 @@ def relu_t(a: Tensor) -> Tensor:
     return _node(y, (a,), bwd, "relu")
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    _require_1d(a, "dot")
-    _require_1d(b, "dot")
-    if a.shape != b.shape:
-        raise ShapeError(f"dot: shape mismatch {a.shape} vs {b.shape} ('{a.name}' vs '{b.name}')")
-
-    def bwd(out: Tensor) -> None:
-        g = float(out.grad)
-        a.accumulate_grad(g * b.data)
-        b.accumulate_grad(g * a.data)
-
-    return _node(np.array(a.data @ b.data), (a, b), bwd, "dot")
-
-
 # ---------------------------------------------------------------------------
 # Structural ops
 # ---------------------------------------------------------------------------
@@ -184,18 +173,6 @@ def narrow(a: Tensor, start: int, length: int) -> Tensor:
         a.accumulate_grad(out.grad, at=slice(start, start + length))
 
     return _node(a.data[start : start + length].copy(), (a,), bwd, "narrow")
-
-
-def stack_scalars(ts: Sequence[Tensor]) -> Tensor:
-    for t in ts:
-        if t.data.size != 1:
-            raise ShapeError(f"stack_scalars: '{t.name}' has shape {t.shape}, want scalar")
-
-    def bwd(out: Tensor) -> None:
-        for i, t in enumerate(ts):
-            t.accumulate_grad(np.array(out.grad[i]).reshape(t.shape))
-
-    return _node(np.array([float(t.data.reshape(())) for t in ts]), tuple(ts), bwd, "stack_scalars")
 
 
 def max_rows(x: Tensor, lengths) -> Tensor:
@@ -728,22 +705,21 @@ def attend_lstm_seq(grids, x: Tensor, h0: Tensor, c0: Tensor,
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor, params: "object | None" = None) -> None:
+def backward(loss: Tensor, params: ParamStore) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates .grad on every participating tensor. If a ParamStore is given,
-    each parameter's gradient accumulates in place in the store's gradient
-    row, so a parameter the graph does not reach keeps a zero gradient, and a
-    non-finite gradient raises FloatingPointError naming its parameter.
-    Calling backward twice on the same loss node raises StateError.
+    Populates .grad on every participating tensor. Each parameter's gradient
+    accumulates in place in the store's gradient row, so a parameter the
+    graph does not reach keeps a zero gradient, and a non-finite gradient
+    raises FloatingPointError naming its parameter. Calling backward twice
+    on the same loss node raises StateError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._done:
         raise StateError("backward already ran for this loss; rebuild the graph first")
     loss._done = True
-    if params is not None:
-        params._packed()
+    params._packed()
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -766,5 +742,4 @@ def backward(loss: Tensor, params: "object | None" = None) -> None:
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node)
 
-    if params is not None:
-        params.check_grads()
+    params.check_grads()

@@ -193,15 +193,17 @@ class TfIdfIndex:
     def rank(self, query: str, k: int) -> list[tuple[str, float]]:
         """Top-k (article id, cosine score), descending score, ties broken by
         article id. A query with no token after normalization (with the
-        index's stop words), or with no term in the index, returns no results."""
+        index's stop words), or with no term in the index, returns none, with
+        a warning unless the query is blank: its caller warns of that."""
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
         tokens = normalize_text(query, self.stopwords, self._stems)
         if len(self._stems) >= STEM_MEMO_CAP:
             self._stems = {}  # rebound, not cleared: a rank in another thread keeps its dict
         if not tokens:
-            logger.warning("query is empty after normalization; returning no results",
-                           extra={"query": query})
+            if query.strip():
+                logger.warning("query is empty after normalization; returning no results",
+                               extra={"query": query})
             return []
         # the query's tf-idf vector over the index's terms, L2-normalized below
         counts = Counter(tid for tid in map(self.term_ids.get, terms_of(tokens))

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 from typing import Callable
 
+from artdesc import numcore as nc
 from artdesc.errors import DataError
-from artdesc.numcore.params import ParamStore
-from artdesc.numcore.tensor import Tensor, backward
-
 
 # the central-difference step of the gradient gate
 EPSILON = 1e-4
 
 
-def grad_check(loss_fn: Callable[[], Tensor], params: ParamStore) -> float:
+def grad_check(loss_fn: Callable[[], nc.Tensor], params: nc.ParamStore) -> float:
     """Max relative error between analytic gradients and central differences
     at step ``EPSILON``.
 
@@ -30,7 +28,7 @@ def grad_check(loss_fn: Callable[[], Tensor], params: ParamStore) -> float:
         )
 
     params.clear_grads()
-    backward(loss_fn(), params)
+    nc.backward(loss_fn(), params)
     analytic = {name: params[name].grad.copy() for name in params.names()}
 
     worst = 0.0

@@ -14,8 +14,9 @@ the reference:
   ``fill_pair_loss`` here to about 1e-10 relative (stacked GEMMs sum in
   another order).
 
-``neg_log_pick`` and ``maximum_list`` are the numcore ops that only this path
-used.
+``neg_log_pick``, ``maximum_list``, ``dot`` and ``stack_scalars`` are the
+numcore ops that only this path used; tests also take ``dot(w, w)`` as a
+scalar loss.
 """
 
 from __future__ import annotations
@@ -70,6 +71,32 @@ def maximum_list(ts: Sequence[nc.Tensor]) -> nc.Tensor:
             t.accumulate_grad(out.grad * (winner == i))
 
     return _node(stacked.max(axis=0), tuple(ts), bwd, "maximum_list")
+
+
+def dot(a: nc.Tensor, b: nc.Tensor) -> nc.Tensor:
+    _require_1d(a, "dot")
+    _require_1d(b, "dot")
+    if a.shape != b.shape:
+        raise ShapeError(f"dot: shape mismatch {a.shape} vs {b.shape} ('{a.name}' vs '{b.name}')")
+
+    def bwd(out: nc.Tensor) -> None:
+        g = float(out.grad)
+        a.accumulate_grad(g * b.data)
+        b.accumulate_grad(g * a.data)
+
+    return _node(np.array(a.data @ b.data), (a, b), bwd, "dot")
+
+
+def stack_scalars(ts: Sequence[nc.Tensor]) -> nc.Tensor:
+    for t in ts:
+        if t.data.size != 1:
+            raise ShapeError(f"stack_scalars: '{t.name}' has shape {t.shape}, want scalar")
+
+    def bwd(out: nc.Tensor) -> None:
+        for i, t in enumerate(ts):
+            t.accumulate_grad(np.array(out.grad[i]).reshape(t.shape))
+
+    return _node(np.array([float(t.data.reshape(())) for t in ts]), tuple(ts), bwd, "stack_scalars")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +269,7 @@ def slot_scores(fill_input, candidates, params: nc.ParamStore,
             if idx not in cand_vecs:
                 cand_vecs[idx] = candidate_vector(cand.surface, cand.entity_type,
                                                   params, vocab)
-            score = nc.dot(h_slot, nc.affine(params["fill.bilinear"], cand_vecs[idx]))
+            score = dot(h_slot, nc.affine(params["fill.bilinear"], cand_vecs[idx]))
             scored.append((idx, score))
         per_slot.append(scored)
     return per_slot
@@ -262,7 +289,7 @@ def fill_pair_loss(pair, params: nc.ParamStore, vocab: Vocab,
         if gold is None or local is None or not scored:
             skipped += 1
             continue
-        losses.append(nc.cross_entropy(nc.stack_scalars([s for _, s in scored]), local))
+        losses.append(nc.cross_entropy(stack_scalars([s for _, s in scored]), local))
     if not losses:
         return None, 0, skipped
     return nc.add_n(losses), len(losses), skipped

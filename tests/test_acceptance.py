@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from gradcheck import grad_check
 from synth import memorization_corpus, slotted_entry, topic_disjoint_corpus, TOPIC_WORDS
 from tape_oracle import attend
 from test_filler import cue_corpus
@@ -79,7 +80,7 @@ def _baseline_gradcheck():
         loss, n, _ = sequence_loss([grid], [ids], store, "dec")
         return nc.scale(loss, 1.0 / n)
 
-    return nc.grad_check(loss_fn, store)
+    return grad_check(loss_fn, store)
 
 
 def _conditional_gradcheck():
@@ -98,7 +99,7 @@ def _conditional_gradcheck():
         ce = nc.cross_entropy(classify_distributions(probs, store, [n - 1]), int(topic))
         return nc.scale(nc.add_n([nll, ce]), 1.0 / n)
 
-    return nc.grad_check(loss_fn, store)
+    return grad_check(loss_fn, store)
 
 
 def _filler_gradcheck():
@@ -120,7 +121,7 @@ def _filler_gradcheck():
         loss, n, _ = fill_pair_loss([pair], store, vocab)
         return nc.scale(loss, 1.0 / n)
 
-    return nc.grad_check(loss_fn, store)
+    return grad_check(loss_fn, store)
 
 
 def test_c01_gradient_fidelity():

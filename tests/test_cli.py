@@ -434,6 +434,20 @@ def test_retrieve_and_eval_recall_use_the_index_stoplist(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_retrieve_warns_once_of_a_blank_query_naming_the_meta_file(tmp_path, capsys):
+    knowledge = tmp_path / "knowledge"
+    knowledge.mkdir()
+    (knowledge / "k1.txt").write_text("the saint on the horse", encoding="utf-8")
+    index_path, meta = tmp_path / "k.idx", tmp_path / "meta.json"
+    assert main(["index", "--knowledge-dir", str(knowledge), "--out", str(index_path)]) == EXIT_OK
+    meta.write_text('{"attributes": {}, "objects": ["cell phone"]}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["retrieve", "--index", str(index_path), "--meta", str(meta)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    (event,) = [json.loads(line) for line in err.splitlines()]
+    assert out == "" and event["event"] == EMPTY_QUERY_EVENT and event["meta"] == str(meta)
+
+
 def test_eval_recall_warns_of_an_empty_query_naming_the_painting(tmp_path, capsys):
     knowledge = tmp_path / "knowledge"
     knowledge.mkdir()
@@ -829,11 +843,14 @@ def test_misaligned_array_data_is_refused(tmp_path, capsys):
     ("masked", '[{"tokens": ["a"]}, {"tokens": ["A"]}]',
      "item 1: word token 'A' must be lowercase"),
     ("masked", '[{"tokens": ["a"], "topic": "nope"}]', "item 0: unknown topic label 'nope'"),
+    ("meta", '{"attributs": {"artist": "goya"}}', "unknown keys ['attributs']"),
+    ("masked", '[{"tokens": ["a"], "topc": "content"}]', "item 0: unknown keys ['topc']"),
 ], ids=["meta-invalid", "meta-attributes-not-object", "meta-list", "masked-invalid",
         "masked-object", "masked-no-tokens", "attrs-invalid", "attrs-list", "config-list",
         "meta-attribute-not-string", "meta-object-not-string", "attrs-value-not-string",
         "meta-misspelled-attribute", "attrs-misspelled-attribute",
-        "masked-empty-tokens", "masked-uppercase-word", "masked-unknown-topic"])
+        "masked-empty-tokens", "masked-uppercase-word", "masked-unknown-topic",
+        "meta-misspelled-key", "masked-misspelled-key"])
 def test_malformed_json_exit_code(world, tmp_path, capsys, flag, text, message):
     _, _, config, _ = world
     bad = tmp_path / "bad.json"

@@ -7,7 +7,8 @@ pipeline reads articles and stop words only through the index, JSON values
 are type-checked only by ``check_object``, the losses and sequence kernels
 take only minibatches with their lengths, every top-level function and
 class of the package is named somewhere, every name a subpackage re-exports
-is used outside it, every training setting has a
+is used outside it, every name numcore exports is run by the package or
+patched by the benchmark's probes, every training setting has a
 command-line flag whose default the CLI does not restate, every describe
 setting is set in ``pipeline.json`` or the decoder checkpoint alone, log
 events carry their values as fields, only the parameter block binds a
@@ -243,12 +244,13 @@ def test_json_values_are_checked_only_by_check_object():
     assert offenders == []
 
 
-def _all_of(init: Path) -> list[str]:
-    """The names in the ``__all__`` of a package's ``__init__.py``."""
-    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
-    return [name for node in tree.body if isinstance(node, ast.Assign)
-            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
-            for name in ast.literal_eval(node.value)]
+def _literal(path: Path, name: str):
+    """The value of a module's one top-level ``name = <literal>``, read
+    without importing the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == name for target in node.targets)]
+    return ast.literal_eval(value)
 
 
 def test_every_re_export_is_used_outside_its_package():
@@ -266,8 +268,26 @@ def test_every_re_export_is_used_outside_its_package():
                     users.setdefault(node.attr, set()).add(path)
     inits = sorted(SRC.glob("*/__init__.py"))
     assert inits, "no subpackages found"
-    offenders = [f"{init.parent.name}: {name}" for init in inits for name in _all_of(init)
+    offenders = [f"{init.parent.name}: {name}" for init in inits
+                 for name in _literal(init, "__all__")
                  if all(init.parent in path.parents for path in users.get(name, ()))]
+    assert offenders == []
+
+
+def test_numcore_exports_only_what_the_package_runs():
+    """Every name in numcore's ``__all__`` is referenced by a module under
+    src/ outside numcore, or patched by perfbench's probes (their
+    ``NUMCORE_OPS``): an op or oracle that only tests call lives in tests/,
+    as ``dot``, ``stack_scalars`` (tests/tape_oracle.py) and ``grad_check``
+    (tests/gradcheck.py) do."""
+    used = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).parts[0] != "numcore":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            used.update(name for _, name in _referenced_names(tree))
+    probed = set(_literal(ROOT / "perfbench" / "probes.py", "NUMCORE_OPS"))
+    offenders = [name for name in _literal(SRC / "numcore" / "__init__.py", "__all__")
+                 if name not in used | probed]
     assert offenders == []
 
 

@@ -394,6 +394,16 @@ class TestRank:
         assert "no query term" not in caplog.text
         assert [r.query for r in caplog.records] == ["the of and"]
 
+    @pytest.mark.parametrize("query", ["", "  "])
+    def test_blank_query_empty_result_without_a_warning(self, caplog, query):
+        """A blank query's caller warns of it, naming its painting or file."""
+        import logging
+
+        idx = TfIdfIndex.build([KnowledgeArticle("a", "a", "saint fresco")])
+        with caplog.at_level(logging.WARNING):
+            assert idx.rank(query, k=5) == []
+        assert caplog.records == []
+
     def test_pure_function(self):
         rng = np.random.default_rng(66)
         idx = TfIdfIndex.build(random_articles(rng, 8))

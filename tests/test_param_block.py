@@ -11,6 +11,7 @@ import pytest
 
 from adam_oracle import OracleAdam
 from synth import entity_corpus
+from tape_oracle import dot
 from test_filler import cue_corpus
 
 import artdesc.numcore as nc
@@ -116,7 +117,7 @@ REBINDINGS = {
 }
 STORE_CALLS = {
     "clear_grads": lambda store, w: store.clear_grads(),
-    "backward": lambda store, w: nc.backward(nc.dot(w, w), store),
+    "backward": lambda store, w: nc.backward(dot(w, w), store),
     "adam_step": lambda store, w: nc.adam_step(store, lr=0.1),
 }
 
@@ -156,7 +157,7 @@ def test_data_written_in_place_is_trained():
     w = store.add("w", np.array([1.0, -1.0]))
     store.clear_grads()
     w.data[...] = [5.0, 6.0]  # in place: still the block's view
-    nc.backward(nc.dot(w, w), store)
+    nc.backward(dot(w, w), store)
     nc.adam_step(store, lr=0.5)  # a first step moves each weight by lr * sign(grad)
     assert np.allclose(w.data, [4.5, 5.5])
 
@@ -166,15 +167,15 @@ def test_non_finite_gradient_names_its_parameter():
     a = store.add("a", np.array([1.0]))
     b = store.add("b", np.array([1e-300]))
     # the forward stays finite (1 + 1e300) but b's gradient is 1e300 * 1e300
-    huge = nc.scale(nc.dot(b, nc.constant([1e300])), 1e300)
+    huge = nc.scale(dot(b, nc.constant([1e300])), 1e300)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="gradient of 'b'"):
-        nc.backward(nc.add_n([nc.dot(a, a), huge]), store)
+        nc.backward(nc.add_n([dot(a, a), huge]), store)
 
 
 def test_cleared_gradients_start_from_zero():
     store = nc.ParamStore()
     w = store.add("w", np.array([3.0]))
-    nc.backward(nc.dot(w, w), store)
+    nc.backward(dot(w, w), store)
     store.clear_grads()  # the view held 6
-    nc.backward(nc.dot(w, w), store)
+    nc.backward(dot(w, w), store)
     assert w.grad.tolist() == [6.0]

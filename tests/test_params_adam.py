@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from tape_oracle import dot
+
 from artdesc import numcore as nc
 from artdesc.errors import StateError
 
@@ -100,7 +102,7 @@ def test_backward_then_adam_decreases_convex_loss():
 
         def loss_fn():
             diff = nc.add_n([w, nc.constant(-target)])
-            return nc.dot(diff, diff)
+            return dot(diff, diff)
 
         prev = loss_fn().item()
         for _ in range(5):

